@@ -14,7 +14,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -173,10 +173,11 @@ def ingest_external(
     """Load a user-supplied annotation file (line-delimited JSON).
 
     Each row needs "item_id", "text", and per-task label lists under
-    "ol" / "hs". Malformed rows (bad JSON, missing fields, non-binary
-    labels, duplicate ids, or too few labels to subsample) are skipped
-    and counted. Gold proportions come from a seeded without-replacement
-    subsample of ``subsample`` labels per item.
+    "ol" / "hs". Malformed rows (bad JSON, missing fields, empty or
+    whitespace-only text, non-binary labels, duplicate ids, or too few
+    labels to subsample) are skipped and counted. Gold proportions come
+    from a seeded without-replacement subsample of ``subsample`` labels
+    per item.
     """
     key = task.lower()
     raw: list[RawItem] = []
@@ -201,6 +202,8 @@ def ingest_external(
                 ):
                     raise ValueError("malformed row")
                 tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
+                if not any(tok.strip() for tok in tokens):
+                    raise ValueError("empty text")
             except (ValueError, KeyError, TypeError, AttributeError):
                 skipped += 1
                 continue
@@ -533,13 +536,34 @@ def _shape_to_dict(shape: GoldShape) -> dict:
     raise TypeError(f"unknown shape {type(shape).__name__}")
 
 
-def _shape_from_dict(d: dict) -> GoldShape:
-    kind = d.get("shape")
+def _check_keys(d: dict, allowed: Iterable[str], where: str) -> None:
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+
+
+def _cast_fields(d: dict, cls: type, where: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the keys given in ``d``,
+    each cast to its field's default type; absent keys keep the
+    dataclass default, so defaults are stated once."""
+    types = {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
+    _check_keys(d, types, where)
+    return {key: types[key](value) for key, value in d.items()}
+
+
+_SHAPE_KEYS = {"uniform": ("low", "high"), "rare": ("mean",)}
+
+
+def _shape_from_dict(d: dict, where: str) -> GoldShape:
+    kind = d.get("shape") if isinstance(d, dict) else None
+    if kind not in _SHAPE_KEYS:
+        raise ValueError(f"unknown gold shape {kind!r} in {where}")
+    _check_keys(d, ("shape", "n", *_SHAPE_KEYS[kind]), where)
     if kind == "uniform":
         return Uniform(float(d["low"]), float(d["high"]))
-    if kind == "rare":
-        return Rare(float(d["mean"]))
-    raise ValueError(f"unknown gold shape {kind!r}")
+    return Rare(float(d["mean"]))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -577,43 +601,43 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
+_TOP_LEVEL = {
+    "task": str,
+    "betas": lambda v: tuple(float(b) for b in v),
+    "seeds": lambda v: tuple(int(s) for s in v),
+    "split": lambda v: tuple(int(c) for c in v),
+    "recipes": tuple,
+    "benchmark": PopulationBenchmark,
+    "difficult": bool,
+    "difficult_lo": float,
+    "difficult_hi": float,
+}
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """Config from its JSON form. Unknown keys at any level are errors;
+    absent keys take the dataclass defaults."""
+    _check_keys(d, (*_TOP_LEVEL, "gold", "train"), "config")
+    if "gold" not in d:
+        raise ValueError("config needs a 'gold' entry")
     gold_spec = d["gold"]
+    _check_keys(gold_spec, ("file", "synthetic"), "gold")
+    if len(gold_spec) != 1:
+        raise ValueError("gold needs exactly one of 'file' or 'synthetic'")
     gold: Union[SyntheticGold, str]
     if "file" in gold_spec:
         gold = gold_spec["file"]
     else:
-        synth = gold_spec["synthetic"]
+        synth = dict(gold_spec["synthetic"])
         components = tuple(
-            (_shape_from_dict(c), int(c["n"])) for c in synth["components"]
+            (_shape_from_dict(c, f"gold.synthetic.components[{i}]"), int(c["n"]))
+            for i, c in enumerate(synth.pop("components", ()))
         )
-        gold = SyntheticGold(
-            components=components,
-            vocab_size=int(synth.get("vocab_size", 2000)),
-            tokens_per_item=int(synth.get("tokens_per_item", 50)),
-            seed=int(synth.get("seed", 0)),
-        )
-    defaults = ExperimentConfig(gold=gold)
-    train_d = d.get("train", {})
-    return ExperimentConfig(
-        gold=gold,
-        task=d.get("task", defaults.task),
-        betas=tuple(float(b) for b in d.get("betas", defaults.betas)),
-        seeds=tuple(int(s) for s in d.get("seeds", defaults.seeds)),
-        split=tuple(int(c) for c in d.get("split", defaults.split)),
-        recipes=tuple(d.get("recipes", defaults.recipes)),
-        benchmark=PopulationBenchmark(d["benchmark"]) if "benchmark" in d else defaults.benchmark,
-        train=TrainConfig(
-            epochs=int(train_d.get("epochs", TrainConfig.epochs)),
-            learning_rate=float(train_d.get("learning_rate", TrainConfig.learning_rate)),
-            hash_dim=int(train_d.get("hash_dim", TrainConfig.hash_dim)),
-            batch_size=int(train_d.get("batch_size", TrainConfig.batch_size)),
-            l2=float(train_d.get("l2", TrainConfig.l2)),
-        ),
-        difficult=bool(d.get("difficult", False)),
-        difficult_lo=float(d.get("difficult_lo", 0.4)),
-        difficult_hi=float(d.get("difficult_hi", 0.6)),
-    )
+        gold = SyntheticGold(components, **_cast_fields(synth, SyntheticGold, "gold.synthetic"))
+    kwargs = {key: cast(d[key]) for key, cast in _TOP_LEVEL.items() if key in d}
+    if "train" in d:
+        kwargs["train"] = TrainConfig(**_cast_fields(d["train"], TrainConfig, "train"))
+    return ExperimentConfig(gold=gold, **kwargs)
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:

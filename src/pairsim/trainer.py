@@ -41,6 +41,20 @@ class TrainConfig:
     # runs converge to one point instead of a shuffle-dependent noise ball
     l2: float = 1e-5
 
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and above 0, got {self.learning_rate}"
+            )
+        if self.hash_dim < 2:
+            raise ValueError(f"hash_dim must be at least 2, got {self.hash_dim}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and at least 0, got {self.l2}")
+
 
 @dataclass(frozen=True, eq=False)
 class Model:
@@ -70,27 +84,24 @@ def _item_matrix(
     texts: Mapping[str, Sequence[str]],
     dim: int,
 ) -> sparse.csr_matrix:
-    """One row per item: hashed token frequencies (counts / length)."""
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for item_id in item_ids:
-        tokens = texts[item_id]
-        if not tokens:
-            raise ValueError(f"item {item_id!r} has an empty text")
-        counts: dict[int, int] = {}
-        for tok in tokens:
-            j = token_index(tok, dim)
-            counts[j] = counts.get(j, 0) + 1
-        total = len(tokens)
-        for j in sorted(counts):
-            indices.append(j)
-            data.append(counts[j] / total)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
-        shape=(len(item_ids), dim),
-    )
+    """One row per item: hashed token frequencies (counts / length).
+
+    Each distinct token is hashed once per call; every row holds its
+    columns in ascending order.
+    """
+    n = len(item_ids)
+    lengths = np.array([len(texts[item_id]) for item_id in item_ids], dtype=np.int64)
+    if not lengths.all():
+        raise ValueError(f"item {item_ids[int(np.argmin(lengths))]!r} has an empty text")
+    tokens = [tok for item_id in item_ids for tok in texts[item_id]]
+    column = {tok: token_index(tok, dim) for tok in set(tokens)}
+    cols = np.fromiter(map(column.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+    # one key per (row, column) pair, sorted row-major: counts per cell
+    keys, counts = np.unique(rows * dim + cols, return_counts=True)
+    key_rows = keys // dim
+    indptr = np.searchsorted(key_rows, np.arange(n + 1))
+    return sparse.csr_matrix((counts / lengths[key_rows], keys % dim, indptr), shape=(n, dim))
 
 
 def loss_and_grad(
@@ -113,18 +124,75 @@ def _missing_texts(dataset: Dataset, texts: Mapping[str, Sequence[str]]) -> list
     return sorted({r.item_id for r in dataset.records} - set(texts))
 
 
+def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Distinct item ids in first-seen order, then per annotation record
+    the index of its item and its label."""
+    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
+    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
+    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
+    y = np.array([r.label for r in dataset.records], dtype=np.float64)
+    return item_ids, rows, y
+
+
 def _instances(
     dataset: Dataset,
     texts: Mapping[str, Sequence[str]],
     dim: int,
 ) -> tuple[sparse.csr_matrix, np.ndarray]:
     """One feature row and label per annotation record."""
-    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
-    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
-    X_items = _item_matrix(item_ids, texts, dim)
-    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
-    y = np.array([r.label for r in dataset.records], dtype=np.float64)
-    return X_items[rows], y
+    item_ids, rows, y = _instance_rows(dataset)
+    return _item_matrix(item_ids, texts, dim)[rows], y
+
+
+def _adagrad_epoch(
+    X: sparse.csr_matrix,
+    y: np.ndarray,
+    w: np.ndarray,
+    accum_w: np.ndarray,
+    b: float,
+    accum_b: float,
+    config: TrainConfig,
+) -> tuple[float, float]:
+    """One pass of minibatch AdaGrad over the rows of ``X`` in order.
+
+    Updates ``w`` and ``accum_w`` in place and returns the new bias and
+    its accumulator. Margins and gradients are summed entry by entry in
+    storage order, as scipy's ``csr_matvec``/``csc_matvec`` do, and the
+    update keeps the ``(lr * g) / sqrt(A + 1e-12)`` association, so the
+    result is bit for bit that of ``loss_and_grad`` on each batch.
+    """
+    lr, l2, batch = config.learning_rate, config.l2, config.batch_size
+    n, k = X.shape
+    indptr, indices, data = X.indptr, X.indices, X.data
+    row_nnz = np.diff(indptr)
+    batch_rows = np.arange(min(batch, n))
+    step = np.empty(k)
+    scale = np.empty(k)
+    for start in range(0, n, batch):
+        stop = min(start + batch, n)
+        m = stop - start
+        lo, hi = indptr[start], indptr[stop]
+        # scipy stores int32 indices; numpy gathers and bins intp ones faster
+        cols, vals = indices[lo:hi].astype(np.intp), data[lo:hi]
+        row = batch_rows[:m].repeat(row_nnz[start:stop])
+        p = expit(np.bincount(row, weights=vals * w[cols], minlength=m) + b)
+        residual = (p - y[start:stop]) / m
+        grad_w = np.bincount(cols, weights=vals * residual[row], minlength=k)
+        grad_b = float(residual.sum())
+        # grad_w += l2 * w; accum_w += grad_w ** 2;
+        # w -= (lr * grad_w) / sqrt(accum_w + 1e-12), without temporaries
+        np.multiply(l2, w, out=step)
+        grad_w += step
+        np.multiply(grad_w, grad_w, out=step)
+        accum_w += step
+        np.add(accum_w, 1e-12, out=scale)
+        np.sqrt(scale, out=scale)
+        np.multiply(lr, grad_w, out=step)
+        step /= scale
+        w -= step
+        accum_b += grad_b * grad_b
+        b -= lr * grad_b / math.sqrt(accum_b + 1e-12)
+    return b, accum_b
 
 
 def train(
@@ -140,11 +208,12 @@ def train(
     item in ``dataset`` (and ``dev``). With a dev dataset, the epoch
     whose weights minimize dev loss is kept; otherwise training loss is
     used. Deterministic given (dataset, texts, config, seed).
+
+    SGD runs over only the hash columns that some training text
+    touches: every other coordinate has zero gradient and zero ridge
+    pull, so it stays exactly 0, and the model is bit for bit the one a
+    dense update over all ``hash_dim`` coordinates gives.
     """
-    if config.epochs < 1:
-        raise ValueError("epochs must be at least 1")
-    if config.hash_dim < 2:
-        raise ValueError("hash_dim must be at least 2")
     if not dataset.records:
         raise ValueError("training dataset is empty")
     missing = _missing_texts(dataset, texts)
@@ -153,37 +222,42 @@ def train(
     if missing:
         raise ValueError(f"no text for items: {', '.join(missing[:10])}")
 
-    X, y = _instances(dataset, texts, config.hash_dim)
-    X_sel, y_sel = (X, y) if dev is None else _instances(dev, texts, config.hash_dim)
+    item_ids, rows_of, y = _instance_rows(dataset)
+    X_items = _item_matrix(item_ids, texts, config.hash_dim)
+    if dev is None:
+        X_sel, y_sel = X_items[rows_of], y
+    else:
+        X_sel, y_sel = _instances(dev, texts, config.hash_dim)
+    active = np.unique(X_items.indices)
+    Xc = sparse.csr_matrix(
+        (X_items.data, np.searchsorted(active, X_items.indices), X_items.indptr),
+        shape=(len(item_ids), len(active)),
+    )
 
-    w = np.zeros(config.hash_dim)
+    w = np.zeros(len(active))
     b = 0.0
     # per-coordinate adaptive steps: the bias coordinate sees every
     # instance while a single token sees a few percent, so one global
     # rate cannot serve both
-    accum_w = np.zeros(config.hash_dim)
+    accum_w = np.zeros(len(active))
     accum_b = 0.0
-    n = X.shape[0]
+    weights = np.zeros(config.hash_dim)
     best_loss = np.inf
-    best_w, best_b, best_epoch = w.copy(), b, 0
+    best_w, best_b, best_epoch = weights.copy(), b, 0
     history = []
     for epoch in range(1, config.epochs + 1):
-        perm = stream(seed, "sgd-shuffle", epoch).permutation(n)
-        Xe = X[perm]
-        ye = y[perm]
-        for start in range(0, n, config.batch_size):
-            stop = min(start + config.batch_size, n)
-            _, grad_w, grad_b = loss_and_grad(w, b, Xe[start:stop], ye[start:stop])
-            grad_w += config.l2 * w
-            accum_w += grad_w * grad_w
-            w -= config.learning_rate * grad_w / np.sqrt(accum_w + 1e-12)
-            accum_b += grad_b * grad_b
-            b -= config.learning_rate * grad_b / math.sqrt(accum_b + 1e-12)
-        sel_loss, _, _ = loss_and_grad(w, b, X_sel, y_sel)
+        perm = stream(seed, "sgd-shuffle", epoch).permutation(len(y))
+        b, accum_b = _adagrad_epoch(Xc[rows_of[perm]], y[perm], w, accum_w, b, accum_b, config)
+        weights[active] = w
+        sel_loss, _, _ = loss_and_grad(weights, b, X_sel, y_sel)
         history.append(sel_loss)
         if sel_loss < best_loss:
             best_loss = sel_loss
-            best_w, best_b, best_epoch = w.copy(), b, epoch
+            best_w, best_b, best_epoch = weights.copy(), b, epoch
+    if best_epoch == 0:
+        raise ValueError(
+            "training diverged: no epoch gave a finite selection loss; lower the learning rate"
+        )
     if not np.all(np.isfinite(best_w)) or not np.isfinite(best_b):
         raise ValueError("training diverged to non-finite weights; lower the learning rate")
     return Model(

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from pairsim.experiments import (
     split_items,
     sweep,
 )
-from pairsim.simulation import Uniform, synth_gold
+from pairsim.simulation import Rare, Uniform, synth_gold
 from pairsim.trainer import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
@@ -133,6 +134,21 @@ def test_ingest_tasks_use_their_own_labels(tmp_path):
     hs = ingest_external(path, task="HS").gold
     mean = lambda g: sum(e.p_gold for e in g.entries) / len(g)
     assert mean(hs) < mean(ol)
+
+
+@pytest.mark.parametrize("text", ["", "   ", "\t\n", [], ["", " "]])
+def test_ingest_skips_empty_text_row(tmp_path, text):
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=10)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[3])
+    row["text"] = text
+    lines[3] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest_external(path, task="OL")
+    assert result.skipped == 1
+    assert "tw0003" not in result.gold.item_ids()
+    assert len(result.gold) == 9
 
 
 def test_ingest_rejects_empty(tmp_path):
@@ -294,3 +310,65 @@ def test_config_validation():
         ExperimentConfig(gold=spec, betas=(0.7,))
     with pytest.raises(ValueError, match="recipes"):
         ExperimentConfig(gold=spec, recipes=("bogus",))
+
+
+def test_config_from_dict_defaults_come_from_the_dataclasses():
+    d = {"gold": {"synthetic": {"components": [{"shape": "uniform", "low": 0.0, "high": 1.0, "n": 10}]}}}
+    config = config_from_dict(d)
+    assert config.gold == SyntheticGold(components=((Uniform(0.0, 1.0), 10),))
+    assert config.gold.tokens_per_item == SyntheticGold.tokens_per_item
+    assert config == ExperimentConfig(gold=config.gold)
+    partial = config_from_dict({**d, "train": {"epochs": 3}})
+    assert partial.train == TrainConfig(epochs=3)
+
+
+def _full_config_dict():
+    return config_to_dict(
+        tiny_config(
+            gold=SyntheticGold(
+                components=((Uniform(0.0, 1.0), 10), (Rare(0.1), 5)),
+            )
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        ((), "beta"),
+        (("gold",), "synth"),
+        (("gold", "synthetic"), "vocab"),
+        (("gold", "synthetic", "components", 0), "lo"),
+        (("gold", "synthetic", "components", 1), "low"),
+        (("train",), "learning-rate"),
+    ],
+)
+def test_config_from_dict_rejects_unknown_keys_by_name(path, key):
+    d = _full_config_dict()
+    node = d
+    for step in path:
+        node = node[step]
+    node[key] = 1
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_rejects_bad_train_values_by_name():
+    d = _full_config_dict()
+    d["train"]["batch_size"] = 0
+    with pytest.raises(ValueError, match="batch_size"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_rejects_ambiguous_gold():
+    d = _full_config_dict()
+    d["gold"]["file"] = "annotations.jsonl"
+    with pytest.raises(ValueError, match="exactly one"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("name", ["quick.json", "trend-beta030.json", "paper-grid-ol.json"])
+def test_shipped_configs_load(name):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    config = load_config(path)
+    assert config_from_dict(config_to_dict(config)) == config

@@ -1,7 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
@@ -19,6 +22,7 @@ from pairsim.simulation import (
 from pairsim.trainer import (
     Model,
     TrainConfig,
+    _item_matrix,
     load_model,
     loss_and_grad,
     predict,
@@ -188,6 +192,42 @@ def test_train_validates_config():
         train(ds, gold.texts(), replace(FAST, hash_dim=1), seed=1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -0.1),
+        ("learning_rate", math.inf),
+        ("learning_rate", math.nan),
+        ("hash_dim", 1),
+        ("batch_size", 0),
+        ("batch_size", -3),
+        ("l2", -1e-9),
+        ("l2", math.inf),
+        ("l2", math.nan),
+    ],
+)
+def test_train_config_rejects_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_edge_values():
+    TrainConfig(epochs=1, learning_rate=1e-9, hash_dim=2, batch_size=1, l2=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_train_raises_when_no_epoch_has_finite_loss():
+    # a finite but overflowing rate drives the weights to +-inf, so every
+    # epoch's selection loss is NaN; no such model may be returned
+    gold = textual_gold(n=20)
+    ds = small_dataset(gold)
+    with pytest.raises(ValueError, match="finite selection loss"):
+        train(ds, gold.texts(), replace(FAST, learning_rate=1e308), seed=1)
+
+
 # ---------------------------------------------------------------------------
 # proportion oracle
 
@@ -265,3 +305,150 @@ def test_load_model_rejects_other_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a"):
         load_model(path)
+
+
+# ---------------------------------------------------------------------------
+# the fast trainer against the dense scipy reference
+
+
+def _reference_item_matrix(item_ids, texts, dim):
+    """The per-item dict construction the fast ``_item_matrix`` replaced."""
+    indptr = [0]
+    indices = []
+    data = []
+    for item_id in item_ids:
+        tokens = texts[item_id]
+        counts = {}
+        for tok in tokens:
+            j = token_index(tok, dim)
+            counts[j] = counts.get(j, 0) + 1
+        for j in sorted(counts):
+            indices.append(j)
+            data.append(counts[j] / len(tokens))
+        indptr.append(len(indices))
+    return sparse.csr_matrix(
+        (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
+        shape=(len(item_ids), dim),
+    )
+
+
+def _reference_instances(dataset, texts, dim):
+    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
+    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
+    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
+    y = np.array([r.label for r in dataset.records], dtype=np.float64)
+    return _reference_item_matrix(item_ids, texts, dim)[rows], y
+
+
+def _reference_train(dataset, texts, config, seed, dev=None):
+    """Minibatch AdaGrad with scipy slicing and a dense update over all
+    ``hash_dim`` coordinates: the loop the fast trainer must reproduce."""
+    X, y = _reference_instances(dataset, texts, config.hash_dim)
+    X_sel, y_sel = (X, y) if dev is None else _reference_instances(dev, texts, config.hash_dim)
+    w = np.zeros(config.hash_dim)
+    b = 0.0
+    accum_w = np.zeros(config.hash_dim)
+    accum_b = 0.0
+    n = X.shape[0]
+    best_loss = np.inf
+    best_w, best_b, best_epoch = w.copy(), b, 0
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        perm = stream(seed, "sgd-shuffle", epoch).permutation(n)
+        Xe = X[perm]
+        ye = y[perm]
+        for start in range(0, n, config.batch_size):
+            stop = min(start + config.batch_size, n)
+            _, grad_w, grad_b = loss_and_grad(w, b, Xe[start:stop], ye[start:stop])
+            grad_w += config.l2 * w
+            accum_w += grad_w * grad_w
+            w -= config.learning_rate * grad_w / np.sqrt(accum_w + 1e-12)
+            accum_b += grad_b * grad_b
+            b -= config.learning_rate * grad_b / math.sqrt(accum_b + 1e-12)
+        sel_loss, _, _ = loss_and_grad(w, b, X_sel, y_sel)
+        history.append(sel_loss)
+        if sel_loss < best_loss:
+            best_loss = sel_loss
+            best_w, best_b, best_epoch = w.copy(), b, epoch
+    return best_w, best_b, best_epoch, tuple(history)
+
+
+@st.composite
+def training_problems(draw):
+    """Tiny texts and datasets: replicas, colliding hash columns, and a
+    dev set whose items may use tokens no training item has."""
+    n_items = draw(st.integers(1, 8))
+    vocab = draw(st.integers(1, 40))
+    token = st.integers(0, vocab - 1).map(lambda j: f"t{j}")
+    # rows longer than 8 entries tell a sequential sum from a pairwise one
+    texts = {
+        f"i{i}": tuple(draw(st.lists(token, min_size=1, max_size=24))) for i in range(n_items)
+    }
+    unseen = st.integers(0, 9).map(lambda j: f"u{j}")
+    for i in range(draw(st.integers(0, 3))):
+        texts[f"d{i}"] = tuple(draw(st.lists(st.one_of(token, unseen), min_size=1, max_size=24)))
+
+    def records(item_ids, prefix):
+        recs = []
+        for r in range(draw(st.integers(1, 30))):
+            item_id = draw(st.sampled_from(item_ids))
+            recs.append(Annotation(f"{prefix}{r}", item_id, "A", draw(st.integers(0, 1))))
+        for r, rec in enumerate(draw(st.lists(st.sampled_from(recs), max_size=10))):
+            recs.append(
+                replace(
+                    rec,
+                    annotation_id=f"{prefix}x{r}",
+                    source="replica",
+                    replica_of=rec.annotation_id,
+                )
+            )
+        return Dataset(tuple(recs), DatasetMeta("OL", "custom", 0.0, 0))
+
+    dataset = records(sorted(i for i in texts if i.startswith("i")), "a")
+    dev = records(sorted(texts), "v") if draw(st.booleans()) else None
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 4)),
+        learning_rate=draw(st.sampled_from([0.05, 0.2, 1.0])),
+        hash_dim=draw(st.integers(2, 40)),
+        batch_size=draw(st.integers(1, 12)),
+        l2=draw(st.sampled_from([0.0, 1e-5, 0.1])),
+    )
+    return dataset, texts, config, draw(st.integers(0, 1000)), dev
+
+
+@settings(max_examples=150, deadline=None)
+@given(training_problems())
+def test_fast_train_matches_dense_reference_bit_for_bit(problem):
+    dataset, texts, config, seed, dev = problem
+    model = train(dataset, texts, config, seed, dev=dev)
+    ref_w, ref_b, ref_epoch, ref_history = _reference_train(dataset, texts, config, seed, dev)
+    assert np.array_equal(model.weights, ref_w)
+    assert model.bias == ref_b
+    assert model.best_epoch == ref_epoch
+    assert model.history == ref_history
+    # columns no training row touches are never stepped
+    item_ids = sorted({r.item_id for r in dataset.records})
+    touched = np.unique(_reference_item_matrix(item_ids, texts, config.hash_dim).indices)
+    untouched = np.setdiff1d(np.arange(config.hash_dim), touched)
+    assert not model.weights[untouched].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=10), max_size=8),
+    st.integers(2, 64),
+)
+def test_item_matrix_matches_per_item_reference(token_lists, dim):
+    texts = {f"i{i}": tuple(tokens) for i, tokens in enumerate(token_lists)}
+    item_ids = list(texts)
+    fast = _item_matrix(item_ids, texts, dim)
+    ref = _reference_item_matrix(item_ids, texts, dim)
+    assert fast.shape == ref.shape
+    assert np.array_equal(fast.indptr, ref.indptr)
+    assert np.array_equal(fast.indices, ref.indices)
+    assert np.array_equal(fast.data, ref.data)
+
+
+def test_item_matrix_rejects_empty_text_by_name():
+    with pytest.raises(ValueError, match="'b'"):
+        _item_matrix(["a", "b"], {"a": ("x",), "b": ()}, 16)
