@@ -1,8 +1,9 @@
 """Make the in-tree package importable by child processes too.
 
-``pyproject.toml`` puts ``src`` on pytest's own import path, but the
-tests that start ``python -m pairsim.cli`` in a subprocess only see
-``PYTHONPATH``; prepend ``src`` there so bare ``pytest`` runs them.
+``pyproject.toml`` puts ``src`` on pytest's own import path, but a test
+that starts ``python -m pairsim.cli`` in a subprocess (acceptance
+criterion 8) only sees ``PYTHONPATH``; prepend ``src`` there so bare
+``pytest`` runs it.
 """
 
 import os
