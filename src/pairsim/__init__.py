@@ -21,7 +21,6 @@ from .adjust import (
 )
 from .metrics import (
     AggregateReport,
-    MetricsReport,
     acb,
     aggregate,
     f1,

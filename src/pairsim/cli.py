@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -17,10 +18,9 @@ from .experiments import (
     read_report_cells,
     sweep,
     write_report,
-    _suite_cached,
 )
 from .metrics import acb, f1, positive_proportion
-from .simulation import read_dataset, read_gold, write_dataset, write_gold
+from .simulation import build_suite, read_dataset, read_gold, write_dataset, write_gold
 from .trainer import TrainConfig, load_model, predict, save_model, train
 
 
@@ -39,7 +39,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gold = load_gold(config)
     write_gold(gold, out / "gold.jsonl")
-    suite = _suite_cached(gold, args.beta, args.seed, config.task)
+    suite = build_suite(gold, args.beta, args.seed, config.task)
     for recipe, dataset in (
         ("representative", suite.representative),
         ("nonrep1", suite.nonrep1),
@@ -80,11 +80,8 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--dev-dataset", default=None, help="dataset for epoch selection")
     p.add_argument("--out", required=True, help="model file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("--hash-dim", type=int, default=TrainConfig.hash_dim)
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    for f in fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.set_defaults(func=_cmd_train)
 
 
@@ -92,13 +89,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = read_dataset(args.dataset)
     gold = read_gold(args.gold)
     dev = read_dataset(args.dev_dataset) if args.dev_dataset else None
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        hash_dim=args.hash_dim,
-        batch_size=args.batch_size,
-        l2=args.l2,
-    )
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     model = train(dataset, gold.texts(), config, args.seed, dev=dev)
     save_model(model, args.out)
     print(f"trained on {len(dataset)} instances; best epoch {model.best_epoch}; saved {args.out}")
@@ -148,8 +139,6 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seeds:
-        from dataclasses import replace
-
         config = replace(config, seeds=tuple(int(s) for s in args.seeds.split(",")))
     result = sweep(config, output_dir=args.out, workers=args.workers)
     print(f"{len(result.rows)} cells completed, {len(result.failures)} failed; report in {args.out}")

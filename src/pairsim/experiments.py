@@ -14,7 +14,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown recipes: {', '.join(unknown)}")
         if not self.recipes:
             raise ValueError("need at least one recipe")
+        for name in ("betas", "seeds", "recipes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
         if len(self.split) != 3 or any(c < 0 for c in self.split):
             raise ValueError(f"split must be three non-negative counts, got {self.split}")
 
@@ -247,7 +251,8 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
     )
 
 
-@lru_cache(maxsize=3)
+# sweep runs a (beta, seed) pair's recipes back to back, so one entry suffices
+@lru_cache(maxsize=1)
 def _suite_cached(gold: GoldTable, beta: float, seed: int, task: str) -> Suite:
     return build_suite(gold, beta, seed, task)
 
@@ -370,14 +375,10 @@ def aggregate_rows(
     grouped: dict[tuple[str, str, float], list[ResultRow]] = {}
     for row in rows:
         grouped.setdefault((row.task, row.recipe, row.beta), []).append(row)
-    out = {}
-    for key in sorted(grouped):
-        runs = [
-            metrics.MetricsReport(r.acb, r.f1, r.positive_proportion, r.n_items, r.seed)
-            for r in sorted(grouped[key], key=lambda r: r.seed)
-        ]
-        out[key] = metrics.aggregate(runs)
-    return out
+    return {
+        key: metrics.aggregate(sorted(grouped[key], key=lambda r: r.seed))
+        for key in sorted(grouped)
+    }
 
 
 def sweep(
@@ -387,15 +388,18 @@ def sweep(
 ) -> SweepResult:
     """Run the full recipes x betas x seeds grid.
 
-    Failures are isolated per cell: the sweep continues, failed cells
-    are enumerated, and the report holds one row per completed cell plus
-    cross-seed aggregate rows.
+    Cells run grouped by (beta, seed), recipe fastest, so each process
+    builds one suite per pair: pool workers take cells in order and so
+    finish one pair before starting the next. Failures are isolated per
+    cell: the sweep continues, failed cells are enumerated, and the
+    report holds one row per completed cell plus cross-seed aggregate
+    rows.
     """
     cells = [
         (config, recipe, beta, seed)
-        for recipe in config.recipes
         for beta in config.betas
         for seed in config.seeds
+        for recipe in config.recipes
     ]
     if workers <= 1:
         outcomes = [_cell_outcome(c) for c in cells]
@@ -544,26 +548,51 @@ def _check_keys(d: dict, allowed: Iterable[str], where: str) -> None:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
 
 
-def _cast_fields(d: dict, cls: type, where: str) -> dict:
+# The JSON types a field of each Python type accepts, and how errors name them.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def _typed(value, kind, where: str):
+    """``value`` as a field of type ``kind``: bool, int, float, str, or a
+    one-element list ``[t]`` for a JSON list of ``t`` values (made a
+    tuple). A JSON value of any other type is an error naming ``where``;
+    an integer for a float field is widened, nothing is cast."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return tuple(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
+    accepted, name = _JSON_TYPES[kind]
+    # bool is a subclass of int in Python but not a number in JSON
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+    return kind(value)
+
+
+def _typed_fields(d: dict, cls: type, where: str) -> dict:
     """Keyword arguments for dataclass ``cls`` from the keys given in ``d``,
-    each cast to its field's default type; absent keys keep the
-    dataclass default, so defaults are stated once."""
+    each of its field's default type; absent keys keep the dataclass
+    default, so defaults are stated once."""
     types = {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
     _check_keys(d, types, where)
-    return {key: types[key](value) for key, value in d.items()}
+    return {key: _typed(value, types[key], f"{where}.{key}") for key, value in d.items()}
 
 
 _SHAPE_KEYS = {"uniform": ("low", "high"), "rare": ("mean",)}
 
 
-def _shape_from_dict(d: dict, where: str) -> GoldShape:
+def _component_from_dict(d: dict, where: str) -> tuple[GoldShape, int]:
     kind = d.get("shape") if isinstance(d, dict) else None
     if kind not in _SHAPE_KEYS:
         raise ValueError(f"unknown gold shape {kind!r} in {where}")
     _check_keys(d, ("shape", "n", *_SHAPE_KEYS[kind]), where)
-    if kind == "uniform":
-        return Uniform(float(d["low"]), float(d["high"]))
-    return Rare(float(d["mean"]))
+    params = [_typed(d[key], float, f"{where}.{key}") for key in _SHAPE_KEYS[kind]]
+    shape = Uniform(*params) if kind == "uniform" else Rare(*params)
+    return shape, _typed(d["n"], int, f"{where}.n")
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -588,13 +617,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "recipes": list(config.recipes),
         "benchmark": {s: str(v) for s, v in sorted(config.benchmark.shares.items())},
         "gold": gold,
-        "train": {
-            "epochs": config.train.epochs,
-            "learning_rate": config.train.learning_rate,
-            "hash_dim": config.train.hash_dim,
-            "batch_size": config.train.batch_size,
-            "l2": config.train.l2,
-        },
+        "train": asdict(config.train),
         "difficult": config.difficult,
         "difficult_lo": config.difficult_lo,
         "difficult_hi": config.difficult_hi,
@@ -603,11 +626,10 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 _TOP_LEVEL = {
     "task": str,
-    "betas": lambda v: tuple(float(b) for b in v),
-    "seeds": lambda v: tuple(int(s) for s in v),
-    "split": lambda v: tuple(int(c) for c in v),
-    "recipes": tuple,
-    "benchmark": PopulationBenchmark,
+    "betas": [float],
+    "seeds": [int],
+    "split": [int],
+    "recipes": [str],
     "difficult": bool,
     "difficult_lo": float,
     "difficult_hi": float,
@@ -617,7 +639,7 @@ _TOP_LEVEL = {
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Config from its JSON form. Unknown keys at any level are errors;
     absent keys take the dataclass defaults."""
-    _check_keys(d, (*_TOP_LEVEL, "gold", "train"), "config")
+    _check_keys(d, (*_TOP_LEVEL, "benchmark", "gold", "train"), "config")
     if "gold" not in d:
         raise ValueError("config needs a 'gold' entry")
     gold_spec = d["gold"]
@@ -626,17 +648,21 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ValueError("gold needs exactly one of 'file' or 'synthetic'")
     gold: Union[SyntheticGold, str]
     if "file" in gold_spec:
-        gold = gold_spec["file"]
+        gold = _typed(gold_spec["file"], str, "gold.file")
     else:
         synth = dict(gold_spec["synthetic"])
         components = tuple(
-            (_shape_from_dict(c, f"gold.synthetic.components[{i}]"), int(c["n"]))
+            _component_from_dict(c, f"gold.synthetic.components[{i}]")
             for i, c in enumerate(synth.pop("components", ()))
         )
-        gold = SyntheticGold(components, **_cast_fields(synth, SyntheticGold, "gold.synthetic"))
-    kwargs = {key: cast(d[key]) for key, cast in _TOP_LEVEL.items() if key in d}
+        gold = SyntheticGold(components, **_typed_fields(synth, SyntheticGold, "gold.synthetic"))
+    kwargs = {
+        key: _typed(d[key], kind, f"config.{key}") for key, kind in _TOP_LEVEL.items() if key in d
+    }
+    if "benchmark" in d:
+        kwargs["benchmark"] = PopulationBenchmark(d["benchmark"])
     if "train" in d:
-        kwargs["train"] = TrainConfig(**_cast_fields(d["train"], TrainConfig, "train"))
+        kwargs["train"] = TrainConfig(**_typed_fields(d["train"], TrainConfig, "train"))
     return ExperimentConfig(gold=gold, **kwargs)
 
 

@@ -5,22 +5,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .simulation import Dataset, GoldTable
 
+if TYPE_CHECKING:  # experiments imports this module
+    from .experiments import ResultRow
+
 METRIC_FIELDS = ("acb", "f1", "positive_proportion")
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Metrics of one trained model / one seed."""
-
-    acb: float
-    f1: float
-    positive_proportion: float
-    n_items: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,9 @@ def positive_proportion(dataset: Dataset) -> float:
     return sum(r.label for r in dataset.records) / len(dataset.records)
 
 
-def aggregate(runs: Sequence[MetricsReport]) -> AggregateReport:
-    """Per-metric mean and population standard deviation across runs."""
+def aggregate(runs: Sequence[ResultRow]) -> AggregateReport:
+    """Per-metric mean and population standard deviation across runs,
+    one cell result per seed."""
     if not runs:
         raise ValueError("need at least one run to aggregate")
     n_items = {r.n_items for r in runs}

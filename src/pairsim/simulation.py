@@ -401,16 +401,14 @@ def _stratum_labels(
     item_index: int,
     p_shifted: float,
     count: int,
-    offset: int = 0,
 ) -> list[int]:
-    """Bernoulli labels for slots [offset, offset + count) of one item/stratum.
+    """Bernoulli labels for slots [0, count) of one item/stratum.
 
-    Slots index positions in the per-(seed, task, stratum, item) stream,
-    so slot values never depend on which other slots are consumed.
+    Slots index positions in the per-(seed, task, stratum, item) Philox
+    stream, so slot k has the same value whatever ``count`` is.
     """
     gen = stream(seed, f"{task}:annot:{stratum}", item_index)
-    u = gen.random(offset + count)
-    return [int(v < p_shifted) for v in u[offset:]]
+    return [int(v < p_shifted) for v in gen.random(count)]
 
 
 def sample_pool(
@@ -446,61 +444,45 @@ def sample_pool(
 def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Suite:
     """Build the representative, nonrep1 and nonrep2 datasets for one cell.
 
-    nonrep1 drops 3 uniformly-chosen B annotations per item from the
-    representative pool, keeping the surviving annotation ids unchanged;
-    nonrep2 adds 3 fresh A draws per item on top of nonrep1.
+    One pool of 9 A and 6 B draws per item is sampled; each recipe is a
+    view of it. representative keeps A slots 0-5 and every B slot;
+    nonrep1 drops 3 uniformly-chosen B annotations per item from
+    representative, keeping the surviving annotation ids unchanged;
+    nonrep2 adds A slots 6-8, 3 fresh A draws per item, on top of
+    nonrep1. Slot values do not depend on how many slots are drawn, so
+    representative equals ``sample_pool`` with 6 A and 6 B per item.
     """
-    bias = BiasSpec.two_type(beta)
-    rep = sample_pool(
+    n_a, n_b = REPRESENTATIVE_COUNTS[TYPE_A], REPRESENTATIVE_COUNTS[TYPE_B]
+    n_pool_a = n_a + NONREP2_EXTRA_A
+    pool = sample_pool(
         gold,
-        PoolComposition(REPRESENTATIVE_COUNTS),
-        bias,
+        PoolComposition({TYPE_A: n_pool_a, TYPE_B: n_b}),
+        BiasSpec.two_type(beta),
         seed,
         task=task,
-        recipe=RECIPE_REPRESENTATIVE,
-    )
-
-    by_item = rep.records_by_item()
-    n1_records: list[Annotation] = []
-    n2_records: list[Annotation] = []
-    for idx, entry in enumerate(gold.entries):
-        recs = by_item[entry.item_id]
-        a_recs = [r for r in recs if r.stratum_id == TYPE_A]
-        b_recs = [r for r in recs if r.stratum_id == TYPE_B]
+    ).records
+    rep: list[Annotation] = []
+    n1: list[Annotation] = []
+    n2: list[Annotation] = []
+    per_item = n_pool_a + n_b
+    for idx in range(len(gold)):
+        # sample_pool lays out each item's records as A0..A8, B0..B5
+        recs = pool[idx * per_item : (idx + 1) * per_item]
+        a, extra_a, b = recs[:n_a], recs[n_a:n_pool_a], recs[n_pool_a:]
         gen = stream(seed, f"{task}:nonrep1-delete", idx)
-        dropped = set(gen.choice(len(b_recs), size=NONREP1_B_DELETIONS, replace=False))
-        b_kept = [r for j, r in enumerate(b_recs) if j not in dropped]
+        dropped = set(gen.choice(n_b, size=NONREP1_B_DELETIONS, replace=False))
+        b_kept = tuple(r for j, r in enumerate(b) if j not in dropped)
+        rep += a + b
+        n1 += a + b_kept
+        n2 += a + extra_a + b_kept
 
-        p_a = shift_probability(entry.p_gold, beta, MINUS)
-        extra_labels = _stratum_labels(
-            seed,
-            task,
-            TYPE_A,
-            idx,
-            p_a,
-            NONREP2_EXTRA_A,
-            offset=REPRESENTATIVE_COUNTS[TYPE_A],
-        )
-        extra = [
-            Annotation(
-                f"{entry.item_id}:{TYPE_A}{REPRESENTATIVE_COUNTS[TYPE_A] + slot}",
-                entry.item_id,
-                TYPE_A,
-                y,
-            )
-            for slot, y in enumerate(extra_labels)
-        ]
-
-        n1_records.extend(a_recs)
-        n1_records.extend(b_kept)
-        n2_records.extend(a_recs)
-        n2_records.extend(extra)
-        n2_records.extend(b_kept)
+    def dataset(records: list[Annotation], recipe: str) -> Dataset:
+        return Dataset(tuple(records), DatasetMeta(task, recipe, beta, seed))
 
     return Suite(
-        representative=rep,
-        nonrep1=Dataset(tuple(n1_records), DatasetMeta(task, RECIPE_NONREP1, beta, seed)),
-        nonrep2=Dataset(tuple(n2_records), DatasetMeta(task, RECIPE_NONREP2, beta, seed)),
+        representative=dataset(rep, RECIPE_REPRESENTATIVE),
+        nonrep1=dataset(n1, RECIPE_NONREP1),
+        nonrep2=dataset(n2, RECIPE_NONREP2),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -302,11 +302,7 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "epochs": model.config.epochs,
-        "learning_rate": model.config.learning_rate,
-        "hash_dim": model.config.hash_dim,
-        "batch_size": model.config.batch_size,
-        "l2": model.config.l2,
+        **asdict(model.config),
         "seed": model.seed,
         "best_epoch": model.best_epoch,
         "history": list(model.history),
@@ -325,13 +321,7 @@ def load_model(path: Union[str, Path]) -> Model:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-    config = TrainConfig(
-        epochs=payload["epochs"],
-        learning_rate=payload["learning_rate"],
-        hash_dim=payload["hash_dim"],
-        batch_size=payload["batch_size"],
-        l2=payload["l2"],
-    )
+    config = TrainConfig(**{f.name: payload[f.name] for f in fields(TrainConfig)})
     return Model(
         weights=np.array(payload["weights"], dtype=np.float64),
         bias=float(payload["bias"]),

@@ -88,6 +88,12 @@ def test_cli_sweep_seed_override(tmp_path, config_path):
     assert len([l for l in lines if l.startswith("cell")]) == 2
 
 
+def test_cli_sweep_rejects_repeated_seeds(tmp_path, config_path):
+    with pytest.raises(ValueError, match="seeds must not repeat"):
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "results"),
+              "--seeds", "10,10"])
+
+
 def test_cli_sweep_nonzero_exit_on_cell_failure(tmp_path, config_path, capsys):
     # a benchmark stratum nobody annotated makes every adjusted cell fail
     raw = json.loads(config_path.read_text())

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pairsim import experiments
 from pairsim.adjust import PopulationBenchmark
 from pairsim.experiments import (
     ExperimentConfig,
@@ -22,7 +23,7 @@ from pairsim.experiments import (
     split_items,
     sweep,
 )
-from pairsim.simulation import Rare, Uniform, synth_gold
+from pairsim.simulation import Rare, Uniform, build_suite, synth_gold
 from pairsim.trainer import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
@@ -165,9 +166,9 @@ def test_ingest_rejects_empty(tmp_path):
 def test_run_cell_adjusted_recipe_structure():
     config = tiny_config()
     gold = load_gold(config)
-    from pairsim.experiments import _recipe_dataset, _suite_cached
+    from pairsim.experiments import _recipe_dataset
 
-    suite = _suite_cached(gold, 0.3, 10, "OL")
+    suite = build_suite(gold, 0.3, 10, "OL")
     adjusted = _recipe_dataset(suite, "adjusted", config.benchmark)
     for recs in adjusted.records_by_item().values():
         assert len(recs) == 12
@@ -276,6 +277,21 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.aggregates == parallel.aggregates
 
 
+def test_sweep_builds_one_suite_per_beta_seed_pair(monkeypatch):
+    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
+    builds = Counter()
+
+    def counting_build_suite(gold, beta, seed, task):
+        builds[(beta, seed)] += 1
+        return build_suite(gold, beta, seed, task)
+
+    experiments._suite_cached.cache_clear()
+    monkeypatch.setattr(experiments, "build_suite", counting_build_suite)
+    result = sweep(config)
+    assert len(result.rows) == 8 and not result.failures
+    assert builds == {(beta, seed): 1 for beta in (0.1, 0.3) for seed in (10, 42)}
+
+
 # ---------------------------------------------------------------------------
 # config files
 
@@ -310,6 +326,14 @@ def test_config_validation():
         ExperimentConfig(gold=spec, betas=(0.7,))
     with pytest.raises(ValueError, match="recipes"):
         ExperimentConfig(gold=spec, recipes=("bogus",))
+
+
+@pytest.mark.parametrize(
+    "field, values", [("betas", (0.1, 0.1)), ("seeds", (10, 42, 10)), ("recipes", ("adjusted",) * 2)]
+)
+def test_config_rejects_repeated_values(field, values):
+    with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
+        tiny_config(**{field: values})
 
 
 def test_config_from_dict_defaults_come_from_the_dataclasses():
@@ -353,6 +377,48 @@ def test_config_from_dict_rejects_unknown_keys_by_name(path, key):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("difficult",), "false", "config.difficult"),
+        (("difficult",), 0, "config.difficult"),
+        (("difficult_lo",), "0.4", "config.difficult_lo"),
+        (("task",), 5, "config.task"),
+        (("seeds",), [10.7], r"config.seeds\[0\]"),
+        (("seeds",), [True], r"config.seeds\[0\]"),
+        (("seeds",), 10, "config.seeds"),
+        (("betas",), [0.1, "0.3"], r"config.betas\[1\]"),
+        (("split",), [80.0, 20, 20], r"config.split\[0\]"),
+        (("recipes",), "adjusted", "config.recipes"),
+        (("train", "epochs"), 2.9, "train.epochs"),
+        (("train", "epochs"), 3.0, "train.epochs"),
+        (("train", "hash_dim"), True, "train.hash_dim"),
+        (("train", "learning_rate"), False, "train.learning_rate"),
+        (("train", "l2"), None, "train.l2"),
+        (("gold", "synthetic", "vocab_size"), 200.0, "gold.synthetic.vocab_size"),
+        (("gold", "synthetic", "components", 0, "n"), 10.5, r"components\[0\].n"),
+        (("gold", "synthetic", "components", 1, "mean"), "0.1", r"components\[1\].mean"),
+    ],
+)
+def test_config_from_dict_rejects_wrong_types_by_name(path, value, where):
+    d = _full_config_dict()
+    node = d
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    with pytest.raises(ValueError, match=f"{where} must be"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_widens_integers_for_float_fields():
+    d = _full_config_dict()
+    d["betas"] = [0, 0.5]
+    d["train"]["learning_rate"] = 1
+    config = config_from_dict(d)
+    assert config.betas == (0.0, 0.5) and all(type(b) is float for b in config.betas)
+    assert type(config.train.learning_rate) is float
+
+
 def test_config_from_dict_rejects_bad_train_values_by_name():
     d = _full_config_dict()
     d["train"]["batch_size"] = 0
@@ -367,8 +433,19 @@ def test_config_from_dict_rejects_ambiguous_gold():
         config_from_dict(d)
 
 
-@pytest.mark.parametrize("name", ["quick.json", "trend-beta030.json", "paper-grid-ol.json"])
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
 def test_shipped_configs_load(name):
-    path = Path(__file__).resolve().parent.parent / "configs" / name
-    config = load_config(path)
+    config = load_config(CONFIG_DIR / name)
     assert config_from_dict(config_to_dict(config)) == config
+
+
+def test_fast_training_variant_of_the_trend_config_loads():
+    d = json.loads((CONFIG_DIR / "trend-beta030.json").read_text(encoding="utf-8"))
+    d["train"] = {**d["train"], "epochs": 1, "hash_dim": 4096}
+    d["betas"], d["seeds"] = [0.1, 0.3], [17, 4242]
+    config = config_from_dict(d)
+    assert config.train == TrainConfig(epochs=1, hash_dim=4096)
+    assert (config.betas, config.seeds) == ((0.1, 0.3), (17, 4242))

@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pairsim.adjust import PopulationBenchmark, apply_pair
-from pairsim.metrics import MetricsReport, acb, aggregate, f1, positive_proportion
+from pairsim.experiments import ResultRow
+from pairsim.metrics import acb, aggregate, f1, positive_proportion
 from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
@@ -171,7 +172,17 @@ def test_positive_proportion_adjusted_equals_weighted_recount():
 
 
 def run(acb_v, seed=0, n_items=100):
-    return MetricsReport(acb=acb_v, f1=acb_v, positive_proportion=acb_v, n_items=n_items, seed=seed)
+    return ResultRow(
+        task="OL",
+        recipe="representative",
+        beta=0.1,
+        seed=seed,
+        acb=acb_v,
+        f1=acb_v,
+        positive_proportion=acb_v,
+        n_items=n_items,
+        wall_time=0.0,
+    )
 
 
 def test_aggregate_mean_and_population_std():

@@ -1,11 +1,18 @@
 import json
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsim.adjust import PopulationBenchmark, apply_pair
+from pairsim.rng import stream
 from pairsim.simulation import (
+    Annotation,
     BiasSpec,
+    Dataset,
+    DatasetMeta,
     GoldEntry,
     GoldTable,
     PoolComposition,
@@ -255,6 +262,65 @@ def test_suite_tasks_use_independent_draws():
     assert [r.label for r in ol.representative.records] != [
         r.label for r in hs.representative.records
     ]
+
+
+# Reference oracle: build_suite as it was before it drew one pool per
+# item. It samples representative, regroups it by item, draws nonrep2's
+# extra A labels a second time from the same stream past an offset, and
+# builds their records by hand.
+
+
+def oracle_stratum_labels(seed, task, stratum, item_index, p_shifted, count, offset=0):
+    gen = stream(seed, f"{task}:annot:{stratum}", item_index)
+    u = gen.random(offset + count)
+    return [int(v < p_shifted) for v in u[offset:]]
+
+
+def oracle_build_suite(gold, beta, seed, task="OL"):
+    bias = BiasSpec.two_type(beta)
+    rep = sample_pool(
+        gold, PoolComposition({"A": 6, "B": 6}), bias, seed, task=task, recipe="representative"
+    )
+    by_item = rep.records_by_item()
+    n1_records, n2_records = [], []
+    for idx, entry in enumerate(gold.entries):
+        recs = by_item[entry.item_id]
+        a_recs = [r for r in recs if r.stratum_id == "A"]
+        b_recs = [r for r in recs if r.stratum_id == "B"]
+        gen = stream(seed, f"{task}:nonrep1-delete", idx)
+        dropped = set(gen.choice(len(b_recs), size=3, replace=False))
+        b_kept = [r for j, r in enumerate(b_recs) if j not in dropped]
+        p_a = shift_probability(entry.p_gold, beta, "minus")
+        extra_labels = oracle_stratum_labels(seed, task, "A", idx, p_a, 3, offset=6)
+        extra = [
+            Annotation(f"{entry.item_id}:A{6 + slot}", entry.item_id, "A", y)
+            for slot, y in enumerate(extra_labels)
+        ]
+        n1_records.extend(a_recs + b_kept)
+        n2_records.extend(a_recs + extra + b_kept)
+    return (
+        rep,
+        Dataset(tuple(n1_records), DatasetMeta(task, "nonrep1", beta, seed)),
+        Dataset(tuple(n2_records), DatasetMeta(task, "nonrep2", beta, seed)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    twelfths=st.lists(st.integers(0, 12), min_size=1, max_size=40),
+    beta=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**63 - 1),
+    task=st.sampled_from(["OL", "HS"]),
+)
+def test_build_suite_matches_reference_oracle(twelfths, beta, seed, task):
+    gold = GoldTable(
+        tuple(GoldEntry(f"it{i:02d}", ("tok",), k / 12, 12) for i, k in enumerate(twelfths))
+    )
+    suite = build_suite(gold, beta, seed, task)
+    got = (suite.representative, suite.nonrep1, suite.nonrep2)
+    for ds, want in zip(got, oracle_build_suite(gold, beta, seed, task)):
+        assert [astuple(r) for r in ds.records] == [astuple(r) for r in want.records]
+        assert ds.meta == want.meta
 
 
 # ---------------------------------------------------------------------------
