@@ -35,7 +35,6 @@ from .simulation import (
     GoldTable,
     PoolComposition,
     Rare,
-    RawItem,
     Suite,
     Uniform,
     build_suite,

@@ -190,7 +190,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_sweep(sub)
     _add_report(sub)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:
+        print(f"pairsim: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,10 +14,10 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union, get_type_hints
 
 from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
@@ -25,7 +25,6 @@ from .rng import stream
 from .simulation import (
     GoldShape,
     GoldTable,
-    RawItem,
     Rare,
     RECIPE_ADJUSTED,
     RECIPE_NONREP1,
@@ -34,11 +33,15 @@ from .simulation import (
     RECIPES,
     Suite,
     Uniform,
+    annotation_row,
     build_suite,
     concat_gold,
+    derive_gold,
     filter_difficult,
     synth_gold,
     synth_text,
+    typed,
+    typed_object,
 )
 from .trainer import TrainConfig, predict, train
 
@@ -64,6 +67,7 @@ REPORT_COLUMNS = (
     "f1_std",
     "positive_proportion_std",
 )
+TIMINGS_COLUMNS = ("task", "recipe", "beta", "seed", "wall_time")
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,6 @@ class CellError(RuntimeError):
 @dataclass(frozen=True)
 class IngestResult:
     gold: GoldTable
-    raw: tuple[RawItem, ...]
     skipped: int
 
 
@@ -178,13 +181,13 @@ def ingest_external(
 
     Each row needs "item_id", "text", and per-task label lists under
     "ol" / "hs". Malformed rows (bad JSON, missing fields, empty or
-    whitespace-only text, non-binary labels, duplicate ids, or too few
-    labels to subsample) are skipped and counted. Gold proportions come
-    from a seeded without-replacement subsample of ``subsample`` labels
-    per item.
+    whitespace-only text, duplicate ids, or labels that
+    :func:`annotation_row` rejects) are skipped and counted. Gold
+    proportions come from a seeded without-replacement subsample of
+    ``subsample`` labels per item.
     """
     key = task.lower()
-    raw: list[RawItem] = []
+    rows: list[tuple] = []
     seen: set[str] = set()
     skipped = 0
     with open(path, encoding="utf-8") as fh:
@@ -193,32 +196,24 @@ def ingest_external(
                 continue
             try:
                 row = json.loads(line)
-                item_id = row["item_id"]
-                text = row["text"]
-                labels = row[key]
+                item_id, tokens, labels = annotation_row(
+                    row["item_id"], row["text"], row[key], subsample
+                )
                 if (
                     not isinstance(item_id, str)
                     or item_id in seen
-                    or not isinstance(labels, list)
-                    or not labels
-                    or any(l not in (0, 1) for l in labels)
-                    or (subsample is not None and len(labels) < subsample)
+                    or not isinstance(row[key], list)
+                    or not any(tok.strip() for tok in tokens)
                 ):
                     raise ValueError("malformed row")
-                tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
-                if not any(tok.strip() for tok in tokens):
-                    raise ValueError("empty text")
             except (ValueError, KeyError, TypeError, AttributeError):
                 skipped += 1
                 continue
             seen.add(item_id)
-            raw.append(RawItem(item_id, tokens, tuple(labels)))
-    if not raw:
+            rows.append((item_id, tokens, labels))
+    if not rows:
         raise ValueError(f"{path}: no valid annotation rows")
-    from .simulation import derive_gold
-
-    gold = derive_gold(raw, subsample=subsample, seed=seed)
-    return IngestResult(gold, tuple(raw), skipped)
+    return IngestResult(derive_gold(rows, subsample=subsample, seed=seed), skipped)
 
 
 @lru_cache(maxsize=4)
@@ -419,9 +414,10 @@ def sweep(
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_report(rows, aggregates, out / REPORT_NAME)
-        _write_timings(rows, out / TIMINGS_NAME)
+        _write_table(out / TIMINGS_NAME, TIMINGS_COLUMNS, map(asdict, rows))
         if failures:
-            _write_failures(failures, out / FAILURES_NAME)
+            columns = [f.name for f in fields(CellFailure)]
+            _write_table(out / FAILURES_NAME, columns, map(asdict, failures))
     return SweepResult(tuple(rows), aggregates, tuple(failures))
 
 
@@ -429,12 +425,15 @@ def sweep(
 # report files
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_table(path: Union[str, Path], columns: Sequence[str], rows: Iterable[dict]) -> None:
+    """CSV with the given header; each row's keys outside ``columns`` are
+    left out, and absent columns are written empty."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(
+            fh, columns, restval="", extrasaction="ignore", lineterminator="\n"
+        )
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_report(
@@ -447,168 +446,85 @@ def write_report(
     Wall times are deliberately not part of the report (they vary run to
     run); see the timings file next to it.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    "cell",
-                    r.task,
-                    r.recipe,
-                    _fmt(r.beta),
-                    r.seed,
-                    r.n_items,
-                    _fmt(r.acb),
-                    _fmt(r.f1),
-                    _fmt(r.positive_proportion),
-                    "",
-                    "",
-                    "",
-                    "",
-                ]
-            )
-        for (task, recipe, beta), agg in sorted(aggregates.items()):
-            writer.writerow(
-                [
-                    "mean",
-                    task,
-                    recipe,
-                    _fmt(beta),
-                    "",
-                    "",
-                    _fmt(agg.mean["acb"]),
-                    _fmt(agg.mean["f1"]),
-                    _fmt(agg.mean["positive_proportion"]),
-                    len(agg.seeds),
-                    _fmt(agg.std["acb"]),
-                    _fmt(agg.std["f1"]),
-                    _fmt(agg.std["positive_proportion"]),
-                ]
-            )
+    cells = [{"row_type": "cell", **asdict(r)} for r in rows]
+    means = [
+        {
+            "row_type": "mean",
+            "task": task,
+            "recipe": recipe,
+            "beta": beta,
+            **agg.mean,
+            "n_seeds": len(agg.seeds),
+            **{f"{name}_std": value for name, value in agg.std.items()},
+        }
+        for (task, recipe, beta), agg in sorted(aggregates.items())
+    ]
+    _write_table(path, REPORT_COLUMNS, cells + means)
 
 
 def read_report_cells(path: Union[str, Path]) -> tuple[ResultRow, ...]:
     """Cell rows back from a report file (wall times are not stored)."""
-    rows = []
+    types = get_type_hints(ResultRow)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            if rec["row_type"] != "cell":
-                continue
-            rows.append(
-                ResultRow(
-                    task=rec["task"],
-                    recipe=rec["recipe"],
-                    beta=float(rec["beta"]),
-                    seed=int(rec["seed"]),
-                    acb=float(rec["acb"]),
-                    f1=float(rec["f1"]),
-                    positive_proportion=float(rec["positive_proportion"]),
-                    n_items=int(rec["n_items"]),
-                    wall_time=0.0,
-                )
+        return tuple(
+            ResultRow(
+                **{name: types[name](rec[name]) for name in types if name in REPORT_COLUMNS},
+                wall_time=0.0,
             )
-    return tuple(rows)
-
-
-def _write_timings(rows: Iterable[ResultRow], path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "recipe", "beta", "seed", "wall_time"])
-        for r in rows:
-            writer.writerow([r.task, r.recipe, _fmt(r.beta), r.seed, _fmt(r.wall_time)])
-
-
-def _write_failures(failures: Iterable[CellFailure], path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["task", "recipe", "beta", "seed", "error"])
-        for f in failures:
-            writer.writerow([f.task, f.recipe, _fmt(f.beta), f.seed, f.error])
+            for rec in csv.DictReader(fh)
+            if rec["row_type"] == "cell"
+        )
 
 
 # ---------------------------------------------------------------------------
 # config files
 
 
-def _shape_to_dict(shape: GoldShape) -> dict:
-    if isinstance(shape, Uniform):
-        return {"shape": "uniform", "low": shape.low, "high": shape.high}
-    if isinstance(shape, Rare):
-        return {"shape": "rare", "mean": shape.mean}
-    raise TypeError(f"unknown shape {type(shape).__name__}")
+_SHAPES = {"uniform": Uniform, "rare": Rare}
 
 
-def _check_keys(d: dict, allowed: Iterable[str], where: str) -> None:
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-
-
-# The JSON types a field of each Python type accepts, and how errors name them.
-_JSON_TYPES = {
-    bool: ((bool,), "true or false"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
-
-
-def _typed(value, kind, where: str):
-    """``value`` as a field of type ``kind``: bool, int, float, str, or a
-    one-element list ``[t]`` for a JSON list of ``t`` values (made a
-    tuple). A JSON value of any other type is an error naming ``where``;
-    an integer for a float field is widened, nothing is cast."""
-    if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ValueError(f"{where} must be a list, got {value!r}")
-        return tuple(_typed(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value))
-    accepted, name = _JSON_TYPES[kind]
-    # bool is a subclass of int in Python but not a number in JSON
-    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-        raise ValueError(f"{where} must be {name}, got {value!r}")
-    return kind(value)
-
-
-def _typed_fields(d: dict, cls: type, where: str) -> dict:
-    """Keyword arguments for dataclass ``cls`` from the keys given in ``d``,
-    each of its field's default type; absent keys keep the dataclass
-    default, so defaults are stated once."""
-    types = {f.name: type(f.default) for f in fields(cls) if f.default is not MISSING}
-    _check_keys(d, types, where)
-    return {key: _typed(value, types[key], f"{where}.{key}") for key, value in d.items()}
-
-
-_SHAPE_KEYS = {"uniform": ("low", "high"), "rare": ("mean",)}
-
-
-def _component_from_dict(d: dict, where: str) -> tuple[GoldShape, int]:
+def _component_from_dict(d, where: str) -> tuple[GoldShape, int]:
     kind = d.get("shape") if isinstance(d, dict) else None
-    if kind not in _SHAPE_KEYS:
+    if kind not in _SHAPES:
         raise ValueError(f"unknown gold shape {kind!r} in {where}")
-    _check_keys(d, ("shape", "n", *_SHAPE_KEYS[kind]), where)
-    params = [_typed(d[key], float, f"{where}.{key}") for key in _SHAPE_KEYS[kind]]
-    shape = Uniform(*params) if kind == "uniform" else Rare(*params)
-    return shape, _typed(d["n"], int, f"{where}.n")
+    if "n" not in d:
+        raise ValueError(f"{where}.n is missing")
+    params = {key: value for key, value in d.items() if key not in ("shape", "n")}
+    return typed_object(params, _SHAPES[kind], where), typed(d["n"], int, f"{where}.n")
+
+
+def _components_from_list(value) -> tuple[tuple[GoldShape, int], ...]:
+    where = "gold.synthetic.components"
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return tuple(_component_from_dict(c, f"{where}[{i}]") for i, c in enumerate(value))
+
+
+def _gold_from_dict(d) -> Union[SyntheticGold, str]:
+    if not isinstance(d, dict):
+        raise ValueError(f"gold must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {"file", "synthetic"})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in gold")
+    if len(d) != 1:
+        raise ValueError("gold needs exactly one of 'file' or 'synthetic'")
+    if "file" in d:
+        return typed(d["file"], str, "gold.file")
+    return typed_object(
+        d["synthetic"], SyntheticGold, "gold.synthetic", components=_components_from_list
+    )
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     if isinstance(config.gold, str):
         gold: dict = {"file": config.gold}
     else:
-        gold = {
-            "synthetic": {
-                "components": [
-                    {**_shape_to_dict(shape), "n": n} for shape, n in config.gold.components
-                ],
-                "vocab_size": config.gold.vocab_size,
-                "tokens_per_item": config.gold.tokens_per_item,
-                "seed": config.gold.seed,
-            }
-        }
+        names = {cls: name for name, cls in _SHAPES.items()}
+        components = [
+            {"shape": names[type(shape)], **asdict(shape), "n": n}
+            for shape, n in config.gold.components
+        ]
+        gold = {"synthetic": {**asdict(config.gold), "components": components}}
     return {
         "task": config.task,
         "betas": list(config.betas),
@@ -624,46 +540,17 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-_TOP_LEVEL = {
-    "task": str,
-    "betas": [float],
-    "seeds": [int],
-    "split": [int],
-    "recipes": [str],
-    "difficult": bool,
-    "difficult_lo": float,
-    "difficult_hi": float,
-}
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Config from its JSON form. Unknown keys at any level are errors;
     absent keys take the dataclass defaults."""
-    _check_keys(d, (*_TOP_LEVEL, "benchmark", "gold", "train"), "config")
-    if "gold" not in d:
-        raise ValueError("config needs a 'gold' entry")
-    gold_spec = d["gold"]
-    _check_keys(gold_spec, ("file", "synthetic"), "gold")
-    if len(gold_spec) != 1:
-        raise ValueError("gold needs exactly one of 'file' or 'synthetic'")
-    gold: Union[SyntheticGold, str]
-    if "file" in gold_spec:
-        gold = _typed(gold_spec["file"], str, "gold.file")
-    else:
-        synth = dict(gold_spec["synthetic"])
-        components = tuple(
-            _component_from_dict(c, f"gold.synthetic.components[{i}]")
-            for i, c in enumerate(synth.pop("components", ()))
-        )
-        gold = SyntheticGold(components, **_typed_fields(synth, SyntheticGold, "gold.synthetic"))
-    kwargs = {
-        key: _typed(d[key], kind, f"config.{key}") for key, kind in _TOP_LEVEL.items() if key in d
-    }
-    if "benchmark" in d:
-        kwargs["benchmark"] = PopulationBenchmark(d["benchmark"])
-    if "train" in d:
-        kwargs["train"] = TrainConfig(**_typed_fields(d["train"], TrainConfig, "train"))
-    return ExperimentConfig(gold=gold, **kwargs)
+    return typed_object(
+        d,
+        ExperimentConfig,
+        "config",
+        gold=_gold_from_dict,
+        benchmark=PopulationBenchmark,
+        train=lambda train: typed_object(train, TrainConfig, "train"),
+    )
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:

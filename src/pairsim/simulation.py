@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from types import UnionType
+from typing import Iterable, Mapping, Sequence, Union, get_origin, get_type_hints
 
 from .rng import stream
 
@@ -90,15 +92,6 @@ class GoldTable:
 
     def p_by_item(self) -> dict[str, float]:
         return {e.item_id: e.p_gold for e in self.entries}
-
-
-@dataclass(frozen=True)
-class RawItem:
-    """One item with its complete set of reference annotations."""
-
-    item_id: str
-    text: tuple[str, ...]
-    labels: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -233,46 +226,52 @@ def subsample_indices(seed: int, item_index: int, n: int, m: int) -> tuple[int, 
     return tuple(sorted(int(i) for i in picked))
 
 
-def _as_tokens(text: Union[str, Sequence[str]]) -> tuple[str, ...]:
-    if isinstance(text, str):
-        return tuple(text.split())
-    return tuple(text)
+def annotation_row(
+    item_id: str,
+    text: Union[str, Sequence[str]],
+    labels: Sequence[int],
+    subsample: int | None = None,
+) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
+    """One item's reference annotations as ``(item_id, tokens, labels)``;
+    a string text is split on whitespace.
+
+    Raises ValueError when the labels are empty, not binary, or fewer
+    than ``subsample`` (a draw of that many without replacement).
+    """
+    labels = tuple(labels)
+    if not labels:
+        raise ValueError(f"item {item_id!r} has no annotations")
+    bad = sorted({l for l in labels if l not in (0, 1)})
+    if bad:
+        raise ValueError(f"item {item_id!r} has non-binary labels: {bad}")
+    if subsample is not None and len(labels) < subsample:
+        raise ValueError(
+            f"item {item_id!r} has {len(labels)} annotations, "
+            f"cannot draw {subsample} without replacement"
+        )
+    tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
+    return item_id, tokens, labels
 
 
 def derive_gold(
-    raw: Iterable[Union[RawItem, tuple]],
+    raw: Iterable[tuple],
     subsample: int | None = None,
     seed: int = 0,
 ) -> GoldTable:
-    """Turn raw per-annotator labels into a gold agreement table.
+    """Turn ``(item_id, text, labels)`` rows into a gold agreement table.
 
-    With ``subsample=m``, exactly m annotations per item are drawn
-    without replacement (seeded) before the proportion is computed;
-    items with fewer than m annotations are rejected.
+    Each row is checked by :func:`annotation_row`. With
+    ``subsample=m``, exactly m annotations per item are drawn without
+    replacement (seeded by the row's position) before the proportion is
+    computed.
     """
     entries = []
-    for idx, item in enumerate(raw):
-        if isinstance(item, RawItem):
-            item_id, text, labels = item.item_id, item.text, list(item.labels)
-        else:
-            item_id, text, labels = item[0], item[1], list(item[2])
-        if not labels:
-            raise ValueError(f"item {item_id!r} has no annotations")
-        bad = sorted({l for l in labels if l not in (0, 1)})
-        if bad:
-            raise ValueError(f"item {item_id!r} has non-binary labels: {bad}")
-        if subsample is not None:
-            if len(labels) < subsample:
-                raise ValueError(
-                    f"item {item_id!r} has {len(labels)} annotations, "
-                    f"cannot draw {subsample} without replacement"
-                )
-            if len(labels) > subsample:
-                keep = subsample_indices(seed, idx, len(labels), subsample)
-                labels = [labels[i] for i in keep]
-        entries.append(
-            GoldEntry(item_id, _as_tokens(text), sum(labels) / len(labels), len(labels))
-        )
+    for idx, row in enumerate(raw):
+        item_id, tokens, labels = annotation_row(*row, subsample)
+        if subsample is not None and len(labels) > subsample:
+            keep = subsample_indices(seed, idx, len(labels), subsample)
+            labels = tuple(labels[i] for i in keep)
+        entries.append(GoldEntry(item_id, tokens, sum(labels) / len(labels), len(labels)))
     return GoldTable(tuple(entries))
 
 
@@ -487,84 +486,185 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
 
 
 # ---------------------------------------------------------------------------
+# checked JSON values
+
+
+# The JSON types a field of each Python type accepts, and how errors name them.
+_JSON_TYPES = {
+    bool: ((bool,), "true or false"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def typed(value, kind, where: str):
+    """``value`` as a field of type ``kind``: bool, int, float, str,
+    ``tuple[t, ...]`` for a JSON list of ``t`` values, or ``t | None``.
+    A JSON value of any other type is an error naming ``where``; an
+    integer for a float field is widened, nothing is cast."""
+    origin = get_origin(kind)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        item = kind.__args__[0]
+        if {item}.issuperset(map(type, value)):
+            return tuple(value)
+        return tuple(typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is UnionType:  # t | None
+        if value is None:
+            return None
+        kind = kind.__args__[0]
+    accepted, name = _JSON_TYPES[kind]
+    # bool is a subclass of int in Python but not a number in JSON
+    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+    return kind(value)
+
+
+@cache
+def _schema(cls: type) -> tuple[dict, frozenset]:
+    """Field types of dataclass ``cls`` and the names of its fields
+    without a default."""
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return get_type_hints(cls), required
+
+
+def typed_object(d, cls: type, where: str, /, **parsers):
+    """A ``cls`` dataclass from the JSON object ``d``.
+
+    Each key must name a field; its value is checked by :func:`typed`
+    against the field's type, or read by ``parsers[key]`` for a field
+    whose JSON form is not its type. Unknown keys and absent fields
+    without a default are errors naming ``where``; other absent fields
+    keep their default, so defaults are stated once.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    types, required = _schema(cls)
+    if not d.keys() <= types.keys():
+        raise ValueError(f"unknown key {min(d.keys() - types.keys())!r} in {where}")
+    if not required <= d.keys():
+        raise ValueError(f"{where}.{min(required - d.keys())} is missing")
+    kwargs = {}
+    for key, value in d.items():
+        if key in parsers:
+            value = parsers[key](value)
+        elif type(value) is not types[key]:
+            value = typed(value, types[key], f"{where}.{key}")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
+# ---------------------------------------------------------------------------
 # file formats (line-delimited JSON)
 
 
+# JSON-lines files are large and handled one line at a time. json.loads
+# re-checks its options on every call and scans each line's whitespace
+# with regular expressions; json.dumps re-checks its options and tracks
+# visited containers to catch cycles, which the objects written cannot
+# hold. The decoder's raw_decode and one encoder skip that work.
+_raw_decode = json.JSONDecoder().raw_decode
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _json_lines(path: Union[str, Path]):
+    """``(line number, value)`` for each non-blank line of a JSON-lines
+    file; a line that is not one JSON value is an error naming it."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            text = line.strip(" \t\n\r")  # the whitespace JSON allows
+            try:
+                value, end = _raw_decode(text)
+                if end != len(text):
+                    raise json.JSONDecodeError("Extra data", text, end)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
+            yield lineno, value
+
+
 def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
+    """One line per entry: a JSON object of its fields, in field order."""
     with open(path, "w", encoding="utf-8") as fh:
         for e in gold.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "item_id": e.item_id,
-                        "text": list(e.text),
-                        "p_gold": e.p_gold,
-                        "k_reference": e.k_reference,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_encode(vars(e)) + "\n")
+
+
+# The readers below first try the layout the matching writer produces,
+# checked by hand because the files are large and read often; any other
+# layout goes through typed_object, which reads it field by field and
+# names what is wrong with it.
+_ENTRY_KEYS = tuple(f.name for f in fields(GoldEntry))
+_RECORD_KEYS = tuple(f.name for f in fields(Annotation))
+
+
+def _written_entry(d) -> GoldEntry | None:
+    """``d`` as a gold entry when it has write_gold's layout: the fields in
+    order, a string id, a list of string tokens, a float p_gold and an
+    integer k_reference; None otherwise."""
+    if type(d) is not dict or tuple(d) != _ENTRY_KEYS:
+        return None
+    item_id, text, p_gold, k_reference = d.values()
+    if (
+        type(item_id) is str
+        and type(text) is list
+        and {str}.issuperset(map(type, text))
+        and type(p_gold) is float
+        and type(k_reference) is int
+    ):
+        return GoldEntry(item_id, tuple(text), p_gold, k_reference)
+    return None
 
 
 def read_gold(path: Union[str, Path]) -> GoldTable:
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            entries.append(
-                GoldEntry(
-                    d["item_id"], tuple(d["text"]), float(d["p_gold"]), int(d["k_reference"])
-                )
-            )
+    entries = (
+        _written_entry(d) or typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
+        for lineno, d in _json_lines(path)
+    )
     return GoldTable(tuple(entries))
 
 
 def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
-    """One metadata header line, then one line per annotation record."""
-    m = dataset.meta
+    """One metadata header line, then one line per annotation record, each
+    a JSON object of the dataclass's fields in field order."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps({"task": m.task, "recipe": m.recipe, "beta": m.beta, "seed": m.seed})
-            + "\n"
-        )
+        fh.write(_encode(vars(dataset.meta)) + "\n")
         for r in dataset.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "annotation_id": r.annotation_id,
-                        "item_id": r.item_id,
-                        "stratum_id": r.stratum_id,
-                        "label": r.label,
-                        "source": r.source,
-                        "replica_of": r.replica_of,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(_encode(vars(r)) + "\n")
+
+
+def _written_record(d) -> Annotation | None:
+    """``d`` as a record when it has write_dataset's layout: the fields in
+    order, string ids and source, an integer label and a string or null
+    replica_of; None otherwise."""
+    if type(d) is not dict or tuple(d) != _RECORD_KEYS:
+        return None
+    annotation_id, item_id, stratum_id, label, source, replica_of = values = d.values()
+    if (
+        type(annotation_id) is type(item_id) is type(stratum_id) is type(source) is str
+        and type(label) is int
+        and (replica_of is None or type(replica_of) is str)
+    ):
+        return Annotation(*values)
+    return None
 
 
 def read_dataset(path: Union[str, Path]) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty dataset file")
-    m = json.loads(lines[0])
-    meta = DatasetMeta(m["task"], m["recipe"], float(m["beta"]), int(m["seed"]))
-    records = []
-    for line in lines[1:]:
-        d = json.loads(line)
-        records.append(
-            Annotation(
-                d["annotation_id"],
-                d["item_id"],
-                d["stratum_id"],
-                int(d["label"]),
-                d.get("source", "original"),
-                d.get("replica_of"),
-            )
-        )
-    dataset = Dataset(tuple(records), meta)
+    lines = _json_lines(path)
+    try:
+        lineno, header = next(lines)
+    except StopIteration:
+        raise ValueError(f"{path}: empty dataset file") from None
+    meta = typed_object(header, DatasetMeta, f"{path}:{lineno}: header")
+    records = tuple(
+        _written_record(d) or typed_object(d, Annotation, f"{path}:{lineno}: record")
+        for lineno, d in lines
+    )
+    dataset = Dataset(records, meta)
     dataset.validate()
     return dataset

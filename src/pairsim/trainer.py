@@ -16,14 +16,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit
 
 from .rng import stream
-from .simulation import Dataset
+from .simulation import Dataset, typed
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 1
@@ -317,16 +317,23 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
 def load_model(path: Union[str, Path]) -> Model:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
-    config = TrainConfig(**{f.name: payload[f.name] for f in fields(TrainConfig)})
+    # every field is required: a default hash_dim would not match the weights
+    types = {**get_type_hints(TrainConfig), **get_type_hints(Model), "weights": tuple[float, ...]}
+
+    def checked(name: str):
+        if name not in payload:
+            raise ValueError(f"{path}: model.{name} is missing")
+        return typed(payload[name], types[name], f"{path}: model.{name}")
+
     return Model(
-        weights=np.array(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-        config=config,
-        seed=int(payload["seed"]),
-        best_epoch=int(payload["best_epoch"]),
-        history=tuple(payload["history"]),
+        weights=np.array(checked("weights"), dtype=np.float64),
+        bias=checked("bias"),
+        config=TrainConfig(**{f.name: checked(f.name) for f in fields(TrainConfig)}),
+        seed=checked("seed"),
+        best_epoch=checked("best_epoch"),
+        history=checked("history"),
     )

@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsim.adjust import (
     PoolShares,
@@ -19,8 +21,10 @@ from pairsim.adjust import (
 )
 from pairsim.rng import stream
 from pairsim.simulation import (
+    Annotation,
     BiasSpec,
     Dataset,
+    DatasetMeta,
     GoldEntry,
     GoldTable,
     PoolComposition,
@@ -271,6 +275,99 @@ def test_share_restoration_exact_for_integer_weights():
         out_total = sum(out.values())
         for s in strata:
             assert Fraction(out[s], out_total) == bench.shares[s]
+
+
+# ---------------------------------------------------------------------------
+# the same PAIR invariants as properties over random pools and benchmarks
+
+
+def _round_half_up(x: Fraction) -> int:
+    """Nearest integer to a non-negative rational, halves rounded up."""
+    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+
+
+@st.composite
+def pools_and_benchmarks(draw):
+    """A pool of 1-5 strata with 1-8 records each in random order, and a
+    benchmark of random rational shares over the same strata."""
+    strata = [f"s{j}" for j in range(draw(st.integers(1, 5)))]
+    layout = [s for s in strata for _ in range(draw(st.integers(1, 8)))]
+    records = tuple(
+        Annotation(f"a{i}", f"it{draw(st.integers(0, 3))}", s, draw(st.integers(0, 1)))
+        for i, s in enumerate(draw(st.permutations(layout)))
+    )
+    shares = [draw(st.fractions(min_value=Fraction(1, 50), max_value=50)) for _ in strata]
+    benchmark = PopulationBenchmark({s: v / sum(shares) for s, v in zip(strata, shares)})
+    return Dataset(records, DatasetMeta("OL", "nonrep1", 0.0, 0)), benchmark
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pools_and_benchmarks(),
+    st.one_of(st.none(), st.fractions(min_value=1, max_value=5, max_denominator=12)),
+)
+def test_pair_properties_over_random_pools(case, k_factor):
+    dataset, benchmark = case
+    pool = Counter(r.stratum_id for r in dataset.records)
+    raw = {s: benchmark.shares[s] / Fraction(pool[s], len(dataset)) for s in pool}
+    k = (1 if k_factor is None else k_factor) / min(raw.values())
+    adjusted, weights = apply_pair(dataset, benchmark, k=None if k_factor is None else k)
+    counts = {s: _round_half_up(raw[s] * k) - 1 for s in raw}
+    assert (weights.raw, weights.k, weights.counts) == (raw, k, counts)
+
+    # nothing is deleted and originals keep their order
+    assert [r for r in adjusted.records if r.source == "original"] == list(dataset.records)
+    # each original is followed directly by its replicas, with its provenance
+    pos = 0
+    for rec in dataset.records:
+        assert adjusted.records[pos] == rec
+        for j in range(1, counts[rec.stratum_id] + 1):
+            assert adjusted.records[pos + j] == Annotation(
+                f"{rec.annotation_id}#r{j}",
+                rec.item_id,
+                rec.stratum_id,
+                rec.label,
+                source="replica",
+                replica_of=rec.annotation_id,
+            )
+        pos += 1 + counts[rec.stratum_id]
+    assert pos == len(adjusted)
+
+    if all((raw[s] * k).denominator == 1 for s in raw):
+        out = Counter(r.stratum_id for r in adjusted.records)
+        assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pair_restores_shares_exactly_when_weights_are_integers(data):
+    strata = [f"s{j}" for j in range(data.draw(st.integers(1, 5)))]
+    counts = {s: data.draw(st.integers(1, 8)) for s in strata}
+    multipliers = {s: data.draw(st.integers(1, 6)) for s in strata}
+    multipliers[data.draw(st.sampled_from(strata))] = 1
+    mass = sum(counts[s] * multipliers[s] for s in strata)
+    benchmark = PopulationBenchmark(
+        {s: Fraction(counts[s] * multipliers[s], mass) for s in strata}
+    )
+    records = tuple(
+        Annotation(f"{s}-{i}", "it0", s, i % 2) for s in strata for i in range(counts[s])
+    )
+    adjusted, weights = apply_pair(Dataset(records, DatasetMeta("OL", "x", 0.0, 0)), benchmark)
+    assert weights.normalized == multipliers
+    out = Counter(r.stratum_id for r in adjusted.records)
+    assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares
+
+
+@settings(max_examples=200, deadline=None)
+@given(pools_and_benchmarks(), st.fractions(min_value=Fraction(1, 1000), max_value=1000))
+def test_pair_normalized_weights_are_scale_invariant(case, c):
+    dataset, benchmark = case
+    base = raw_weights(benchmark, pool_shares(dataset))
+    scaled = WeightTable(raw={s: c * w for s, w in base.raw.items()})
+    assert normalize(scaled).normalized == normalize(base).normalized
+    assert replication_counts(normalize(scaled)).counts == replication_counts(
+        normalize(base)
+    ).counts
 
 
 def test_share_restoration_residual_bound_for_fractional_weights():

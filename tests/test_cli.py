@@ -88,10 +88,31 @@ def test_cli_sweep_seed_override(tmp_path, config_path):
     assert len([l for l in lines if l.startswith("cell")]) == 2
 
 
-def test_cli_sweep_rejects_repeated_seeds(tmp_path, config_path):
-    with pytest.raises(ValueError, match="seeds must not repeat"):
-        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "results"),
-              "--seeds", "10,10"])
+def test_cli_sweep_rejects_repeated_seeds(tmp_path, config_path, capsys):
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "results"),
+                 "--seeds", "10,10"]) == 2
+    assert capsys.readouterr().err == (
+        "pairsim: error: seeds must not repeat a value, got (10, 10)\n"
+    )
+
+
+def test_cli_missing_config_file_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "no-such-config.json"
+    assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "results")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pairsim: error: ") and str(missing) in err
+    assert err.count("\n") == 1
+
+
+def test_cli_lets_other_exceptions_propagate(tmp_path, config_path, monkeypatch):
+    from pairsim import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("not an input error")
+
+    monkeypatch.setattr(cli, "load_config", broken)
+    with pytest.raises(RuntimeError, match="not an input error"):
+        main(["sweep", "--config", str(config_path), "--out", str(tmp_path / "results")])
 
 
 def test_cli_sweep_nonzero_exit_on_cell_failure(tmp_path, config_path, capsys):

@@ -23,7 +23,7 @@ from pairsim.experiments import (
     split_items,
     sweep,
 )
-from pairsim.simulation import Rare, Uniform, build_suite, synth_gold
+from pairsim.simulation import Rare, Uniform, build_suite, derive_gold, synth_gold
 from pairsim.trainer import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
@@ -113,11 +113,13 @@ def test_ingest_well_formed(tmp_path):
     assert len(result.gold) == 20
     assert result.skipped == 0
     assert all(e.k_reference == 12 for e in result.gold.entries)
-    # recount: each p_gold must be attainable from the raw labels
-    for entry, raw in zip(result.gold.entries, result.raw):
+    # recount: each p_gold must be attainable from the file's labels
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for entry, row in zip(result.gold.entries, rows):
+        assert entry.item_id == row["item_id"]
         kept_positives = entry.p_gold * 12
         assert abs(kept_positives - round(kept_positives)) < 1e-9
-        assert 0 <= round(kept_positives) <= sum(raw.labels)
+        assert 0 <= round(kept_positives) <= sum(row["ol"])
 
 
 def test_ingest_skips_malformed_row(tmp_path):
@@ -150,6 +152,26 @@ def test_ingest_skips_empty_text_row(tmp_path, text):
     assert result.skipped == 1
     assert "tw0003" not in result.gold.item_ids()
     assert len(result.gold) == 9
+
+
+def test_ingest_hands_derive_gold_the_accepted_rows_in_order(tmp_path):
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=12)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    bad = {2: [1] * 11, 5: [0, 1, 2] + [0] * 12, 8: []}
+    for i, labels in bad.items():
+        row = json.loads(lines[i])
+        row["ol"] = labels
+        lines[i] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest_external(path, task="OL", seed=4)
+    assert result.skipped == 3
+    kept = [json.loads(line) for i, line in enumerate(lines) if i not in bad]
+    # the subsample stream of each row is its position among accepted rows
+    expected = derive_gold(
+        [(row["item_id"], row["text"], row["ol"]) for row in kept], subsample=12, seed=4
+    )
+    assert result.gold == expected
 
 
 def test_ingest_rejects_empty(tmp_path):
@@ -410,6 +432,24 @@ def test_config_from_dict_rejects_wrong_types_by_name(path, value, where):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "index, key", [(0, "low"), (0, "high"), (1, "mean"), (0, "n"), (1, "n")]
+)
+def test_config_from_dict_names_missing_component_keys(index, key):
+    d = _full_config_dict()
+    del d["gold"]["synthetic"]["components"][index][key]
+    where = rf"gold\.synthetic\.components\[{index}\]\.{key}"
+    with pytest.raises(ValueError, match=f"{where} is missing"):
+        config_from_dict(d)
+
+
+def test_config_from_dict_names_missing_gold():
+    d = _full_config_dict()
+    del d["gold"]
+    with pytest.raises(ValueError, match=r"config\.gold is missing"):
+        config_from_dict(d)
+
+
 def test_config_from_dict_widens_integers_for_float_fields():
     d = _full_config_dict()
     d["betas"] = [0, 0.5]
@@ -449,3 +489,72 @@ def test_fast_training_variant_of_the_trend_config_loads():
     config = config_from_dict(d)
     assert config.train == TrainConfig(epochs=1, hash_dim=4096)
     assert (config.betas, config.seeds) == ((0.1, 0.3), (17, 4242))
+
+
+# ---------------------------------------------------------------------------
+# sweep table bytes
+
+
+_PINNED_ROWS = {
+    ("adjusted", 10): experiments.ResultRow("OL", "adjusted", 0.1, 10, 0.1, 1.0, 0.3, 20, 0.03125),
+    ("representative", 10): experiments.ResultRow(
+        "OL", "representative", 0.1, 10, 0.25, 0.5, 0.125, 20, 1.5
+    ),
+    ("representative", 42): experiments.ResultRow(
+        "OL", "representative", 0.1, 42, 0.75, 0.5, 0.375, 20, 2.25
+    ),
+}
+
+
+def _pinned_outcome(args):
+    config, recipe, beta, seed = args
+    if (recipe, seed) in _PINNED_ROWS:
+        return _PINNED_ROWS[recipe, seed], None
+    return None, experiments.CellFailure("OL", recipe, beta, seed, 'bad "share", stratum C')
+
+
+def test_sweep_tables_are_pinned_byte_for_byte(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_cell_outcome", _pinned_outcome)
+    result = sweep(tiny_config(betas=(0.1,)), output_dir=tmp_path)
+    assert len(result.rows) == 3 and len(result.failures) == 1
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"row_type,task,recipe,beta,seed,n_items,acb,f1,positive_proportion,"
+        b"n_seeds,acb_std,f1_std,positive_proportion_std\n"
+        b"cell,OL,adjusted,0.1,10,20,0.1,1.0,0.3,,,,\n"
+        b"cell,OL,representative,0.1,10,20,0.25,0.5,0.125,,,,\n"
+        b"cell,OL,representative,0.1,42,20,0.75,0.5,0.375,,,,\n"
+        b"mean,OL,adjusted,0.1,,,0.1,1.0,0.3,1,0.0,0.0,0.0\n"
+        b"mean,OL,representative,0.1,,,0.5,0.5,0.25,2,0.25,0.0,0.125\n"
+    )
+    assert (tmp_path / "timings.csv").read_bytes() == (
+        b"task,recipe,beta,seed,wall_time\n"
+        b"OL,adjusted,0.1,10,0.03125\n"
+        b"OL,representative,0.1,10,1.5\n"
+        b"OL,representative,0.1,42,2.25\n"
+    )
+    assert (tmp_path / "failures.csv").read_bytes() == (
+        b"task,recipe,beta,seed,error\n"
+        b'OL,adjusted,0.1,42,"bad ""share"", stratum C"\n'
+    )
+
+
+def test_write_report_is_pinned_byte_for_byte(tmp_path):
+    from pairsim.metrics import AggregateReport
+
+    rows = [_PINNED_ROWS["adjusted", 10]]
+    aggregates = {
+        ("OL", "adjusted", 0.1): AggregateReport(
+            mean={"acb": 1 / 3, "f1": 0.0, "positive_proportion": 1e-05},
+            std={"acb": 0.5, "f1": 2.0, "positive_proportion": 0.1 + 0.2},
+            seeds=(10, 42, 512),
+        )
+    }
+    path = tmp_path / "report.csv"
+    experiments.write_report(rows, aggregates, path)
+    assert path.read_bytes() == (
+        b"row_type,task,recipe,beta,seed,n_items,acb,f1,positive_proportion,"
+        b"n_seeds,acb_std,f1_std,positive_proportion_std\n"
+        b"cell,OL,adjusted,0.1,10,20,0.1,1.0,0.3,,,,\n"
+        b"mean,OL,adjusted,0.1,,,0.3333333333333333,0.0,1e-05,3,0.5,2.0,0.30000000000000004\n"
+    )
+    assert read_report_cells(path) == (dataclasses.replace(rows[0], wall_time=0.0),)

@@ -18,6 +18,7 @@ from pairsim.simulation import (
     PoolComposition,
     Rare,
     Uniform,
+    annotation_row,
     build_suite,
     derive_gold,
     filter_difficult,
@@ -87,6 +88,17 @@ def test_derive_gold_subsample_deterministic():
 def test_derive_gold_subsample_too_few():
     with pytest.raises(ValueError, match="cannot draw"):
         derive_gold([("a", "t", [1, 0, 1])], subsample=12)
+
+
+def test_annotation_row_splits_text_and_checks_labels():
+    assert annotation_row("a", " some  text ", [1, 0]) == ("a", ("some", "text"), (1, 0))
+    assert annotation_row("a", ["tok", "en"], (0,), subsample=1) == ("a", ("tok", "en"), (0,))
+    with pytest.raises(ValueError, match="no annotations"):
+        annotation_row("a", "t", [])
+    with pytest.raises(ValueError, match="non-binary"):
+        annotation_row("a", "t", [0, 2])
+    with pytest.raises(ValueError, match="cannot draw 3"):
+        annotation_row("a", "t", [0, 1], subsample=3)
 
 
 def test_gold_table_rejects_duplicates_and_bad_p():
@@ -433,6 +445,39 @@ def test_dataset_file_round_trip(tmp_path):
     assert loaded == adjusted
 
 
+def test_write_gold_is_pinned_byte_for_byte(tmp_path):
+    gold = GoldTable(
+        (GoldEntry("a", ("hello", "world"), 0.5, 12), GoldEntry("b\u00e9", (), 1 / 3, 3))
+    )
+    path = tmp_path / "gold.jsonl"
+    write_gold(gold, path)
+    assert path.read_bytes() == (
+        b'{"item_id": "a", "text": ["hello", "world"], "p_gold": 0.5, "k_reference": 12}\n'
+        b'{"item_id": "b\\u00e9", "text": [], "p_gold": 0.3333333333333333, "k_reference": 3}\n'
+    )
+
+
+def test_write_dataset_is_pinned_byte_for_byte(tmp_path):
+    records = (
+        Annotation("i1:A0", "i1", "A", 0),
+        Annotation("i1:B0", "i1", "B", 1),
+        Annotation("i1:B0#r1", "i1", "B", 1, source="replica", replica_of="i1:B0"),
+    )
+    dataset = Dataset(records, DatasetMeta("OL", "adjusted", 0.3, 10))
+    path = tmp_path / "adjusted.jsonl"
+    write_dataset(dataset, path)
+    assert path.read_bytes() == (
+        b'{"task": "OL", "recipe": "adjusted", "beta": 0.3, "seed": 10}\n'
+        b'{"annotation_id": "i1:A0", "item_id": "i1", "stratum_id": "A", "label": 0, '
+        b'"source": "original", "replica_of": null}\n'
+        b'{"annotation_id": "i1:B0", "item_id": "i1", "stratum_id": "B", "label": 1, '
+        b'"source": "original", "replica_of": null}\n'
+        b'{"annotation_id": "i1:B0#r1", "item_id": "i1", "stratum_id": "B", "label": 1, '
+        b'"source": "replica", "replica_of": "i1:B0"}\n'
+    )
+    assert read_dataset(path) == dataset
+
+
 def test_read_dataset_rejects_broken_replica(tmp_path):
     gold = synth_gold(5, Uniform(0.2, 0.8), seed=1)
     ds = build_suite(gold, 0.1, seed=2).nonrep1
@@ -446,6 +491,132 @@ def test_read_dataset_rejects_broken_replica(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="replica"):
         read_dataset(path)
+
+
+def _written_dataset(tmp_path):
+    gold = synth_gold(3, Uniform(0.2, 0.8), seed=1)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(build_suite(gold, 0.1, seed=2).nonrep1, path)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _rewrite(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("label", [1.7, "0", True, 1.0, None])
+def test_read_dataset_rejects_non_integer_labels_by_line(tmp_path, label):
+    path, rows = _written_dataset(tmp_path)
+    rows[3]["label"] = label
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=r"ds\.jsonl:4: record\.label must be an integer"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, kind", [("seed", 2.9, "an integer"), ("beta", "0.3", "a number")]
+)
+def test_read_dataset_rejects_wrong_header_types_by_name(tmp_path, key, value, kind):
+    path, rows = _written_dataset(tmp_path)
+    rows[0][key] = value
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=rf"ds\.jsonl:1: header\.{key} must be {kind}"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("line, key", [(0, "task"), (2, "item_id"), (2, "label")])
+def test_read_dataset_rejects_missing_fields_by_name(tmp_path, line, key):
+    path, rows = _written_dataset(tmp_path)
+    del rows[line][key]
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=rf"ds\.jsonl:{line + 1}: \w+\.{key} is missing"):
+        read_dataset(path)
+
+
+def test_read_dataset_rejects_unknown_keys_by_line(tmp_path):
+    path, rows = _written_dataset(tmp_path)
+    rows[2] = {("lable" if key == "label" else key): value for key, value in rows[2].items()}
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=r"unknown key 'lable' in .*ds\.jsonl:3: record"):
+        read_dataset(path)
+
+
+def test_read_dataset_reads_other_key_orders_and_default_provenance(tmp_path):
+    path, rows = _written_dataset(tmp_path)
+    expected = read_dataset(path)
+    rows[1] = dict(reversed(list(rows[1].items())))
+    del rows[2]["source"], rows[2]["replica_of"]
+    _rewrite(path, rows)
+    assert read_dataset(path) == expected
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda line: line.rstrip("}"), "Expecting"),
+        (lambda line: line + " {}", "Extra data"),
+        (lambda line: "\f" + line, "Expecting value"),
+    ],
+)
+def test_read_dataset_names_the_line_of_bad_json(tmp_path, edit, message):
+    path, rows = _written_dataset(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"ds\.jsonl:3: {message}"):
+        read_dataset(path)
+
+
+def test_read_dataset_skips_blank_lines_and_json_whitespace(tmp_path):
+    path, rows = _written_dataset(tmp_path)
+    expected = read_dataset(path)
+    lines = path.read_text().splitlines()
+    lines[1] = " \t" + lines[1] + " \r"
+    lines.insert(3, "  \f ")
+    path.write_text("\n".join(lines) + "\n\n")
+    assert read_dataset(path) == expected
+
+
+def _written_gold(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    write_gold(synth_text(synth_gold(4, Uniform(0.0, 1.0), seed=1), 20, 5, seed=1), path)
+    return path, [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("text", "hello world", "text must be a list"),
+        ("text", ["hello", 5], r"text\[1\] must be a string"),
+        ("p_gold", "0.5", "p_gold must be a number"),
+        ("k_reference", 12.9, "k_reference must be an integer"),
+    ],
+)
+def test_read_gold_rejects_wrong_types_by_name(tmp_path, key, value, message):
+    path, rows = _written_gold(tmp_path)
+    rows[2][key] = value
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=rf"gold\.jsonl:3: entry\.{message}"):
+        read_gold(path)
+
+
+def test_read_gold_reads_other_key_orders_and_integer_proportions(tmp_path):
+    path, rows = _written_gold(tmp_path)
+    expected = read_gold(path)
+    rows[0] = dict(reversed(list(rows[0].items())))
+    rows[1]["p_gold"] = 1
+    _rewrite(path, rows)
+    entries = list(expected.entries)
+    entries[1] = GoldEntry(entries[1].item_id, entries[1].text, 1.0, entries[1].k_reference)
+    assert read_gold(path) == GoldTable(tuple(entries))
+
+
+def test_read_gold_rejects_missing_fields_by_name(tmp_path):
+    path, rows = _written_gold(tmp_path)
+    del rows[1]["k_reference"]
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=r"gold\.jsonl:2: entry\.k_reference is missing"):
+        read_gold(path)
 
 
 def test_dataset_restrict():

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -304,6 +305,42 @@ def test_load_model_rejects_other_files(tmp_path):
     path = tmp_path / "x.json"
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError, match="not a"):
+        load_model(path)
+
+
+def _saved_model_payload(tmp_path):
+    gold = textual_gold(n=25)
+    path = tmp_path / "model.json"
+    save_model(train(small_dataset(gold), gold.texts(), FAST, seed=8), path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("hash_dim", 256.0),
+        ("epochs", "5"),
+        ("learning_rate", True),
+        ("seed", 8.9),
+        ("best_epoch", "3"),
+        ("history", [0.5, "0.4"]),
+        ("bias", None),
+    ],
+)
+def test_load_model_rejects_wrong_types_by_name(tmp_path, key, value):
+    path, payload = _saved_model_payload(tmp_path)
+    payload[key] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"model\.json: model\.{key}(\[1\])? must be"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key", ["batch_size", "seed", "weights"])
+def test_load_model_rejects_missing_fields_by_name(tmp_path, key):
+    path, payload = _saved_model_payload(tmp_path)
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"model\.json: model\.{key} is missing"):
         load_model(path)
 
 
