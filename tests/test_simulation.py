@@ -29,6 +29,7 @@ from pairsim.simulation import (
     subsample_indices,
     synth_gold,
     synth_text,
+    typed_object,
     write_dataset,
     write_gold,
 )
@@ -617,6 +618,62 @@ def test_read_gold_rejects_missing_fields_by_name(tmp_path):
     _rewrite(path, rows)
     with pytest.raises(ValueError, match=r"gold\.jsonl:2: entry\.k_reference is missing"):
         read_gold(path)
+
+
+def _outcome(read):
+    """repr of what ``read`` returns, so that 1 and 1.0 differ, or its error."""
+    try:
+        return repr(read())
+    except ValueError as err:
+        return str(err)
+
+
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1, 2),
+    st.floats(-1, 2),
+    st.text("ab1", max_size=2),
+    st.lists(st.one_of(st.text("ab", max_size=2), st.integers(0, 1), st.none()), max_size=3),
+)
+
+
+def _edits(keys):
+    """Up to two fields of a written line set to any JSON value."""
+    return st.dictionaries(st.sampled_from(keys), _ANY_JSON, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edits(("item_id", "text", "p_gold", "k_reference")))
+def test_read_gold_agrees_with_typed_object_on_written_layout(tmp_path_factory, edits):
+    # a line in write_gold's layout with some values of another JSON type:
+    # the reader's check of that layout must give what typed_object gives
+    row = {**{"item_id": "x", "text": ["a", "b"], "p_gold": 0.5, "k_reference": 12}, **edits}
+    path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
+    _rewrite(path, [row])
+    expected = _outcome(lambda: GoldTable((typed_object(row, GoldEntry, f"{path}:1: entry"),)))
+    assert _outcome(lambda: read_gold(path)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edits(("annotation_id", "item_id", "stratum_id", "label", "source", "replica_of")))
+def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factory, edits):
+    row = {
+        **{"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1},
+        **{"source": "original", "replica_of": None},
+        **edits,
+    }
+    header = {"task": "OL", "recipe": "representative", "beta": 0.0, "seed": 1}
+    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
+    _rewrite(path, [header, row])
+
+    def checked():
+        record = typed_object(row, Annotation, f"{path}:2: record")
+        dataset = Dataset((record,), DatasetMeta("OL", "representative", 0.0, 1))
+        dataset.validate()
+        return dataset
+
+    assert _outcome(lambda: read_dataset(path)) == _outcome(checked)
 
 
 def test_dataset_restrict():
