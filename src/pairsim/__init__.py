@@ -45,7 +45,15 @@ from .simulation import (
     synth_gold,
     synth_text,
 )
-from .trainer import Model, TrainConfig, predict, proportion_oracle, train
+from .trainer import (
+    Features,
+    Model,
+    TrainConfig,
+    featurize,
+    predict,
+    proportion_oracle,
+    train,
+)
 from .experiments import (
     ExperimentConfig,
     ResultRow,

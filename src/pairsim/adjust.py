@@ -20,17 +20,28 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
 
-from .simulation import Annotation, Dataset, RECIPE_ADJUSTED
+from .simulation import Annotation, Dataset, RECIPE_ADJUSTED, typed
 
 ShareLike = Union[int, float, str, Fraction]
 
 
-def _to_fraction(value: ShareLike) -> Fraction:
+def _to_fraction(value: ShareLike, where: str) -> Fraction:
+    """``value`` as an exact fraction: a Fraction, a string such as "1/3",
+    or a finite number by the rules of :func:`~pairsim.simulation.typed`
+    (a bool is not a number). Errors name ``where``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as an exact share")
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"{where} must be a number or a fraction string like '1/3', got {value!r}"
+            ) from None
+    number = typed(value, float, where)
+    if not math.isfinite(number):
+        raise ValueError(f"{where} must be finite, got {value!r}")
+    return Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -44,7 +55,9 @@ class PopulationBenchmark:
     shares: Mapping[str, Fraction]
 
     def __post_init__(self) -> None:
-        conv = {s: _to_fraction(v) for s, v in self.shares.items()}
+        if not isinstance(self.shares, Mapping):
+            raise ValueError(f"benchmark must map each stratum to its share, got {self.shares!r}")
+        conv = {s: _to_fraction(v, f"benchmark.{s}") for s, v in self.shares.items()}
         object.__setattr__(self, "shares", conv)
         if not conv:
             raise ValueError("benchmark has no strata")
@@ -63,7 +76,7 @@ class PoolShares:
     shares: Mapping[str, Fraction]
 
     def __post_init__(self) -> None:
-        conv = {s: _to_fraction(v) for s, v in self.shares.items()}
+        conv = {s: _to_fraction(v, f"pool share {s!r}") for s, v in self.shares.items()}
         object.__setattr__(self, "shares", conv)
         if not conv:
             raise ValueError("pool has no strata")
@@ -135,7 +148,7 @@ def normalize(weights: WeightTable, k: ShareLike | None = None) -> WeightTable:
     if k is None:
         k_frac = 1 / min(weights.raw.values())
     else:
-        k_frac = _to_fraction(k)
+        k_frac = _to_fraction(k, "K")
         if k_frac <= 0:
             raise ValueError(f"K must be positive, got {float(k_frac)}")
     normalized = {s: w * k_frac for s, w in weights.raw.items()}
@@ -214,9 +227,10 @@ def write_benchmark(benchmark: PopulationBenchmark, path: Union[str, Path]) -> N
 def read_benchmark(path: Union[str, Path]) -> PopulationBenchmark:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: benchmark file must hold a stratum-to-share mapping")
-    return PopulationBenchmark(payload)
+    try:
+        return PopulationBenchmark(payload)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:

@@ -43,7 +43,7 @@ from .simulation import (
     typed,
     typed_object,
 )
-from .trainer import TrainConfig, predict, train
+from .trainer import Features, TrainConfig, featurize, predict, train
 
 PAPER_BETAS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 PAPER_SEEDS = (10, 42, 512, 1010, 3344)
@@ -216,6 +216,13 @@ def ingest_external(
     return IngestResult(derive_gold(rows, subsample=subsample, seed=seed), skipped)
 
 
+def _gold_key(config: ExperimentConfig) -> tuple:
+    """The config values that determine the gold table. The per-process
+    caches below are keyed on these: hashing the table itself costs a
+    pass over every entry and its tokens on each lookup."""
+    return config.gold, config.task, config.difficult, config.difficult_lo, config.difficult_hi
+
+
 @lru_cache(maxsize=4)
 def _gold_cached(
     source: Union[SyntheticGold, str],
@@ -241,15 +248,20 @@ def _gold_cached(
 def load_gold(config: ExperimentConfig) -> GoldTable:
     """The experiment's gold table (synthetic or ingested), difficult-filtered
     when the config asks for it. Cached: pure function of its inputs."""
-    return _gold_cached(
-        config.gold, config.task, config.difficult, config.difficult_lo, config.difficult_hi
-    )
+    return _gold_cached(*_gold_key(config))
 
 
 # sweep runs a (beta, seed) pair's recipes back to back, so one entry suffices
 @lru_cache(maxsize=1)
-def _suite_cached(gold: GoldTable, beta: float, seed: int, task: str) -> Suite:
-    return build_suite(gold, beta, seed, task)
+def _suite_cached(gold_key: tuple, beta: float, seed: int) -> Suite:
+    _, task, *_ = gold_key
+    return build_suite(_gold_cached(*gold_key), beta, seed, task)
+
+
+# a sweep has one gold table and one hash_dim
+@lru_cache(maxsize=1)
+def _features_cached(gold_key: tuple, hash_dim: int) -> Features:
+    return featurize(_gold_cached(*gold_key).texts(), hash_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +341,14 @@ def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> R
         if counts[2] < 1:
             raise ValueError(f"test split is empty for counts {counts}")
         train_gold, dev_gold, test_gold = split_items(gold, counts, seed)
-        suite = _suite_cached(gold, beta, seed, config.task)
+        gold_key = _gold_key(config)
+        suite = _suite_cached(gold_key, beta, seed)
         dataset = _recipe_dataset(suite, recipe, config.benchmark)
-        texts = gold.texts()
+        features = _features_cached(gold_key, config.train.hash_dim)
         train_ds = dataset.restrict(train_gold.item_ids())
         dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
-        model = train(train_ds, texts, config.train, seed, dev=dev_ds)
-        preds = predict(model, {e.item_id: e.text for e in test_gold})
+        model = train(train_ds, features, config.train, seed, dev=dev_ds)
+        preds = predict(model, features.select(test_gold.item_ids()))
         return ResultRow(
             task=config.task,
             recipe=recipe,

@@ -27,7 +27,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Iterable, Mapping, Sequence, Union, get_origin, get_type_hints
 
-from .rng import stream
+from .rng import stream, streams
 
 MINUS = "minus"
 PLUS = "plus"
@@ -235,13 +235,14 @@ def annotation_row(
     """One item's reference annotations as ``(item_id, tokens, labels)``;
     a string text is split on whitespace.
 
-    Raises ValueError when the labels are empty, not binary, or fewer
-    than ``subsample`` (a draw of that many without replacement).
+    Raises ValueError when the labels are empty, not each the integer 0
+    or 1 (``True`` and ``1.0`` compare equal to 1 but are not labels), or
+    fewer than ``subsample`` (a draw of that many without replacement).
     """
     labels = tuple(labels)
     if not labels:
         raise ValueError(f"item {item_id!r} has no annotations")
-    bad = sorted({l for l in labels if l not in (0, 1)})
+    bad = [l for l in labels if type(l) is not int or l not in (0, 1)]
     if bad:
         raise ValueError(f"item {item_id!r} has non-binary labels: {bad}")
     if subsample is not None and len(labels) < subsample:
@@ -324,8 +325,7 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
     if not isinstance(shape, (Uniform, Rare)):
         raise TypeError(f"unknown gold shape {type(shape).__name__}")
     entries = []
-    for i in range(n):
-        gen = stream(seed, f"gold:{id_prefix}", i)
+    for i, gen in enumerate(streams(seed, f"gold:{id_prefix}", count=n)):
         if isinstance(shape, Uniform):
             p = shape.low + (shape.high - shape.low) * gen.random()
         else:
@@ -353,8 +353,7 @@ def synth_text(
     n_tox = vocab_size // 2
     n_ben = vocab_size - n_tox
     entries = []
-    for idx, e in enumerate(gold.entries):
-        gen = stream(seed, "text", idx)
+    for e, gen in zip(gold.entries, streams(seed, "text", count=len(gold))):
         toxic = gen.random(tokens_per_item) < e.p_gold
         # draw indices for both halves unconditionally so consumption per
         # item is fixed regardless of the toxic mask
@@ -393,23 +392,6 @@ def shift_probability(p: float, beta: float, direction: str) -> float:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _stratum_labels(
-    seed: int,
-    task: str,
-    stratum: str,
-    item_index: int,
-    p_shifted: float,
-    count: int,
-) -> list[int]:
-    """Bernoulli labels for slots [0, count) of one item/stratum.
-
-    Slots index positions in the per-(seed, task, stratum, item) Philox
-    stream, so slot k has the same value whatever ``count`` is.
-    """
-    gen = stream(seed, f"{task}:annot:{stratum}", item_index)
-    return [int(v < p_shifted) for v in gen.random(count)]
-
-
 def sample_pool(
     gold: GoldTable,
     comp: PoolComposition,
@@ -428,12 +410,17 @@ def sample_pool(
     missing = sorted(set(comp.counts) - set(bias.direction_by_stratum))
     if missing:
         raise ValueError(f"no bias direction for strata: {', '.join(missing)}")
+    # slot k of an item's stratum is value k of its Philox stream, so it
+    # has the same label whatever the stratum's count is
+    strata = {
+        s: streams(seed, f"{task}:annot:{s}", count=len(gold)) for s in sorted(comp.counts)
+    }
     records: list[Annotation] = []
-    for idx, entry in enumerate(gold.entries):
-        for s in sorted(comp.counts):
+    for entry in gold.entries:
+        for s, gens in strata.items():
             p = shift_probability(entry.p_gold, bias.beta, bias.direction_by_stratum[s])
-            labels = _stratum_labels(seed, task, s, idx, p, comp.counts[s])
-            for slot, y in enumerate(labels):
+            u = next(gens).random(comp.counts[s])
+            for slot, y in enumerate((u < p).astype(int).tolist()):
                 records.append(
                     Annotation(f"{entry.item_id}:{s}{slot}", entry.item_id, s, y)
                 )
@@ -464,11 +451,11 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     n1: list[Annotation] = []
     n2: list[Annotation] = []
     per_item = n_pool_a + n_b
-    for idx in range(len(gold)):
+    deletions = streams(seed, f"{task}:nonrep1-delete", count=len(gold))
+    for idx, gen in enumerate(deletions):
         # sample_pool lays out each item's records as A0..A8, B0..B5
         recs = pool[idx * per_item : (idx + 1) * per_item]
         a, extra_a, b = recs[:n_a], recs[n_a:n_pool_a], recs[n_pool_a:]
-        gen = stream(seed, f"{task}:nonrep1-delete", idx)
         dropped = set(gen.choice(n_b, size=NONREP1_B_DELETIONS, replace=False))
         b_kept = tuple(r for j, r in enumerate(b) if j not in dropped)
         rep += a + b

@@ -104,6 +104,51 @@ def _item_matrix(
     return sparse.csr_matrix((counts / lengths[key_rows], keys % dim, indptr), shape=(n, dim))
 
 
+@dataclass(frozen=True, eq=False)
+class Features:
+    """Hashed token frequencies of a set of items: row ``rows[item_id]``
+    of ``matrix`` is that item's, with ``hash_dim`` columns."""
+
+    rows: Mapping[str, int]
+    matrix: sparse.csr_matrix
+
+    @property
+    def hash_dim(self) -> int:
+        return self.matrix.shape[1]
+
+    def of(self, item_ids: Sequence[str]) -> sparse.csr_matrix:
+        """The rows of ``item_ids``, in that order."""
+        return self.matrix[np.fromiter(map(self.rows.__getitem__, item_ids), dtype=np.int64)]
+
+    def select(self, item_ids: Sequence[str]) -> "Features":
+        """The features of ``item_ids`` alone, in that order."""
+        item_ids = list(item_ids)
+        return Features({item_id: i for i, item_id in enumerate(item_ids)}, self.of(item_ids))
+
+
+def featurize(texts: Mapping[str, Sequence[str]], hash_dim: int) -> Features:
+    """Features of every item in ``texts`` (item_id to token sequence),
+    one row per item in mapping order; an empty text is an error."""
+    item_ids = list(texts)
+    rows = {item_id: i for i, item_id in enumerate(item_ids)}
+    return Features(rows, _item_matrix(item_ids, texts, hash_dim))
+
+
+def _features(texts: Union[Features, Mapping[str, Sequence[str]]], hash_dim: int) -> Features:
+    """``texts`` as features with ``hash_dim`` columns."""
+    if not isinstance(texts, Features):
+        return featurize(texts, hash_dim)
+    if texts.hash_dim != hash_dim:
+        raise ValueError(f"features have {texts.hash_dim} hash columns, expected {hash_dim}")
+    return texts
+
+
+def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross-entropy of probabilities ``p`` against labels ``y``."""
+    p_safe = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    return -float(np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
+
+
 def loss_and_grad(
     w: np.ndarray,
     b: float,
@@ -112,16 +157,11 @@ def loss_and_grad(
 ) -> tuple[float, np.ndarray, float]:
     """Mean binary cross-entropy over the batch and its analytic gradient."""
     p = expit(X @ w + b)
-    p_safe = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    loss = -float(np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
+    loss = _mean_bce(p, y)
     residual = (p - y) / len(y)
     grad_w = np.asarray(X.T @ residual)
     grad_b = float(residual.sum())
     return loss, grad_w, grad_b
-
-
-def _missing_texts(dataset: Dataset, texts: Mapping[str, Sequence[str]]) -> list[str]:
-    return sorted({r.item_id for r in dataset.records} - set(texts))
 
 
 def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -132,16 +172,6 @@ def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]
     rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
     y = np.array([r.label for r in dataset.records], dtype=np.float64)
     return item_ids, rows, y
-
-
-def _instances(
-    dataset: Dataset,
-    texts: Mapping[str, Sequence[str]],
-    dim: int,
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """One feature row and label per annotation record."""
-    item_ids, rows, y = _instance_rows(dataset)
-    return _item_matrix(item_ids, texts, dim)[rows], y
 
 
 def _adagrad_epoch(
@@ -197,14 +227,15 @@ def _adagrad_epoch(
 
 def train(
     dataset: Dataset,
-    texts: Mapping[str, Sequence[str]],
+    texts: Union[Features, Mapping[str, Sequence[str]]],
     config: TrainConfig = TrainConfig(),
     seed: int = 0,
     dev: Dataset | None = None,
 ) -> Model:
     """Fit the classifier on one instance per annotation record.
 
-    ``texts`` maps item_id to its token sequence and must cover every
+    ``texts`` maps item_id to its token sequence, or is the
+    :func:`featurize` result of such a mapping, and must cover every
     item in ``dataset`` (and ``dev``). With a dev dataset, the epoch
     whose weights minimize dev loss is kept; otherwise training loss is
     used. Deterministic given (dataset, texts, config, seed).
@@ -214,20 +245,17 @@ def train(
     pull, so it stays exactly 0, and the model is bit for bit the one a
     dense update over all ``hash_dim`` coordinates gives.
     """
+    features = _features(texts, config.hash_dim)
     if not dataset.records:
         raise ValueError("training dataset is empty")
-    missing = _missing_texts(dataset, texts)
-    if dev is not None:
-        missing = sorted(set(missing) | set(_missing_texts(dev, texts)))
+    item_ids, rows_of, y = _instance_rows(dataset)
+    sel_items, sel_rows, y_sel = (item_ids, rows_of, y) if dev is None else _instance_rows(dev)
+    missing = sorted({*item_ids, *sel_items} - features.rows.keys())
     if missing:
         raise ValueError(f"no text for items: {', '.join(missing[:10])}")
 
-    item_ids, rows_of, y = _instance_rows(dataset)
-    X_items = _item_matrix(item_ids, texts, config.hash_dim)
-    if dev is None:
-        X_sel, y_sel = X_items[rows_of], y
-    else:
-        X_sel, y_sel = _instances(dev, texts, config.hash_dim)
+    X_items = features.of(item_ids)
+    X_sel = X_items if dev is None else features.of(sel_items)
     active = np.unique(X_items.indices)
     Xc = sparse.csr_matrix(
         (X_items.data, np.searchsorted(active, X_items.indices), X_items.indptr),
@@ -249,7 +277,8 @@ def train(
         perm = stream(seed, "sgd-shuffle", epoch).permutation(len(y))
         b, accum_b = _adagrad_epoch(Xc[rows_of[perm]], y[perm], w, accum_w, b, accum_b, config)
         weights[active] = w
-        sel_loss, _, _ = loss_and_grad(weights, b, X_sel, y_sel)
+        # each record's probability is its item's: one row per item, not per record
+        sel_loss = _mean_bce(expit(X_sel @ weights + b)[sel_rows], y_sel)
         history.append(sel_loss)
         if sel_loss < best_loss:
             best_loss = sel_loss
@@ -270,14 +299,15 @@ def train(
     )
 
 
-def predict(model: Model, texts: Mapping[str, Sequence[str]]) -> dict[str, float]:
-    """Predicted positive probability per item; pure function of the model."""
-    item_ids = list(texts)
-    if not item_ids:
-        return {}
-    X = _item_matrix(item_ids, texts, model.config.hash_dim)
-    p = expit(X @ model.weights + model.bias)
-    return {item_id: float(p[i]) for i, item_id in enumerate(item_ids)}
+def predict(
+    model: Model, texts: Union[Features, Mapping[str, Sequence[str]]]
+) -> dict[str, float]:
+    """Predicted positive probability per item of ``texts`` (a mapping of
+    item_id to tokens, or its features), in its order; pure function of
+    the model."""
+    features = _features(texts, model.config.hash_dim)
+    p = expit(features.matrix @ model.weights + model.bias)
+    return {item_id: float(p[i]) for item_id, i in features.rows.items()}
 
 
 def proportion_oracle(dataset: Dataset) -> dict[str, float]:

@@ -460,6 +460,23 @@ def test_benchmark_validation():
         PopulationBenchmark({"A": 1.5, "B": -0.5})
 
 
+def test_benchmark_rejects_non_numbers_by_stratum():
+    with pytest.raises(ValueError, match="benchmark.A must be a number, got True"):
+        PopulationBenchmark({"A": True})
+    with pytest.raises(ValueError, match="benchmark must map each stratum"):
+        PopulationBenchmark([Fraction(1, 2), Fraction(1, 2)])
+
+
+def test_read_benchmark_names_the_file(tmp_path):
+    path = tmp_path / "benchmark.json"
+    path.write_text('{"A": "1/2", "B": false}')
+    with pytest.raises(ValueError, match=r"benchmark\.json: benchmark\.B must be a number"):
+        read_benchmark(path)
+    path.write_text("[0.5, 0.5]")
+    with pytest.raises(ValueError, match=r"benchmark\.json: benchmark must map"):
+        read_benchmark(path)
+
+
 def test_weights_round_trip(tmp_path):
     ds = pool_dataset({"A": 6, "B": 3})
     _, wt = apply_pair(ds, HALF_HALF)

@@ -96,6 +96,24 @@ def test_cli_sweep_rejects_repeated_seeds(tmp_path, config_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ([0.5, 0.5], "benchmark must map each stratum to its share, got [0.5, 0.5]"),
+        ({"A": True}, "benchmark.A must be a number, got True"),
+    ],
+)
+def test_cli_sweep_bad_benchmark_is_one_error_line(
+    tmp_path, config_path, capsys, shares, message
+):
+    raw = json.loads(config_path.read_text())
+    raw["benchmark"] = shares
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    assert main(["sweep", "--config", str(bad_path), "--out", str(tmp_path / "results")]) == 2
+    assert capsys.readouterr().err == f"pairsim: error: {message}\n"
+
+
 def test_cli_missing_config_file_is_one_error_line(tmp_path, capsys):
     missing = tmp_path / "no-such-config.json"
     assert main(["sweep", "--config", str(missing), "--out", str(tmp_path / "results")]) == 2

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from pairsim.experiments import (
     split_items,
     sweep,
 )
-from pairsim.simulation import Rare, Uniform, build_suite, derive_gold, synth_gold
+from pairsim.simulation import GoldEntry, Rare, Uniform, build_suite, derive_gold, synth_gold
 from pairsim.trainer import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
@@ -174,6 +175,21 @@ def test_ingest_hands_derive_gold_the_accepted_rows_in_order(tmp_path):
     assert result.gold == expected
 
 
+@pytest.mark.parametrize("label", [True, False, 1.0, 0.0])
+def test_ingest_skips_rows_whose_labels_are_not_integers(tmp_path, label):
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=10)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[6])
+    row["ol"][0] = label
+    lines[6] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest_external(path, task="OL")
+    assert result.skipped == 1
+    assert "tw0006" not in result.gold.item_ids()
+    assert len(result.gold) == 9
+
+
 def test_ingest_rejects_empty(tmp_path):
     path = tmp_path / "annotations.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -312,6 +328,25 @@ def test_sweep_builds_one_suite_per_beta_seed_pair(monkeypatch):
     result = sweep(config)
     assert len(result.rows) == 8 and not result.failures
     assert builds == {(beta, seed): 1 for beta in (0.1, 0.3) for seed in (10, 42)}
+
+
+def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
+    # the per-cell caches must not key on the gold table: hashing it walks
+    # every entry and its tokens on each lookup
+    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
+    hashes = Counter()
+    entry_hash = GoldEntry.__hash__
+
+    def counting_hash(entry):
+        hashes[entry.item_id] += 1
+        return entry_hash(entry)
+
+    for cache in (experiments._gold_cached, experiments._suite_cached):
+        cache.cache_clear()
+    monkeypatch.setattr(GoldEntry, "__hash__", counting_hash)
+    result = sweep(config)
+    assert len(result.rows) == 8 and not result.failures
+    assert max(hashes.values(), default=0) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +499,33 @@ def test_config_from_dict_rejects_bad_train_values_by_name():
     d["train"]["batch_size"] = 0
     with pytest.raises(ValueError, match="batch_size"):
         config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "shares, message",
+    [
+        ({"A": True, "B": 0}, "benchmark.A must be a number, got True"),
+        ({"A": 0.5, "B": None}, "benchmark.B must be a number, got None"),
+        ({"A": "half", "B": "1/2"}, "benchmark.A must be a number or a fraction string"),
+        ({"A": "1/0", "B": "1/2"}, "benchmark.A must be a number or a fraction string"),
+        ({"A": float("inf"), "B": 0.5}, "benchmark.A must be finite"),
+        ([0.5, 0.5], r"benchmark must map each stratum to its share, got \[0.5, 0.5\]"),
+    ],
+)
+def test_config_from_dict_rejects_bad_benchmarks_by_name(shares, message):
+    d = _full_config_dict()
+    d["benchmark"] = shares
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(d)
+
+
+def test_config_from_dict_reads_benchmark_strings_and_numbers_exactly():
+    d = _full_config_dict()
+    d["benchmark"] = {"A": "1/3", "B": 0.5, "C": "1/6"}
+    shares = config_from_dict(d).benchmark.shares
+    assert shares == {"A": Fraction(1, 3), "B": Fraction(1, 2), "C": Fraction(1, 6)}
+    d["benchmark"] = {"A": 1}
+    assert config_from_dict(d).benchmark.shares == {"A": 1}
 
 
 def test_config_from_dict_rejects_ambiguous_gold():

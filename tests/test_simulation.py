@@ -1,12 +1,15 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim.adjust import PopulationBenchmark, apply_pair
+from pairsim.experiments import load_config, load_gold
 from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
@@ -100,6 +103,13 @@ def test_annotation_row_splits_text_and_checks_labels():
         annotation_row("a", "t", [0, 2])
     with pytest.raises(ValueError, match="cannot draw 3"):
         annotation_row("a", "t", [0, 1], subsample=3)
+
+
+@pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None])
+def test_annotation_row_takes_only_the_integers_0_and_1(label):
+    # True == 1 and 1.0 == 1 in Python, but neither is a label
+    with pytest.raises(ValueError, match=rf"non-binary labels: \[{label!r}\]"):
+        annotation_row("a", "t", [0, label, 1])
 
 
 def test_gold_table_rejects_duplicates_and_bad_p():
@@ -334,6 +344,44 @@ def test_build_suite_matches_reference_oracle(twelfths, beta, seed, task):
     for ds, want in zip(got, oracle_build_suite(gold, beta, seed, task)):
         assert [astuple(r) for r in ds.records] == [astuple(r) for r in want.records]
         assert ds.meta == want.meta
+
+
+# Pinned draws: SHA-256 digests of the synthetic gold of configs/quick.json
+# and of build_suite's records for three of its (beta, seed, task) cells,
+# plus a Rare-shaped table. Any change to a keyed draw, to its stream key or
+# to the order of records fails here. The values come from exact IEEE
+# arithmetic (Rare proportions go through libm, then are rounded to
+# twelfths), so they hold on any platform.
+
+
+def _digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(json.dumps(row).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def test_quick_config_draws_are_pinned():
+    gold = load_gold(load_config(Path(__file__).parent.parent / "configs" / "quick.json"))
+    assert _digest(astuple(e) for e in gold.entries) == (
+        "0c985125e22784076be075352b8efc992462937e81414f4f22d785fe696ecd72"
+    )
+    pins = {
+        (0.1, 10, "OL"): "7969f22f2e93d6bfa17a87ac9deb8f24f83f1df6dab3f2d079d0f8b10558729a",
+        (0.3, 42, "OL"): "d2ab5746c3c248d7071a3564b5431040cd99c5daacdecc146200e07ac9dd13ef",
+        (0.3, 10, "HS"): "3c02809361cab89829ee2460280b1889cdf9920d484938fef6366953cbaafe55",
+    }
+    for (beta, seed, task), pin in pins.items():
+        suite = build_suite(gold, beta, seed, task)
+        recipes = (suite.representative, suite.nonrep1, suite.nonrep2)
+        assert _digest(astuple(r) for ds in recipes for r in ds.records) == pin
+
+
+def test_rare_gold_draws_are_pinned():
+    gold = synth_text(synth_gold(200, Rare(0.15), seed=7, id_prefix="r"), 50, 8, seed=7)
+    assert _digest(astuple(e) for e in gold.entries) == (
+        "7b788698bd61ae876e21c47b419d2e3658f58344dcf3b6233ce7a8d7142802f3"
+    )
 
 
 # ---------------------------------------------------------------------------

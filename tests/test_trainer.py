@@ -24,6 +24,7 @@ from pairsim.trainer import (
     Model,
     TrainConfig,
     _item_matrix,
+    featurize,
     load_model,
     loss_and_grad,
     predict,
@@ -489,3 +490,59 @@ def test_item_matrix_matches_per_item_reference(token_lists, dim):
 def test_item_matrix_rejects_empty_text_by_name():
     with pytest.raises(ValueError, match="'b'"):
         _item_matrix(["a", "b"], {"a": ("x",), "b": ()}, 16)
+
+
+# ---------------------------------------------------------------------------
+# features built once, rows selected by item
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_problems(), st.randoms(use_true_random=False), st.integers(0, 4))
+def test_train_and_predict_on_features_equal_train_and_predict_on_texts(
+    problem, rnd, n_extra
+):
+    dataset, texts, config, seed, dev = problem
+    # the features cover more items than training uses, in another order
+    table = {**texts, **{f"x{j}": ("t0", f"x{j}") for j in range(n_extra)}}
+    order = list(table)
+    rnd.shuffle(order)
+    features = featurize({item_id: table[item_id] for item_id in order}, config.hash_dim)
+    needed = {r.item_id for ds in (dataset, dev) if ds is not None for r in ds.records}
+    on_texts = train(dataset, {i: texts[i] for i in texts if i in needed}, config, seed, dev=dev)
+    on_features = train(dataset, features, config, seed, dev=dev)
+    assert np.array_equal(on_features.weights, on_texts.weights)
+    assert on_features.bias == on_texts.bias
+    assert on_features.best_epoch == on_texts.best_epoch
+    assert on_features.history == on_texts.history
+    asked = order[: rnd.randint(0, len(order))]
+    rnd.shuffle(asked)
+    got = predict(on_texts, features.select(asked))
+    want = predict(on_texts, {item_id: table[item_id] for item_id in asked})
+    assert list(got) == list(want) == asked
+    assert np.array_equal(list(got.values()), list(want.values()))
+
+
+def test_featurize_rows_follow_mapping_order():
+    texts = {"b": ("x", "y", "x"), "a": ("z",)}
+    features = featurize(texts, 16)
+    assert dict(features.rows) == {"b": 0, "a": 1}
+    assert features.hash_dim == 16
+    ref = _reference_item_matrix(["a"], texts, 16)
+    assert np.array_equal(features.select(["a"]).matrix.toarray(), ref.toarray())
+
+
+def test_train_and_predict_reject_features_of_another_hash_dim():
+    gold = textual_gold(n=20)
+    features = featurize(gold.texts(), FAST.hash_dim * 2)
+    with pytest.raises(ValueError, match="512 hash columns, expected 256"):
+        train(small_dataset(gold), features, FAST)
+    model = train(small_dataset(gold), gold.texts(), FAST)
+    with pytest.raises(ValueError, match="512 hash columns, expected 256"):
+        predict(model, features)
+
+
+def test_train_names_items_the_features_lack():
+    gold = textual_gold(n=20)
+    features = featurize(gold.texts(), FAST.hash_dim).select(gold.item_ids()[1:])
+    with pytest.raises(ValueError, match=f"no text for items: {gold.item_ids()[0]}"):
+        train(small_dataset(gold), features, FAST)
