@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
 
-from .simulation import Annotation, Dataset, RECIPE_ADJUSTED, typed
+import numpy as np
+
+from .simulation import Dataset, RECIPE_ADJUSTED, typed, typed_object
 
 ShareLike = Union[int, float, str, Fraction]
 
@@ -105,11 +106,12 @@ class WeightTable:
 
 def pool_shares(dataset: Dataset) -> PoolShares:
     """Share of the pool per stratum, by annotation count."""
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("dataset is empty")
-    counts = Counter(r.stratum_id for r in dataset.records)
-    total = sum(counts.values())
-    return PoolShares({s: Fraction(c, total) for s, c in sorted(counts.items())})
+    counts = np.bincount(dataset.stratum, minlength=len(dataset.stratum_ids)).tolist()
+    return PoolShares(
+        {s: Fraction(c, len(dataset)) for s, c in sorted(zip(dataset.stratum_ids, counts)) if c}
+    )
 
 
 def raw_weights(benchmark: PopulationBenchmark, pool: PoolShares) -> WeightTable:
@@ -195,21 +197,36 @@ def apply_pair(
     """
     weights = replication_counts(normalize(raw_weights(benchmark, pool_shares(dataset)), k=k))
     assert weights.counts is not None
-    records: list[Annotation] = []
-    for rec in dataset.records:
-        records.append(rec)
-        for j in range(weights.counts[rec.stratum_id]):
-            records.append(
-                Annotation(
-                    f"{rec.annotation_id}#r{j + 1}",
-                    rec.item_id,
-                    rec.stratum_id,
-                    rec.label,
-                    source="replica",
-                    replica_of=rec.annotation_id,
-                )
-            )
-    adjusted = Dataset(tuple(records), replace(dataset.meta, recipe=RECIPE_ADJUSTED))
+    # a table stratum without records has no count and no copies to make
+    per_stratum = [1 + weights.counts.get(s, 0) for s in dataset.stratum_ids]
+    copies = np.array(per_stratum, dtype=np.intp)[dataset.stratum]
+    source = np.repeat(np.arange(len(dataset)), copies)  # input record of each output
+    first = np.cumsum(copies) - copies  # output index of each input record
+    replica_no = np.arange(len(source)) - first[source]  # 0 for the record itself
+    # an input record keeps its provenance, pointed at its original's new
+    # position; its replicas point at it
+    moved = dataset.original[source]
+    original = np.where(
+        replica_no > 0, first[source], np.where(moved >= 0, first[moved], -1)
+    )
+
+    def make_ids() -> list[str]:
+        ids = dataset.annotation_ids
+        return [
+            f"{ids[r]}#r{j}" if j else ids[r]
+            for r, j in zip(source.tolist(), replica_no.tolist())
+        ]
+
+    adjusted = Dataset(
+        replace(dataset.meta, recipe=RECIPE_ADJUSTED),
+        dataset.item_ids,
+        dataset.stratum_ids,
+        dataset.item[source],
+        dataset.stratum[source],
+        dataset.label[source],
+        original,
+        make_ids,
+    )
     return adjusted, weights
 
 
@@ -257,16 +274,58 @@ def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True)
+class _StratumWeights:
+    """One stratum's entry of a weight file, as write_weights writes it."""
+
+    raw: float
+    raw_exact: str
+    normalized: float | None = None
+    normalized_exact: str | None = None
+    replication_count: int | None = None
+
+
+@dataclass(frozen=True)
+class _WeightsFile:
+    strata: dict
+    k: float | None = None
+    k_exact: str | None = None
+
+
 def read_weights(path: Union[str, Path]) -> WeightTable:
+    """A weight table from its write_weights file. Values are type-checked,
+    never cast; a missing or ill-typed field is an error naming the file
+    and the field. A stage (normalized, counts) is read when some stratum
+    has it and must then be there for every stratum."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    strata = payload["strata"]
-    raw = {s: Fraction(e["raw_exact"]) for s, e in strata.items()}
-    k = Fraction(payload["k_exact"]) if "k_exact" in payload else None
-    normalized = None
-    if any("normalized_exact" in e for e in strata.values()):
-        normalized = {s: Fraction(e["normalized_exact"]) for s, e in strata.items()}
-    counts = None
-    if any("replication_count" in e for e in strata.values()):
-        counts = {s: int(e["replication_count"]) for s, e in strata.items()}
-    return WeightTable(raw=raw, k=k, normalized=normalized, counts=counts)
+    where = f"{path}: weights"
+
+    def strata(d) -> dict[str, _StratumWeights]:
+        if not isinstance(d, dict):
+            raise ValueError(f"{where}.strata must be a JSON object, got {d!r}")
+        return {
+            s: typed_object(e, _StratumWeights, f"{where}.strata.{s}") for s, e in d.items()
+        }
+
+    table = typed_object(payload, _WeightsFile, where, strata=strata)
+
+    def stage(name: str, read) -> dict | None:
+        values = {s: getattr(e, name) for s, e in table.strata.items()}
+        if all(v is None for v in values.values()):
+            return None
+        missing = sorted(s for s, v in values.items() if v is None)
+        if missing:
+            raise ValueError(f"{where}.strata.{missing[0]}.{name} is missing")
+        return {s: read(v, f"{where}.strata.{s}.{name}") for s, v in values.items()}
+
+    raw = {
+        s: _to_fraction(e.raw_exact, f"{where}.strata.{s}.raw_exact")
+        for s, e in table.strata.items()
+    }
+    return WeightTable(
+        raw=raw,
+        k=None if table.k_exact is None else _to_fraction(table.k_exact, f"{where}.k_exact"),
+        normalized=stage("normalized_exact", _to_fraction),
+        counts=stage("replication_count", lambda v, _: v),
+    )

@@ -136,10 +136,18 @@ def _add_sweep(sub: argparse._SubParsersAction) -> None:
     p.set_defaults(func=_cmd_sweep)
 
 
+def _seed_list(text: str) -> tuple[int, ...]:
+    """The seeds of a ``--seeds`` value: comma-separated integers."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, got {text!r}") from None
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    if args.seeds:
-        config = replace(config, seeds=tuple(int(s) for s in args.seeds.split(",")))
+    if args.seeds is not None:
+        config = replace(config, seeds=_seed_list(args.seeds))
     result = sweep(config, output_dir=args.out, workers=args.workers)
     print(f"{len(result.rows)} cells completed, {len(result.failures)} failed; report in {args.out}")
     for failure in result.failures:

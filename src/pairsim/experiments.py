@@ -401,15 +401,17 @@ def sweep(
     finish one pair before starting the next. Failures are isolated per
     cell: the sweep continues, failed cells are enumerated, and the
     report holds one row per completed cell plus cross-seed aggregate
-    rows.
+    rows. ``workers`` below 1 is an error.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [
         (config, recipe, beta, seed)
         for beta in config.betas
         for seed in config.seeds
         for recipe in config.recipes
     ]
-    if workers <= 1:
+    if workers == 1:
         outcomes = [_cell_outcome(c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -81,9 +81,9 @@ def f1(
 
 def positive_proportion(dataset: Dataset) -> float:
     """Fraction of annotation records (replicas included) labeled 1."""
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("dataset is empty")
-    return sum(r.label for r in dataset.records) / len(dataset.records)
+    return float(dataset.label.mean())
 
 
 def aggregate(runs: Sequence[ResultRow]) -> AggregateReport:

@@ -167,11 +167,12 @@ def loss_and_grad(
 def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Distinct item ids in first-seen order, then per annotation record
     the index of its item and its label."""
-    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
-    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
-    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
-    y = np.array([r.label for r in dataset.records], dtype=np.float64)
-    return item_ids, rows, y
+    codes, first, inverse = np.unique(dataset.item, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    item_ids = [dataset.item_ids[c] for c in codes[order].tolist()]
+    return item_ids, rank[inverse], dataset.label.astype(np.float64)
 
 
 def _adagrad_epoch(
@@ -246,7 +247,7 @@ def train(
     dense update over all ``hash_dim`` coordinates gives.
     """
     features = _features(texts, config.hash_dim)
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("training dataset is empty")
     item_ids, rows_of, y = _instance_rows(dataset)
     sel_items, sel_rows, y_sel = (item_ids, rows_of, y) if dev is None else _instance_rows(dev)
@@ -316,12 +317,11 @@ def proportion_oracle(dataset: Dataset) -> dict[str, float]:
     An analytic predictor: what a perfectly calibrated learner would
     output on the training items, independent of any model.
     """
-    if not dataset.records:
+    if not len(dataset):
         raise ValueError("dataset is empty")
-    return {
-        item_id: sum(r.label for r in recs) / len(recs)
-        for item_id, recs in dataset.records_by_item().items()
-    }
+    item_ids, rows, y = _instance_rows(dataset)
+    positives = np.bincount(rows, weights=y)
+    return dict(zip(item_ids, (positives / np.bincount(rows)).tolist()))
 
 
 # ---------------------------------------------------------------------------

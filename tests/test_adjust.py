@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -65,7 +66,7 @@ def test_pool_shares_three_quarters():
 
 def test_pool_shares_rejects_empty():
     ds = pool_dataset({"A": 1})
-    empty = Dataset((), ds.meta)
+    empty = Dataset.from_records((), ds.meta)
     with pytest.raises(ValueError, match="empty"):
         pool_shares(empty)
 
@@ -298,7 +299,7 @@ def pools_and_benchmarks(draw):
     )
     shares = [draw(st.fractions(min_value=Fraction(1, 50), max_value=50)) for _ in strata]
     benchmark = PopulationBenchmark({s: v / sum(shares) for s, v in zip(strata, shares)})
-    return Dataset(records, DatasetMeta("OL", "nonrep1", 0.0, 0)), benchmark
+    return Dataset.from_records(records, DatasetMeta("OL", "nonrep1", 0.0, 0)), benchmark
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,7 +353,7 @@ def test_pair_restores_shares_exactly_when_weights_are_integers(data):
     records = tuple(
         Annotation(f"{s}-{i}", "it0", s, i % 2) for s in strata for i in range(counts[s])
     )
-    adjusted, weights = apply_pair(Dataset(records, DatasetMeta("OL", "x", 0.0, 0)), benchmark)
+    adjusted, weights = apply_pair(Dataset.from_records(records, DatasetMeta("OL", "x", 0.0, 0)), benchmark)
     assert weights.normalized == multipliers
     out = Counter(r.stratum_id for r in adjusted.records)
     assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares
@@ -483,3 +484,48 @@ def test_weights_round_trip(tmp_path):
     path = tmp_path / "weights.json"
     write_weights(wt, path)
     assert read_weights(path) == wt
+
+
+def _written_weights(tmp_path):
+    _, wt = apply_pair(pool_dataset({"A": 6, "B": 3}), HALF_HALF)
+    path = tmp_path / "weights.json"
+    write_weights(wt, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.clear(), r"strata is missing"),
+        (lambda d: d["strata"]["A"].pop("raw_exact"), r"strata\.A\.raw_exact is missing"),
+        (
+            lambda d: d["strata"]["B"].update(replication_count=1.7),
+            r"strata\.B\.replication_count must be an integer, got 1\.7",
+        ),
+        (
+            lambda d: d["strata"]["B"].pop("replication_count"),
+            r"strata\.B\.replication_count is missing",
+        ),
+        (lambda d: d.update(k_exact=4 / 3), r"k_exact must be a string"),
+        (
+            lambda d: d["strata"]["A"].update(normalized_exact="one"),
+            r"strata\.A\.normalized_exact must be a number or a fraction string",
+        ),
+        (lambda d: d.update(strata=[1, 2]), r"strata must be a JSON object"),
+    ],
+)
+def test_read_weights_names_the_file_and_field(tmp_path, edit, message):
+    path, payload = _written_weights(tmp_path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"weights\.json: weights\.{message}"):
+        read_weights(path)
+
+
+def test_read_weights_rejects_unknown_keys_by_name(tmp_path):
+    path, payload = _written_weights(tmp_path)
+    payload["strata"]["A"]["raw_exakt"] = "3/4"
+    path.write_text(json.dumps(payload))
+    where = r"weights\.json: weights\.strata\.A"
+    with pytest.raises(ValueError, match=rf"unknown key 'raw_exakt' in .*{where}"):
+        read_weights(path)

@@ -97,6 +97,22 @@ def test_cli_sweep_rejects_repeated_seeds(tmp_path, config_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workers", "-3"], "workers must be at least 1, got -3"),
+        (["--workers", "0"], "workers must be at least 1, got 0"),
+        (["--seeds", "10,x"], "--seeds must be comma-separated integers, got '10,x'"),
+        (["--seeds", ""], "--seeds must be comma-separated integers, got ''"),
+    ],
+)
+def test_cli_sweep_bad_flag_is_one_error_line(tmp_path, config_path, capsys, flags, message):
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(config_path), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"pairsim: error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "shares, message",
     [
         ([0.5, 0.5], "benchmark must map each stratum to its share, got [0.5, 0.5]"),

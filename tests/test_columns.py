@@ -1,0 +1,254 @@
+"""The columnar data path against the record-level code it replaced.
+
+Each ``*_rows`` function below is the loop over :class:`Annotation`
+records that a stage ran before datasets became columns, kept as the
+reference: the columnar stage must give the same result on random
+datasets of 1-5 strata with replicas, items in any order.
+"""
+
+import json
+from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairsim.adjust import (
+    PopulationBenchmark,
+    apply_pair,
+    normalize,
+    pool_shares,
+    raw_weights,
+    replication_counts,
+)
+from pairsim.metrics import positive_proportion
+from pairsim.simulation import (
+    Annotation,
+    Dataset,
+    DatasetMeta,
+    Uniform,
+    build_suite,
+    read_dataset,
+    synth_gold,
+    write_dataset,
+)
+from pairsim.trainer import _instance_rows, proportion_oracle
+
+META = DatasetMeta("OL", "custom", 0.0, 0)
+
+# ---------------------------------------------------------------------------
+# the record-level references
+
+
+def restrict_rows(dataset, item_ids):
+    wanted = set(item_ids)
+    return tuple(r for r in dataset.records if r.item_id in wanted)
+
+
+def pool_shares_rows(dataset):
+    counts = Counter(r.stratum_id for r in dataset.records)
+    total = sum(counts.values())
+    return {s: Fraction(c, total) for s, c in sorted(counts.items())}
+
+
+def apply_pair_rows(dataset, benchmark, k=None):
+    weights = replication_counts(
+        normalize(raw_weights(benchmark, pool_shares(dataset)), k=k)
+    )
+    records = []
+    for rec in dataset.records:
+        records.append(rec)
+        for j in range(weights.counts[rec.stratum_id]):
+            records.append(
+                Annotation(
+                    f"{rec.annotation_id}#r{j + 1}",
+                    rec.item_id,
+                    rec.stratum_id,
+                    rec.label,
+                    source="replica",
+                    replica_of=rec.annotation_id,
+                )
+            )
+    return tuple(records), weights
+
+
+def positive_proportion_rows(dataset):
+    return sum(r.label for r in dataset.records) / len(dataset.records)
+
+
+def proportion_oracle_rows(dataset):
+    return {
+        item_id: sum(r.label for r in recs) / len(recs)
+        for item_id, recs in dataset.records_by_item().items()
+    }
+
+
+def instance_rows_rows(dataset):
+    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
+    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
+    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
+    y = np.array([r.label for r in dataset.records], dtype=np.float64)
+    return item_ids, rows, y
+
+
+def write_dataset_rows(dataset):
+    lines = [json.dumps(vars(dataset.meta))]
+    lines += [json.dumps(vars(r)) for r in dataset.records]
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# random datasets
+
+
+@st.composite
+def datasets(draw, names=st.integers(0, 99).map(str)):
+    """Originals of 1-5 strata over 1-6 items, then replicas of random
+    records (replicas included), all shuffled. Half of them are shuffled
+    again by ``take``, so that their item and stratum codes no longer
+    follow first appearance."""
+    strata = draw(st.lists(names, min_size=1, max_size=5, unique=True))
+    items = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    ids = draw(st.lists(names, min_size=1, max_size=30, unique=True))
+    records = [
+        Annotation(
+            "a" + aid,
+            draw(st.sampled_from(items)),
+            draw(st.sampled_from(strata)),
+            draw(st.integers(0, 1)),
+        )
+        for aid in ids
+    ]
+    for k in range(draw(st.integers(0, 10))):
+        of = draw(st.sampled_from(records))
+        records.append(
+            replace(of, annotation_id=f"r{k}", source="replica", replica_of=of.annotation_id)
+        )
+    dataset = Dataset.from_records(draw(st.permutations(records)), META)
+    if draw(st.booleans()):
+        dataset = dataset.take(np.array(draw(st.permutations(range(len(dataset))))))
+    return dataset
+
+
+@st.composite
+def benchmarks(draw, dataset):
+    strata = sorted({r.stratum_id for r in dataset.records})
+    shares = [draw(st.fractions(min_value=Fraction(1, 50), max_value=50)) for _ in strata]
+    return PopulationBenchmark({s: v / sum(shares) for s, v in zip(strata, shares)})
+
+
+# ---------------------------------------------------------------------------
+# the columnar stages against them
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.data())
+def test_restrict_equals_the_record_filter(dataset, data):
+    items = sorted({r.item_id for r in dataset.records}) + ["not-an-item"]
+    wanted = data.draw(st.lists(st.sampled_from(items)))
+    sub = dataset.restrict(wanted)
+    assert sub.records == restrict_rows(dataset, wanted)
+    assert sub.meta == dataset.meta
+    sub.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+def test_pool_shares_equals_the_record_count(dataset):
+    assert list(pool_shares(dataset).shares.items()) == list(pool_shares_rows(dataset).items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.data())
+def test_apply_pair_equals_the_record_loop(dataset, data):
+    benchmark = data.draw(benchmarks(dataset))
+    adjusted, weights = apply_pair(dataset, benchmark)
+    records, expected = apply_pair_rows(dataset, benchmark)
+    assert adjusted.records == records
+    assert (weights.raw, weights.k, weights.counts) == (expected.raw, expected.k, expected.counts)
+    assert adjusted.meta == replace(dataset.meta, recipe="adjusted")
+    adjusted.validate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets())
+def test_label_statistics_equal_the_record_sums(dataset):
+    assert positive_proportion(dataset) == positive_proportion_rows(dataset)
+    oracle = proportion_oracle(dataset)
+    assert list(oracle.items()) == list(proportion_oracle_rows(dataset).items())
+    item_ids, rows, y = _instance_rows(dataset)
+    want_ids, want_rows, want_y = instance_rows_rows(dataset)
+    assert item_ids == want_ids
+    assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
+    assert np.array_equal(y, want_y) and y.dtype == want_y.dtype
+
+
+def test_stages_on_a_suite_equal_the_record_loops():
+    gold = synth_gold(40, Uniform(0.1, 0.9), seed=5)
+    suite = build_suite(gold, 0.25, seed=6)
+    benchmark = PopulationBenchmark({"A": "1/2", "B": "1/2"})
+    adjusted, _ = apply_pair(suite.nonrep1, benchmark)
+    assert adjusted.records == apply_pair_rows(suite.nonrep1, benchmark)[0]
+    wanted = gold.item_ids()[5:17]
+    for dataset in (suite.representative, suite.nonrep1, suite.nonrep2, adjusted):
+        sub = dataset.restrict(wanted)
+        assert sub.records == restrict_rows(dataset, wanted)
+        for part in (dataset, sub):
+            assert positive_proportion(part) == positive_proportion_rows(part)
+            assert proportion_oracle(part) == proportion_oracle_rows(part)
+            item_ids, rows, _ = _instance_rows(part)
+            assert item_ids == instance_rows_rows(part)[0]
+            assert np.array_equal(rows, instance_rows_rows(part)[1])
+
+
+def test_take_refuses_to_drop_the_original_of_a_kept_replica():
+    # from_records does not validate, so a replica may name a record of
+    # another item; restricting to the replica's item would lose its original
+    records = (
+        Annotation("a", "it0", "A", 1),
+        Annotation("b", "it1", "A", 1, source="replica", replica_of="a"),
+    )
+    dataset = Dataset.from_records(records, META)
+    with pytest.raises(ValueError, match="replica 'b' is kept without its original 'a'"):
+        dataset.restrict(["it1"])
+    assert dataset.take(np.array([1, 0])).records == records[::-1]
+
+
+# ---------------------------------------------------------------------------
+# files
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(names=st.text(min_size=1, max_size=4)))
+def test_write_then_read_gives_equal_columns_and_the_same_bytes(tmp_path_factory, dataset):
+    # names of any characters: quotes, backslashes, control and non-ASCII
+    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
+    write_dataset(dataset, path)
+    assert path.read_bytes() == write_dataset_rows(dataset)
+    back = read_dataset(path)
+    assert back.meta == dataset.meta
+    # codes follow first appearance in the file, so compare what they name
+    assert back.label.dtype == np.int8
+    assert [back.item_ids[i] for i in back.item] == [dataset.item_ids[i] for i in dataset.item]
+    assert [back.stratum_ids[s] for s in back.stratum] == [
+        dataset.stratum_ids[s] for s in dataset.stratum
+    ]
+    assert list(back.annotation_ids) == list(dataset.annotation_ids)
+    for column in ("label", "original"):
+        assert np.array_equal(getattr(back, column), getattr(dataset, column))
+    again = path.with_name("again.jsonl")
+    write_dataset(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_suite_files_are_the_record_lines(tmp_path):
+    suite = build_suite(synth_gold(30, Uniform(0.2, 0.8), seed=3), 0.3, seed=4)
+    adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
+    for dataset in (suite.representative, suite.nonrep2, adjusted.restrict(["item00003"])):
+        path = tmp_path / "ds.jsonl"
+        write_dataset(dataset, path)
+        assert path.read_bytes() == write_dataset_rows(dataset)
+        assert read_dataset(path) == dataset

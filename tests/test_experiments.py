@@ -24,7 +24,15 @@ from pairsim.experiments import (
     split_items,
     sweep,
 )
-from pairsim.simulation import GoldEntry, Rare, Uniform, build_suite, derive_gold, synth_gold
+from pairsim.simulation import (
+    Annotation,
+    GoldEntry,
+    Rare,
+    Uniform,
+    build_suite,
+    derive_gold,
+    synth_gold,
+)
 from pairsim.trainer import TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
@@ -347,6 +355,31 @@ def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
     result = sweep(config)
     assert len(result.rows) == 8 and not result.failures
     assert max(hashes.values(), default=0) <= 1
+
+
+def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
+    # the sweep path works on dataset columns; Annotation rows are only
+    # built when a dataset's records are asked for
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "quick.json")
+    made = Counter()
+    init = Annotation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    for cache in (experiments._gold_cached, experiments._suite_cached):
+        cache.cache_clear()
+    monkeypatch.setattr(Annotation, "__init__", counting_init)
+    result = sweep(config)
+    assert len(result.rows) == 16 and not result.failures
+    assert made == {}
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        sweep(tiny_config(), workers=workers)
 
 
 # ---------------------------------------------------------------------------

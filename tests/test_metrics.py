@@ -137,14 +137,14 @@ def test_f1_invariant_to_threshold_preserving_transform():
 
 def test_positive_proportion_all_ones():
     meta = DatasetMeta("OL", "custom", 0.0, 0)
-    ds = Dataset(tuple(Annotation(f"a:{i}", "a", "A", 1) for i in range(5)), meta)
+    ds = Dataset.from_records(tuple(Annotation(f"a:{i}", "a", "A", 1) for i in range(5)), meta)
     assert positive_proportion(ds) == 1.0
 
 
 def test_positive_proportion_rejects_empty():
     meta = DatasetMeta("OL", "custom", 0.0, 0)
     with pytest.raises(ValueError):
-        positive_proportion(Dataset((), meta))
+        positive_proportion(Dataset.from_records((), meta))
 
 
 def test_positive_proportion_representative_tracks_gold():

@@ -94,6 +94,23 @@ def test_derive_gold_subsample_too_few():
         derive_gold([("a", "t", [1, 0, 1])], subsample=12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=9), min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.integers(0, 2**63 - 1),
+)
+def test_derive_gold_subsample_draws_are_those_of_each_rows_stream(labels, m, seed):
+    # derive_gold rekeys one generator per row; subsample_indices builds
+    # stream(seed, "subsample", i) afresh, so each p_gold must match it
+    rows = [(f"it{i}", "t", row) for i, row in enumerate(labels)]
+    gold = derive_gold(rows, subsample=m, seed=seed)
+    for i, (entry, row) in enumerate(zip(gold.entries, labels)):
+        keep = subsample_indices(seed, i, len(row), m) if len(row) > m else range(len(row))
+        assert entry.p_gold == sum(row[j] for j in keep) / m
+        assert entry.k_reference == m
+
+
 def test_annotation_row_splits_text_and_checks_labels():
     assert annotation_row("a", " some  text ", [1, 0]) == ("a", ("some", "text"), (1, 0))
     assert annotation_row("a", ["tok", "en"], (0,), subsample=1) == ("a", ("tok", "en"), (0,))
@@ -323,8 +340,8 @@ def oracle_build_suite(gold, beta, seed, task="OL"):
         n2_records.extend(a_recs + extra + b_kept)
     return (
         rep,
-        Dataset(tuple(n1_records), DatasetMeta(task, "nonrep1", beta, seed)),
-        Dataset(tuple(n2_records), DatasetMeta(task, "nonrep2", beta, seed)),
+        Dataset.from_records(tuple(n1_records), DatasetMeta(task, "nonrep1", beta, seed)),
+        Dataset.from_records(tuple(n2_records), DatasetMeta(task, "nonrep2", beta, seed)),
     )
 
 
@@ -512,7 +529,7 @@ def test_write_dataset_is_pinned_byte_for_byte(tmp_path):
         Annotation("i1:B0", "i1", "B", 1),
         Annotation("i1:B0#r1", "i1", "B", 1, source="replica", replica_of="i1:B0"),
     )
-    dataset = Dataset(records, DatasetMeta("OL", "adjusted", 0.3, 10))
+    dataset = Dataset.from_records(records, DatasetMeta("OL", "adjusted", 0.3, 10))
     path = tmp_path / "adjusted.jsonl"
     write_dataset(dataset, path)
     assert path.read_bytes() == (
@@ -717,7 +734,7 @@ def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factor
 
     def checked():
         record = typed_object(row, Annotation, f"{path}:2: record")
-        dataset = Dataset((record,), DatasetMeta("OL", "representative", 0.0, 1))
+        dataset = Dataset.from_records((record,), DatasetMeta("OL", "representative", 0.0, 1))
         dataset.validate()
         return dataset
 

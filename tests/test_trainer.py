@@ -117,7 +117,7 @@ def test_training_deterministic():
 def test_degenerate_all_positive_labels():
     gold = textual_gold(n=40)
     ds = small_dataset(gold)
-    ones = Dataset(tuple(replace(r, label=1) for r in ds.records), ds.meta)
+    ones = Dataset.from_records(tuple(replace(r, label=1) for r in ds.records), ds.meta)
     model = train(ones, gold.texts(), FAST, seed=5)
     preds = predict(model, gold.texts())
     assert np.mean(list(preds.values())) > 0.9
@@ -127,7 +127,7 @@ def test_duplication_equals_reweighting():
     # one uniform replication must not change what the model learns
     gold = textual_gold(n=600, tokens=60, vocab=2000, seed=3)
     ds = build_suite(gold, 0.2, seed=11).representative
-    doubled = Dataset(
+    doubled = Dataset.from_records(
         ds.records
         + tuple(
             replace(
@@ -175,7 +175,7 @@ def test_predictions_in_open_interval_and_loss_decreases():
 def test_dev_epoch_selection():
     gold = textual_gold(n=50)
     ds = small_dataset(gold)
-    flipped = Dataset(tuple(replace(r, label=1 - r.label) for r in ds.records), ds.meta)
+    flipped = Dataset.from_records(tuple(replace(r, label=1 - r.label) for r in ds.records), ds.meta)
     cfg = replace(FAST, epochs=6)
     m_self = train(ds, gold.texts(), cfg, seed=4, dev=ds)
     m_flip = train(ds, gold.texts(), cfg, seed=4, dev=flipped)
@@ -236,7 +236,7 @@ def test_train_raises_when_no_epoch_has_finite_loss():
 
 def test_proportion_oracle_simple():
     meta = DatasetMeta("OL", "custom", 0.0, 0)
-    ds = Dataset(
+    ds = Dataset.from_records(
         (
             Annotation("a:1", "a", "A", 1),
             Annotation("a:2", "a", "A", 1),
@@ -440,7 +440,7 @@ def training_problems(draw):
                     replica_of=rec.annotation_id,
                 )
             )
-        return Dataset(tuple(recs), DatasetMeta("OL", "custom", 0.0, 0))
+        return Dataset.from_records(tuple(recs), DatasetMeta("OL", "custom", 0.0, 0))
 
     dataset = records(sorted(i for i in texts if i.startswith("i")), "a")
     dev = records(sorted(texts), "v") if draw(st.booleans()) else None
