@@ -56,7 +56,9 @@ def _add_adjust(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--benchmark", required=True, help="stratum share file (JSON)")
     p.add_argument("--out-dataset", required=True)
     p.add_argument("--out-weights", required=True)
-    p.add_argument("--k", type=float, default=None, help="explicit K (default: min weight to 1)")
+    p.add_argument(
+        "--k", default=None, help="explicit K, exact: '4/3' or '0.1' (default: min weight to 1)"
+    )
     p.set_defaults(func=_cmd_adjust)
 
 

@@ -108,6 +108,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.task not in ("OL", "HS"):
             raise ValueError(f"task must be 'OL' or 'HS', got {self.task!r}")
+        if not self.betas:
+            raise ValueError("need at least one beta")
         if not self.seeds:
             raise ValueError("need at least one seed")
         for b in self.betas:
@@ -396,12 +398,15 @@ def sweep(
 ) -> SweepResult:
     """Run the full recipes x betas x seeds grid.
 
-    Cells run grouped by (beta, seed), recipe fastest, so each process
-    builds one suite per pair: pool workers take cells in order and so
-    finish one pair before starting the next. Failures are isolated per
-    cell: the sweep continues, failed cells are enumerated, and the
-    report holds one row per completed cell plus cross-seed aggregate
-    rows. ``workers`` below 1 is an error.
+    Cells run grouped by (beta, seed), recipe fastest. A process keeps
+    the suite of the last pair it ran, so a serial sweep builds each
+    pair's suite once. Under a pool, a pair's suite is built in every
+    process that runs one of its cells: pool workers are dealt single
+    cells, so with ``workers=2`` both processes build it. The pool
+    starts no more processes than there are cells. Failures are
+    isolated per cell: the sweep continues, failed cells are
+    enumerated, and the report holds one row per completed cell plus
+    cross-seed aggregate rows. ``workers`` below 1 is an error.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -411,6 +416,8 @@ def sweep(
         for seed in config.seeds
         for recipe in config.recipes
     ]
+    # the pool starts all its processes at the first submit
+    workers = min(workers, len(cells))
     if workers == 1:
         outcomes = [_cell_outcome(c) for c in cells]
     else:

@@ -6,7 +6,8 @@ cross-entropy: every annotation record is one training instance, so
 replicated records enter the loss once per copy. That is the whole
 mechanism by which replication-based reweighting reaches the model.
 Weights are snapshotted after every epoch and the epoch with the best
-development-set loss wins.
+development-set loss wins. Each minibatch step runs scipy's compiled
+sparse matrix-vector kernels directly on the epoch's CSR arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools  # private: see _adagrad_epoch
 from scipy.special import expit
 
 from .rng import stream
@@ -187,28 +189,37 @@ def _adagrad_epoch(
     """One pass of minibatch AdaGrad over the rows of ``X`` in order.
 
     Updates ``w`` and ``accum_w`` in place and returns the new bias and
-    its accumulator. Margins and gradients are summed entry by entry in
-    storage order, as scipy's ``csr_matvec``/``csc_matvec`` do, and the
-    update keeps the ``(lr * g) / sqrt(A + 1e-12)`` association, so the
-    result is bit for bit that of ``loss_and_grad`` on each batch.
+    its accumulator. Each batch's margins and gradient come from scipy's
+    compiled ``csr_matvec`` and ``csc_matvec``, called on the epoch's
+    arrays with the batch's slice of ``indptr`` as row pointer and
+    zeroed buffers as output: the very calls ``X[batch] @ w`` and
+    ``X[batch].T @ residual`` make, without building a matrix per batch.
+    The update keeps the ``(lr * g) / sqrt(A + 1e-12)`` association, so
+    the result is bit for bit that of ``loss_and_grad`` on each batch.
+
+    ``scipy.sparse._sparsetools`` is private and imported with no
+    fallback: a second, numpy path would be slower code kept only to be
+    out of step. If a scipy release changes or drops the kernels, the
+    test that trains against a loop of public ``X @ w`` calls fails (or
+    the import does), instead of models drifting silently.
     """
     lr, l2, batch = config.learning_rate, config.l2, config.batch_size
     n, k = X.shape
     indptr, indices, data = X.indptr, X.indices, X.data
-    row_nnz = np.diff(indptr)
-    batch_rows = np.arange(min(batch, n))
+    margin = np.empty(min(batch, n))
+    grad_w = np.empty(k)
     step = np.empty(k)
     scale = np.empty(k)
     for start in range(0, n, batch):
         stop = min(start + batch, n)
         m = stop - start
-        lo, hi = indptr[start], indptr[stop]
-        # scipy stores int32 indices; numpy gathers and bins intp ones faster
-        cols, vals = indices[lo:hi].astype(np.intp), data[lo:hi]
-        row = batch_rows[:m].repeat(row_nnz[start:stop])
-        p = expit(np.bincount(row, weights=vals * w[cols], minlength=m) + b)
-        residual = (p - y[start:stop]) / m
-        grad_w = np.bincount(cols, weights=vals * residual[row], minlength=k)
+        ptr = indptr[start : stop + 1]
+        z = margin[:m]
+        z.fill(0.0)
+        _sparsetools.csr_matvec(m, k, ptr, indices, data, w, z)
+        residual = (expit(z + b) - y[start:stop]) / m
+        grad_w.fill(0.0)
+        _sparsetools.csc_matvec(k, m, ptr, indices, data, residual, grad_w)
         grad_b = float(residual.sum())
         # grad_w += l2 * w; accum_w += grad_w ** 2;
         # w -= (lr * grad_w) / sqrt(accum_w + 1e-12), without temporaries
@@ -257,9 +268,11 @@ def train(
 
     X_items = features.of(item_ids)
     X_sel = X_items if dev is None else features.of(sel_items)
-    active = np.unique(X_items.indices)
+    active = np.flatnonzero(np.bincount(X_items.indices, minlength=config.hash_dim))
+    column = np.zeros(config.hash_dim, dtype=X_items.indices.dtype)
+    column[active] = np.arange(len(active))
     Xc = sparse.csr_matrix(
-        (X_items.data, np.searchsorted(active, X_items.indices), X_items.indptr),
+        (X_items.data, column[X_items.indices], X_items.indptr),
         shape=(len(item_ids), len(active)),
     )
 

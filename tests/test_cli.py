@@ -159,3 +159,58 @@ def test_cli_sweep_nonzero_exit_on_cell_failure(tmp_path, config_path, capsys):
     assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 1
     assert "FAILED" in capsys.readouterr().err
     assert (out / "failures.csv").exists()
+
+
+def test_cli_sweep_rejects_empty_betas(tmp_path, config_path, capsys):
+    raw = json.loads(config_path.read_text())
+    raw["betas"] = []
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "pairsim: error: need at least one beta\n"
+    assert not out.exists()
+
+
+@pytest.fixture()
+def adjust_args(tmp_path, config_path):
+    """``pairsim adjust`` arguments for a simulated nonrep1 pool whose
+    min_to_one K is 4/3, and the weights file they write."""
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    benchmark_path = tmp_path / "benchmark.json"
+    benchmark_path.write_text('{"A": 0.5, "B": 0.5}')
+    weights_path = out / "weights.json"
+    args = ["adjust", "--dataset", str(out / "nonrep1.jsonl"), "--benchmark",
+            str(benchmark_path), "--out-dataset", str(out / "adjusted.jsonl"),
+            "--out-weights", str(weights_path)]
+    return args, weights_path
+
+
+@pytest.mark.parametrize("k, k_exact", [("4/3", "4/3"), ("1.1", "11/10"), ("2", "2")])
+def test_cli_adjust_k_is_exact(adjust_args, k, k_exact):
+    # a float flag would store 1.1 as 2476979795053773/2251799813685248
+    args, weights_path = adjust_args
+    assert main([*args, "--k", k]) == 0
+    assert json.loads(weights_path.read_text())["k_exact"] == k_exact
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        ("nan", "K must be a number or a fraction string like '1/3', got 'nan'"),
+        ("1/0", "K must be a number or a fraction string like '1/3', got '1/0'"),
+        ("-1", "K must be positive, got -1.0"),
+        # exactly 1/10, which rounds every stratum below one copy
+        ("0.1", "replication count below zero for strata 'A', 'B'; use the min_to_one "
+                "policy (k=None) so every weight rounds to at least 1"),
+    ],
+    ids=["nan", "1/0", "-1", "0.1"],
+)
+def test_cli_adjust_bad_k_is_one_error_line(adjust_args, capsys, k, message):
+    args, weights_path = adjust_args
+    capsys.readouterr()
+    assert main([*args, "--k", k]) == 2
+    assert capsys.readouterr().err == f"pairsim: error: {message}\n"
+    assert not weights_path.exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from collections import Counter
 from fractions import Fraction
@@ -376,6 +377,45 @@ def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
     assert made == {}
 
 
+class _RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor`` that records its size and runs
+    the cells in this process, starting none."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "seeds, recipes, workers, pools",
+    [
+        ((10, 42), ("representative", "adjusted"), 64, [4]),
+        ((10, 42), ("representative", "adjusted"), 3, [3]),
+        # one cell runs in this process
+        ((10,), ("adjusted",), 8, []),
+    ],
+)
+def test_sweep_starts_no_more_pool_processes_than_cells(
+    monkeypatch, seeds, recipes, workers, pools
+):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    config = tiny_config(seeds=seeds, recipes=recipes, train=TrainConfig(epochs=1, hash_dim=64))
+    result = sweep(config, workers=workers)
+    assert len(result.rows) == len(seeds) * len(recipes) and not result.failures
+    assert _RecordingPool.sizes == pools
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_sweep_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
@@ -424,6 +464,15 @@ def test_config_validation():
 def test_config_rejects_repeated_values(field, values):
     with pytest.raises(ValueError, match=f"{field} must not repeat a value"):
         tiny_config(**{field: values})
+
+
+@pytest.mark.parametrize("field", ["betas", "seeds", "recipes"])
+def test_config_from_dict_rejects_an_empty_grid_axis(field):
+    # an empty axis would sweep no cell and write a header-only report
+    d = _full_config_dict()
+    d[field] = []
+    with pytest.raises(ValueError, match=f"need at least one {field[:-1]}"):
+        config_from_dict(d)
 
 
 def test_config_from_dict_defaults_come_from_the_dataclasses():
@@ -653,3 +702,26 @@ def test_write_report_is_pinned_byte_for_byte(tmp_path):
         b"mean,OL,adjusted,0.1,,,0.3333333333333333,0.0,1e-05,3,0.5,2.0,0.30000000000000004\n"
     )
     assert read_report_cells(path) == (dataclasses.replace(rows[0], wall_time=0.0),)
+
+
+def test_quick_cell_model_is_pinned_bit_for_bit(monkeypatch):
+    # one trained cell at the scale of configs/quick.json (200 training
+    # items, 6 epochs, 4096 hash columns): its weights, bias, chosen
+    # epoch and selection losses, hashed exactly
+    trained = []
+    original = experiments.train
+
+    def capturing_train(*args, **kwargs):
+        trained.append(original(*args, **kwargs))
+        return trained[-1]
+
+    monkeypatch.setattr(experiments, "train", capturing_train)
+    run_cell(load_config(CONFIG_DIR / "quick.json"), 0.3, 10, "adjusted")
+    (model,) = trained
+    digest = hashlib.sha256(model.weights.tobytes())
+    digest.update(
+        json.dumps([model.bias.hex(), model.best_epoch, [x.hex() for x in model.history]]).encode()
+    )
+    assert digest.hexdigest() == (
+        "853eaefe742c2dfe850e1293d85a47d840a5751f02cd11957a4012ecbb864122"
+    )
