@@ -10,14 +10,11 @@ classifier calibration (mean absolute calibration bias) and accuracy
 __version__ = "0.1.0"
 
 from .adjust import (
-    PoolShares,
     PopulationBenchmark,
     WeightTable,
     apply_pair,
-    normalize,
+    pair_weights,
     pool_shares,
-    raw_weights,
-    replication_counts,
 )
 from .metrics import (
     AggregateReport,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Union
@@ -71,116 +71,78 @@ class PopulationBenchmark:
 
 
 @dataclass(frozen=True)
-class PoolShares:
-    """Observed share of the annotation pool per stratum."""
-
-    shares: Mapping[str, Fraction]
-
-    def __post_init__(self) -> None:
-        conv = {s: _to_fraction(v, f"pool share {s!r}") for s, v in self.shares.items()}
-        object.__setattr__(self, "shares", conv)
-        if not conv:
-            raise ValueError("pool has no strata")
-        for s, v in conv.items():
-            if not 0 <= v <= 1:
-                raise ValueError(f"pool share for stratum {s!r} outside [0, 1]")
-        total = sum(conv.values())
-        if abs(float(total) - 1.0) > 1e-9:
-            raise ValueError(f"pool shares sum to {float(total)}, expected 1")
-
-
-@dataclass(frozen=True)
 class WeightTable:
-    """Per-stratum weights, filled in stages.
+    """PAIR weights per stratum, complete when built.
 
-    raw_weights gives ``raw``; normalize fills ``k`` and ``normalized``
-    (one exact multiplication per stratum); replication_counts fills
-    ``counts``. Values are exact rationals; use float() at the edges.
+    ``raw`` holds the post-stratification weights (population share over
+    pool share). ``k`` is the normalizing constant: None applies the
+    min_to_one policy, K = 1 / min(raw), so the smallest normalized
+    weight is exactly 1 and no count is negative; an explicit K > 0
+    targets a chosen number of annotations per item instead. The table
+    then holds ``normalized`` = raw * K and ``counts``, the replicas per
+    annotation: round(normalized) - 1, halves rounded away from zero.
+    Values are exact rationals; use float() at the edges.
     """
 
     raw: Mapping[str, Fraction]
-    k: Fraction | None = None
-    normalized: Mapping[str, Fraction] | None = None
-    counts: Mapping[str, int] | None = None
+    k: Fraction = None  # given as a ShareLike, or None for min_to_one; stored exact
+    normalized: Mapping[str, Fraction] = field(init=False)
+    counts: Mapping[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.raw or min(self.raw.values()) <= 0:
+            raise ValueError("a weight table needs strata, each with a raw weight above 0")
+        if self.k is None:
+            k = 1 / min(self.raw.values())
+        else:
+            k = _to_fraction(self.k, "K")
+            if k <= 0:
+                raise ValueError(f"K must be positive, got {float(k)}")
+        normalized = {s: w * k for s, w in self.raw.items()}
+        # every normalized weight is above 0, so rounding half up is half away from zero
+        counts = {s: math.floor(w + Fraction(1, 2)) - 1 for s, w in normalized.items()}
+        negative = sorted(s for s, c in counts.items() if c < 0)
+        if negative:
+            raise ValueError(
+                "replication count below zero for strata "
+                + ", ".join(repr(s) for s in negative)
+                + "; use the min_to_one policy (k=None) so every weight rounds to at least 1"
+            )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "counts", counts)
 
 
-def pool_shares(dataset: Dataset) -> PoolShares:
+def pool_shares(dataset: Dataset) -> dict[str, Fraction]:
     """Share of the pool per stratum, by annotation count."""
     if not len(dataset):
         raise ValueError("dataset is empty")
     counts = np.bincount(dataset.stratum, minlength=len(dataset.stratum_ids)).tolist()
-    return PoolShares(
-        {s: Fraction(c, len(dataset)) for s, c in sorted(zip(dataset.stratum_ids, counts)) if c}
-    )
+    return {s: Fraction(c, len(dataset)) for s, c in sorted(zip(dataset.stratum_ids, counts)) if c}
 
 
-def raw_weights(benchmark: PopulationBenchmark, pool: PoolShares) -> WeightTable:
-    """Post-stratification weight per stratum: population share / pool share.
+def pair_weights(
+    benchmark: PopulationBenchmark, pool: Mapping[str, Fraction], k: ShareLike | None = None
+) -> WeightTable:
+    """The weight table of a pool: population share / pool share per
+    stratum, normalized by ``k`` (see :class:`WeightTable`).
 
     A benchmark stratum that was never annotated is a hard error:
     replication cannot invent annotations for it.
     """
-    never_annotated = sorted(
-        s for s in benchmark.shares if pool.shares.get(s, Fraction(0)) == 0
-    )
+    never_annotated = sorted(s for s in benchmark.shares if pool.get(s, 0) == 0)
     if never_annotated:
         raise ValueError(
             "benchmark strata absent from the annotation pool: "
             + ", ".join(repr(s) for s in never_annotated)
         )
-    unknown = sorted(set(pool.shares) - set(benchmark.shares))
+    unknown = sorted(set(pool) - set(benchmark.shares))
     if unknown:
         raise ValueError(
             "pool strata missing from the benchmark: "
             + ", ".join(repr(s) for s in unknown)
         )
-    return WeightTable(raw={s: benchmark.shares[s] / pool.shares[s] for s in benchmark.shares})
-
-
-def normalize(weights: WeightTable, k: ShareLike | None = None) -> WeightTable:
-    """Scale raw weights by K.
-
-    With ``k=None`` (the min_to_one policy) K is 1 / min(raw weights),
-    so the smallest normalized weight is exactly 1 and replication
-    counts stay non-negative. An explicit K > 0 supports targeting a
-    chosen number of annotations per item instead.
-    """
-    if weights.normalized is not None:
-        raise ValueError("weights are already normalized")
-    if k is None:
-        k_frac = 1 / min(weights.raw.values())
-    else:
-        k_frac = _to_fraction(k, "K")
-        if k_frac <= 0:
-            raise ValueError(f"K must be positive, got {float(k_frac)}")
-    normalized = {s: w * k_frac for s, w in weights.raw.items()}
-    return replace(weights, k=k_frac, normalized=normalized)
-
-
-def _round_half_away(x: Fraction) -> int:
-    if x >= 0:
-        return math.floor(x + Fraction(1, 2))
-    return math.ceil(x - Fraction(1, 2))
-
-
-def replication_counts(weights: WeightTable) -> WeightTable:
-    """Replicas per annotation: round(normalized weight) - 1.
-
-    Rounding is half away from zero. A negative count (possible only
-    with an explicit K below 1/min(raw)) is rejected rather than
-    silently dropping annotations.
-    """
-    if weights.normalized is None:
-        raise ValueError("normalize the weights before computing replication counts")
-    counts = {s: _round_half_away(w) - 1 for s, w in weights.normalized.items()}
-    negative = sorted(s for s, c in counts.items() if c < 0)
-    if negative:
-        raise ValueError(
-            "replication count below zero for strata "
-            + ", ".join(repr(s) for s in negative)
-            + "; use the min_to_one policy (k=None) so every weight rounds to at least 1"
-        )
-    return replace(weights, counts=counts)
+    return WeightTable({s: benchmark.shares[s] / pool[s] for s in benchmark.shares}, k)
 
 
 def apply_pair(
@@ -195,8 +157,7 @@ def apply_pair(
     (source="replica", replica_of set). Nothing is deleted and the
     output order is deterministic.
     """
-    weights = replication_counts(normalize(raw_weights(benchmark, pool_shares(dataset)), k=k))
-    assert weights.counts is not None
+    weights = pair_weights(benchmark, pool_shares(dataset), k)
     # a table stratum without records has no count and no copies to make
     per_stratum = [1 + weights.counts.get(s, 0) for s in dataset.stratum_ids]
     copies = np.array(per_stratum, dtype=np.intp)[dataset.stratum]
@@ -256,19 +217,17 @@ def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:
     Floats for readability plus exact fraction strings for lossless
     round-trips.
     """
-    strata = {}
-    for s in sorted(weights.raw):
-        entry: dict = {"raw": float(weights.raw[s]), "raw_exact": str(weights.raw[s])}
-        if weights.normalized is not None:
-            entry["normalized"] = float(weights.normalized[s])
-            entry["normalized_exact"] = str(weights.normalized[s])
-        if weights.counts is not None:
-            entry["replication_count"] = weights.counts[s]
-        strata[s] = entry
-    payload: dict = {"strata": strata}
-    if weights.k is not None:
-        payload["k"] = float(weights.k)
-        payload["k_exact"] = str(weights.k)
+    strata = {
+        s: {
+            "raw": float(weights.raw[s]),
+            "raw_exact": str(weights.raw[s]),
+            "normalized": float(weights.normalized[s]),
+            "normalized_exact": str(weights.normalized[s]),
+            "replication_count": weights.counts[s],
+        }
+        for s in sorted(weights.raw)
+    }
+    payload = {"strata": strata, "k": float(weights.k), "k_exact": str(weights.k)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -280,23 +239,24 @@ class _StratumWeights:
 
     raw: float
     raw_exact: str
-    normalized: float | None = None
-    normalized_exact: str | None = None
-    replication_count: int | None = None
+    normalized: float
+    normalized_exact: str
+    replication_count: int
 
 
 @dataclass(frozen=True)
 class _WeightsFile:
     strata: dict
-    k: float | None = None
-    k_exact: str | None = None
+    k: float
+    k_exact: str
 
 
 def read_weights(path: Union[str, Path]) -> WeightTable:
     """A weight table from its write_weights file. Values are type-checked,
     never cast; a missing or ill-typed field is an error naming the file
-    and the field. A stage (normalized, counts) is read when some stratum
-    has it and must then be there for every stratum."""
+    and the field. The table is rebuilt from the exact raw weights and K,
+    and each stratum's normalized_exact and replication_count must equal
+    the rebuilt values."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     where = f"{path}: weights"
@@ -309,23 +269,26 @@ def read_weights(path: Union[str, Path]) -> WeightTable:
         }
 
     table = typed_object(payload, _WeightsFile, where, strata=strata)
-
-    def stage(name: str, read) -> dict | None:
-        values = {s: getattr(e, name) for s, e in table.strata.items()}
-        if all(v is None for v in values.values()):
-            return None
-        missing = sorted(s for s, v in values.items() if v is None)
-        if missing:
-            raise ValueError(f"{where}.strata.{missing[0]}.{name} is missing")
-        return {s: read(v, f"{where}.strata.{s}.{name}") for s, v in values.items()}
-
     raw = {
         s: _to_fraction(e.raw_exact, f"{where}.strata.{s}.raw_exact")
         for s, e in table.strata.items()
     }
-    return WeightTable(
-        raw=raw,
-        k=None if table.k_exact is None else _to_fraction(table.k_exact, f"{where}.k_exact"),
-        normalized=stage("normalized_exact", _to_fraction),
-        counts=stage("replication_count", lambda v, _: v),
-    )
+    k = _to_fraction(table.k_exact, f"{where}.k_exact")
+    try:
+        weights = WeightTable(raw, k)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
+    for s, e in table.strata.items():
+        at = f"{where}.strata.{s}"
+        normalized = _to_fraction(e.normalized_exact, f"{at}.normalized_exact")
+        if normalized != weights.normalized[s]:
+            raise ValueError(
+                f"{at}.normalized_exact is {normalized}, "
+                f"but raw_exact * k_exact is {weights.normalized[s]}"
+            )
+        if e.replication_count != weights.counts[s]:
+            raise ValueError(
+                f"{at}.replication_count is {e.replication_count}, "
+                f"but round(normalized_exact) - 1 is {weights.counts[s]}"
+            )
+    return weights

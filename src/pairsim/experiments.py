@@ -126,6 +126,15 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat a value, got {values}")
         if len(self.split) != 3 or any(c < 0 for c in self.split):
             raise ValueError(f"split must be three non-negative counts, got {self.split}")
+        if self.split[0] < 1:
+            raise ValueError(f"split[0] (train items) must be at least 1, got {self.split[0]}")
+        if self.split[2] < 1:
+            raise ValueError(f"split[2] (test items) must be at least 1, got {self.split[2]}")
+        if not 0.0 <= self.difficult_lo <= self.difficult_hi <= 1.0:
+            raise ValueError(
+                "difficult_lo and difficult_hi must satisfy 0 <= difficult_lo <= difficult_hi"
+                f" <= 1, got {self.difficult_lo} and {self.difficult_hi}"
+            )
 
 
 @dataclass(frozen=True)

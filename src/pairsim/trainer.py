@@ -366,6 +366,9 @@ def load_model(path: Union[str, Path]) -> Model:
         raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
     # every field is required: a default hash_dim would not match the weights
     types = {**get_type_hints(TrainConfig), **get_type_hints(Model), "weights": tuple[float, ...]}
+    keys = {"format", "version", *types} - {"config"}  # the config's fields are top level
+    if not payload.keys() <= keys:
+        raise ValueError(f"unknown key {min(payload.keys() - keys)!r} in {path}: model")
 
     def checked(name: str):
         if name not in payload:

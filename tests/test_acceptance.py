@@ -19,10 +19,8 @@ from pairsim.adjust import (
     PopulationBenchmark,
     WeightTable,
     apply_pair,
-    normalize,
+    pair_weights,
     pool_shares,
-    raw_weights,
-    replication_counts,
 )
 from pairsim.experiments import (
     PAPER_BETAS,
@@ -76,7 +74,7 @@ def test_criterion_1_worked_example_exact():
     gold = GoldTable(tuple(GoldEntry(f"i{k}", (), 0.5, 12) for k in range(3)))
     pool = sample_pool(gold, PoolComposition({"A": 6, "B": 3}), BiasSpec.two_type(0.0), seed=1)
     start = time.perf_counter()
-    weights = replication_counts(normalize(raw_weights(HALF_HALF, pool_shares(pool))))
+    weights = pair_weights(HALF_HALF, pool_shares(pool))
     elapsed = time.perf_counter() - start
     assert float(weights.raw["A"]) == 0.75
     assert float(weights.raw["B"]) == 1.5
@@ -179,7 +177,7 @@ def test_criterion_5_scale_invariance():
     )
     pool = sample_pool(gold, PoolComposition({"A": 6, "B": 3}), BiasSpec.two_type(0.0), seed=3)
     baseline_adjusted, baseline_weights = apply_pair(pool, HALF_HALF)
-    base_raw = raw_weights(HALF_HALF, pool_shares(pool))
+    base_raw = pair_weights(HALF_HALF, pool_shares(pool))
 
     def replicate(dataset, counts):
         # independent replication oracle, kept deliberately naive
@@ -202,8 +200,7 @@ def test_criterion_5_scale_invariance():
     trials = 100
     for _ in range(trials):
         c = Fraction(float(gen.uniform(0.1, 10.0)))
-        scaled = WeightTable(raw={s: c * w for s, w in base_raw.raw.items()})
-        weights = replication_counts(normalize(scaled))
+        weights = WeightTable({s: c * w for s, w in base_raw.raw.items()})
         assert weights.normalized == baseline_weights.normalized
         assert weights.counts == baseline_weights.counts
         assert replicate(pool, weights.counts) == baseline_adjusted.records

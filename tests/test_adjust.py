@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim.adjust import (
-    PoolShares,
     PopulationBenchmark,
     WeightTable,
     apply_pair,
-    normalize,
+    pair_weights,
     pool_shares,
-    raw_weights,
     read_benchmark,
     read_weights,
-    replication_counts,
     write_benchmark,
     write_weights,
 )
@@ -51,17 +48,17 @@ def pool_dataset(counts, n_items=4, p=0.5, seed=0):
 
 def test_pool_shares_two_thirds():
     shares = pool_shares(pool_dataset({"A": 6, "B": 3}))
-    assert shares.shares == {"A": Fraction(2, 3), "B": Fraction(1, 3)}
+    assert shares == {"A": Fraction(2, 3), "B": Fraction(1, 3)}
 
 
 def test_pool_shares_balanced():
     shares = pool_shares(pool_dataset({"A": 6, "B": 6}))
-    assert shares.shares == {"A": Fraction(1, 2), "B": Fraction(1, 2)}
+    assert shares == {"A": Fraction(1, 2), "B": Fraction(1, 2)}
 
 
 def test_pool_shares_three_quarters():
     shares = pool_shares(pool_dataset({"A": 9, "B": 3}))
-    assert shares.shares == {"A": Fraction(3, 4), "B": Fraction(1, 4)}
+    assert shares == {"A": Fraction(3, 4), "B": Fraction(1, 4)}
 
 
 def test_pool_shares_rejects_empty():
@@ -72,111 +69,100 @@ def test_pool_shares_rejects_empty():
 
 
 # ---------------------------------------------------------------------------
-# raw_weights
+# pair_weights: raw weights
 
 
 def test_raw_weights_worked_pipeline():
-    pool = PoolShares({"A": Fraction(2, 3), "B": Fraction(1, 3)})
-    wt = raw_weights(HALF_HALF, pool)
+    wt = pair_weights(HALF_HALF, {"A": Fraction(2, 3), "B": Fraction(1, 3)})
     assert float(wt.raw["A"]) == 0.75
     assert float(wt.raw["B"]) == 1.5
 
 
 def test_raw_weights_identity():
-    pool = PoolShares({"A": Fraction(1, 2), "B": Fraction(1, 2)})
-    wt = raw_weights(HALF_HALF, pool)
+    wt = pair_weights(HALF_HALF, {"A": Fraction(1, 2), "B": Fraction(1, 2)})
     assert all(w == 1 for w in wt.raw.values())
 
 
 def test_raw_weights_cross_check_w_times_s():
     # independent check: weights must reproduce the benchmark when
     # multiplied back by the pool shares
-    pool = PoolShares({"A": Fraction(1, 4), "B": Fraction(3, 4)})
-    wt = raw_weights(HALF_HALF, pool)
+    pool = {"A": Fraction(1, 4), "B": Fraction(3, 4)}
+    wt = pair_weights(HALF_HALF, pool)
     assert float(wt.raw["A"]) == 2.0
     assert wt.raw["B"] == Fraction(2, 3)
     for s in wt.raw:
-        assert wt.raw[s] * pool.shares[s] == HALF_HALF.shares[s]
+        assert wt.raw[s] * pool[s] == HALF_HALF.shares[s]
 
 
 def test_raw_weights_rejects_missing_pool_stratum():
-    pool = PoolShares({"A": 1})
     bench = PopulationBenchmark({"A": 0.5, "B": 0.5})
     with pytest.raises(ValueError, match="'B'"):
-        raw_weights(bench, pool)
+        pair_weights(bench, {"A": Fraction(1)})
 
 
 def test_raw_weights_rejects_unknown_pool_stratum():
-    pool = PoolShares({"A": Fraction(1, 2), "C": Fraction(1, 2)})
+    pool = {"A": Fraction(1, 2), "C": Fraction(1, 2)}
     bench = PopulationBenchmark({"A": 1})
     with pytest.raises(ValueError, match="'C'"):
-        raw_weights(bench, pool)
+        pair_weights(bench, pool)
 
 
 # ---------------------------------------------------------------------------
-# normalize / replication_counts
+# WeightTable: K, normalized weights and replication counts
 
 
 def test_normalize_min_to_one_worked():
-    wt = normalize(WeightTable(raw={"A": Fraction(3, 4), "B": Fraction(3, 2)}))
+    wt = WeightTable({"A": Fraction(3, 4), "B": Fraction(3, 2)})
     assert wt.k == Fraction(4, 3)
     assert wt.normalized == {"A": 1, "B": 2}
 
 
 def test_normalize_all_ones():
-    wt = normalize(WeightTable(raw={"A": Fraction(1), "B": Fraction(1)}))
+    wt = WeightTable({"A": Fraction(1), "B": Fraction(1)})
     assert wt.k == 1
     assert wt.normalized == {"A": 1, "B": 1}
 
 
 def test_normalize_hand_example():
-    wt = normalize(WeightTable(raw={"A": Fraction(2), "B": Fraction(2, 3)}))
+    wt = WeightTable({"A": Fraction(2), "B": Fraction(2, 3)})
     assert wt.k == Fraction(3, 2)
     assert float(wt.normalized["A"]) == 3.0
     assert float(wt.normalized["B"]) == 1.0
 
 
 def test_normalize_explicit_k():
-    wt = normalize(WeightTable(raw={"A": Fraction(1, 2)}), k=4)
+    wt = WeightTable({"A": Fraction(1, 2)}, k=4)
     assert wt.normalized == {"A": 2}
 
 
-def test_normalize_rejects_bad_k_and_double_normalize():
-    raw = WeightTable(raw={"A": Fraction(1)})
+def test_normalize_rejects_bad_k():
     with pytest.raises(ValueError, match="positive"):
-        normalize(raw, k=0)
-    with pytest.raises(ValueError, match="already"):
-        normalize(normalize(raw))
+        WeightTable({"A": Fraction(1)}, k=0)
+
+
+def test_weight_table_rejects_no_strata_and_non_positive_raw_weights():
+    for raw in ({}, {"A": Fraction(1), "B": Fraction(0)}, {"A": Fraction(-1)}):
+        with pytest.raises(ValueError, match="raw weight above 0"):
+            WeightTable(raw)
 
 
 def test_replication_counts_worked():
-    wt = replication_counts(
-        normalize(WeightTable(raw={"A": Fraction(3, 4), "B": Fraction(3, 2)}))
-    )
+    wt = WeightTable({"A": Fraction(3, 4), "B": Fraction(3, 2)})
     assert wt.counts == {"A": 0, "B": 1}
 
 
 def test_replication_counts_single():
-    wt = replication_counts(normalize(WeightTable(raw={"A": Fraction(1)})))
+    wt = WeightTable({"A": Fraction(1)})
     assert wt.counts == {"A": 0}
 
 
 def test_replication_counts_rounds_half_away():
-    wt = WeightTable(
-        raw={"A": Fraction(3, 2)}, k=Fraction(1), normalized={"A": Fraction(3, 2)}
-    )
-    assert replication_counts(wt).counts == {"A": 1}
+    assert WeightTable({"A": Fraction(3, 2)}, k=1).counts == {"A": 1}
 
 
 def test_replication_counts_rejects_negative():
-    wt = normalize(WeightTable(raw={"A": Fraction(1), "B": Fraction(4)}), k=Fraction(1, 10))
     with pytest.raises(ValueError, match="min_to_one"):
-        replication_counts(wt)
-
-
-def test_replication_counts_requires_normalized():
-    with pytest.raises(ValueError, match="normalize"):
-        replication_counts(WeightTable(raw={"A": Fraction(1)}))
+        WeightTable({"A": Fraction(1), "B": Fraction(4)}, k=Fraction(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +230,10 @@ def test_scale_invariance_of_selection():
     gen = stream(123, "scale-invariance-test")
     ds = pool_dataset({"A": 6, "B": 3}, n_items=4)
     baseline_adj, baseline_wt = apply_pair(ds, HALF_HALF)
-    base_raw = raw_weights(HALF_HALF, pool_shares(ds))
+    base_raw = pair_weights(HALF_HALF, pool_shares(ds)).raw
     for _ in range(20):
         c = Fraction(float(gen.uniform(0.1, 10.0)))
-        scaled = WeightTable(raw={s: c * w for s, w in base_raw.raw.items()})
-        wt = replication_counts(normalize(scaled))
+        wt = WeightTable({s: c * w for s, w in base_raw.items()})
         assert wt.normalized == baseline_wt.normalized
         assert wt.counts == baseline_wt.counts
 
@@ -363,12 +348,10 @@ def test_pair_restores_shares_exactly_when_weights_are_integers(data):
 @given(pools_and_benchmarks(), st.fractions(min_value=Fraction(1, 1000), max_value=1000))
 def test_pair_normalized_weights_are_scale_invariant(case, c):
     dataset, benchmark = case
-    base = raw_weights(benchmark, pool_shares(dataset))
-    scaled = WeightTable(raw={s: c * w for s, w in base.raw.items()})
-    assert normalize(scaled).normalized == normalize(base).normalized
-    assert replication_counts(normalize(scaled)).counts == replication_counts(
-        normalize(base)
-    ).counts
+    base = pair_weights(benchmark, pool_shares(dataset))
+    scaled = WeightTable({s: c * w for s, w in base.raw.items()})
+    assert scaled.normalized == base.normalized
+    assert scaled.counts == base.counts
 
 
 def test_share_restoration_residual_bound_for_fractional_weights():
@@ -392,7 +375,7 @@ def test_share_restoration_residual_bound_for_fractional_weights():
         k = 1 / min(raw.values())
         nw_by = {s: raw[s] * k for s in strata}
         if any(nw + Fraction(1, 2) < 1 for nw in nw_by.values()):
-            continue  # would round to zero; rejected by replication_counts
+            continue  # would round to zero; rejected by WeightTable
         gold = GoldTable((GoldEntry("only", (), 0.5, 12),))
         pool = sample_pool(
             gold,
@@ -496,7 +479,8 @@ def _written_weights(tmp_path):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d.clear(), r"strata is missing"),
+        (lambda d: d.pop("strata"), r"strata is missing"),
+        (lambda d: d.pop("k_exact"), r"k_exact is missing"),
         (lambda d: d["strata"]["A"].pop("raw_exact"), r"strata\.A\.raw_exact is missing"),
         (
             lambda d: d["strata"]["B"].update(replication_count=1.7),
@@ -512,6 +496,15 @@ def _written_weights(tmp_path):
             r"strata\.A\.normalized_exact must be a number or a fraction string",
         ),
         (lambda d: d.update(strata=[1, 2]), r"strata must be a JSON object"),
+        # fields that disagree with the table rebuilt from raw_exact and k_exact
+        (
+            lambda d: d["strata"]["B"].update(replication_count=7),
+            r"strata\.B\.replication_count is 7, but round\(normalized_exact\) - 1 is 1",
+        ),
+        (
+            lambda d: d["strata"]["A"].update(normalized_exact="2"),
+            r"strata\.A\.normalized_exact is 2, but raw_exact \* k_exact is 1",
+        ),
     ],
 )
 def test_read_weights_names_the_file_and_field(tmp_path, edit, message):
@@ -519,6 +512,23 @@ def test_read_weights_names_the_file_and_field(tmp_path, edit, message):
     edit(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=rf"weights\.json: weights\.{message}"):
+        read_weights(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(k_exact="-1"), "K must be positive"),
+        (lambda d: d.update(k_exact="1/10"), "replication count below zero for strata 'A', 'B'"),
+        (lambda d: d["strata"]["A"].update(raw_exact="0"), "raw weight above 0"),
+    ],
+    ids=["negative-k", "k-below-min-to-one", "zero-raw"],
+)
+def test_read_weights_names_the_file_of_a_table_it_cannot_rebuild(tmp_path, edit, message):
+    path, payload = _written_weights(tmp_path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"weights\.json: weights: .*{message}"):
         read_weights(path)
 
 

@@ -172,6 +172,18 @@ def test_cli_sweep_rejects_empty_betas(tmp_path, config_path, capsys):
     assert not out.exists()
 
 
+def test_cli_sweep_rejects_an_empty_test_split(tmp_path, config_path, capsys):
+    raw = json.loads(config_path.read_text())
+    raw["split"] = [50, 10, 0]
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
+    expected = "pairsim: error: split[2] (test items) must be at least 1, got 0\n"
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
 @pytest.fixture()
 def adjust_args(tmp_path, config_path):
     """``pairsim adjust`` arguments for a simulated nonrep1 pool whose

@@ -19,10 +19,8 @@ from hypothesis import strategies as st
 from pairsim.adjust import (
     PopulationBenchmark,
     apply_pair,
-    normalize,
+    pair_weights,
     pool_shares,
-    raw_weights,
-    replication_counts,
 )
 from pairsim.metrics import positive_proportion
 from pairsim.simulation import (
@@ -55,9 +53,7 @@ def pool_shares_rows(dataset):
 
 
 def apply_pair_rows(dataset, benchmark, k=None):
-    weights = replication_counts(
-        normalize(raw_weights(benchmark, pool_shares(dataset)), k=k)
-    )
+    weights = pair_weights(benchmark, pool_shares_rows(dataset), k)
     records = []
     for rec in dataset.records:
         records.append(rec)
@@ -158,7 +154,7 @@ def test_restrict_equals_the_record_filter(dataset, data):
 @settings(max_examples=200, deadline=None)
 @given(datasets())
 def test_pool_shares_equals_the_record_count(dataset):
-    assert list(pool_shares(dataset).shares.items()) == list(pool_shares_rows(dataset).items())
+    assert list(pool_shares(dataset).items()) == list(pool_shares_rows(dataset).items())
 
 
 @settings(max_examples=200, deadline=None)

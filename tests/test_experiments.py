@@ -475,6 +475,22 @@ def test_config_from_dict_rejects_an_empty_grid_axis(field):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"split": [0, 500, 500]}, r"split\[0\] \(train items\) must be at least 1, got 0"),
+        ({"split": [2000, 500, 0]}, r"split\[2\] \(test items\) must be at least 1, got 0"),
+        ({"difficult_lo": 0.9, "difficult_hi": 0.1}, "difficult_lo and difficult_hi must"),
+        ({"difficult_lo": -0.1}, "difficult_lo and difficult_hi must"),
+        ({"difficult_hi": 1.5}, "difficult_lo and difficult_hi must"),
+    ],
+)
+def test_config_from_dict_rejects_unrunnable_values_by_name(values, message):
+    # each of these would make every cell of the sweep fail
+    with pytest.raises(ValueError, match=message):
+        config_from_dict({**_full_config_dict(), **values})
+
+
 def test_config_from_dict_defaults_come_from_the_dataclasses():
     d = {"gold": {"synthetic": {"components": [{"shape": "uniform", "low": 0.0, "high": 1.0, "n": 10}]}}}
     config = config_from_dict(d)

@@ -345,6 +345,15 @@ def test_load_model_rejects_missing_fields_by_name(tmp_path, key):
         load_model(path)
 
 
+@pytest.mark.parametrize("key", ["epochz", "config"])
+def test_load_model_rejects_unknown_keys_by_name(tmp_path, key):
+    path, payload = _saved_model_payload(tmp_path)
+    payload[key] = 5
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"unknown key '{key}' in .*model\.json: model$"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # the fast trainer against the dense scipy reference
 
