@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .simulation import Dataset, RECIPE_ADJUSTED, typed, typed_object
+from .simulation import Dataset, RECIPE_ADJUSTED, reads_file, typed, typed_object
 
 ShareLike = Union[int, float, str, Fraction]
 
@@ -68,6 +68,10 @@ class PopulationBenchmark:
         total = sum(conv.values())
         if abs(float(total) - 1.0) > 1e-9:
             raise ValueError(f"benchmark shares sum to {float(total)}, expected 1")
+
+    def __hash__(self) -> int:
+        # the shares are a dict; hashing them makes a config a cache key
+        return hash(frozenset(self.shares.items()))
 
 
 @dataclass(frozen=True)
@@ -202,13 +206,10 @@ def write_benchmark(benchmark: PopulationBenchmark, path: Union[str, Path]) -> N
         fh.write("\n")
 
 
+@reads_file
 def read_benchmark(path: Union[str, Path]) -> PopulationBenchmark:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        return PopulationBenchmark(payload)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+        return PopulationBenchmark(json.load(fh))
 
 
 def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:
@@ -251,12 +252,13 @@ class _WeightsFile:
     k_exact: str
 
 
+@reads_file
 def read_weights(path: Union[str, Path]) -> WeightTable:
     """A weight table from its write_weights file. Values are type-checked,
     never cast; a missing or ill-typed field is an error naming the file
-    and the field. The table is rebuilt from the exact raw weights and K,
-    and each stratum's normalized_exact and replication_count must equal
-    the rebuilt values."""
+    and the field. The table is rebuilt from the exact raw weights and K;
+    each stratum's normalized_exact and replication_count must equal the
+    rebuilt values, and each float field the float of its exact value."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     where = f"{path}: weights"
@@ -291,4 +293,14 @@ def read_weights(path: Union[str, Path]) -> WeightTable:
                 f"{at}.replication_count is {e.replication_count}, "
                 f"but round(normalized_exact) - 1 is {weights.counts[s]}"
             )
+    # the floats are for reading; each must be its exact value's float
+    floats = [("k", table.k, weights.k)]
+    for s, e in table.strata.items():
+        floats += [
+            (f"strata.{s}.raw", e.raw, weights.raw[s]),
+            (f"strata.{s}.normalized", e.normalized, weights.normalized[s]),
+        ]
+    for name, value, exact in floats:
+        if value != float(exact):
+            raise ValueError(f"{where}.{name} is {value}, but {name}_exact is {exact}")
     return weights

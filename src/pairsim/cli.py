@@ -20,7 +20,7 @@ from .experiments import (
     write_report,
 )
 from .metrics import acb, f1, positive_proportion
-from .simulation import build_suite, read_dataset, read_gold, write_dataset, write_gold
+from .simulation import Suite, build_suite, read_dataset, read_gold, write_dataset, write_gold
 from .trainer import TrainConfig, load_model, predict, save_model, train
 
 
@@ -40,13 +40,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     gold = load_gold(config)
     write_gold(gold, out / "gold.jsonl")
     suite = build_suite(gold, args.beta, args.seed, config.task)
-    for recipe, dataset in (
-        ("representative", suite.representative),
-        ("nonrep1", suite.nonrep1),
-        ("nonrep2", suite.nonrep2),
-    ):
-        write_dataset(dataset, out / f"{recipe}.jsonl")
-    print(f"wrote gold ({len(gold)} items) and 3 datasets to {out}")
+    recipes = [f.name for f in fields(Suite)]
+    for recipe in recipes:
+        write_dataset(getattr(suite, recipe), out / f"{recipe}.jsonl")
+    print(f"wrote gold ({len(gold)} items) and {len(recipes)} datasets to {out}")
     return 0
 
 

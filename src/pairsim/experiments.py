@@ -19,6 +19,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence, Union, get_type_hints
 
+import numpy as np
+
 from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
 from .rng import stream
@@ -27,17 +29,14 @@ from .simulation import (
     GoldTable,
     Rare,
     RECIPE_ADJUSTED,
-    RECIPE_NONREP1,
-    RECIPE_NONREP2,
-    RECIPE_REPRESENTATIVE,
     RECIPES,
     Suite,
     Uniform,
     annotation_row,
     build_suite,
-    concat_gold,
     derive_gold,
     filter_difficult,
+    reads_file,
     synth_gold,
     synth_text,
     typed,
@@ -135,6 +134,13 @@ class ExperimentConfig:
                 "difficult_lo and difficult_hi must satisfy 0 <= difficult_lo <= difficult_hi"
                 f" <= 1, got {self.difficult_lo} and {self.difficult_hi}"
             )
+        # file gold and difficult filtering fix the item count only when run
+        if isinstance(self.gold, SyntheticGold) and not self.difficult:
+            if sum(self.split) != self.gold.n_items:
+                raise ValueError(
+                    f"split {self.split} sums to {sum(self.split)}, "
+                    f"but the synthetic gold has {self.gold.n_items} items"
+                )
 
 
 @dataclass(frozen=True)
@@ -227,52 +233,40 @@ def ingest_external(
     return IngestResult(derive_gold(rows, subsample=subsample, seed=seed), skipped)
 
 
-def _gold_key(config: ExperimentConfig) -> tuple:
-    """The config values that determine the gold table. The per-process
-    caches below are keyed on these: hashing the table itself costs a
-    pass over every entry and its tokens on each lookup."""
-    return config.gold, config.task, config.difficult, config.difficult_lo, config.difficult_hi
-
-
+# A process keeps the gold tables of its last few configs. The caches key
+# on the config, not on the table: hashing a table walks every entry and
+# its tokens on each lookup.
 @lru_cache(maxsize=4)
-def _gold_cached(
-    source: Union[SyntheticGold, str],
-    task: str,
-    difficult: bool,
-    lo: float,
-    hi: float,
-) -> GoldTable:
-    if isinstance(source, str):
-        gold = ingest_external(source, task=task).gold
-    else:
-        parts = [
-            synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-")
-            for ci, (shape, n) in enumerate(source.components)
-        ]
-        gold = concat_gold(parts)
-        gold = synth_text(gold, source.vocab_size, source.tokens_per_item, source.seed)
-    if difficult:
-        gold = filter_difficult(gold, lo, hi)
-    return gold
-
-
 def load_gold(config: ExperimentConfig) -> GoldTable:
     """The experiment's gold table (synthetic or ingested), difficult-filtered
-    when the config asks for it. Cached: pure function of its inputs."""
-    return _gold_cached(*_gold_key(config))
+    when the config asks for it."""
+    source = config.gold
+    if isinstance(source, str):
+        gold = ingest_external(source, task=config.task).gold
+    else:
+        entries = [
+            entry
+            for ci, (shape, n) in enumerate(source.components)
+            for entry in synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-").entries
+        ]
+        gold = synth_text(
+            GoldTable(tuple(entries)), source.vocab_size, source.tokens_per_item, source.seed
+        )
+    if config.difficult:
+        gold = filter_difficult(gold, config.difficult_lo, config.difficult_hi)
+    return gold
 
 
 # sweep runs a (beta, seed) pair's recipes back to back, so one entry suffices
 @lru_cache(maxsize=1)
-def _suite_cached(gold_key: tuple, beta: float, seed: int) -> Suite:
-    _, task, *_ = gold_key
-    return build_suite(_gold_cached(*gold_key), beta, seed, task)
+def _suite_cached(config: ExperimentConfig, beta: float, seed: int) -> Suite:
+    return build_suite(load_gold(config), beta, seed, config.task)
 
 
-# a sweep has one gold table and one hash_dim
+# a sweep has one config, so one gold table and one hash_dim
 @lru_cache(maxsize=1)
-def _features_cached(gold_key: tuple, hash_dim: int) -> Features:
-    return featurize(_gold_cached(*gold_key).texts(), hash_dim)
+def _features_cached(config: ExperimentConfig) -> Features:
+    return featurize(load_gold(config).texts(), config.train.hash_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +288,11 @@ def split_items(
             f"but the gold table has {len(gold)} items"
         )
     perm = stream(seed, "item-split").permutation(len(gold))
-    train_idx = set(perm[: counts[0]].tolist())
-    dev_idx = set(perm[counts[0] : counts[0] + counts[1]].tolist())
+    part = np.empty(len(gold), dtype=np.intp)  # 0 train, 1 dev, 2 test, by table position
+    part[perm] = np.repeat([0, 1, 2], counts)
     parts: tuple[list, list, list] = ([], [], [])
-    for i, entry in enumerate(gold.entries):
-        if i in train_idx:
-            parts[0].append(entry)
-        elif i in dev_idx:
-            parts[1].append(entry)
-        else:
-            parts[2].append(entry)
+    for entry, p in zip(gold.entries, part.tolist()):
+        parts[p].append(entry)
     return GoldTable(tuple(parts[0])), GoldTable(tuple(parts[1])), GoldTable(tuple(parts[2]))
 
 
@@ -320,27 +309,18 @@ def scaled_split(n_items: int, base: Sequence[int]) -> tuple[int, int, int]:
     return counts[0], counts[1], counts[2]
 
 
-def _split_counts(config: ExperimentConfig, n_items: int) -> tuple[int, int, int]:
-    if config.difficult:
-        return scaled_split(n_items, config.split)
-    return config.split
-
-
 # ---------------------------------------------------------------------------
 # cells and sweeps
 
 
 def _recipe_dataset(suite: Suite, recipe: str, benchmark: PopulationBenchmark):
-    if recipe == RECIPE_REPRESENTATIVE:
-        return suite.representative
-    if recipe == RECIPE_NONREP1:
-        return suite.nonrep1
-    if recipe == RECIPE_NONREP2:
-        return suite.nonrep2
+    """The dataset of ``recipe``: adjusted, or the suite field of that name."""
     if recipe == RECIPE_ADJUSTED:
         adjusted, _ = apply_pair(suite.nonrep1, benchmark)
         return adjusted
-    raise ValueError(f"unknown recipe {recipe!r}")
+    if recipe not in RECIPES:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    return getattr(suite, recipe)
 
 
 def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> ResultRow:
@@ -348,14 +328,13 @@ def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> R
     start = time.perf_counter()
     try:
         gold = load_gold(config)
-        counts = _split_counts(config, len(gold))
+        counts = scaled_split(len(gold), config.split) if config.difficult else config.split
         if counts[2] < 1:
             raise ValueError(f"test split is empty for counts {counts}")
         train_gold, dev_gold, test_gold = split_items(gold, counts, seed)
-        gold_key = _gold_key(config)
-        suite = _suite_cached(gold_key, beta, seed)
+        suite = _suite_cached(config, beta, seed)
         dataset = _recipe_dataset(suite, recipe, config.benchmark)
-        features = _features_cached(gold_key, config.train.hash_dim)
+        features = _features_cached(config)
         train_ds = dataset.restrict(train_gold.item_ids())
         dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
         model = train(train_ds, features, config.train, seed, dev=dev_ds)
@@ -584,6 +563,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     )
 
 
+@reads_file
 def load_config(path: Union[str, Path]) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -99,9 +99,6 @@ class GoldTable:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def item_ids(self) -> tuple[str, ...]:
         return tuple(e.item_id for e in self.entries)
@@ -522,14 +519,6 @@ def synth_text(
     return GoldTable(tuple(entries))
 
 
-def concat_gold(tables: Sequence[GoldTable]) -> GoldTable:
-    """Concatenate gold tables; item ids must stay unique."""
-    entries: list[GoldEntry] = []
-    for t in tables:
-        entries.extend(t.entries)
-    return GoldTable(tuple(entries))
-
-
 # ---------------------------------------------------------------------------
 # annotation sampling
 
@@ -722,6 +711,22 @@ _raw_decode = json.JSONDecoder().raw_decode
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
+def reads_file(reader):
+    """``reader(path)`` with every ValueError it raises naming the file: a
+    message that does not contain the path gets it as a prefix."""
+
+    @wraps(reader)
+    def read(path: Union[str, Path]):
+        try:
+            return reader(path)
+        except ValueError as err:  # JSON and UTF-8 decoding errors included
+            if str(path) in str(err):
+                raise
+            raise ValueError(f"{path}: {err}") from None
+
+    return read
+
+
 def _json_lines(path: Union[str, Path]):
     """``(line number, value)`` for each non-blank line of a JSON-lines
     file; a line that is not one JSON value is an error naming it."""
@@ -772,6 +777,7 @@ def _written_entry(d) -> GoldEntry | None:
     return None
 
 
+@reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
     entries = (
         _written_entry(d) or typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
@@ -824,12 +830,13 @@ def _written_record(d) -> Row | None:
     return None
 
 
+@reads_file
 def read_dataset(path: Union[str, Path]) -> Dataset:
     lines = _json_lines(path)
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise ValueError(f"{path}: empty dataset file") from None
+        raise ValueError("empty dataset file") from None
     meta = typed_object(header, DatasetMeta, f"{path}:{lineno}: header")
     rows = [
         _written_record(d)

@@ -25,7 +25,7 @@ from scipy.sparse import _sparsetools  # private: see _adagrad_epoch
 from scipy.special import expit
 
 from .rng import stream
-from .simulation import Dataset, typed
+from .simulation import Dataset, reads_file, typed
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 1
@@ -357,13 +357,14 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
+@reads_file
 def load_model(path: Union[str, Path]) -> Model:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+        raise ValueError(f"not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {payload.get('version')}")
+        raise ValueError(f"unsupported model version {payload.get('version')}")
     # every field is required: a default hash_dim would not match the weights
     types = {**get_type_hints(TrainConfig), **get_type_hints(Model), "weights": tuple[float, ...]}
     keys = {"format", "version", *types} - {"config"}  # the config's fields are top level
@@ -372,8 +373,8 @@ def load_model(path: Union[str, Path]) -> Model:
 
     def checked(name: str):
         if name not in payload:
-            raise ValueError(f"{path}: model.{name} is missing")
-        return typed(payload[name], types[name], f"{path}: model.{name}")
+            raise ValueError(f"model.{name} is missing")
+        return typed(payload[name], types[name], f"model.{name}")
 
     return Model(
         weights=np.array(checked("weights"), dtype=np.float64),

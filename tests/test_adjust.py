@@ -505,6 +505,16 @@ def _written_weights(tmp_path):
             lambda d: d["strata"]["A"].update(normalized_exact="2"),
             r"strata\.A\.normalized_exact is 2, but raw_exact \* k_exact is 1",
         ),
+        # float fields that are not the float of their exact value
+        (lambda d: d.update(k=99.0), r"k is 99\.0, but k_exact is 4/3"),
+        (
+            lambda d: d["strata"]["A"].update(raw=-5.0),
+            r"strata\.A\.raw is -5\.0, but strata\.A\.raw_exact is 3/4",
+        ),
+        (
+            lambda d: d["strata"]["B"].update(normalized=2.5),
+            r"strata\.B\.normalized is 2\.5, but strata\.B\.normalized_exact is 2",
+        ),
     ],
 )
 def test_read_weights_names_the_file_and_field(tmp_path, edit, message):

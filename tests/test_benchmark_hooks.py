@@ -1,29 +1,35 @@
-"""The names the benchmark's tracer patches must exist in the package.
+"""The names the benchmark calls and patches must exist in the package.
 
 ``perfbench/tracing.py`` wraps pairsim functions by module and attribute
-name, and replaces the private ``experiments._cell_outcome``. A rename or
-deletion there would only fail a benchmark run; this test fails the
-suite instead. The tracer is loaded from its file, not installed.
+name, and ``perfbench/worker.py`` replaces the private
+``experiments._cell_outcome`` and calls the package's functions by name.
+A rename or deletion there would only fail a benchmark run; these tests
+fail the suite instead. The benchmark's modules are loaded from their
+files; the tracer is not installed.
 """
 
 import importlib
 import importlib.util
+import math
 from functools import reduce
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from pairsim import experiments
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
 
 
-def _tracing_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-_TRACING = _tracing_module()
+_TRACING = _load("tracing")
 _TARGETS = [
     (module, attr)
     for module, attr, _ in _TRACING.SPAN_TARGETS + _TRACING.HOT_TARGETS
@@ -35,3 +41,34 @@ def test_benchmark_hook_resolves(module, attr):
     # an attribute "Class.method" names a method on the class
     target = reduce(getattr, attr.split("."), importlib.import_module(module))
     assert callable(target)
+
+
+def test_worker_microbenchmarks_run_on_the_quick_config(monkeypatch):
+    # run_micro calls load_gold, build_suite, split_items, apply_pair,
+    # restrict and train, and trains on a mapping of item texts
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # the worker imports yardstick
+    worker = _load("worker")
+    config = experiments.load_config(QUICK)
+    micro = worker.run_micro({"micro": {"beta": 0.3, "seed": 10}}, config)
+    assert len(micro) == 5 and all(math.isfinite(v) for v in micro.values())
+
+
+def test_sweep_hands_each_cell_the_tuple_the_worker_unpacks(monkeypatch):
+    config = experiments.load_config(QUICK)
+    seen = []
+
+    def recording(args):
+        # unpacked as the worker's stand-in for _cell_outcome does
+        cell_config, recipe, beta, seed = args
+        seen.append(args)
+        return None, experiments.CellFailure(cell_config.task, recipe, beta, seed, "not run")
+
+    monkeypatch.setattr(experiments, "_cell_outcome", recording)
+    result = experiments.sweep(config)
+    assert seen == [
+        (config, recipe, beta, seed)
+        for beta in config.betas
+        for seed in config.seeds
+        for recipe in config.recipes
+    ]
+    assert len(result.failures) == len(seen)

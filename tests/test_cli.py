@@ -127,7 +127,7 @@ def test_cli_sweep_bad_benchmark_is_one_error_line(
     bad_path = tmp_path / "bad-config.json"
     bad_path.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(bad_path), "--out", str(tmp_path / "results")]) == 2
-    assert capsys.readouterr().err == f"pairsim: error: {message}\n"
+    assert capsys.readouterr().err == f"pairsim: error: {bad_path}: {message}\n"
 
 
 def test_cli_missing_config_file_is_one_error_line(tmp_path, capsys):
@@ -168,7 +168,7 @@ def test_cli_sweep_rejects_empty_betas(tmp_path, config_path, capsys):
     bad_path.write_text(json.dumps(raw))
     out = tmp_path / "results"
     assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "pairsim: error: need at least one beta\n"
+    assert capsys.readouterr().err == f"pairsim: error: {bad_path}: need at least one beta\n"
     assert not out.exists()
 
 
@@ -179,8 +179,21 @@ def test_cli_sweep_rejects_an_empty_test_split(tmp_path, config_path, capsys):
     bad_path.write_text(json.dumps(raw))
     out = tmp_path / "results"
     assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
-    expected = "pairsim: error: split[2] (test items) must be at least 1, got 0\n"
+    expected = f"pairsim: error: {bad_path}: split[2] (test items) must be at least 1, got 0\n"
     assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+def test_cli_sweep_rejects_a_split_that_does_not_cover_the_gold(tmp_path, config_path, capsys):
+    # every cell would fail to split the 60-item gold table
+    raw = json.loads(config_path.read_text())
+    raw["split"] = [40, 10, 9]
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
+    message = "split (40, 10, 9) sums to 59, but the synthetic gold has 60 items"
+    assert capsys.readouterr().err == f"pairsim: error: {bad_path}: {message}\n"
     assert not out.exists()
 
 

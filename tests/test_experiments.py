@@ -350,7 +350,7 @@ def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
         hashes[entry.item_id] += 1
         return entry_hash(entry)
 
-    for cache in (experiments._gold_cached, experiments._suite_cached):
+    for cache in (experiments.load_gold, experiments._suite_cached):
         cache.cache_clear()
     monkeypatch.setattr(GoldEntry, "__hash__", counting_hash)
     result = sweep(config)
@@ -369,7 +369,7 @@ def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
         made[type(self).__name__] += 1
         init(self, *args, **kwargs)
 
-    for cache in (experiments._gold_cached, experiments._suite_cached):
+    for cache in (experiments.load_gold, experiments._suite_cached):
         cache.cache_clear()
     monkeypatch.setattr(Annotation, "__init__", counting_init)
     result = sweep(config)
@@ -442,7 +442,7 @@ def test_config_round_trip_rare_component():
     from pairsim.simulation import Rare
 
     spec = SyntheticGold(components=((Rare(0.167), 100), (Uniform(0.3, 0.7), 50)), seed=4)
-    config = ExperimentConfig(gold=spec, seeds=(1,))
+    config = ExperimentConfig(gold=spec, seeds=(1,), split=(100, 25, 25))
     assert config_from_dict(config_to_dict(config)) == config
 
 
@@ -483,6 +483,7 @@ def test_config_from_dict_rejects_an_empty_grid_axis(field):
         ({"difficult_lo": 0.9, "difficult_hi": 0.1}, "difficult_lo and difficult_hi must"),
         ({"difficult_lo": -0.1}, "difficult_lo and difficult_hi must"),
         ({"difficult_hi": 1.5}, "difficult_lo and difficult_hi must"),
+        ({"split": [9, 3, 2]}, r"split \(9, 3, 2\) sums to 14, but the synthetic gold has 15 items"),
     ],
 )
 def test_config_from_dict_rejects_unrunnable_values_by_name(values, message):
@@ -491,10 +492,18 @@ def test_config_from_dict_rejects_unrunnable_values_by_name(values, message):
         config_from_dict({**_full_config_dict(), **values})
 
 
+@pytest.mark.parametrize("values", [{"difficult": True}, {"gold": {"file": "annotations.jsonl"}}])
+def test_config_split_total_is_checked_when_run_for_filtered_or_file_gold(values):
+    # the item count of these is known only once the gold table is built
+    config = config_from_dict({**_full_config_dict(), "split": [9, 3, 2], **values})
+    assert config.split == (9, 3, 2)
+
+
 def test_config_from_dict_defaults_come_from_the_dataclasses():
-    d = {"gold": {"synthetic": {"components": [{"shape": "uniform", "low": 0.0, "high": 1.0, "n": 10}]}}}
+    # 3000 items: the default split's total
+    d = {"gold": {"synthetic": {"components": [{"shape": "uniform", "low": 0.0, "high": 1.0, "n": 3000}]}}}
     config = config_from_dict(d)
-    assert config.gold == SyntheticGold(components=((Uniform(0.0, 1.0), 10),))
+    assert config.gold == SyntheticGold(components=((Uniform(0.0, 1.0), 3000),))
     assert config.gold.tokens_per_item == SyntheticGold.tokens_per_item
     assert config == ExperimentConfig(gold=config.gold)
     partial = config_from_dict({**d, "train": {"epochs": 3}})
@@ -506,7 +515,8 @@ def _full_config_dict():
         tiny_config(
             gold=SyntheticGold(
                 components=((Uniform(0.0, 1.0), 10), (Rare(0.1), 5)),
-            )
+            ),
+            split=(9, 3, 3),
         )
     )
 

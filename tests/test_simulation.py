@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsim.adjust import PopulationBenchmark, apply_pair
+from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark, read_weights
 from pairsim.experiments import load_config, load_gold
 from pairsim.rng import stream
 from pairsim.simulation import (
@@ -27,6 +27,7 @@ from pairsim.simulation import (
     filter_difficult,
     read_dataset,
     read_gold,
+    reads_file,
     sample_pool,
     shift_probability,
     subsample_indices,
@@ -36,6 +37,7 @@ from pairsim.simulation import (
     write_dataset,
     write_gold,
 )
+from pairsim.trainer import load_model
 
 
 def flat_gold(ps, k=12):
@@ -685,6 +687,37 @@ def test_read_gold_rejects_missing_fields_by_name(tmp_path):
         read_gold(path)
 
 
+_TRUNCATED = '{"task": "OL",\n'
+_HEADER = {"task": "OL", "recipe": "representative", "beta": 0.0, "seed": 1}
+_RECORD = {"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1,
+           "source": "original", "replica_of": None}
+
+
+@pytest.mark.parametrize(
+    "reader, rows",
+    [
+        (load_config, _TRUNCATED),
+        (read_benchmark, _TRUNCATED),
+        (read_weights, _TRUNCATED),
+        (load_model, _TRUNCATED),
+        (read_gold, [{"item_id": "item00001", "text": [], "p_gold": 1.5, "k_reference": 12}]),
+        (read_dataset, [_HEADER, {**_RECORD, "label": 2}]),
+        (read_dataset, [_HEADER, _RECORD, {**_RECORD, "item_id": "other"}]),
+    ],
+    ids=["config", "benchmark", "weights", "model", "gold", "dataset-label", "dataset-repeated-id"],
+)
+def test_every_reader_names_its_file_once(tmp_path, reader, rows):
+    path = tmp_path / "input.json"
+    if isinstance(rows, str):
+        path.write_text(rows)
+    else:
+        _rewrite(path, rows)
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    message = str(caught.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
+
 def _outcome(read):
     """repr of what ``read`` returns, so that 1 and 1.0 differ, or its error."""
     try:
@@ -716,8 +749,12 @@ def test_read_gold_agrees_with_typed_object_on_written_layout(tmp_path_factory, 
     row = {**{"item_id": "x", "text": ["a", "b"], "p_gold": 0.5, "k_reference": 12}, **edits}
     path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
     _rewrite(path, [row])
-    expected = _outcome(lambda: GoldTable((typed_object(row, GoldEntry, f"{path}:1: entry"),)))
-    assert _outcome(lambda: read_gold(path)) == expected
+
+    @reads_file
+    def checked(path):
+        return GoldTable((typed_object(row, GoldEntry, f"{path}:1: entry"),))
+
+    assert _outcome(lambda: read_gold(path)) == _outcome(lambda: checked(path))
 
 
 @settings(max_examples=300, deadline=None)
@@ -732,13 +769,14 @@ def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factor
     path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
     _rewrite(path, [header, row])
 
-    def checked():
+    @reads_file
+    def checked(path):
         record = typed_object(row, Annotation, f"{path}:2: record")
         dataset = Dataset.from_records((record,), DatasetMeta("OL", "representative", 0.0, 1))
         dataset.validate()
         return dataset
 
-    assert _outcome(lambda: read_dataset(path)) == _outcome(checked)
+    assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: checked(path))
 
 
 def test_dataset_restrict():
