@@ -35,11 +35,12 @@ def _add_simulate(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    gold = load_gold(config)
+    # a bad beta or seed fails here, before anything is written
+    suite = build_suite(gold, args.beta, args.seed, config.task)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    gold = load_gold(config)
     write_gold(gold, out / "gold.jsonl")
-    suite = build_suite(gold, args.beta, args.seed, config.task)
     recipes = [f.name for f in fields(Suite)]
     for recipe in recipes:
         write_dataset(getattr(suite, recipe), out / f"{recipe}.jsonl")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
-from .rng import stream
+from .rng import check_key_int, stream
 from .simulation import (
     GoldShape,
     GoldTable,
@@ -82,6 +82,7 @@ class SyntheticGold:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("need at least one gold component")
+        check_key_int(self.seed, "gold seed")
 
     @property
     def n_items(self) -> int:
@@ -114,6 +115,8 @@ class ExperimentConfig:
         for b in self.betas:
             if not 0.0 <= b <= 0.5:
                 raise ValueError(f"beta {b} outside [0, 0.5]")
+        for s in self.seeds:
+            check_key_int(s, "seed")
         unknown = sorted(set(self.recipes) - set(RECIPES))
         if unknown:
             raise ValueError(f"unknown recipes: {', '.join(unknown)}")

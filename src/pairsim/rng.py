@@ -1,17 +1,35 @@
 """Deterministic random streams keyed by (seed, stage tag, index, ...).
 
-Every stochastic operation in this package draws from a Philox
+Every stochastic operation in this package draws from a Philox4x64-10
 counter-based generator whose 128-bit key is a hash of the stream
 coordinates. Streams are independent of each other and of iteration
 order: the draws for item 17 do not change when items are processed in
 a different order, when other items are added, or when an unrelated
 stage consumes more randomness.
 
-A stage that draws one stream per item uses :func:`streams`, which
-reuses one generator: Philox output depends only on its key and
-counter (Salmon et al. 2011), so a new key and a zero counter give
-exactly the draws of a freshly built generator, without the cost of
-building one.
+Philox output depends only on its key and its counter (Salmon et al.
+2011, "Parallel random numbers: as easy as 1, 2, 3"): 64-bit word j of
+a stream is word j % 4 of the cipher block that the key encrypts from
+the counter ``[j // 4 + 1, 0, 0, 0]``. So a stage that draws one
+stream per item does not need a generator per item. It takes every
+item's key from :func:`stream_keys` and computes the words of all items
+at once with :func:`philox_words`, a numpy array version of numpy's
+Philox; :func:`doubles` and :func:`bounded_draws` turn words into the
+values ``Generator.random`` and ``Generator.integers`` return. The
+results are those of ``stream(*parts, i)``, bit for bit.
+
+Bounded integers are the one draw that may take a variable number of
+words: numpy's rule (Lemire 2019, "Fast random integer generation in an
+interval") rejects a 32-bit value whose low product word falls below a
+threshold and draws again, which shifts every later draw of the stream.
+:func:`bounded_draws` flags such values instead; a stage recomputes an
+item with a flagged draw from its own :func:`stream` generator, the
+numpy code that defines the draw. A draw in [0, rng] is flagged with
+probability below (rng + 1) / 2**32.
+
+Stages whose draws have no array form (``Generator.beta``'s rejection
+sampler, ``choice`` over a varying population) use :func:`streams`,
+which reuses one generator rekeyed per item.
 """
 
 from __future__ import annotations
@@ -24,6 +42,19 @@ import numpy as np
 KeyPart = Union[int, str]
 
 
+def check_key_int(value: int, name: str = "stream key part") -> None:
+    """Reject an int that cannot be a stream key part (each is hashed as
+    16 signed bytes); ``name`` says what the value is in the error."""
+    if not -(2**127) <= value < 2**127:
+        raise ValueError(f"{name} {value} outside the signed 128-bit range [-2**127, 2**127)")
+
+
+def _int_part(value: int) -> bytes:
+    """The bytes an int key part adds to the hash."""
+    check_key_int(value)
+    return b"i" + value.to_bytes(16, "little", signed=True)
+
+
 def _key_hash(
     parts: tuple[KeyPart, ...], prefix: hashlib.blake2b | None = None
 ) -> hashlib.blake2b:
@@ -33,7 +64,7 @@ def _key_hash(
     h = hashlib.blake2b(digest_size=16) if prefix is None else prefix.copy()
     for part in parts:
         if isinstance(part, (int, np.integer)):
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            h.update(_int_part(int(part)))
         elif isinstance(part, str):
             data = part.encode("utf-8")
             h.update(b"s" + len(data).to_bytes(4, "little") + data)
@@ -61,14 +92,109 @@ def streams(*parts: KeyPart, count: int) -> Iterator[np.random.Generator]:
     All of them are one reused generator, rekeyed before it is yielded,
     so a yielded generator is valid only until the next one is taken.
     """
-    prefix = _key_hash(parts)
+    keys = stream_keys(*parts, count=count)
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     # a fresh generator's state: zero counter, empty output buffer, no
     # half-used 32-bit word; only the key changes from stream to stream
     state = bitgen.state
-    for i in range(count):
-        digest = _key_hash((i,), prefix).digest()
-        state["state"]["key"] = np.frombuffer(digest, dtype="<u8")
+    for key in keys:
+        state["state"]["key"] = key
         bitgen.state = state
         yield gen
+
+
+def stream_keys(*parts: KeyPart, count: int) -> np.ndarray:
+    """The Philox keys of ``stream(*parts, i)`` for ``i`` in ``range(count)``,
+    as a ``(count, 2)`` uint64 array (low word first)."""
+    prefix = _key_hash(parts)
+    digests = bytearray()
+    for i in range(count):
+        h = prefix.copy()
+        h.update(_int_part(i))
+        digests += h.digest()
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(count, 2)
+
+
+# Philox4x64-10 constants (Salmon et al. 2011, as in numpy's philox.h).
+# Every constant is a np.uint64, so the arithmetic stays uint64 under
+# numpy's older value-based promotion too.
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_11 = np.uint64(11)
+
+#: keys per Philox pass, which bounds the pass's temporary arrays
+_KEY_CHUNK = 1024
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of the 128-bit products ``m * x``,
+    from products of 32-bit halves (none of which overflows)."""
+    m_lo, m_hi = m & _LOW32, m >> _32
+    x_lo, x_hi = x & _LOW32, x >> _32
+    ll = x_lo * m_lo
+    lh = x_lo * m_hi
+    hl = x_hi * m_lo
+    mid = (ll >> _32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = x_hi * m_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
+    return hi, x * m
+
+
+def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The first ``blocks`` 4-word Philox4x64-10 outputs of each key, as a
+    ``(len(keys), 4 * blocks)`` array in output order."""
+    k0 = keys[:, :1].copy()
+    k1 = keys[:, 1:].copy()
+    shape = (len(keys), blocks)
+    # numpy increments the counter before each block: block b uses b + 1
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0 += _W0
+            k1 += _W1
+        hi0, lo0 = _mulhilo(_M0, x0)
+        hi1, lo1 = _mulhilo(_M1, x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), 4 * blocks)
+
+
+def philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """Each key's first ``n`` 64-bit Philox outputs: row ``i`` is
+    ``stream(...).bit_generator.random_raw(n)`` of the stream whose key
+    is ``keys[i]``, as a ``(len(keys), n)`` uint64 array."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((len(keys), n), dtype=np.uint64)
+    blocks = -(-n // 4)
+    for start in range(0, len(keys), _KEY_CHUNK):
+        chunk = keys[start : start + _KEY_CHUNK]
+        out[start : start + len(chunk)] = _philox_blocks(chunk, blocks)[:, :n]
+    return out
+
+
+def doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that ``Generator.random`` makes of ``words``,
+    one per word."""
+    return (words >> _11) * 2.0**-53
+
+
+def bounded_draws(words: np.ndarray, rng: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of ``Generator.integers(0, rng + 1)`` made of ``words``,
+    and which of them numpy would reject.
+
+    numpy draws a bound below 2**32 - 1 from 32-bit values, taking each
+    word's low half and then its high half, so the result has two
+    columns per word. A flagged draw is one numpy rejects and draws
+    again; the draws after it, in that row, are not the stream's.
+    """
+    if not 0 < rng < 2**32 - 1:
+        raise ValueError(f"bounded draw range {rng} outside (0, 2**32 - 1)")
+    halves = np.stack([words & _LOW32, words >> _32], axis=-1)
+    halves = halves.reshape(*words.shape[:-1], 2 * words.shape[-1])
+    product = halves * np.uint64(rng + 1)
+    threshold = np.uint64((2**32 - 1 - rng) % (rng + 1))
+    return (product >> _32).astype(np.int64), (product & _LOW32) < threshold

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property, wraps
 from pathlib import Path
 from types import UnionType
@@ -46,7 +46,7 @@ from typing import (
 
 import numpy as np
 
-from .rng import stream, streams
+from .rng import bounded_draws, doubles, philox_words, stream, stream_keys, streams
 
 MINUS = "minus"
 PLUS = "plus"
@@ -503,20 +503,58 @@ def synth_text(
     if vocab_size < 2:
         raise ValueError("vocab_size must be at least 2 (one token per half)")
     n_tox = vocab_size // 2
-    tox_names = [f"tox{i}" for i in range(n_tox)]
-    ben_names = [f"ben{i}" for i in range(vocab_size - n_tox)]
-    entries = []
-    for e, gen in zip(gold.entries, streams(seed, "text", count=len(gold))):
-        toxic = (gen.random(tokens_per_item) < e.p_gold).tolist()
-        # draw indices for both halves unconditionally so consumption per
-        # item is fixed regardless of the toxic mask
-        tox_ids = gen.integers(0, len(tox_names), size=tokens_per_item).tolist()
-        ben_ids = gen.integers(0, len(ben_names), size=tokens_per_item).tolist()
-        tokens = tuple(
-            tox_names[t] if x else ben_names[b] for x, t, b in zip(toxic, tox_ids, ben_ids)
+    n_ben = vocab_size - n_tox
+    names = [f"tox{i}" for i in range(n_tox)] + [f"ben{i}" for i in range(n_ben)]
+    # item i's stream: the toxic mask from words [0, T), then T tox ids
+    # and T ben ids from the 32-bit halves of the following words; a half
+    # of size 1 draws nothing
+    t = tokens_per_item
+    ben_start = t if n_tox > 1 else 0
+    n_halves = ben_start + (t if n_ben > 1 else 0)
+    n_words = t + (n_halves + 1) // 2
+    keys = stream_keys(seed, "text", count=len(gold))
+    table = np.array(names, dtype=object)
+    entries: list[GoldEntry] = []
+    for start in range(0, len(gold), _TEXT_BLOCK):
+        block = gold.entries[start : start + _TEXT_BLOCK]
+        words = philox_words(keys[start : start + len(block)], n_words)
+        p = np.array([e.p_gold for e in block])
+        toxic = doubles(words[:, :t]) < p[:, None]
+        redraw = np.zeros(len(block), dtype=bool)
+        ids = []
+        for size, first in ((n_tox, 0), (n_ben, ben_start)):
+            if size == 1:
+                ids.append(np.zeros((len(block), t), dtype=np.int64))
+                continue
+            values, flagged = bounded_draws(words[:, t:], size - 1)
+            ids.append(values[:, first : first + t])
+            redraw |= flagged[:, first : first + t].any(axis=1)
+        tokens = table[np.where(toxic, ids[0], n_tox + ids[1])].tolist()
+        for j in np.flatnonzero(redraw):
+            gen = stream(seed, "text", start + j)
+            tokens[j] = _item_tokens(gen, block[j].p_gold, t, names, n_tox)
+        entries.extend(
+            GoldEntry(e.item_id, tuple(row), e.p_gold, e.k_reference)
+            for e, row in zip(block, tokens)
         )
-        entries.append(replace(e, text=tokens))
     return GoldTable(tuple(entries))
+
+
+#: items per synth_text block, which bounds the block's token lists
+_TEXT_BLOCK = 256
+
+
+def _item_tokens(
+    gen: np.random.Generator, p_gold: float, t: int, names: list[str], n_tox: int
+) -> list[str]:
+    """One item's tokens drawn from its own generator: what synth_text
+    computes for every item in one pass."""
+    toxic = (gen.random(t) < p_gold).tolist()
+    # draw indices for both halves unconditionally so consumption per
+    # item is fixed regardless of the toxic mask
+    tox_ids = gen.integers(0, n_tox, size=t).tolist()
+    ben_ids = gen.integers(0, len(names) - n_tox, size=t).tolist()
+    return [names[tx] if x else names[n_tox + b] for x, tx, b in zip(toxic, tox_ids, ben_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +590,11 @@ def sample_pool(
     stratum in sorted order, slot by slot; the record of slot k of
     stratum s of an item is named ``"<item_id>:<s><k>"``. Deterministic
     given (gold order, comp, bias, seed, task).
+
+    Slot k of stratum s of item i compares double k of the stream
+    ``stream(seed, f"{task}:annot:{s}", i)`` with the shifted proportion;
+    the doubles of every item of a stratum come from one Philox pass
+    (``rng.philox_words``), not from a generator per item.
     """
     if not gold.entries:
         raise ValueError("gold table is empty")
@@ -565,9 +608,8 @@ def sample_pool(
     for s in strata:
         # slot k of an item's stratum is value k of its Philox stream, so it
         # has the same label whatever the stratum's count is
-        u = np.empty((n, comp.counts[s]))
-        for row, gen in zip(u, streams(seed, f"{task}:annot:{s}", count=n)):
-            gen.random(out=row)
+        keys = stream_keys(seed, f"{task}:annot:{s}", count=n)
+        u = doubles(philox_words(keys, comp.counts[s]))
         p_shifted = shift_probability(p, bias.beta, bias.direction_by_stratum[s])
         labels.append(u < p_shifted[:, None])
     per_item = sum(comp.counts.values())
@@ -595,6 +637,10 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     nonrep2 adds A slots 6-8, 3 fresh A draws per item, on top of
     nonrep1. Slot values do not depend on how many slots are drawn, so
     representative equals ``sample_pool`` with 6 A and 6 B per item.
+
+    Item i's deleted B slots are the set that
+    ``stream(seed, f"{task}:nonrep1-delete", i).choice(6, 3, replace=False)``
+    selects, computed for every item in one pass (``_nonrep1_deletions``).
     """
     n_a, n_b = REPRESENTATIVE_COUNTS[TYPE_A], REPRESENTATIVE_COUNTS[TYPE_B]
     n_pool_a = n_a + NONREP2_EXTRA_A
@@ -609,8 +655,7 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     # of these masks per item, one column per slot
     n = len(gold)
     b_kept = np.ones((n, n_b), dtype=bool)
-    for row, gen in zip(b_kept, streams(seed, f"{task}:nonrep1-delete", count=n)):
-        row[gen.choice(n_b, size=NONREP1_B_DELETIONS, replace=False)] = False
+    b_kept[np.arange(n)[:, None], _nonrep1_deletions(n, n_b, seed, task)] = False
     a_base = np.zeros((n, n_pool_a), dtype=bool)
     a_base[:, :n_a] = True
     a_all = np.ones((n, n_pool_a), dtype=bool)
@@ -624,6 +669,35 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
         nonrep1=dataset(a_base, b_kept, RECIPE_NONREP1),
         nonrep2=dataset(a_all, b_kept, RECIPE_NONREP2),
     )
+
+
+def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:
+    """The B slots nonrep1 drops from each of ``n`` items, one row per item:
+    the set ``gen.choice(n_b, size=3, replace=False)`` selects from item
+    i's stream ``gen``.
+
+    numpy's ``choice`` runs Floyd's algorithm on one bounded draw in
+    [0, j] for each j from n_b - 3 to n_b - 1, then shuffles the chosen
+    slots, which changes their order but not which they are. An item
+    whose bounded draw numpy would reject calls ``choice`` itself.
+    """
+    tag = f"{task}:nonrep1-delete"
+    first = n_b - NONREP1_B_DELETIONS
+    words = philox_words(stream_keys(seed, tag, count=n), -(-NONREP1_B_DELETIONS // 2))
+    chosen: list[np.ndarray] = []
+    redraw = np.zeros(n, dtype=bool)
+    for d, j in enumerate(range(first, n_b)):
+        values, flagged = bounded_draws(words, j)
+        value = values[:, d]
+        redraw |= flagged[:, d]
+        taken = np.zeros(n, dtype=bool)
+        for c in chosen:
+            taken |= c == value
+        chosen.append(np.where(taken, j, value))
+    slots = np.stack(chosen, axis=1)
+    for i in np.flatnonzero(redraw):
+        slots[i] = stream(seed, tag, i).choice(n_b, size=NONREP1_B_DELETIONS, replace=False)
+    return slots
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,17 @@ def test_cli_sweep_rejects_a_split_that_does_not_cover_the_gold(tmp_path, config
     assert not out.exists()
 
 
+def test_cli_simulate_seed_beyond_stream_keys_is_one_error_line(tmp_path, config_path, capsys):
+    seed = 2**128
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.3",
+                 "--seed", str(seed), "--out", str(tmp_path / "sim")]) == 2
+    assert capsys.readouterr().err == (
+        f"pairsim: error: stream key part {seed} outside the signed 128-bit range"
+        " [-2**127, 2**127)\n"
+    )
+    assert not (tmp_path / "sim").exists()
+
+
 @pytest.fixture()
 def adjust_args(tmp_path, config_path):
     """``pairsim adjust`` arguments for a simulated nonrep1 pool whose

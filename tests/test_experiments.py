@@ -466,6 +466,19 @@ def test_config_rejects_repeated_values(field, values):
         tiny_config(**{field: values})
 
 
+@pytest.mark.parametrize("seed", [2**127, -(2**127) - 1, 2**130])
+def test_config_from_dict_rejects_a_seed_no_stream_key_holds(seed):
+    # every cell would fail when it keys its first stream
+    d = _full_config_dict()
+    d["seeds"] = [1, seed]
+    with pytest.raises(ValueError, match=f"seed {seed} outside the signed 128-bit range"):
+        config_from_dict(d)
+    d = _full_config_dict()
+    d["gold"]["synthetic"]["seed"] = seed
+    with pytest.raises(ValueError, match=f"gold seed {seed} outside the signed 128-bit range"):
+        config_from_dict(d)
+
+
 @pytest.mark.parametrize("field", ["betas", "seeds", "recipes"])
 def test_config_from_dict_rejects_an_empty_grid_axis(field):
     # an empty axis would sweep no cell and write a header-only report

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsim.rng import stream, streams
+from pairsim.rng import (
+    bounded_draws,
+    doubles,
+    philox_words,
+    stream,
+    stream_keys,
+    streams,
+)
 
 
 def test_same_key_same_sequence():
@@ -36,6 +43,18 @@ def test_string_int_distinction():
 def test_rejects_unsupported_part_types():
     with pytest.raises(TypeError):
         stream(1.5)
+
+
+@pytest.mark.parametrize("part", [2**127, -(2**127) - 1, 2**130])
+def test_rejects_int_parts_outside_128_bits_by_value(part):
+    with pytest.raises(ValueError, match=f"stream key part {part} outside"):
+        stream(1, "x", part)
+    with pytest.raises(ValueError, match=f"stream key part {part} outside"):
+        stream_keys(part, "x", count=1)
+
+
+def test_accepts_the_ends_of_the_128_bit_range():
+    assert not np.array_equal(stream(2**127 - 1).random(4), stream(-(2**127)).random(4))
 
 
 # ---------------------------------------------------------------------------
@@ -83,3 +102,56 @@ def test_streams_yield_in_index_order_whatever_is_drawn_between():
 def test_streams_reject_unsupported_part_types():
     with pytest.raises(TypeError):
         next(streams(1.5, count=1))
+
+
+# ---------------------------------------------------------------------------
+# batch draws: every stream's words in one numpy pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=key_parts, count=st.integers(0, 6), n=st.integers(0, 20))
+def test_philox_words_are_each_streams_raw_output(parts, count, n):
+    keys = stream_keys(*parts, count=count)
+    words = philox_words(keys, n)
+    assert keys.shape == (count, 2) and words.shape == (count, n)
+    assert words.dtype == np.uint64
+    for i in range(count):
+        gen = stream(*parts, i)
+        assert np.array_equal(keys[i], gen.bit_generator.state["state"]["key"])
+        assert np.array_equal(words[i], gen.bit_generator.random_raw(n))
+        assert np.array_equal(doubles(words[i]), stream(*parts, i).random(n))
+
+
+# a bound in [2**31, 2**32 - 2] rejects up to half its 32-bit values
+bounds = st.one_of(st.integers(1, 2**32 - 2), st.integers(2**31, 2**32 - 2))
+
+
+def assert_numpys_up_to_the_first_flag(parts, values, flagged, rng):
+    for i, (row, flags) in enumerate(zip(values, flagged)):
+        want = stream(*parts, i).integers(0, rng + 1, size=len(row))
+        first = int(np.argmax(flags)) if flags.any() else len(row)
+        assert np.array_equal(row[:first], want[:first])
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=key_parts, count=st.integers(0, 6), n=st.integers(0, 20), rng=bounds)
+def test_bounded_draws_are_numpys_up_to_the_first_flag(parts, count, n, rng):
+    values, flagged = bounded_draws(philox_words(stream_keys(*parts, count=count), n), rng)
+    assert values.shape == flagged.shape == (count, 2 * n)
+    assert_numpys_up_to_the_first_flag(parts, values, flagged, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(parts=key_parts, rng=st.integers(2**31, 3 * 2**30))
+def test_bounded_draws_flag_what_numpy_rejects(parts, rng):
+    # a quarter to a half of these 32-bit values are rejected, so some of
+    # 240 draws are
+    values, flagged = bounded_draws(philox_words(stream_keys(*parts, count=6), 20), rng)
+    assert flagged.any()
+    assert_numpys_up_to_the_first_flag(parts, values, flagged, rng)
+
+
+@pytest.mark.parametrize("rng", [0, 2**32 - 1, -1])
+def test_bounded_draws_reject_ranges_without_lemire_draws(rng):
+    with pytest.raises(ValueError, match="bounded draw range"):
+        bounded_draws(np.zeros((1, 1), dtype=np.uint64), rng)

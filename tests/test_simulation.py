@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairsim import simulation
 from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark, read_weights
 from pairsim.experiments import load_config, load_gold
 from pairsim.rng import stream
@@ -380,20 +381,25 @@ def _digest(rows):
     return h.hexdigest()
 
 
-def test_quick_config_draws_are_pinned():
-    gold = load_gold(load_config(Path(__file__).parent.parent / "configs" / "quick.json"))
-    assert _digest(astuple(e) for e in gold.entries) == (
-        "0c985125e22784076be075352b8efc992462937e81414f4f22d785fe696ecd72"
-    )
-    pins = {
-        (0.1, 10, "OL"): "7969f22f2e93d6bfa17a87ac9deb8f24f83f1df6dab3f2d079d0f8b10558729a",
-        (0.3, 42, "OL"): "d2ab5746c3c248d7071a3564b5431040cd99c5daacdecc146200e07ac9dd13ef",
-        (0.3, 10, "HS"): "3c02809361cab89829ee2460280b1889cdf9920d484938fef6366953cbaafe55",
-    }
-    for (beta, seed, task), pin in pins.items():
+QUICK_CONFIG = Path(__file__).parent.parent / "configs" / "quick.json"
+QUICK_GOLD_PIN = "0c985125e22784076be075352b8efc992462937e81414f4f22d785fe696ecd72"
+QUICK_SUITE_PINS = {
+    (0.1, 10, "OL"): "7969f22f2e93d6bfa17a87ac9deb8f24f83f1df6dab3f2d079d0f8b10558729a",
+    (0.3, 42, "OL"): "d2ab5746c3c248d7071a3564b5431040cd99c5daacdecc146200e07ac9dd13ef",
+    (0.3, 10, "HS"): "3c02809361cab89829ee2460280b1889cdf9920d484938fef6366953cbaafe55",
+}
+
+
+def assert_quick_pins(gold):
+    assert _digest(astuple(e) for e in gold.entries) == QUICK_GOLD_PIN
+    for (beta, seed, task), pin in QUICK_SUITE_PINS.items():
         suite = build_suite(gold, beta, seed, task)
         recipes = (suite.representative, suite.nonrep1, suite.nonrep2)
         assert _digest(astuple(r) for ds in recipes for r in ds.records) == pin
+
+
+def test_quick_config_draws_are_pinned():
+    assert_quick_pins(load_gold(load_config(QUICK_CONFIG)))
 
 
 def test_rare_gold_draws_are_pinned():
@@ -401,6 +407,56 @@ def test_rare_gold_draws_are_pinned():
     assert _digest(astuple(e) for e in gold.entries) == (
         "7b788698bd61ae876e21c47b419d2e3658f58344dcf3b6233ce7a8d7142802f3"
     )
+
+
+# Batch draws. synth_text and build_suite's nonrep1 deletions compute
+# every item's bounded draws at once and recompute, from the item's own
+# generator, each item with a draw numpy would reject. Such draws are
+# rare (none in configs/quick.json), so these tests flag chosen items.
+
+
+def test_redrawn_items_keep_the_pinned_draws(monkeypatch):
+    real = simulation.bounded_draws
+
+    def flag_every_third_row(words, rng):
+        values, flagged = real(words, rng)
+        flagged = flagged.copy()
+        flagged[::3] = True
+        return values, flagged
+
+    redrawn = Counter()
+
+    def counted_stream(*parts):
+        redrawn[parts[1]] += 1
+        return stream(*parts)
+
+    monkeypatch.setattr(simulation, "bounded_draws", flag_every_third_row)
+    monkeypatch.setattr(simulation, "stream", counted_stream)
+    # load_gold caches on the config; call the uncached function
+    assert_quick_pins(load_gold.__wrapped__(load_config(QUICK_CONFIG)))
+    # 300 items in blocks of 256 for texts; one batch of 300 per suite
+    assert redrawn == {"text": 86 + 15, "OL:nonrep1-delete": 2 * 100, "HS:nonrep1-delete": 100}
+
+
+def test_batch_stages_rekey_no_generator_per_item(monkeypatch):
+    # synth_gold alone still draws item by item (Rare's proportions come
+    # from numpy's beta sampler), through its own gold: streams
+    real = simulation.streams
+    tags = []
+
+    def gold_streams_only(*parts, count):
+        tags.append(parts[1])
+        if not parts[1].startswith("gold:"):
+            raise AssertionError(f"per-item generators for {parts[1]!r}")
+        return real(*parts, count=count)
+
+    def no_stream(*parts):
+        raise AssertionError(f"a generator for {parts!r}")
+
+    monkeypatch.setattr(simulation, "streams", gold_streams_only)
+    monkeypatch.setattr(simulation, "stream", no_stream)
+    assert_quick_pins(load_gold.__wrapped__(load_config(QUICK_CONFIG)))
+    assert tags == ["gold:g0-"]
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +539,43 @@ def test_synth_text_rejects_bad_args():
         synth_text(gold, vocab_size=100, tokens_per_item=0, seed=1)
     with pytest.raises(ValueError):
         synth_text(gold, vocab_size=1, tokens_per_item=10, seed=1)
+
+
+def oracle_synth_text(gold, vocab_size, tokens_per_item, seed):
+    # synth_text as it was when it drew each item from its own generator
+    n_tox = vocab_size // 2
+    tox_names = [f"tox{i}" for i in range(n_tox)]
+    ben_names = [f"ben{i}" for i in range(vocab_size - n_tox)]
+    texts = []
+    for i, e in enumerate(gold.entries):
+        gen = stream(seed, "text", i)
+        toxic = gen.random(tokens_per_item) < e.p_gold
+        tox_ids = gen.integers(0, len(tox_names), size=tokens_per_item)
+        ben_ids = gen.integers(0, len(ben_names), size=tokens_per_item)
+        texts.append(
+            tuple(tox_names[t] if x else ben_names[b] for x, t, b in zip(toxic, tox_ids, ben_ids))
+        )
+    return texts
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    twelfths=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    vocab_size=st.one_of(st.integers(2, 5), st.integers(6, 5000)),
+    tokens_per_item=st.integers(1, 9),
+    seed=st.integers(-(2**127), 2**127 - 1),
+)
+def test_synth_text_matches_per_item_oracle(twelfths, vocab_size, tokens_per_item, seed):
+    # odd token counts start the ben ids mid-word; a vocabulary of 2 or 3
+    # has a half of one token, whose ids numpy draws without randomness
+    gold = flat_gold([k / 12 for k in twelfths])
+    filled = synth_text(gold, vocab_size, tokens_per_item, seed)
+    assert [e.text for e in filled.entries] == oracle_synth_text(
+        gold, vocab_size, tokens_per_item, seed
+    )
+    assert [(e.item_id, e.p_gold, e.k_reference) for e in filled.entries] == [
+        (e.item_id, e.p_gold, e.k_reference) for e in gold.entries
+    ]
 
 
 def test_synth_text_deterministic():
