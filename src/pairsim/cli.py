@@ -77,11 +77,25 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("train", help="fit the stand-in classifier on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--gold", required=True, help="gold table with texts (JSONL)")
-    p.add_argument("--dev-dataset", default=None, help="dataset for epoch selection")
+    p.add_argument(
+        "--dev-dataset", default=None,
+        help="dataset whose loss picks the l2 of the path (default: the training loss)",
+    )
     p.add_argument("--out", required=True, help="model file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="recorded in the model as provenance only: training draws no randomness",
+    )
+    helps = {
+        "epochs": "number of points on the l2 path, each a factor sqrt(10) apart",
+        "hash_dim": "number of hashed token columns",
+        "l2": "smallest ridge penalty of the path (its last point)",
+    }
     for f in fields(TrainConfig):
-        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
+        p.add_argument(
+            "--" + f.name.replace("_", "-"), type=type(f.default), default=f.default,
+            help=f"{helps[f.name]} (default: {f.default})",
+        )
     p.set_defaults(func=_cmd_train)
 
 
@@ -92,7 +106,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     model = train(dataset, gold.texts(), config, args.seed, dev=dev)
     save_model(model, args.out)
-    print(f"trained on {len(dataset)} instances; best epoch {model.best_epoch}; saved {args.out}")
+    chosen = model.path[model.best_epoch - 1]
+    print(
+        f"trained on {len(dataset)} instances; chose l2 {chosen.l2:g} "
+        f"(path point {model.best_epoch} of {config.epochs}, "
+        f"{chosen.iterations} L-BFGS iterations); saved {args.out}"
+    )
     return 0
 
 

@@ -2,7 +2,7 @@
 
 A cell is one (recipe, beta, seed) combination: build the suite, adjust
 when the recipe asks for it, train the stand-in classifier on the train
-split with dev-based epoch selection, and score calibration/accuracy on
+split with the dev split picking its l2, and score calibration/accuracy on
 the test split against the unbiased gold proportions. Cells are pure
 functions of (config, beta, seed, recipe), so any subset can be re-run
 in isolation and sweeps are reproducible byte for byte.

@@ -1,13 +1,17 @@
 """Stand-in probabilistic text classifier.
 
-A hashed bag-of-words logistic regression trained with minibatch SGD
-(per-coordinate adaptive step sizes) on per-annotation binary
+A hashed bag-of-words logistic regression fit on per-annotation binary
 cross-entropy: every annotation record is one training instance, so
 replicated records enter the loss once per copy. That is the whole
 mechanism by which replication-based reweighting reaches the model.
-Weights are snapshotted after every epoch and the epoch with the best
-development-set loss wins. Each minibatch step runs scipy's compiled
-sparse matrix-vector kernels directly on the epoch's CSR arrays.
+
+The loss depends on an item's records only through how many there are
+and how many are labeled 1, so the fit runs on one row per item
+weighted by those counts, and it is exact: the ridge-penalized mean
+cross-entropy is minimized by L-BFGS (Liu & Nocedal 1989) at each
+penalty of a short path from strong to weak, each fit warm-started from
+the one before (Friedman, Hastie & Tibshirani 2010). The path point
+with the best development-set loss wins.
 """
 
 from __future__ import annotations
@@ -15,47 +19,74 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping, Sequence, Union, get_type_hints
+from typing import Callable, Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools  # private: see _adagrad_epoch
-from scipy.special import expit
+from scipy.special import expit, log_expit
 
-from .rng import stream
-from .simulation import Dataset, reads_file, typed
+from .simulation import Dataset, reads_file, typed, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
-_PROB_FLOOR = 1e-12
+# L-BFGS: correction pairs kept, the two stopping tests (largest gradient
+# entry; loss drop relative to the loss, as L-BFGS-B's factr 1e7 times
+# machine epsilon), and the iteration cap, which is an error to reach
+_MEMORY = 10
+_GRADIENT_TOL = 1e-5
+_REDUCTION_TOL = 2.2e-9
+_MAX_ITERATIONS = 500
+# strong Wolfe line search: sufficient decrease, curvature, trial points
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_TRIALS = 40
+
+STOP_GRADIENT = "gradient"
+STOP_REDUCTION = "reduction"
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 30
-    learning_rate: float = 0.2
+    """``epochs`` path points, penalties ``l2 * 10 ** ((epochs - 1 - j) / 2)``
+    for ``j = 0 .. epochs - 1``: the last is ``l2`` itself."""
+
+    epochs: int = 3
     hash_dim: int = 2 ** 14
-    batch_size: int = 64
-    # small ridge pins the flat directions of the hashed feature space, so
-    # runs converge to one point instead of a shuffle-dependent noise ball
+    # a positive ridge gives every fit one finite minimizer in the weights,
+    # also on separable data
     l2: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and above 0, got {self.learning_rate}"
-            )
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be at least 2, got {self.hash_dim}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
-        if not (math.isfinite(self.l2) and self.l2 >= 0):
-            raise ValueError(f"l2 must be finite and at least 0, got {self.l2}")
+        if not (math.isfinite(self.l2) and self.l2 > 0):
+            raise ValueError(f"l2 must be finite and above 0, got {self.l2}")
+
+    def path(self) -> tuple[float, ...]:
+        """The penalties of the path, largest first."""
+        return tuple(self.l2 * 10 ** ((self.epochs - 1 - j) / 2) for j in range(self.epochs))
+
+
+@dataclass(frozen=True)
+class PathPoint:
+    """One fit of the path: its penalty, its L-BFGS iterations and the
+    test that stopped it, ``"gradient"`` or ``"reduction"``."""
+
+    l2: float
+    iterations: int
+    stop: str
+
+    def __post_init__(self) -> None:
+        if self.stop not in (STOP_GRADIENT, STOP_REDUCTION):
+            raise ValueError(
+                f"stop must be {STOP_GRADIENT!r} or {STOP_REDUCTION!r}, got {self.stop!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +94,10 @@ class Model:
     """Trained classifier: hashed token weights, bias, and provenance.
 
     ``history`` holds the selection loss (dev loss when a dev dataset was
-    given, training loss otherwise) measured after each epoch;
-    ``best_epoch`` is the 1-based epoch whose weights were kept.
+    given, training loss otherwise) of each path point fitted, ``path``
+    how each was fitted; ``best_epoch`` is the 1-based path point whose
+    weights were kept. ``seed`` is provenance only: training draws no
+    randomness.
     """
 
     weights: np.ndarray
@@ -73,6 +106,7 @@ class Model:
     seed: int
     best_epoch: int
     history: tuple[float, ...]
+    path: tuple[PathPoint, ...]
 
 
 def token_index(token: str, dim: int) -> int:
@@ -145,25 +179,141 @@ def _features(texts: Union[Features, Mapping[str, Sequence[str]]], hash_dim: int
     return texts
 
 
-def _mean_bce(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy of probabilities ``p`` against labels ``y``."""
-    p_safe = np.clip(p, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return -float(np.mean(y * np.log(p_safe) + (1.0 - y) * np.log(1.0 - p_safe)))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product by numpy's pairwise sum: unlike a BLAS dot, its
+    rounding does not depend on the CPU the kernel was picked for."""
+    return float(np.multiply(a, b).sum())
+
+
+def _cross_entropy(z: np.ndarray, positives: np.ndarray, totals: np.ndarray) -> float:
+    """Mean binary cross-entropy of the records behind margins ``z``: row
+    i stands for ``totals[i]`` records, ``positives[i]`` of them labeled 1."""
+    # log(1 - sigmoid(z)) = log(sigmoid(z)) - z: one logarithm per row
+    nll = totals * log_expit(z) - (totals - positives) * z
+    return -float(nll.sum()) / float(totals.sum())
 
 
 def loss_and_grad(
-    w: np.ndarray,
-    b: float,
+    theta: np.ndarray,
     X: sparse.csr_matrix,
-    y: np.ndarray,
-) -> tuple[float, np.ndarray, float]:
-    """Mean binary cross-entropy over the batch and its analytic gradient."""
-    p = expit(X @ w + b)
-    loss = _mean_bce(p, y)
-    residual = (p - y) / len(y)
-    grad_w = np.asarray(X.T @ residual)
-    grad_b = float(residual.sum())
-    return loss, grad_w, grad_b
+    X_T: sparse.csc_matrix,
+    positives: np.ndarray,
+    totals: np.ndarray,
+    l2: float,
+) -> tuple[float, np.ndarray]:
+    """Ridge-penalized mean cross-entropy and its analytic gradient.
+
+    ``theta`` holds one weight per column of ``X`` and then the bias,
+    which is not penalized; row i of ``X`` stands for ``totals[i]``
+    annotation records of which ``positives[i]`` are labeled 1. The loss
+    is the mean cross-entropy over those records plus
+    ``l2 / 2 * |weights|^2``. Doubling every count leaves loss and
+    gradient bit for bit the same. ``X_T`` is ``X.T``, passed in so that
+    a fit builds that transposed view once, not on every call.
+    """
+    w = theta[:-1]
+    z = X @ w + theta[-1]
+    residual = (totals * expit(z) - positives) / float(totals.sum())
+    grad = np.empty_like(theta)
+    grad[:-1] = X_T @ residual + l2 * w
+    grad[-1] = residual.sum()
+    return _cross_entropy(z, positives, totals) + 0.5 * l2 * _dot(w, w), grad
+
+
+def _zoom(fun, theta, d, f0, dg0, lo, t_hi, trials):
+    """Bisect the bracket between ``lo``, a step ``(t, f, grad)`` with the
+    lower loss, and step length ``t_hi`` down to a step meeting both Wolfe
+    conditions (Nocedal & Wright, Algorithm 3.6). Falls back to ``lo``
+    when the trials run out; ``None`` when no trial lowered the loss."""
+    for _ in range(trials):
+        t = 0.5 * (lo[0] + t_hi)
+        f, g = fun(theta + t * d)
+        dg = _dot(g, d)
+        if not math.isfinite(f) or f > f0 + _C1 * t * dg0 or f >= lo[1]:
+            t_hi = t
+            continue
+        if abs(dg) <= -_C2 * dg0:
+            return t, f, g
+        if dg * (t_hi - lo[0]) >= 0:
+            t_hi = lo[0]
+        lo = (t, f, g)
+    return None if lo[0] == 0.0 else lo
+
+
+def _line_search(fun, theta, f0, g0, d, t):
+    """A step ``(t, f, grad)`` along the descent direction ``d`` that meets
+    the strong Wolfe conditions (Nocedal & Wright, Algorithm 3.5), or
+    ``None`` when no trial step lowered the loss."""
+    dg0 = _dot(g0, d)
+    prev = (0.0, f0, g0)
+    for trial in range(_MAX_TRIALS):
+        f, g = fun(theta + t * d)
+        dg = _dot(g, d)
+        if not math.isfinite(f) or f > f0 + _C1 * t * dg0 or (trial and f >= prev[1]):
+            return _zoom(fun, theta, d, f0, dg0, prev, t, _MAX_TRIALS - trial)
+        if abs(dg) <= -_C2 * dg0:
+            return t, f, g
+        if dg >= 0:
+            return _zoom(fun, theta, d, f0, dg0, (t, f, g), prev[0], _MAX_TRIALS - trial)
+        prev = (t, f, g)
+        t *= 2.0
+    return prev
+
+
+def _lbfgs(
+    fun: Callable[[np.ndarray], tuple[float, np.ndarray]], theta: np.ndarray, l2: float
+) -> tuple[np.ndarray, int, str]:
+    """Minimize ``fun`` (``theta`` to loss and gradient) from ``theta`` by
+    L-BFGS; returns the minimizer, the iterations taken and the test that
+    stopped them. ``l2`` names the fit in errors."""
+    f, g = fun(theta)
+    memory: deque = deque(maxlen=_MEMORY)  # (s, y, 1 / s.y, s.y / y.y), oldest first
+    reduction = math.inf
+    for iteration in range(_MAX_ITERATIONS + 1):
+        if not (math.isfinite(f) and np.isfinite(g).all() and np.isfinite(theta).all()):
+            raise ValueError(
+                f"training at l2={l2!r} reached a non-finite loss, gradient or weight"
+            )
+        if np.abs(g).max() <= _GRADIENT_TOL:
+            return theta, iteration, STOP_GRADIENT
+        if reduction <= _REDUCTION_TOL:
+            return theta, iteration, STOP_REDUCTION
+        if iteration == _MAX_ITERATIONS:
+            break
+        found = None
+        while found is None:
+            d = -g
+            if memory:
+                # two-loop recursion: d = -H g for the implicit inverse Hessian H
+                alphas = []
+                for s, y, rho, _ in reversed(memory):
+                    alphas.append(rho * _dot(s, d))
+                    d -= alphas[-1] * y
+                d *= memory[-1][3]
+                for (s, y, rho, _), alpha in zip(memory, reversed(alphas)):
+                    d += (alpha - rho * _dot(y, d)) * s
+                step = 1.0
+            else:
+                step = 1.0 / math.sqrt(_dot(g, g))  # a step of unit length
+            if _dot(g, d) < 0:
+                found = _line_search(fun, theta, f, g, d, step)
+            if found is None:
+                if not memory:
+                    # not even the gradient direction lowers the loss
+                    return theta, iteration, STOP_REDUCTION
+                memory.clear()  # retry along the gradient
+        t, f_new, g_new = found
+        s = t * d
+        y = g_new - g
+        sy = _dot(s, y)
+        if sy > 0:
+            memory.append((s, y, 1.0 / sy, sy / _dot(y, y)))
+        theta = theta + s
+        reduction = (f - f_new) / max(abs(f), abs(f_new), 1.0)
+        f, g = f_new, g_new
+    raise ValueError(
+        f"training at l2={l2!r} did not converge in {_MAX_ITERATIONS} L-BFGS iterations"
+    )
 
 
 def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -177,64 +327,14 @@ def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]
     return item_ids, rank[inverse], dataset.label.astype(np.float64)
 
 
-def _adagrad_epoch(
-    X: sparse.csr_matrix,
-    y: np.ndarray,
-    w: np.ndarray,
-    accum_w: np.ndarray,
-    b: float,
-    accum_b: float,
-    config: TrainConfig,
-) -> tuple[float, float]:
-    """One pass of minibatch AdaGrad over the rows of ``X`` in order.
-
-    Updates ``w`` and ``accum_w`` in place and returns the new bias and
-    its accumulator. Each batch's margins and gradient come from scipy's
-    compiled ``csr_matvec`` and ``csc_matvec``, called on the epoch's
-    arrays with the batch's slice of ``indptr`` as row pointer and
-    zeroed buffers as output: the very calls ``X[batch] @ w`` and
-    ``X[batch].T @ residual`` make, without building a matrix per batch.
-    The update keeps the ``(lr * g) / sqrt(A + 1e-12)`` association, so
-    the result is bit for bit that of ``loss_and_grad`` on each batch.
-
-    ``scipy.sparse._sparsetools`` is private and imported with no
-    fallback: a second, numpy path would be slower code kept only to be
-    out of step. If a scipy release changes or drops the kernels, the
-    test that trains against a loop of public ``X @ w`` calls fails (or
-    the import does), instead of models drifting silently.
-    """
-    lr, l2, batch = config.learning_rate, config.l2, config.batch_size
-    n, k = X.shape
-    indptr, indices, data = X.indptr, X.indices, X.data
-    margin = np.empty(min(batch, n))
-    grad_w = np.empty(k)
-    step = np.empty(k)
-    scale = np.empty(k)
-    for start in range(0, n, batch):
-        stop = min(start + batch, n)
-        m = stop - start
-        ptr = indptr[start : stop + 1]
-        z = margin[:m]
-        z.fill(0.0)
-        _sparsetools.csr_matvec(m, k, ptr, indices, data, w, z)
-        residual = (expit(z + b) - y[start:stop]) / m
-        grad_w.fill(0.0)
-        _sparsetools.csc_matvec(k, m, ptr, indices, data, residual, grad_w)
-        grad_b = float(residual.sum())
-        # grad_w += l2 * w; accum_w += grad_w ** 2;
-        # w -= (lr * grad_w) / sqrt(accum_w + 1e-12), without temporaries
-        np.multiply(l2, w, out=step)
-        grad_w += step
-        np.multiply(grad_w, grad_w, out=step)
-        accum_w += step
-        np.add(accum_w, 1e-12, out=scale)
-        np.sqrt(scale, out=scale)
-        np.multiply(lr, grad_w, out=step)
-        step /= scale
-        w -= step
-        accum_b += grad_b * grad_b
-        b -= lr * grad_b / math.sqrt(accum_b + 1e-12)
-    return b, accum_b
+def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Distinct item ids in first-seen order, then per item the number of
+    its records labeled 1 and the number of its records, replicas
+    included (both float)."""
+    item_ids, rows, y = _instance_rows(dataset)
+    positives = np.bincount(rows, weights=y, minlength=len(item_ids))
+    totals = np.bincount(rows, minlength=len(item_ids)).astype(np.float64)
+    return item_ids, positives, totals
 
 
 def train(
@@ -244,24 +344,30 @@ def train(
     seed: int = 0,
     dev: Dataset | None = None,
 ) -> Model:
-    """Fit the classifier on one instance per annotation record.
+    """Fit the classifier on the per-annotation loss of ``dataset``.
 
     ``texts`` maps item_id to its token sequence, or is the
     :func:`featurize` result of such a mapping, and must cover every
-    item in ``dataset`` (and ``dev``). With a dev dataset, the epoch
-    whose weights minimize dev loss is kept; otherwise training loss is
-    used. Deterministic given (dataset, texts, config, seed).
+    item in ``dataset`` (and ``dev``). The penalties of
+    ``config.path()`` are fitted in turn, the first from the
+    intercept-only fit and each later one from the last one's
+    minimizer; the walk stops at the first point whose selection loss
+    (dev loss with a dev dataset, training loss otherwise) rises, and
+    the point with the lowest selection loss is kept. A fit that reaches
+    a non-finite value or the iteration cap is an error. Deterministic
+    given (dataset, texts, config); ``seed`` is recorded only.
 
-    SGD runs over only the hash columns that some training text
+    The fit runs over only the hash columns that some training text
     touches: every other coordinate has zero gradient and zero ridge
-    pull, so it stays exactly 0, and the model is bit for bit the one a
-    dense update over all ``hash_dim`` coordinates gives.
+    pull, so its weight is exactly 0.
     """
     features = _features(texts, config.hash_dim)
     if not len(dataset):
         raise ValueError("training dataset is empty")
-    item_ids, rows_of, y = _instance_rows(dataset)
-    sel_items, sel_rows, y_sel = (item_ids, rows_of, y) if dev is None else _instance_rows(dev)
+    item_ids, positives, totals = _item_counts(dataset)
+    sel_items, sel_positives, sel_totals = (
+        (item_ids, positives, totals) if dev is None else _item_counts(dev)
+    )
     missing = sorted({*item_ids, *sel_items} - features.rows.keys())
     if missing:
         raise ValueError(f"no text for items: {', '.join(missing[:10])}")
@@ -275,41 +381,40 @@ def train(
         (X_items.data, column[X_items.indices], X_items.indptr),
         shape=(len(item_ids), len(active)),
     )
+    Xc_T = Xc.T
 
-    w = np.zeros(len(active))
-    b = 0.0
-    # per-coordinate adaptive steps: the bias coordinate sees every
-    # instance while a single token sees a few percent, so one global
-    # rate cannot serve both
-    accum_w = np.zeros(len(active))
-    accum_b = 0.0
-    weights = np.zeros(config.hash_dim)
-    best_loss = np.inf
-    best_w, best_b, best_epoch = weights.copy(), b, 0
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        perm = stream(seed, "sgd-shuffle", epoch).permutation(len(y))
-        b, accum_b = _adagrad_epoch(Xc[rows_of[perm]], y[perm], w, accum_w, b, accum_b, config)
-        weights[active] = w
-        # each record's probability is its item's: one row per item, not per record
-        sel_loss = _mean_bce(expit(X_sel @ weights + b)[sel_rows], y_sel)
-        history.append(sel_loss)
-        if sel_loss < best_loss:
-            best_loss = sel_loss
-            best_w, best_b, best_epoch = weights.copy(), b, epoch
-    if best_epoch == 0:
-        raise ValueError(
-            "training diverged: no epoch gave a finite selection loss; lower the learning rate"
+    # the path starts from the intercept-only fit, its limit at infinite penalty
+    theta = np.zeros(len(active) + 1)
+    positive, total = float(positives.sum()), float(totals.sum())
+    if 0 < positive < total:
+        theta[-1] = math.log(positive / (total - positive))
+    fits: list[tuple[np.ndarray, float]] = []
+    history: list[float] = []
+    path: list[PathPoint] = []
+    for l2 in config.path():
+        theta, iterations, stop = _lbfgs(
+            lambda point: loss_and_grad(point, Xc, Xc_T, positives, totals, l2), theta, l2
         )
-    if not np.all(np.isfinite(best_w)) or not np.isfinite(best_b):
-        raise ValueError("training diverged to non-finite weights; lower the learning rate")
+        weights = np.zeros(config.hash_dim)
+        weights[active] = theta[:-1]
+        bias = float(theta[-1])
+        loss = _cross_entropy(X_sel @ weights + bias, sel_positives, sel_totals)
+        if not math.isfinite(loss):
+            raise ValueError(f"training at l2={l2!r} gave a non-finite selection loss")
+        fits.append((weights, bias))
+        history.append(loss)
+        path.append(PathPoint(l2, iterations, stop))
+        if len(history) > 1 and loss > history[-2]:
+            break
+    best = history.index(min(history))  # the first of equal losses
     return Model(
-        weights=best_w,
-        bias=best_b,
+        weights=fits[best][0],
+        bias=fits[best][1],
         config=config,
         seed=seed,
-        best_epoch=best_epoch,
+        best_epoch=best + 1,
         history=tuple(history),
+        path=tuple(path),
     )
 
 
@@ -332,9 +437,8 @@ def proportion_oracle(dataset: Dataset) -> dict[str, float]:
     """
     if not len(dataset):
         raise ValueError("dataset is empty")
-    item_ids, rows, y = _instance_rows(dataset)
-    positives = np.bincount(rows, weights=y)
-    return dict(zip(item_ids, (positives / np.bincount(rows)).tolist()))
+    item_ids, positives, totals = _item_counts(dataset)
+    return dict(zip(item_ids, (positives / totals).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +453,7 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
         "seed": model.seed,
         "best_epoch": model.best_epoch,
         "history": list(model.history),
+        "path": [asdict(point) for point in model.path],
         "bias": model.bias,
         "weights": model.weights.tolist(),
     }
@@ -374,6 +479,13 @@ def load_model(path: Union[str, Path]) -> Model:
     def checked(name: str):
         if name not in payload:
             raise ValueError(f"model.{name} is missing")
+        if name == "path":
+            if not isinstance(payload[name], list):
+                raise ValueError(f"model.path must be a list, got {payload[name]!r}")
+            return tuple(
+                typed_object(p, PathPoint, f"model.path[{i}]")
+                for i, p in enumerate(payload[name])
+            )
         return typed(payload[name], types[name], f"model.{name}")
 
     return Model(
@@ -383,4 +495,5 @@ def load_model(path: Union[str, Path]) -> Model:
         seed=checked("seed"),
         best_epoch=checked("best_epoch"),
         history=checked("history"),
+        path=checked("path"),
     )

@@ -5,7 +5,7 @@ import pytest
 from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import Uniform, read_dataset, read_gold
-from pairsim.trainer import TrainConfig
+from pairsim.trainer import TrainConfig, load_model
 
 
 @pytest.fixture()
@@ -52,7 +52,13 @@ def test_cli_end_to_end(tmp_path, config_path, capsys):
     assert main(["train", "--dataset", str(adj_path), "--gold", str(out / "gold.jsonl"),
                  "--out", str(model_path), "--seed", "10",
                  "--epochs", "2", "--hash-dim", "256"]) == 0
-    assert model_path.exists()
+    model = load_model(model_path)
+    chosen = model.path[model.best_epoch - 1]
+    assert [p.l2 for p in model.path] == list(TrainConfig(epochs=2).path())[: len(model.path)]
+    assert (
+        f"chose l2 {chosen.l2:g} (path point {model.best_epoch} of 2, "
+        f"{chosen.iterations} L-BFGS iterations)"
+    ) in capsys.readouterr().out
 
     metrics_path = out / "metrics.json"
     assert main(["evaluate", "--model", str(model_path), "--gold", str(out / "gold.jsonl"),

@@ -36,7 +36,7 @@ from pairsim.simulation import (
 )
 from pairsim.trainer import TrainConfig
 
-TINY_TRAIN = TrainConfig(epochs=2, learning_rate=0.2, hash_dim=512, batch_size=32)
+TINY_TRAIN = TrainConfig(epochs=2, hash_dim=512)
 
 
 def tiny_config(n=120, split=(80, 20, 20), **kw):
@@ -571,7 +571,7 @@ def test_config_from_dict_rejects_unknown_keys_by_name(path, key):
         (("train", "epochs"), 2.9, "train.epochs"),
         (("train", "epochs"), 3.0, "train.epochs"),
         (("train", "hash_dim"), True, "train.hash_dim"),
-        (("train", "learning_rate"), False, "train.learning_rate"),
+        (("train", "l2"), False, "train.l2"),
         (("train", "l2"), None, "train.l2"),
         (("gold", "synthetic", "vocab_size"), 200.0, "gold.synthetic.vocab_size"),
         (("gold", "synthetic", "components", 0, "n"), 10.5, r"components\[0\].n"),
@@ -609,16 +609,16 @@ def test_config_from_dict_names_missing_gold():
 def test_config_from_dict_widens_integers_for_float_fields():
     d = _full_config_dict()
     d["betas"] = [0, 0.5]
-    d["train"]["learning_rate"] = 1
+    d["train"]["l2"] = 1
     config = config_from_dict(d)
     assert config.betas == (0.0, 0.5) and all(type(b) is float for b in config.betas)
-    assert type(config.train.learning_rate) is float
+    assert type(config.train.l2) is float
 
 
 def test_config_from_dict_rejects_bad_train_values_by_name():
     d = _full_config_dict()
-    d["train"]["batch_size"] = 0
-    with pytest.raises(ValueError, match="batch_size"):
+    d["train"]["l2"] = 0
+    with pytest.raises(ValueError, match="l2"):
         config_from_dict(d)
 
 
@@ -745,8 +745,8 @@ def test_write_report_is_pinned_byte_for_byte(tmp_path):
 
 def test_quick_cell_model_is_pinned_bit_for_bit(monkeypatch):
     # one trained cell at the scale of configs/quick.json (200 training
-    # items, 6 epochs, 4096 hash columns): its weights, bias, chosen
-    # epoch and selection losses, hashed exactly
+    # items, 3 path points, 4096 hash columns): its weights, bias, chosen
+    # path point and selection losses, hashed exactly
     trained = []
     original = experiments.train
 
@@ -762,5 +762,5 @@ def test_quick_cell_model_is_pinned_bit_for_bit(monkeypatch):
         json.dumps([model.bias.hex(), model.best_epoch, [x.hex() for x in model.history]]).encode()
     )
     assert digest.hexdigest() == (
-        "853eaefe742c2dfe850e1293d85a47d840a5751f02cd11957a4012ecbb864122"
+        "ecb513a7ccd5f8ca982e8e06055a5a9bf59e32e7b8ce9f9191f0d9c7c9b81ddc"
     )

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +22,15 @@ from pairsim.simulation import (
     synth_gold,
     synth_text,
 )
+from pairsim import trainer
 from pairsim.trainer import (
+    Features,
     Model,
+    PathPoint,
     TrainConfig,
+    _item_counts,
     _item_matrix,
+    _lbfgs,
     featurize,
     load_model,
     loss_and_grad,
@@ -34,7 +41,7 @@ from pairsim.trainer import (
     train,
 )
 
-FAST = TrainConfig(epochs=5, learning_rate=0.2, hash_dim=256, batch_size=16)
+FAST = TrainConfig(epochs=5, hash_dim=256)
 
 
 def textual_gold(n=60, seed=3, lo=0.0, hi=1.0, tokens=30, vocab=120):
@@ -50,27 +57,47 @@ def small_dataset(gold, beta=0.2, seed=11):
 
 
 def test_gradient_matches_finite_differences():
-    # central differences on the batch-mean loss at 100 random points
+    # central differences of the penalized count-weighted loss at 100 random points
     gen = stream(99, "fd-check")
     dim = 24
     eps = 1e-6
     for _ in range(100):
-        nnz = int(gen.integers(1, 6))
-        cols = gen.choice(dim, size=nnz, replace=False)
-        vals = gen.uniform(0.05, 1.0, size=nnz)
-        X = sparse.csr_matrix((vals, (np.zeros(nnz, dtype=int), cols)), shape=(1, dim))
-        y = np.array([float(gen.integers(0, 2))])
-        w = gen.normal(0, 1.0, size=dim)
-        b = float(gen.normal(0, 1.0))
-        _, grad_w, grad_b = loss_and_grad(w, b, X, y)
-        for j in cols:
-            w_hi, w_lo = w.copy(), w.copy()
-            w_hi[j] += eps
-            w_lo[j] -= eps
-            num = (loss_and_grad(w_hi, b, X, y)[0] - loss_and_grad(w_lo, b, X, y)[0]) / (2 * eps)
-            assert_allclose(grad_w[j], num, rtol=1e-5, atol=1e-9)
-        num_b = (loss_and_grad(w, b + eps, X, y)[0] - loss_and_grad(w, b - eps, X, y)[0]) / (2 * eps)
-        assert_allclose(grad_b, num_b, rtol=1e-5, atol=1e-9)
+        rows = int(gen.integers(1, 5))
+        X = sparse.random(rows, dim, density=0.2, random_state=gen, format="csr")
+        X_T = X.T
+        totals = gen.integers(1, 13, size=rows).astype(float)
+        positives = np.floor(gen.uniform(0, totals + 1))
+        l2 = float(gen.choice([1e-5, 0.1, 1.0]))
+        theta = gen.normal(0, 1.0, size=dim + 1)
+        _, grad = loss_and_grad(theta, X, X_T, positives, totals, l2)
+        for j in range(dim + 1):
+            hi, lo = theta.copy(), theta.copy()
+            hi[j] += eps
+            lo[j] -= eps
+            num = (
+                loss_and_grad(hi, X, X_T, positives, totals, l2)[0]
+                - loss_and_grad(lo, X, X_T, positives, totals, l2)[0]
+            ) / (2 * eps)
+            assert_allclose(grad[j], num, rtol=1e-5, atol=1e-9)
+
+
+def test_count_weighted_loss_equals_the_per_annotation_loss():
+    # one row per item weighted by its counts, against one row per record
+    gold = textual_gold(n=30)
+    ds = small_dataset(gold)
+    features = featurize(gold.texts(), 64)
+    item_ids, positives, totals = _item_counts(ds)
+    records = ds.records
+    per_record = features.of([r.item_id for r in records])
+    labels = np.array([float(r.label) for r in records])
+    theta = stream(5, "per-record").normal(0, 1.0, size=65)
+    X = features.of(item_ids)
+    loss, grad = loss_and_grad(theta, X, X.T, positives, totals, 1e-3)
+    ref_loss, ref_grad = loss_and_grad(
+        theta, per_record, per_record.T, labels, np.ones(len(records)), 1e-3
+    )
+    assert_allclose(loss, ref_loss, rtol=1e-12)
+    assert_allclose(grad, ref_grad, rtol=1e-10, atol=1e-15)
 
 
 def test_zero_weight_model_predicts_half():
@@ -81,6 +108,7 @@ def test_zero_weight_model_predicts_half():
         seed=0,
         best_epoch=0,
         history=(),
+        path=(),
     )
     preds = predict(model, {"a": ("x", "y"), "b": ("z",)})
     assert preds == {"a": 0.5, "b": 0.5}
@@ -112,6 +140,7 @@ def test_training_deterministic():
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
     assert m1.best_epoch == m2.best_epoch
+    assert m1.history == m2.history and m1.path == m2.path
 
 
 def test_degenerate_all_positive_labels():
@@ -124,7 +153,8 @@ def test_degenerate_all_positive_labels():
 
 
 def test_duplication_equals_reweighting():
-    # one uniform replication must not change what the model learns
+    # one uniform replication doubles every item's counts and the record
+    # total, which is exact in floating point: the same model, bit for bit
     gold = textual_gold(n=600, tokens=60, vocab=2000, seed=3)
     ds = build_suite(gold, 0.2, seed=11).representative
     doubled = Dataset.from_records(
@@ -143,10 +173,36 @@ def test_duplication_equals_reweighting():
     texts = gold.texts()
     m1 = train(ds, texts, TrainConfig(), seed=5)
     m2 = train(doubled, texts, TrainConfig(), seed=5)
-    p1 = predict(m1, texts)
-    p2 = predict(m2, texts)
-    diff = np.mean([abs(p1[i] - p2[i]) for i in p1])
-    assert diff < 0.02
+    assert np.array_equal(m1.weights, m2.weights)
+    assert m1.bias == m2.bias
+    assert m1.history == m2.history and m1.path == m2.path
+
+
+def test_train_fits_nonrep1_counts_weighted_by_pair(monkeypatch):
+    # PAIR reaches the fit only through the per-item counts: those of
+    # nonrep1 with each record counted 1 + counts[stratum] times
+    gold = textual_gold(n=40)
+    nonrep1 = build_suite(gold, 0.3, seed=11).nonrep1
+    adjusted, weights = apply_pair(nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
+    assert set(weights.counts.values()) == {0, 1}
+    fitted = []
+    original = trainer.loss_and_grad
+
+    def recording(theta, X, X_T, positives, totals, l2):
+        fitted.append((positives, totals))
+        return original(theta, X, X_T, positives, totals, l2)
+
+    monkeypatch.setattr(trainer, "loss_and_grad", recording)
+    train(adjusted, gold.texts(), FAST)
+    want_pos, want_tot = {}, {}
+    for r in nonrep1.records:
+        copies = 1 + weights.counts[r.stratum_id]
+        want_pos[r.item_id] = want_pos.get(r.item_id, 0) + copies * r.label
+        want_tot[r.item_id] = want_tot.get(r.item_id, 0) + copies
+    assert all(p is fitted[0][0] and t is fitted[0][1] for p, t in fitted)
+    positives, totals = fitted[0]
+    assert positives.tolist() == list(want_pos.values())
+    assert totals.tolist() == list(want_tot.values())
 
 
 def test_missing_texts_rejected_by_name():
@@ -165,10 +221,11 @@ def test_predictions_in_open_interval_and_loss_decreases():
     model = train(ds, gold.texts(), replace(FAST, epochs=8), seed=2)
     preds = predict(model, gold.texts())
     assert all(0.0 < p < 1.0 for p in preds.values())
-    # averaged epoch loss trends down; allow small SGD wiggle per step
+    # a weaker penalty fits the training data better: every point is kept
     history = model.history
-    assert history[-1] < history[0]
-    assert all(b - a < 0.02 for a, b in zip(history, history[1:]))
+    assert all(b < a for a, b in zip(history, history[1:]))
+    assert model.best_epoch == len(history) == 8
+    assert [p.l2 for p in model.path] == list(replace(FAST, epochs=8).path())
     assert np.all(np.isfinite(model.weights))
 
 
@@ -179,8 +236,10 @@ def test_dev_epoch_selection():
     cfg = replace(FAST, epochs=6)
     m_self = train(ds, gold.texts(), cfg, seed=4, dev=ds)
     m_flip = train(ds, gold.texts(), cfg, seed=4, dev=flipped)
-    # fitting the data makes the flipped dev set worse every epoch
+    # fitting the data makes the flipped dev set worse at every point:
+    # the walk stops at the first rise
     assert m_flip.best_epoch == 1
+    assert len(m_flip.history) == 2 and m_flip.history[1] > m_flip.history[0]
     assert m_self.best_epoch > 1
     assert not np.array_equal(m_self.weights, m_flip.weights)
 
@@ -198,13 +257,9 @@ def test_train_validates_config():
     "field, value",
     [
         ("epochs", 0),
-        ("learning_rate", 0.0),
-        ("learning_rate", -0.1),
-        ("learning_rate", math.inf),
-        ("learning_rate", math.nan),
+        ("epochs", -3),
         ("hash_dim", 1),
-        ("batch_size", 0),
-        ("batch_size", -3),
+        ("l2", 0.0),
         ("l2", -1e-9),
         ("l2", math.inf),
         ("l2", math.nan),
@@ -216,18 +271,46 @@ def test_train_config_rejects_bad_field_by_name(field, value):
 
 
 def test_train_config_accepts_edge_values():
-    TrainConfig(epochs=1, learning_rate=1e-9, hash_dim=2, batch_size=1, l2=0.0)
+    config = TrainConfig(epochs=1, hash_dim=2, l2=5e-324)
+    assert config.path() == (5e-324,)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_path_runs_from_strong_to_weak_ending_at_l2():
+    assert TrainConfig(epochs=3, l2=1e-5).path() == (1e-5 * 10.0, 1e-5 * 10 ** 0.5, 1e-5)
+
+
 def test_train_raises_when_no_epoch_has_finite_loss():
-    # a finite but overflowing rate drives the weights to +-inf, so every
-    # epoch's selection loss is NaN; no such model may be returned
+    # a NaN feature value makes the loss NaN at the first path point; the
+    # error names that point's l2 and no model is returned
     gold = textual_gold(n=20)
-    ds = small_dataset(gold)
-    with pytest.raises(ValueError, match="finite selection loss"):
-        train(ds, gold.texts(), replace(FAST, learning_rate=1e308), seed=1)
+    features = featurize(gold.texts(), FAST.hash_dim)
+    matrix = features.matrix.copy()
+    matrix.data[0] = np.nan
+    with pytest.raises(ValueError, match=r"training at l2=0\.001 reached a non-finite"):
+        train(small_dataset(gold), Features(features.rows, matrix), FAST)
+
+
+def test_solver_rejects_non_finite_weights():
+    with pytest.raises(ValueError, match=r"l2=0\.5 reached a non-finite"):
+        _lbfgs(lambda theta: (0.0, np.zeros_like(theta)), np.array([np.inf, 0.0]), 0.5)
+
+
+def test_train_raises_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(trainer, "_MAX_ITERATIONS", 2)
+    gold = textual_gold(n=20)
+    with pytest.raises(ValueError, match=r"training at l2=0\.001 did not converge in 2 "):
+        train(small_dataset(gold), gold.texts(), FAST)
+
+
+def test_importing_the_program_does_not_load_scipy_optimize():
+    # scipy.optimize costs about 0.3 s of CPU to import; the trainer has
+    # its own L-BFGS
+    code = (
+        "import sys, pairsim.cli, pairsim.experiments; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +383,7 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.seed == model.seed
     assert loaded.best_epoch == model.best_epoch
     assert loaded.history == model.history
+    assert loaded.path == model.path and all(isinstance(p, PathPoint) for p in loaded.path)
 
 
 def test_load_model_rejects_other_files(tmp_path):
@@ -321,7 +405,7 @@ def _saved_model_payload(tmp_path):
     [
         ("hash_dim", 256.0),
         ("epochs", "5"),
-        ("learning_rate", True),
+        ("l2", True),
         ("seed", 8.9),
         ("best_epoch", "3"),
         ("history", [0.5, "0.4"]),
@@ -336,7 +420,7 @@ def test_load_model_rejects_wrong_types_by_name(tmp_path, key, value):
         load_model(path)
 
 
-@pytest.mark.parametrize("key", ["batch_size", "seed", "weights"])
+@pytest.mark.parametrize("key", ["l2", "path", "seed", "weights"])
 def test_load_model_rejects_missing_fields_by_name(tmp_path, key):
     path, payload = _saved_model_payload(tmp_path)
     del payload[key]
@@ -354,8 +438,34 @@ def test_load_model_rejects_unknown_keys_by_name(tmp_path, key):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ({"l2": 1e-3, "iterations": 2.5, "stop": "gradient"}, r"path\[0\]\.iterations must be"),
+        ({"l2": 1e-3, "iterations": 2, "stop": "tired"}, "stop must be 'gradient' or 'reduction'"),
+        ({"l2": 1e-3, "iterations": 2}, r"path\[0\]\.stop is missing"),
+        ([1e-3, 2, "gradient"], r"path\[0\] must be a JSON object"),
+    ],
+)
+def test_load_model_rejects_bad_path_points(tmp_path, point, message):
+    path, payload = _saved_model_payload(tmp_path)
+    payload["path"] = [point]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
+def test_load_model_rejects_version_1_files(tmp_path):
+    # version 1 held SGD settings (learning_rate, batch_size) and no path
+    path, payload = _saved_model_payload(tmp_path)
+    payload["version"] = 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="unsupported model version 1"):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
-# the fast trainer against the dense scipy reference
+# the fit against its definition
 
 
 def _reference_item_matrix(item_ids, texts, dim):
@@ -377,47 +487,6 @@ def _reference_item_matrix(item_ids, texts, dim):
         (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr, dtype=np.int64)),
         shape=(len(item_ids), dim),
     )
-
-
-def _reference_instances(dataset, texts, dim):
-    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
-    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
-    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
-    y = np.array([r.label for r in dataset.records], dtype=np.float64)
-    return _reference_item_matrix(item_ids, texts, dim)[rows], y
-
-
-def _reference_train(dataset, texts, config, seed, dev=None):
-    """Minibatch AdaGrad with scipy slicing and a dense update over all
-    ``hash_dim`` coordinates: the loop the fast trainer must reproduce."""
-    X, y = _reference_instances(dataset, texts, config.hash_dim)
-    X_sel, y_sel = (X, y) if dev is None else _reference_instances(dev, texts, config.hash_dim)
-    w = np.zeros(config.hash_dim)
-    b = 0.0
-    accum_w = np.zeros(config.hash_dim)
-    accum_b = 0.0
-    n = X.shape[0]
-    best_loss = np.inf
-    best_w, best_b, best_epoch = w.copy(), b, 0
-    history = []
-    for epoch in range(1, config.epochs + 1):
-        perm = stream(seed, "sgd-shuffle", epoch).permutation(n)
-        Xe = X[perm]
-        ye = y[perm]
-        for start in range(0, n, config.batch_size):
-            stop = min(start + config.batch_size, n)
-            _, grad_w, grad_b = loss_and_grad(w, b, Xe[start:stop], ye[start:stop])
-            grad_w += config.l2 * w
-            accum_w += grad_w * grad_w
-            w -= config.learning_rate * grad_w / np.sqrt(accum_w + 1e-12)
-            accum_b += grad_b * grad_b
-            b -= config.learning_rate * grad_b / math.sqrt(accum_b + 1e-12)
-        sel_loss, _, _ = loss_and_grad(w, b, X_sel, y_sel)
-        history.append(sel_loss)
-        if sel_loss < best_loss:
-            best_loss = sel_loss
-            best_w, best_b, best_epoch = w.copy(), b, epoch
-    return best_w, best_b, best_epoch, tuple(history)
 
 
 @st.composite
@@ -455,29 +524,33 @@ def training_problems(draw):
     dev = records(sorted(texts), "v") if draw(st.booleans()) else None
     config = TrainConfig(
         epochs=draw(st.integers(1, 4)),
-        learning_rate=draw(st.sampled_from([0.05, 0.2, 1.0])),
         hash_dim=draw(st.integers(2, 40)),
-        batch_size=draw(st.integers(1, 12)),
-        l2=draw(st.sampled_from([0.0, 1e-5, 0.1])),
+        l2=draw(st.sampled_from([1e-5, 1e-3, 0.1])),
     )
     return dataset, texts, config, draw(st.integers(0, 1000)), dev
 
 
 @settings(max_examples=150, deadline=None)
 @given(training_problems())
-def test_fast_train_matches_dense_reference_bit_for_bit(problem):
+def test_each_path_point_is_a_stationary_point_of_its_objective(problem):
+    # the kept weights minimize the penalized loss of the training counts
+    # at the chosen l2; columns no training text touches stay exactly 0
     dataset, texts, config, seed, dev = problem
     model = train(dataset, texts, config, seed, dev=dev)
-    ref_w, ref_b, ref_epoch, ref_history = _reference_train(dataset, texts, config, seed, dev)
-    assert np.array_equal(model.weights, ref_w)
-    assert model.bias == ref_b
-    assert model.best_epoch == ref_epoch
-    assert model.history == ref_history
-    # columns no training row touches are never stepped
-    item_ids = sorted({r.item_id for r in dataset.records})
-    touched = np.unique(_reference_item_matrix(item_ids, texts, config.hash_dim).indices)
+    assert len(model.path) == len(model.history) >= model.best_epoch >= 1
+    chosen = model.path[model.best_epoch - 1]
+    item_ids, positives, totals = _item_counts(dataset)
+    X = _reference_item_matrix(item_ids, texts, config.hash_dim)
+    theta = np.append(model.weights, model.bias)
+    loss, grad = loss_and_grad(theta, X, X.T, positives, totals, chosen.l2)
+    touched = np.unique(X.indices)
     untouched = np.setdiff1d(np.arange(config.hash_dim), touched)
     assert not model.weights[untouched].any()
+    grad = np.append(grad[touched], grad[-1])
+    if chosen.stop == "gradient":
+        assert np.abs(grad).max() <= 1.001e-5
+    else:
+        assert np.abs(grad).max() <= 1e-4
 
 
 @settings(max_examples=100, deadline=None)
