@@ -25,6 +25,7 @@ from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
 from .rng import check_key_int, stream
 from .simulation import (
+    GOLD_PANEL_SIZE,
     GoldShape,
     GoldTable,
     Rare,
@@ -191,12 +192,7 @@ class IngestResult:
     skipped: int
 
 
-def ingest_external(
-    path: Union[str, Path],
-    task: str = "OL",
-    subsample: int | None = 12,
-    seed: int = 0,
-) -> IngestResult:
+def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
     """Load a user-supplied annotation file (line-delimited JSON).
 
     Each row needs "item_id", "text", and per-task label lists under
@@ -204,7 +200,7 @@ def ingest_external(
     whitespace-only text, duplicate ids, or labels that
     :func:`annotation_row` rejects) are skipped and counted. Gold
     proportions come from a seeded without-replacement subsample of
-    ``subsample`` labels per item.
+    ``GOLD_PANEL_SIZE`` labels per item.
     """
     key = task.lower()
     rows: list[tuple] = []
@@ -217,7 +213,7 @@ def ingest_external(
             try:
                 row = json.loads(line)
                 item_id, tokens, labels = annotation_row(
-                    row["item_id"], row["text"], row[key], subsample
+                    row["item_id"], row["text"], row[key], GOLD_PANEL_SIZE
                 )
                 if (
                     not isinstance(item_id, str)
@@ -233,7 +229,7 @@ def ingest_external(
             rows.append((item_id, tokens, labels))
     if not rows:
         raise ValueError(f"{path}: no valid annotation rows")
-    return IngestResult(derive_gold(rows, subsample=subsample, seed=seed), skipped)
+    return IngestResult(derive_gold(rows, subsample=GOLD_PANEL_SIZE), skipped)
 
 
 # A process keeps the gold tables of its last few configs. The caches key
@@ -353,8 +349,6 @@ def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> R
             n_items=len(test_gold),
             wall_time=time.perf_counter() - start,
         )
-    except CellError:
-        raise
     except Exception as err:
         raise CellError(
             f"cell task={config.task} recipe={recipe} beta={beta} seed={seed}: {err}"

@@ -39,6 +39,8 @@ def _check_items(preds: Mapping[str, float], gold: GoldTable) -> None:
 
 def acb(preds: Mapping[str, float], gold: GoldTable) -> float:
     """Mean absolute difference between predictions and gold proportions."""
+    if not gold.entries:
+        raise ValueError("gold table is empty")
     _check_items(preds, gold)
     return sum(abs(preds[e.item_id] - e.p_gold) for e in gold.entries) / len(gold.entries)
 
@@ -47,12 +49,10 @@ def f1(
     preds: Mapping[str, float],
     gold: GoldTable,
     prob_threshold: float = 0.5,
-    tie_positive: bool = True,
 ) -> float:
     """Binary F1 of thresholded predictions against the gold majority label.
 
-    An item is gold-positive when p_gold >= 0.5 (ties positive by
-    default; set tie_positive=False to count p_gold == 0.5 negative).
+    An item is gold-positive when p_gold >= 0.5 (ties count positive).
     When there are no positive predictions and no positive gold labels
     the score is reported as 0.0 with a warning.
     """
@@ -62,7 +62,7 @@ def f1(
     tp = fp = fn = 0
     for e in gold.entries:
         pred_pos = preds[e.item_id] >= prob_threshold
-        gold_pos = e.p_gold >= 0.5 if tie_positive else e.p_gold > 0.5
+        gold_pos = e.p_gold >= 0.5
         if pred_pos and gold_pos:
             tp += 1
         elif pred_pos:

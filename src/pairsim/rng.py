@@ -7,13 +7,15 @@ order: the draws for item 17 do not change when items are processed in
 a different order, when other items are added, or when an unrelated
 stage consumes more randomness.
 
-Philox output depends only on its key and its counter (Salmon et al.
-2011, "Parallel random numbers: as easy as 1, 2, 3"): 64-bit word j of
-a stream is word j % 4 of the cipher block that the key encrypts from
-the counter ``[j // 4 + 1, 0, 0, 0]``. So a stage that draws one
-stream per item does not need a generator per item. It takes every
-item's key from :func:`stream_keys` and computes the words of all items
-at once with :func:`philox_words`, a numpy array version of numpy's
+A stage draws in one of two ways: one batch pass over every item, or,
+for draws with no array form (``Generator.beta``'s rejection sampler,
+``choice`` over a varying population), :func:`stream` per item. Philox
+output depends only on its key and its counter (Salmon et al. 2011,
+"Parallel random numbers: as easy as 1, 2, 3"): 64-bit word j of a
+stream is word j % 4 of the cipher block that the key encrypts from the
+counter ``[j // 4 + 1, 0, 0, 0]``. So a batch pass takes every item's
+key from :func:`stream_keys` and computes the words of all items at
+once with :func:`philox_words`, a numpy array version of numpy's
 Philox; :func:`doubles` and :func:`bounded_draws` turn words into the
 values ``Generator.random`` and ``Generator.integers`` return. The
 results are those of ``stream(*parts, i)``, bit for bit.
@@ -26,16 +28,12 @@ threshold and draws again, which shifts every later draw of the stream.
 item with a flagged draw from its own :func:`stream` generator, the
 numpy code that defines the draw. A draw in [0, rng] is flagged with
 probability below (rng + 1) / 2**32.
-
-Stages whose draws have no array form (``Generator.beta``'s rejection
-sampler, ``choice`` over a varying population) use :func:`streams`,
-which reuses one generator rekeyed per item.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -83,25 +81,6 @@ def stream(*parts: KeyPart) -> np.random.Generator:
     """
     key = int.from_bytes(_key_hash(parts).digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def streams(*parts: KeyPart, count: int) -> Iterator[np.random.Generator]:
-    """Yield, for each ``i`` in ``range(count)``, the generator of
-    ``stream(*parts, i)``.
-
-    All of them are one reused generator, rekeyed before it is yielded,
-    so a yielded generator is valid only until the next one is taken.
-    """
-    keys = stream_keys(*parts, count=count)
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    # a fresh generator's state: zero counter, empty output buffer, no
-    # half-used 32-bit word; only the key changes from stream to stream
-    state = bitgen.state
-    for key in keys:
-        state["state"]["key"] = key
-        bitgen.state = state
-        yield gen
 
 
 def stream_keys(*parts: KeyPart, count: int) -> np.ndarray:

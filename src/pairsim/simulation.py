@@ -28,7 +28,6 @@ id strings are made only when a dataset is written or its ``records``
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property, wraps
 from pathlib import Path
@@ -46,7 +45,7 @@ from typing import (
 
 import numpy as np
 
-from .rng import bounded_draws, doubles, philox_words, stream, stream_keys, streams
+from .rng import bounded_draws, doubles, philox_words, stream, stream_keys
 
 MINUS = "minus"
 PLUS = "plus"
@@ -365,18 +364,11 @@ class Suite:
 # gold-table construction
 
 
-def _subsample(gen: np.random.Generator, n: int, m: int) -> tuple[int, ...]:
-    """``m`` of ``range(n)``, uniform without replacement, ascending."""
-    return tuple(sorted(gen.choice(n, size=m, replace=False).tolist()))
-
-
 def subsample_indices(seed: int, item_index: int, n: int, m: int) -> tuple[int, ...]:
-    """Which of an item's ``n`` reference annotations survive a draw of ``m``.
-
-    Uniform without replacement. Exposed so the retained subset can be
-    recomputed independently of :func:`derive_gold`.
-    """
-    return _subsample(stream(seed, "subsample", item_index), n, m)
+    """Which of an item's ``n`` reference annotations survive a draw of
+    ``m``: uniform without replacement, ascending."""
+    gen = stream(seed, "subsample", item_index)
+    return tuple(sorted(gen.choice(n, size=m, replace=False).tolist()))
 
 
 def annotation_row(
@@ -421,9 +413,9 @@ def derive_gold(
     """
     rows = [annotation_row(*row, subsample) for row in raw]
     entries = []
-    for (item_id, tokens, labels), gen in zip(rows, streams(seed, "subsample", count=len(rows))):
+    for i, (item_id, tokens, labels) in enumerate(rows):
         if subsample is not None and len(labels) > subsample:
-            labels = tuple(labels[i] for i in _subsample(gen, len(labels), subsample))
+            labels = tuple(labels[j] for j in subsample_indices(seed, i, len(labels), subsample))
         entries.append(GoldEntry(item_id, tokens, sum(labels) / len(labels), len(labels)))
     return GoldTable(tuple(entries))
 
@@ -476,16 +468,18 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
         raise ValueError("need at least one item")
     if not isinstance(shape, (Uniform, Rare)):
         raise TypeError(f"unknown gold shape {type(shape).__name__}")
-    entries = []
-    for i, gen in enumerate(streams(seed, f"gold:{id_prefix}", count=n)):
-        if isinstance(shape, Uniform):
-            p = shape.low + (shape.high - shape.low) * gen.random()
-        else:
-            p = gen.beta(2 * shape.mean, 2 * (1 - shape.mean))
-        grid = min(math.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE)
-        entries.append(
-            GoldEntry(f"{id_prefix}{i:05d}", (), grid / GOLD_PANEL_SIZE, GOLD_PANEL_SIZE)
-        )
+    tag = f"gold:{id_prefix}"
+    if isinstance(shape, Uniform):
+        u = doubles(philox_words(stream_keys(seed, tag, count=n), 1))[:, 0]
+        p = shape.low + (shape.high - shape.low) * u
+    else:  # numpy's beta sampler has no array form: one generator per item
+        a, b = 2 * shape.mean, 2 * (1 - shape.mean)
+        p = np.array([stream(seed, tag, i).beta(a, b) for i in range(n)])
+    grid = np.minimum(np.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE).astype(int)
+    entries = (
+        GoldEntry(f"{id_prefix}{i:05d}", (), k / GOLD_PANEL_SIZE, GOLD_PANEL_SIZE)
+        for i, k in enumerate(grid.tolist())
+    )
     return GoldTable(tuple(entries))
 
 

@@ -220,44 +220,30 @@ def loss_and_grad(
     return _cross_entropy(z, positives, totals) + 0.5 * l2 * _dot(w, w), grad
 
 
-def _zoom(fun, theta, d, f0, dg0, lo, t_hi, trials):
-    """Bisect the bracket between ``lo``, a step ``(t, f, grad)`` with the
-    lower loss, and step length ``t_hi`` down to a step meeting both Wolfe
-    conditions (Nocedal & Wright, Algorithm 3.6). Falls back to ``lo``
-    when the trials run out; ``None`` when no trial lowered the loss."""
-    for _ in range(trials):
-        t = 0.5 * (lo[0] + t_hi)
+def _line_search(fun, theta, f0, g0, d, t):
+    """A step ``(t, f, grad)`` along the descent direction ``d`` that meets
+    the strong Wolfe conditions, or ``None`` when no trial step lowered
+    the loss: Nocedal & Wright's Algorithms 3.5 and 3.6 as one loop of at
+    most ``_MAX_TRIALS`` trials. The step doubles from ``t`` until the
+    bracket from ``lo`` (the accepted step of lowest loss) to ``hi`` holds
+    a strong-Wolfe step, then bisects the bracket."""
+    dg0 = _dot(g0, d)
+    lo, hi = (0.0, f0, g0), math.inf
+    for trial in range(_MAX_TRIALS):
+        if hi < math.inf:
+            t = 0.5 * (lo[0] + hi)
         f, g = fun(theta + t * d)
         dg = _dot(g, d)
-        if not math.isfinite(f) or f > f0 + _C1 * t * dg0 or f >= lo[1]:
-            t_hi = t
+        if not math.isfinite(f) or f > f0 + _C1 * t * dg0 or (trial and f >= lo[1]):
+            hi = t
             continue
         if abs(dg) <= -_C2 * dg0:
             return t, f, g
-        if dg * (t_hi - lo[0]) >= 0:
-            t_hi = lo[0]
+        if dg * (hi - lo[0]) >= 0:
+            hi = lo[0]
         lo = (t, f, g)
-    return None if lo[0] == 0.0 else lo
-
-
-def _line_search(fun, theta, f0, g0, d, t):
-    """A step ``(t, f, grad)`` along the descent direction ``d`` that meets
-    the strong Wolfe conditions (Nocedal & Wright, Algorithm 3.5), or
-    ``None`` when no trial step lowered the loss."""
-    dg0 = _dot(g0, d)
-    prev = (0.0, f0, g0)
-    for trial in range(_MAX_TRIALS):
-        f, g = fun(theta + t * d)
-        dg = _dot(g, d)
-        if not math.isfinite(f) or f > f0 + _C1 * t * dg0 or (trial and f >= prev[1]):
-            return _zoom(fun, theta, d, f0, dg0, prev, t, _MAX_TRIALS - trial)
-        if abs(dg) <= -_C2 * dg0:
-            return t, f, g
-        if dg >= 0:
-            return _zoom(fun, theta, d, f0, dg0, (t, f, g), prev[0], _MAX_TRIALS - trial)
-        prev = (t, f, g)
         t *= 2.0
-    return prev
+    return None if lo[0] == 0.0 else lo
 
 
 def _lbfgs(
@@ -316,25 +302,17 @@ def _lbfgs(
     )
 
 
-def _instance_rows(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Distinct item ids in first-seen order, then per annotation record
-    the index of its item and its label."""
-    codes, first, inverse = np.unique(dataset.item, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    item_ids = [dataset.item_ids[c] for c in codes[order].tolist()]
-    return item_ids, rank[inverse], dataset.label.astype(np.float64)
-
-
 def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Distinct item ids in first-seen order, then per item the number of
-    its records labeled 1 and the number of its records, replicas
-    included (both float)."""
-    item_ids, rows, y = _instance_rows(dataset)
-    positives = np.bincount(rows, weights=y, minlength=len(item_ids))
-    totals = np.bincount(rows, minlength=len(item_ids)).astype(np.float64)
-    return item_ids, positives, totals
+    """The ids of the items that have records, in item-table order, then
+    per item the number of its records labeled 1 and the number of its
+    records, replicas included (both float). Every dataset the package
+    builds or reads codes its items in first-seen order."""
+    n = len(dataset.item_ids)
+    positives = np.bincount(dataset.item, weights=dataset.label, minlength=n)
+    totals = np.bincount(dataset.item, minlength=n)
+    kept = np.flatnonzero(totals)
+    item_ids = [dataset.item_ids[i] for i in kept.tolist()]
+    return item_ids, positives[kept], totals[kept].astype(np.float64)
 
 
 def train(
@@ -357,13 +335,16 @@ def train(
     a non-finite value or the iteration cap is an error. Deterministic
     given (dataset, texts, config); ``seed`` is recorded only.
 
-    The fit runs over only the hash columns that some training text
-    touches: every other coordinate has zero gradient and zero ridge
-    pull, so its weight is exactly 0.
+    The fit has one row per training item, in item-table order, and
+    runs over only the hash columns that some training text touches:
+    every other coordinate has zero gradient and zero ridge pull, so its
+    weight is exactly 0.
     """
     features = _features(texts, config.hash_dim)
     if not len(dataset):
         raise ValueError("training dataset is empty")
+    if dev is not None and not len(dev):
+        raise ValueError("dev dataset is empty")
     item_ids, positives, totals = _item_counts(dataset)
     sel_items, sel_positives, sel_totals = (
         (item_ids, positives, totals) if dev is None else _item_counts(dev)
@@ -488,7 +469,7 @@ def load_model(path: Union[str, Path]) -> Model:
             )
         return typed(payload[name], types[name], f"model.{name}")
 
-    return Model(
+    model = Model(
         weights=np.array(checked("weights"), dtype=np.float64),
         bias=checked("bias"),
         config=TrainConfig(**{f.name: checked(f.name) for f in fields(TrainConfig)}),
@@ -497,3 +478,15 @@ def load_model(path: Union[str, Path]) -> Model:
         history=checked("history"),
         path=checked("path"),
     )
+    n, config = len(model.path), model.config
+    if len(model.weights) != config.hash_dim:
+        raise ValueError(
+            f"model.weights must be {config.hash_dim} long (hash_dim), got {len(model.weights)}"
+        )
+    if not 0 < n <= config.epochs:
+        raise ValueError(f"model.path must be 1 to {config.epochs} points (epochs), got {n}")
+    if len(model.history) != n:
+        raise ValueError(f"model.history must be {n} long (the path), got {len(model.history)}")
+    if not 1 <= model.best_epoch <= n:
+        raise ValueError(f"model.best_epoch must be in 1..{n} (the path), got {model.best_epoch}")
+    return model

@@ -256,3 +256,32 @@ def test_cli_adjust_bad_k_is_one_error_line(adjust_args, capsys, k, message):
     assert main([*args, "--k", k]) == 2
     assert capsys.readouterr().err == f"pairsim: error: {message}\n"
     assert not weights_path.exists()
+
+
+def test_cli_train_rejects_an_empty_dev_dataset(tmp_path, config_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    dev = tmp_path / "dev.jsonl"  # the header line alone
+    dev.write_text((out / "nonrep1.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
+                 str(out / "gold.jsonl"), "--dev-dataset", str(dev),
+                 "--out", str(tmp_path / "model.json")]) == 2
+    assert capsys.readouterr().err == "pairsim: error: dev dataset is empty\n"
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_cli_evaluate_rejects_an_empty_gold_table(tmp_path, config_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
+                 str(out / "gold.jsonl"), "--out", str(model),
+                 "--epochs", "1", "--hash-dim", "256"]) == 0
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(model), "--gold", str(empty)]) == 2
+    assert capsys.readouterr().err == "pairsim: error: gold table is empty\n"

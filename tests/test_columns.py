@@ -33,7 +33,7 @@ from pairsim.simulation import (
     synth_gold,
     write_dataset,
 )
-from pairsim.trainer import _instance_rows, proportion_oracle
+from pairsim.trainer import _item_counts, proportion_oracle
 
 META = DatasetMeta("OL", "custom", 0.0, 0)
 
@@ -82,12 +82,19 @@ def proportion_oracle_rows(dataset):
     }
 
 
-def instance_rows_rows(dataset):
-    item_ids = list(dict.fromkeys(r.item_id for r in dataset.records))
-    row_of = {item_id: i for i, item_id in enumerate(item_ids)}
-    rows = np.array([row_of[r.item_id] for r in dataset.records], dtype=np.int64)
-    y = np.array([r.label for r in dataset.records], dtype=np.float64)
-    return item_ids, rows, y
+def item_counts_rows(dataset):
+    """Item ids in first-seen order, then per item its positive and total
+    record counts (float)."""
+    positives, totals = Counter(), Counter()
+    for r in dataset.records:
+        positives[r.item_id] += r.label
+        totals[r.item_id] += 1
+    item_ids = list(totals)
+    return (
+        item_ids,
+        np.array([positives[i] for i in item_ids], dtype=np.float64),
+        np.array([totals[i] for i in item_ids], dtype=np.float64),
+    )
 
 
 def write_dataset_rows(dataset):
@@ -173,13 +180,17 @@ def test_apply_pair_equals_the_record_loop(dataset, data):
 @given(datasets())
 def test_label_statistics_equal_the_record_sums(dataset):
     assert positive_proportion(dataset) == positive_proportion_rows(dataset)
-    oracle = proportion_oracle(dataset)
-    assert list(oracle.items()) == list(proportion_oracle_rows(dataset).items())
-    item_ids, rows, y = _instance_rows(dataset)
-    want_ids, want_rows, want_y = instance_rows_rows(dataset)
-    assert item_ids == want_ids
-    assert np.array_equal(rows, want_rows) and rows.dtype == want_rows.dtype
-    assert np.array_equal(y, want_y) and y.dtype == want_y.dtype
+    want_ids, want_positives, want_totals = item_counts_rows(dataset)
+    # items come in item-table order: first-seen order unless take shuffled
+    # the records
+    table_order = [i for i in dataset.item_ids if i in want_ids]
+    at = [want_ids.index(i) for i in table_order]
+    item_ids, positives, totals = _item_counts(dataset)
+    assert item_ids == table_order
+    assert np.array_equal(positives, want_positives[at]) and positives.dtype == np.float64
+    assert np.array_equal(totals, want_totals[at]) and totals.dtype == np.float64
+    oracle_rows = proportion_oracle_rows(dataset)
+    assert list(proportion_oracle(dataset).items()) == [(i, oracle_rows[i]) for i in table_order]
 
 
 def test_stages_on_a_suite_equal_the_record_loops():
@@ -195,9 +206,10 @@ def test_stages_on_a_suite_equal_the_record_loops():
         for part in (dataset, sub):
             assert positive_proportion(part) == positive_proportion_rows(part)
             assert proportion_oracle(part) == proportion_oracle_rows(part)
-            item_ids, rows, _ = _instance_rows(part)
-            assert item_ids == instance_rows_rows(part)[0]
-            assert np.array_equal(rows, instance_rows_rows(part)[1])
+            # the package codes items in first-seen order
+            got, want = _item_counts(part), item_counts_rows(part)
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 def test_take_refuses_to_drop_the_original_of_a_kept_replica():

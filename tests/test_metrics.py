@@ -106,10 +106,8 @@ def test_f1_degenerate_warns_and_returns_zero():
 def test_f1_tie_handling():
     gold = flat_gold([0.5])
     preds = {i: 0.9 for i in gold.item_ids()}
-    assert f1(preds, gold, tie_positive=True) == 1.0
-    # with ties negative there is nothing positive on either side... the
-    # prediction is positive, so this is a pure false positive
-    assert f1(preds, gold, tie_positive=False) == 0.0
+    # p_gold 0.5 counts gold-positive, so the positive prediction is a true positive
+    assert f1(preds, gold) == 1.0
 
 
 def test_f1_rejects_bad_threshold():

@@ -4,7 +4,8 @@ Each test runs one ``pairsim`` command on a shipped config and compares
 the SHA-256 of each output file with a fixed value, so a change to any
 draw, replica, weight, model or report shows up here as a pin edit.
 The simulate and adjust pins cover the data path alone; the report,
-model and evaluate pins also cover the trainer.
+model and evaluate pins also cover the trainer, the cold model pin its
+one-point fit.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ ADJUST_PINS = {
 QUICK_REPORT_PIN = "7327b93e39b58d417f7a3667194762e8b21a62eca47f5cab74b37da4dbc9a5a2"
 TREND_REPORT_PIN = "3ae203ab034a2bd3385235b6bfbe9e1a8add6d67cea5e3b975af4dd4af2c8e16"
 MODEL_PIN = "94bccfef3df1e79e2019d10188d81447a6ba96718699c3658a5a4d75e8faf253"
+COLD_MODEL_PIN = "f3befd92ffe485a71769bdadc28891c21ca49a5d7541c2d888c3a975e944c9d3"
 EVALUATE_PIN = "29d3ad4b9ca817e86589b4c836e80cfed49b72c4586ea683a5023da7a291b850"
 
 
@@ -91,3 +93,13 @@ def test_train_and_evaluate_outputs_are_pinned(simulated, tmp_path):
     assert main(["evaluate", "--model", str(model), "--gold", gold, "--dataset", dataset,
                  "--out", str(metrics)]) == 0
     assert (sha256(model), sha256(metrics)) == (MODEL_PIN, EVALUATE_PIN)
+
+
+def test_cold_one_point_model_is_pinned(simulated, tmp_path):
+    # one path point from the intercept-only start, at 4096 dims, no dev set
+    dataset = str(adjust(simulated, tmp_path) / "adjusted.jsonl")
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", dataset, "--gold", str(simulated / "gold.jsonl"),
+                 "--out", str(model), "--seed", "10", "--epochs", "1",
+                 "--hash-dim", "4096"]) == 0
+    assert sha256(model) == COLD_MODEL_PIN

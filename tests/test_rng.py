@@ -9,7 +9,6 @@ from pairsim.rng import (
     philox_words,
     stream,
     stream_keys,
-    streams,
 )
 
 
@@ -58,54 +57,12 @@ def test_accepts_the_ends_of_the_128_bit_range():
 
 
 # ---------------------------------------------------------------------------
-# streams: one reused generator, rekeyed per index
-
-
-def _draws(gen, size):
-    """One of each draw kind the package makes, ``size`` values where sized."""
-    return (
-        gen.random(size),
-        gen.integers(0, 7, size=size),
-        gen.choice(size + 3, size=size, replace=False),
-        gen.beta(0.3, 1.7, size=size),
-        gen.permutation(size + 1),
-        gen.random(),
-    )
+# batch draws: every stream's words in one numpy pass
 
 
 key_parts = st.lists(
     st.one_of(st.integers(-(2**100), 2**100), st.text(max_size=6)), max_size=3
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(parts=key_parts, count=st.integers(0, 6), sizes=st.lists(st.integers(0, 9), min_size=6))
-def test_streams_draw_exactly_what_stream_draws(parts, count, sizes):
-    assert sum(1 for _ in streams(*parts, count=count)) == count
-    # each generator is drawn from before the next is taken
-    for i, gen in enumerate(streams(*parts, count=count)):
-        size = sizes[i % len(sizes)]
-        fresh = stream(*parts, i)
-        # an odd number of 32-bit draws leaves half a word behind for the next key
-        assert np.array_equal(gen.integers(0, 5, size=size, dtype=np.int32),
-                              fresh.integers(0, 5, size=size, dtype=np.int32))
-        for got, want in zip(_draws(gen, size), _draws(fresh, size)):
-            assert np.array_equal(got, want)
-
-
-def test_streams_yield_in_index_order_whatever_is_drawn_between():
-    it = streams(5, "x", count=3)
-    next(it).random(1001)
-    assert np.array_equal(next(it).random(4), stream(5, "x", 1).random(4))
-
-
-def test_streams_reject_unsupported_part_types():
-    with pytest.raises(TypeError):
-        next(streams(1.5, count=1))
-
-
-# ---------------------------------------------------------------------------
-# batch draws: every stream's words in one numpy pass
 
 
 @settings(max_examples=150, deadline=None)

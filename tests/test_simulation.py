@@ -104,12 +104,14 @@ def test_derive_gold_subsample_too_few():
     st.integers(0, 2**63 - 1),
 )
 def test_derive_gold_subsample_draws_are_those_of_each_rows_stream(labels, m, seed):
-    # derive_gold rekeys one generator per row; subsample_indices builds
-    # stream(seed, "subsample", i) afresh, so each p_gold must match it
+    # row i keeps the labels that stream(seed, "subsample", i) chooses
     rows = [(f"it{i}", "t", row) for i, row in enumerate(labels)]
     gold = derive_gold(rows, subsample=m, seed=seed)
     for i, (entry, row) in enumerate(zip(gold.entries, labels)):
-        keep = subsample_indices(seed, i, len(row), m) if len(row) > m else range(len(row))
+        if len(row) > m:
+            keep = stream(seed, "subsample", i).choice(len(row), size=m, replace=False)
+        else:
+            keep = range(len(row))
         assert entry.p_gold == sum(row[j] for j in keep) / m
         assert entry.k_reference == m
 
@@ -439,24 +441,13 @@ def test_redrawn_items_keep_the_pinned_draws(monkeypatch):
 
 
 def test_batch_stages_rekey_no_generator_per_item(monkeypatch):
-    # synth_gold alone still draws item by item (Rare's proportions come
-    # from numpy's beta sampler), through its own gold: streams
-    real = simulation.streams
-    tags = []
-
-    def gold_streams_only(*parts, count):
-        tags.append(parts[1])
-        if not parts[1].startswith("gold:"):
-            raise AssertionError(f"per-item generators for {parts[1]!r}")
-        return real(*parts, count=count)
-
+    # the quick config's gold is Uniform: its proportions, texts and suites
+    # all come from batch passes
     def no_stream(*parts):
         raise AssertionError(f"a generator for {parts!r}")
 
-    monkeypatch.setattr(simulation, "streams", gold_streams_only)
     monkeypatch.setattr(simulation, "stream", no_stream)
     assert_quick_pins(load_gold.__wrapped__(load_config(QUICK_CONFIG)))
-    assert tags == ["gold:g0-"]
 
 
 # ---------------------------------------------------------------------------

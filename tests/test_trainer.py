@@ -302,6 +302,38 @@ def test_train_raises_at_the_iteration_cap(monkeypatch):
         train(small_dataset(gold), gold.texts(), FAST)
 
 
+def test_line_search_gives_up_after_max_trials():
+    # the direction claims descent, but every trial step raises the loss
+    calls = []
+
+    def fun(theta):
+        calls.append(theta)
+        return 1.0, np.array([-1.0])
+
+    g0 = np.array([-1.0])
+    assert trainer._line_search(fun, np.zeros(1), 0.0, g0, -g0, 1.0) is None
+    assert len(calls) == trainer._MAX_TRIALS
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.1, 1.0, 50.0])
+def test_line_search_step_meets_the_strong_wolfe_conditions(t):
+    # f(x) = (x - 3)^2 + exp(x) from x = 0: the first step is too short
+    # (doubling), about right, or too long (bisection)
+    def fun(theta):
+        x = theta[0]
+        return (x - 3) ** 2 + math.exp(x), np.array([2 * (x - 3) + math.exp(x)])
+
+    theta = np.zeros(1)
+    f0, g0 = fun(theta)
+    d = -g0
+    step, f, g = trainer._line_search(fun, theta, f0, g0, d, t)
+    want_f, want_g = fun(theta + step * d)
+    assert f == want_f and np.array_equal(g, want_g)
+    dg0 = float(g0 @ d)
+    assert f <= f0 + trainer._C1 * step * dg0
+    assert abs(float(g @ d)) <= -trainer._C2 * dg0
+
+
 def test_importing_the_program_does_not_load_scipy_optimize():
     # scipy.optimize costs about 0.3 s of CPU to import; the trainer has
     # its own L-BFGS
@@ -410,6 +442,13 @@ def _saved_model_payload(tmp_path):
         ("best_epoch", "3"),
         ("history", [0.5, "0.4"]),
         ("bias", None),
+        # well-typed values that contradict another field (FAST: 5 epochs, 256 dims)
+        ("weights", [0.0]),
+        ("path", []),
+        ("path", [{"l2": 1e-3, "iterations": 2, "stop": "gradient"}] * 6),
+        ("history", [0.5] * 6),
+        ("best_epoch", 0),
+        ("best_epoch", 6),
     ],
 )
 def test_load_model_rejects_wrong_types_by_name(tmp_path, key, value):
