@@ -247,7 +247,7 @@ class _StratumWeights:
 
 @dataclass(frozen=True)
 class _WeightsFile:
-    strata: dict
+    strata: dict[str, _StratumWeights]
     k: float
     k_exact: str
 
@@ -262,15 +262,7 @@ def read_weights(path: Union[str, Path]) -> WeightTable:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     where = f"{path}: weights"
-
-    def strata(d) -> dict[str, _StratumWeights]:
-        if not isinstance(d, dict):
-            raise ValueError(f"{where}.strata must be a JSON object, got {d!r}")
-        return {
-            s: typed_object(e, _StratumWeights, f"{where}.strata.{s}") for s, e in d.items()
-        }
-
-    table = typed_object(payload, _WeightsFile, where, strata=strata)
+    table = typed_object(payload, _WeightsFile, where)
     raw = {
         s: _to_fraction(e.raw_exact, f"{where}.strata.{s}.raw_exact")
         for s, e in table.strata.items()

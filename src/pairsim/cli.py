@@ -170,11 +170,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     result = sweep(config, output_dir=args.out, workers=args.workers)
     print(f"{len(result.rows)} cells completed, {len(result.failures)} failed; report in {args.out}")
     for failure in result.failures:
-        print(
-            f"FAILED task={failure.task} recipe={failure.recipe} "
-            f"beta={failure.beta} seed={failure.seed}: {failure.error}",
-            file=sys.stderr,
-        )
+        print(f"FAILED {failure.error}", file=sys.stderr)
     return 1 if result.failures else 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -425,6 +426,8 @@ def sweep(
         if failures:
             columns = [f.name for f in fields(CellFailure)]
             _write_table(out / FAILURES_NAME, columns, map(asdict, failures))
+        else:  # a failures file left by an earlier run would describe this one
+            (out / FAILURES_NAME).unlink(missing_ok=True)
     return SweepResult(tuple(rows), aggregates, tuple(failures))
 
 
@@ -469,18 +472,52 @@ def write_report(
     _write_table(path, REPORT_COLUMNS, cells + means)
 
 
+def _report_value(text: str | None, kind: type, where: str):
+    """A report cell's value as ``kind`` (str, int or float); an empty,
+    unparsable or non-finite value is an error naming ``where``."""
+    if not text:
+        raise ValueError(f"{where} is missing")
+    if kind is str:
+        return text
+    try:
+        value = kind(text)
+        if kind is int or math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    name = "an integer" if kind is int else "a finite number"
+    raise ValueError(f"{where} must be {name}, got {text!r}")
+
+
+@reads_file
 def read_report_cells(path: Union[str, Path]) -> tuple[ResultRow, ...]:
-    """Cell rows back from a report file (wall times are not stored)."""
-    types = get_type_hints(ResultRow)
+    """Cell rows back from a report file (wall times are not stored).
+
+    The header must name every cell column. A cell row's value that is
+    empty, does not parse or is not finite is an error naming the line
+    and the column; so is a file without cell rows.
+    """
+    types = {k: v for k, v in get_type_hints(ResultRow).items() if k in REPORT_COLUMNS}
+    cells = []
     with open(path, encoding="utf-8", newline="") as fh:
-        return tuple(
-            ResultRow(
-                **{name: types[name](rec[name]) for name in types if name in REPORT_COLUMNS},
-                wall_time=0.0,
-            )
-            for rec in csv.DictReader(fh)
-            if rec["row_type"] == "cell"
-        )
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise ValueError("empty report file")
+        missing = [c for c in ("row_type", *types) if c not in reader.fieldnames]
+        if missing:
+            raise ValueError(f"{path}:{reader.line_num}: header has no {missing[0]!r} column")
+        try:
+            for rec in reader:
+                if rec["row_type"] != "cell":
+                    continue
+                at = f"{path}:{reader.line_num}: cell"
+                values = {k: _report_value(rec[k], kind, f"{at}.{k}") for k, kind in types.items()}
+                cells.append(ResultRow(**values, wall_time=0.0))
+        except csv.Error as err:  # DictReader counts only the lines it returned
+            raise ValueError(f"{path}:{reader.reader.line_num}: {err}") from None
+    if not cells:
+        raise ValueError("no cell rows")
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -551,12 +588,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """Config from its JSON form. Unknown keys at any level are errors;
     absent keys take the dataclass defaults."""
     return typed_object(
-        d,
-        ExperimentConfig,
-        "config",
-        gold=_gold_from_dict,
-        benchmark=PopulationBenchmark,
-        train=lambda train: typed_object(train, TrainConfig, "train"),
+        d, ExperimentConfig, "config", gold=_gold_from_dict, benchmark=PopulationBenchmark
     )
 
 

@@ -53,13 +53,10 @@ def _int_part(value: int) -> bytes:
     return b"i" + value.to_bytes(16, "little", signed=True)
 
 
-def _key_hash(
-    parts: tuple[KeyPart, ...], prefix: hashlib.blake2b | None = None
-) -> hashlib.blake2b:
-    """The hash of the stream coordinates ``parts``, continuing a copy of
-    ``prefix`` (the hash of the coordinates before them) when given. Its
-    digest, read little-endian, is the stream's Philox key."""
-    h = hashlib.blake2b(digest_size=16) if prefix is None else prefix.copy()
+def _key_hash(parts: tuple[KeyPart, ...]) -> hashlib.blake2b:
+    """The hash of the stream coordinates ``parts``. Its digest, read
+    little-endian, is the stream's Philox key."""
+    h = hashlib.blake2b(digest_size=16)
     for part in parts:
         if isinstance(part, (int, np.integer)):
             h.update(_int_part(int(part)))

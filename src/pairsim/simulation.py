@@ -28,7 +28,7 @@ id strings are made only when a dataset is written or its ``records``
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property, wraps
 from pathlib import Path
 from types import UnionType
@@ -709,9 +709,12 @@ _JSON_TYPES = {
 
 def typed(value, kind, where: str):
     """``value`` as a field of type ``kind``: bool, int, float, str,
-    ``tuple[t, ...]`` for a JSON list of ``t`` values, or ``t | None``.
-    A JSON value of any other type is an error naming ``where``; an
-    integer for a float field is widened, nothing is cast."""
+    ``tuple[t, ...]`` for a JSON list of ``t`` values (each named
+    ``where[i]``), ``dict[str, t]`` for a JSON object of ``t`` values
+    (each named ``where.<key>``), a dataclass for a JSON object of its
+    fields, read by :func:`typed_object`, or ``t | None``. A JSON value
+    of any other type is an error naming ``where``; an integer for a
+    float field is widened, nothing is cast."""
     origin = get_origin(kind)
     if origin is tuple:
         if not isinstance(value, list):
@@ -720,10 +723,17 @@ def typed(value, kind, where: str):
         if {item}.issuperset(map(type, value)):
             return tuple(value)
         return tuple(typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {value!r}")
+        item = kind.__args__[1]
+        return {key: typed(v, item, f"{where}.{key}") for key, v in value.items()}
     if origin is UnionType:  # t | None
         if value is None:
             return None
         kind = kind.__args__[0]
+    if is_dataclass(kind):
+        return typed_object(value, kind, where)
     accepted, name = _JSON_TYPES[kind]
     # bool is a subclass of int in Python but not a number in JSON
     if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
@@ -847,11 +857,13 @@ def _written_entry(d) -> GoldEntry | None:
 
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
-    entries = (
+    entries = tuple(
         _written_entry(d) or typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
         for lineno, d in _json_lines(path)
     )
-    return GoldTable(tuple(entries))
+    if not entries:
+        raise ValueError("gold table has no entries")
+    return GoldTable(entries)
 
 
 # A record's line as json.dumps writes a dict of its fields, with a %s per
@@ -911,6 +923,8 @@ def read_dataset(path: Union[str, Path]) -> Dataset:
         or tuple(vars(typed_object(d, Annotation, f"{path}:{lineno}: record")).values())
         for lineno, d in lines
     ]
+    if not rows:
+        raise ValueError("dataset has no records")
     dataset = _from_rows(rows, meta)
     dataset.validate()
     return dataset

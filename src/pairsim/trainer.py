@@ -20,15 +20,15 @@ import hashlib
 import json
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, Union, get_type_hints
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, reads_file, typed, typed_object
+from .simulation import Dataset, reads_file, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 2
@@ -443,6 +443,24 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True)
+class _ModelFile:
+    """A model file's keys, in save_model's order. Every key is required:
+    a default hash_dim would not match the weights."""
+
+    format: str
+    version: int
+    epochs: int
+    hash_dim: int
+    l2: float
+    seed: int
+    best_epoch: int
+    history: tuple[float, ...]
+    path: tuple[PathPoint, ...]
+    bias: float
+    weights: tuple[float, ...]
+
+
 @reads_file
 def load_model(path: Union[str, Path]) -> Model:
     with open(path, encoding="utf-8") as fh:
@@ -451,32 +469,15 @@ def load_model(path: Union[str, Path]) -> Model:
         raise ValueError(f"not a {MODEL_FORMAT} file")
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
-    # every field is required: a default hash_dim would not match the weights
-    types = {**get_type_hints(TrainConfig), **get_type_hints(Model), "weights": tuple[float, ...]}
-    keys = {"format", "version", *types} - {"config"}  # the config's fields are top level
-    if not payload.keys() <= keys:
-        raise ValueError(f"unknown key {min(payload.keys() - keys)!r} in {path}: model")
-
-    def checked(name: str):
-        if name not in payload:
-            raise ValueError(f"model.{name} is missing")
-        if name == "path":
-            if not isinstance(payload[name], list):
-                raise ValueError(f"model.path must be a list, got {payload[name]!r}")
-            return tuple(
-                typed_object(p, PathPoint, f"model.path[{i}]")
-                for i, p in enumerate(payload[name])
-            )
-        return typed(payload[name], types[name], f"model.{name}")
-
+    file = typed_object(payload, _ModelFile, f"{path}: model")
     model = Model(
-        weights=np.array(checked("weights"), dtype=np.float64),
-        bias=checked("bias"),
-        config=TrainConfig(**{f.name: checked(f.name) for f in fields(TrainConfig)}),
-        seed=checked("seed"),
-        best_epoch=checked("best_epoch"),
-        history=checked("history"),
-        path=checked("path"),
+        weights=np.array(file.weights, dtype=np.float64),
+        bias=file.bias,
+        config=TrainConfig(epochs=file.epochs, hash_dim=file.hash_dim, l2=file.l2),
+        seed=file.seed,
+        best_epoch=file.best_epoch,
+        history=file.history,
+        path=file.path,
     )
     n, config = len(model.path), model.config
     if len(model.weights) != config.hash_dim:

@@ -163,7 +163,11 @@ def test_cli_sweep_nonzero_exit_on_cell_failure(tmp_path, config_path, capsys):
     bad_path.write_text(json.dumps(raw))
     out = tmp_path / "results"
     assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 1
-    assert "FAILED" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    # each failure's line gives its cell once: the error names it
+    assert len(err) == 2
+    assert all(line.startswith("FAILED cell task=OL recipe=adjusted") for line in err)
+    assert all(line.count("recipe=") == 1 for line in err)
     assert (out / "failures.csv").exists()
 
 
@@ -268,7 +272,7 @@ def test_cli_train_rejects_an_empty_dev_dataset(tmp_path, config_path, capsys):
     assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
                  str(out / "gold.jsonl"), "--dev-dataset", str(dev),
                  "--out", str(tmp_path / "model.json")]) == 2
-    assert capsys.readouterr().err == "pairsim: error: dev dataset is empty\n"
+    assert capsys.readouterr().err == f"pairsim: error: {dev}: dataset has no records\n"
     assert not (tmp_path / "model.json").exists()
 
 
@@ -284,4 +288,66 @@ def test_cli_evaluate_rejects_an_empty_gold_table(tmp_path, config_path, capsys)
     empty.write_text("")
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--gold", str(empty)]) == 2
-    assert capsys.readouterr().err == "pairsim: error: gold table is empty\n"
+    assert capsys.readouterr().err == f"pairsim: error: {empty}: gold table has no entries\n"
+
+
+def test_cli_rejects_a_header_only_dataset_by_file(tmp_path, config_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
+                 str(out / "gold.jsonl"), "--out", str(model),
+                 "--epochs", "1", "--hash-dim", "256"]) == 0
+    header_only = tmp_path / "header-only.jsonl"
+    header_only.write_text((out / "nonrep1.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert main(["train", "--dataset", str(header_only), "--gold", str(out / "gold.jsonl"),
+                 "--out", str(tmp_path / "other.json")]) == 2
+    assert capsys.readouterr().err == f"pairsim: error: {header_only}: dataset has no records\n"
+    assert not (tmp_path / "other.json").exists()
+    assert main(["evaluate", "--model", str(model), "--gold", str(out / "gold.jsonl"),
+                 "--dataset", str(header_only)]) == 2
+    assert capsys.readouterr() == ("", f"pairsim: error: {header_only}: dataset has no records\n")
+
+
+_REPORT = (
+    "row_type,task,recipe,beta,seed,n_items,acb,f1,positive_proportion,"
+    "n_seeds,acb_std,f1_std,positive_proportion_std\n"
+    "cell,OL,adjusted,0.1,10,20,0.1,1.0,0.3,,,,\n"
+    "cell,OL,adjusted,0.1,42,20,0.2,0.5,0.4,,,,\n"
+    "mean,OL,adjusted,0.1,,,0.15,0.75,0.35,2,0.05,0.25,0.05\n"
+)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.replace("row_type,", "kind,", 1), ":1: header has no 'row_type' column"),
+        (lambda t: t.replace(",recipe,", ",recipes,", 1), ":1: header has no 'recipe' column"),
+        (lambda t: t.replace(",0.2,0.5,", ",abc,0.5,", 1),
+         ":3: cell.acb must be a finite number, got 'abc'"),
+        (lambda t: t.replace(",10,", ",10.5,", 1), ":2: cell.seed must be an integer, got '10.5'"),
+        (lambda t: t.replace(",0.2,0.5,", ",nan,0.5,", 1),
+         ":3: cell.acb must be a finite number, got 'nan'"),
+        (lambda t: t.replace(",0.3,,,,", ",inf,,,,", 1),
+         ":2: cell.positive_proportion must be a finite number, got 'inf'"),
+        (lambda t: t.replace(",OL,adjusted,0.1,42", ",OL,,0.1,42", 1),
+         ":3: cell.recipe is missing"),
+        (lambda t: t.replace("cell,OL,adjusted,0.1,42,20,0.2,0.5,0.4,,,,", "cell,OL", 1),
+         ":3: cell.recipe is missing"),
+        (lambda t: "", ": empty report file"),
+        (lambda t: t.splitlines(keepends=True)[0], ": no cell rows"),
+        (lambda t: "".join(t.splitlines(keepends=True)[::3]), ": no cell rows"),
+    ],
+    ids=["no-row-type", "no-recipe", "acb-abc", "seed-10.5", "acb-nan", "inf", "empty-recipe",
+         "short-row", "empty-file", "header-only", "mean-rows-only"],
+)
+def test_cli_report_rejects_bad_cells_by_line_and_column(tmp_path, capsys, edit, message):
+    report = tmp_path / "report.csv"
+    report.write_text(_REPORT)
+    assert main(["report", "--cells", str(report)]) == 0
+    report.write_text(edit(_REPORT))
+    capsys.readouterr()
+    assert main(["report", "--cells", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"pairsim: error: {report}{message}\n")

@@ -306,6 +306,14 @@ def test_sweep_isolates_failures(tmp_path):
     assert "absent from the annotation pool: 'C'" in (tmp_path / "failures.csv").read_text()
 
 
+def test_passing_sweep_removes_an_earlier_runs_failures_file(tmp_path):
+    bad = tiny_config(benchmark=PopulationBenchmark({"A": 0.4, "B": 0.4, "C": 0.2}))
+    assert sweep(bad, output_dir=tmp_path).failures
+    assert (tmp_path / "failures.csv").exists()
+    assert not sweep(tiny_config(), output_dir=tmp_path).failures
+    assert not (tmp_path / "failures.csv").exists()
+
+
 def test_report_cells_round_trip(tmp_path):
     config = tiny_config()
     result = sweep(config, output_dir=tmp_path)
@@ -613,6 +621,21 @@ def test_config_from_dict_widens_integers_for_float_fields():
     config = config_from_dict(d)
     assert config.betas == (0.0, 0.5) and all(type(b) is float for b in config.betas)
     assert type(config.train.l2) is float
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ({"epochs": 2.9}, r"^config\.train\.epochs must be an integer, got 2\.9$"),
+        ({"epochz": 2}, r"^unknown key 'epochz' in config\.train$"),
+        ([2], r"^config\.train must be a JSON object, got list$"),
+    ],
+)
+def test_config_from_dict_names_train_fields_under_config(value, message):
+    d = _full_config_dict()
+    d["train"] = value
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(d)
 
 
 def test_config_from_dict_rejects_bad_train_values_by_name():

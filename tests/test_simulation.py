@@ -1,16 +1,17 @@
 import hashlib
+import inspect
 import json
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsim import simulation
+from pairsim import adjust, experiments, simulation, trainer
 from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark, read_weights
-from pairsim.experiments import load_config, load_gold
+from pairsim.experiments import load_config, load_gold, read_report_cells
 from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
@@ -34,6 +35,7 @@ from pairsim.simulation import (
     subsample_indices,
     synth_gold,
     synth_text,
+    typed,
     typed_object,
     write_dataset,
     write_gold,
@@ -800,6 +802,71 @@ def test_every_reader_names_its_file_once(tmp_path, reader, rows):
         reader(path)
     message = str(caught.value)
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
+
+_READERS = {
+    "config": load_config,
+    "gold": read_gold,
+    "dataset": read_dataset,
+    "benchmark": read_benchmark,
+    "weights": read_weights,
+    "model": load_model,
+    "report": read_report_cells,
+}
+
+
+@pytest.mark.parametrize("content", ["", "[]\n", "{\n"], ids=["empty", "list", "not-json"])
+@pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
+def test_every_reader_rejects_a_malformed_file_by_path(tmp_path, reader, content):
+    path = tmp_path / "input"
+    path.write_text(content)
+    with pytest.raises(ValueError) as caught:
+        reader(path)
+    assert str(path) in str(caught.value)
+
+
+def test_the_malformed_file_guard_covers_every_reader():
+    # every read_* or load_* function of the package that takes a path
+    readers = {
+        f
+        for module in (adjust, experiments, simulation, trainer)
+        for name, f in vars(module).items()
+        if name.startswith(("read_", "load_"))
+        and callable(f)
+        and "path" in inspect.signature(f).parameters
+    }
+    assert readers == set(_READERS.values())
+
+
+@dataclass(frozen=True)
+class _Point:
+    x: int
+    tags: dict[str, float] = field(default_factory=dict)
+
+
+def test_typed_reads_dataclasses_and_string_keyed_objects():
+    read = typed({"a": {"x": 1, "tags": {"u": 2}}, "b": {"x": 3}}, dict[str, _Point], "top")
+    assert read == {"a": _Point(1, {"u": 2.0}), "b": _Point(3)}
+    assert type(read["a"].tags["u"]) is float  # widened, as in any float field
+    assert typed([{"x": 1}], tuple[_Point, ...], "top") == (_Point(1),)
+    assert typed(None, _Point | None, "top") is None
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        ([], dict[str, int], r"^top must be a JSON object, got \[\]$"),
+        ({"a": 1, "b": 1.5}, dict[str, int], r"^top\.b must be an integer, got 1\.5$"),
+        ({"a": {"x": 1, "y": 2}}, dict[str, _Point], r"^unknown key 'y' in top\.a$"),
+        ({"a": {"x": 1, "tags": {"u": "2"}}}, dict[str, _Point], r"^top\.a\.tags\.u must be"),
+        ([{"x": 1}, {}], tuple[_Point, ...], r"^top\[1\]\.x is missing$"),
+        ([{"x": 1}, [1]], tuple[_Point, ...], r"^top\[1\] must be a JSON object, got list$"),
+        (5, _Point | None, r"^top must be a JSON object, got int$"),
+    ],
+)
+def test_typed_names_the_nested_field_in_errors(value, kind, message):
+    with pytest.raises(ValueError, match=message):
+        typed(value, kind, "top")
 
 
 def _outcome(read):

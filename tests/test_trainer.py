@@ -503,6 +503,15 @@ def test_load_model_rejects_version_1_files(tmp_path):
         load_model(path)
 
 
+def test_load_model_rejects_a_version_that_is_not_an_integer(tmp_path):
+    path, payload = _saved_model_payload(tmp_path)
+    payload["version"] = 2.0
+    path.write_text(json.dumps(payload))
+    message = r"model\.json: model\.version must be an integer, got 2\.0$"
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
 # ---------------------------------------------------------------------------
 # the fit against its definition
 
