@@ -16,6 +16,7 @@ from .experiments import (
     load_config,
     load_gold,
     read_report_cells,
+    split_gold,
     sweep,
     write_report,
 )
@@ -167,10 +168,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.seeds is not None:
         config = replace(config, seeds=_seed_list(args.seeds))
+    # a gold table that cannot be built or split fails the run once, before
+    # any cell; the cells, forked pool workers too, find it in load_gold's cache
+    split_gold(config, config.seeds[0])
     result = sweep(config, output_dir=args.out, workers=args.workers)
     print(f"{len(result.rows)} cells completed, {len(result.failures)} failed; report in {args.out}")
-    for failure in result.failures:
-        print(f"FAILED {failure.error}", file=sys.stderr)
+    for f in result.failures:
+        cell = f"task={f.task} recipe={f.recipe} beta={f.beta} seed={f.seed}"
+        print(f"FAILED {cell}: {f.error}", file=sys.stderr)
     return 1 if result.failures else 0
 
 

@@ -84,6 +84,13 @@ class SyntheticGold:
     def __post_init__(self) -> None:
         if not self.components:
             raise ValueError("need at least one gold component")
+        for i, (_, n) in enumerate(self.components):
+            if n < 1:
+                raise ValueError(f"components[{i}].n must be at least 1, got {n}")
+        if self.vocab_size < 2:
+            raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
+        if self.tokens_per_item < 1:
+            raise ValueError(f"tokens_per_item must be at least 1, got {self.tokens_per_item}")
         check_key_int(self.seed, "gold seed")
 
     @property
@@ -179,10 +186,6 @@ class SweepResult:
     failures: tuple[CellFailure, ...]
 
 
-class CellError(RuntimeError):
-    """A cell failed; the message carries the (recipe, beta, seed) context."""
-
-
 # ---------------------------------------------------------------------------
 # gold sources
 
@@ -193,6 +196,7 @@ class IngestResult:
     skipped: int
 
 
+@reads_file
 def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
     """Load a user-supplied annotation file (line-delimited JSON).
 
@@ -309,6 +313,17 @@ def scaled_split(n_items: int, base: Sequence[int]) -> tuple[int, int, int]:
     return counts[0], counts[1], counts[2]
 
 
+def split_gold(config: ExperimentConfig, seed: int) -> tuple[GoldTable, GoldTable, GoldTable]:
+    """The train, dev and test parts of the config's gold table for
+    ``seed``, by the config's split, rescaled to the table in difficult
+    mode. A split with no train or no test items is an error."""
+    gold = load_gold(config)
+    counts = scaled_split(len(gold), config.split) if config.difficult else config.split
+    if counts[0] < 1 or counts[2] < 1:
+        raise ValueError(f"split {counts} has no train or no test items")
+    return split_items(gold, counts, seed)
+
+
 # ---------------------------------------------------------------------------
 # cells and sweeps
 
@@ -326,42 +341,34 @@ def _recipe_dataset(suite: Suite, recipe: str, benchmark: PopulationBenchmark):
 def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> ResultRow:
     """Run one cell end to end. Deterministic given (config, beta, seed, recipe)."""
     start = time.perf_counter()
-    try:
-        gold = load_gold(config)
-        counts = scaled_split(len(gold), config.split) if config.difficult else config.split
-        if counts[2] < 1:
-            raise ValueError(f"test split is empty for counts {counts}")
-        train_gold, dev_gold, test_gold = split_items(gold, counts, seed)
-        suite = _suite_cached(config, beta, seed)
-        dataset = _recipe_dataset(suite, recipe, config.benchmark)
-        features = _features_cached(config)
-        train_ds = dataset.restrict(train_gold.item_ids())
-        dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
-        model = train(train_ds, features, config.train, seed, dev=dev_ds)
-        preds = predict(model, features.select(test_gold.item_ids()))
-        return ResultRow(
-            task=config.task,
-            recipe=recipe,
-            beta=beta,
-            seed=seed,
-            acb=metrics.acb(preds, test_gold),
-            f1=metrics.f1(preds, test_gold),
-            positive_proportion=metrics.positive_proportion(train_ds),
-            n_items=len(test_gold),
-            wall_time=time.perf_counter() - start,
-        )
-    except Exception as err:
-        raise CellError(
-            f"cell task={config.task} recipe={recipe} beta={beta} seed={seed}: {err}"
-        ) from err
+    train_gold, dev_gold, test_gold = split_gold(config, seed)
+    suite = _suite_cached(config, beta, seed)
+    dataset = _recipe_dataset(suite, recipe, config.benchmark)
+    features = _features_cached(config)
+    train_ds = dataset.restrict(train_gold.item_ids())
+    dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
+    model = train(train_ds, features, config.train, seed, dev=dev_ds)
+    preds = predict(model, features.select(test_gold.item_ids()))
+    return ResultRow(
+        task=config.task,
+        recipe=recipe,
+        beta=beta,
+        seed=seed,
+        acb=metrics.acb(preds, test_gold),
+        f1=metrics.f1(preds, test_gold),
+        positive_proportion=metrics.positive_proportion(train_ds),
+        n_items=len(test_gold),
+        wall_time=time.perf_counter() - start,
+    )
 
 
 def _cell_outcome(args: tuple) -> tuple[ResultRow | None, CellFailure | None]:
+    """A cell's row, or its failure: the exception's type and message."""
     config, recipe, beta, seed = args
     try:
         return run_cell(config, beta, seed, recipe), None
-    except CellError as err:
-        return None, CellFailure(config.task, recipe, beta, seed, str(err))
+    except Exception as err:
+        return None, CellFailure(config.task, recipe, beta, seed, f"{type(err).__name__}: {err}")
 
 
 def aggregate_rows(
@@ -495,10 +502,13 @@ def read_report_cells(path: Union[str, Path]) -> tuple[ResultRow, ...]:
 
     The header must name every cell column. A cell row's value that is
     empty, does not parse or is not finite is an error naming the line
-    and the column; so is a file without cell rows.
+    and the column, and a cell row that repeats the task, recipe, beta
+    and seed of another is an error naming both lines. A file without
+    cell rows is an error too.
     """
     types = {k: v for k, v in get_type_hints(ResultRow).items() if k in REPORT_COLUMNS}
     cells = []
+    lines: dict[tuple, int] = {}  # line of each (task, recipe, beta, seed)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -512,7 +522,12 @@ def read_report_cells(path: Union[str, Path]) -> tuple[ResultRow, ...]:
                     continue
                 at = f"{path}:{reader.line_num}: cell"
                 values = {k: _report_value(rec[k], kind, f"{at}.{k}") for k, kind in types.items()}
-                cells.append(ResultRow(**values, wall_time=0.0))
+                cell = ResultRow(**values, wall_time=0.0)
+                key = (cell.task, cell.recipe, cell.beta, cell.seed)
+                if key in lines:
+                    raise ValueError(f"{at} repeats line {lines[key]}'s task, recipe, beta and seed")
+                lines[key] = reader.line_num
+                cells.append(cell)
         except csv.Error as err:  # DictReader counts only the lines it returned
             raise ValueError(f"{path}:{reader.reader.line_num}: {err}") from None
     if not cells:

@@ -94,6 +94,9 @@ def aggregate(runs: Sequence[ResultRow]) -> AggregateReport:
     n_items = {r.n_items for r in runs}
     if len(n_items) > 1:
         raise ValueError(f"runs have mixed item counts {sorted(n_items)}; refusing to aggregate")
+    seeds = tuple(r.seed for r in runs)
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"runs repeat a seed, got seeds {seeds}; refusing to aggregate")
     mean: dict[str, float] = {}
     std: dict[str, float] = {}
     for field in METRIC_FIELDS:
@@ -101,4 +104,4 @@ def aggregate(runs: Sequence[ResultRow]) -> AggregateReport:
         m = sum(values) / len(values)
         mean[field] = m
         std[field] = math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
-    return AggregateReport(mean=mean, std=std, seeds=tuple(r.seed for r in runs))
+    return AggregateReport(mean=mean, std=std, seeds=seeds)

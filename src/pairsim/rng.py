@@ -103,9 +103,6 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _32 = np.uint64(32)
 _11 = np.uint64(11)
 
-#: keys per Philox pass, which bounds the pass's temporary arrays
-_KEY_CHUNK = 1024
-
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The high and low 64-bit words of the 128-bit products ``m * x``,
@@ -120,11 +117,14 @@ def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, x * m
 
 
-def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """The first ``blocks`` 4-word Philox4x64-10 outputs of each key, as a
-    ``(len(keys), 4 * blocks)`` array in output order."""
+def philox_words(keys: np.ndarray, n: int) -> np.ndarray:
+    """Each key's first ``n`` 64-bit Philox4x64-10 outputs: row ``i`` is
+    ``stream(...).bit_generator.random_raw(n)`` of the stream whose key
+    is ``keys[i]``, as a ``(len(keys), n)`` uint64 array."""
+    keys = np.asarray(keys, dtype=np.uint64)
     k0 = keys[:, :1].copy()
     k1 = keys[:, 1:].copy()
+    blocks = -(-n // 4)
     shape = (len(keys), blocks)
     # numpy increments the counter before each block: block b uses b + 1
     x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
@@ -136,20 +136,7 @@ def _philox_blocks(keys: np.ndarray, blocks: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_M0, x0)
         hi1, lo1 = _mulhilo(_M1, x2)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), 4 * blocks)
-
-
-def philox_words(keys: np.ndarray, n: int) -> np.ndarray:
-    """Each key's first ``n`` 64-bit Philox outputs: row ``i`` is
-    ``stream(...).bit_generator.random_raw(n)`` of the stream whose key
-    is ``keys[i]``, as a ``(len(keys), n)`` uint64 array."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    out = np.empty((len(keys), n), dtype=np.uint64)
-    blocks = -(-n // 4)
-    for start in range(0, len(keys), _KEY_CHUNK):
-        chunk = keys[start : start + _KEY_CHUNK]
-        out[start : start + len(chunk)] = _philox_blocks(chunk, blocks)[:, :n]
-    return out
+    return np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), 4 * blocks)[:, :n]
 
 
 def doubles(words: np.ndarray) -> np.ndarray:

@@ -790,13 +790,13 @@ _encode = json.JSONEncoder(check_circular=False).encode
 
 
 def reads_file(reader):
-    """``reader(path)`` with every ValueError it raises naming the file: a
-    message that does not contain the path gets it as a prefix."""
+    """``reader(path, ...)`` with every ValueError it raises naming the file:
+    a message that does not contain the path gets it as a prefix."""
 
     @wraps(reader)
-    def read(path: Union[str, Path]):
+    def read(path: Union[str, Path], *args, **kwargs):
         try:
-            return reader(path)
+            return reader(path, *args, **kwargs)
         except ValueError as err:  # JSON and UTF-8 decoding errors included
             if str(path) in str(err):
                 raise
@@ -829,43 +829,17 @@ def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
             fh.write(_encode(vars(e)) + "\n")
 
 
-# The readers below first try the layout the matching writer produces,
-# checked by hand: reading every line through typed_object made the CLI
-# chain take 30% more CPU, a check derived from the field types 2.4%.
-# Any other layout goes through typed_object, which names what is wrong.
-_ENTRY_KEYS = tuple(f.name for f in fields(GoldEntry))
-_RECORD_KEYS = tuple(f.name for f in fields(Annotation))
-
-
-def _written_entry(d) -> GoldEntry | None:
-    """``d`` as a gold entry when it has write_gold's layout: the fields in
-    order, a string id, a list of string tokens, a float p_gold and an
-    integer k_reference; None otherwise."""
-    if type(d) is not dict or tuple(d) != _ENTRY_KEYS:
-        return None
-    item_id, text, p_gold, k_reference = d.values()
-    if (
-        type(item_id) is str
-        and type(text) is list
-        and {str}.issuperset(map(type, text))
-        and type(p_gold) is float
-        and type(k_reference) is int
-    ):
-        return GoldEntry(item_id, tuple(text), p_gold, k_reference)
-    return None
-
-
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
     entries = tuple(
-        _written_entry(d) or typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
-        for lineno, d in _json_lines(path)
+        typed_object(d, GoldEntry, f"{path}:{lineno}: entry") for lineno, d in _json_lines(path)
     )
     if not entries:
         raise ValueError("gold table has no entries")
     return GoldTable(entries)
 
 
+_RECORD_KEYS = tuple(f.name for f in fields(Annotation))
 # A record's line as json.dumps writes a dict of its fields, with a %s per
 # value; filling it in takes a quarter of the time of encoding that dict.
 _RECORD_LINE = "{" + ", ".join(f'"{key}": %s' for key in _RECORD_KEYS) + "}\n"
@@ -894,6 +868,11 @@ def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
         )
 
 
+# A dataset file has one line per annotation record, about ten times the
+# lines of its gold file, so read_dataset first tries the layout
+# write_dataset produces, checked by hand: reading every line through
+# typed_object made the CLI chain take 30% more CPU. Any other layout
+# goes through typed_object, which names what is wrong.
 def _written_record(d) -> Row | None:
     """``d`` as a row when it has write_dataset's layout: the fields in
     order, string ids and source, an integer label and a string or null

@@ -67,6 +67,15 @@ class TrainConfig:
             raise ValueError(f"hash_dim must be at least 2, got {self.hash_dim}")
         if not (math.isfinite(self.l2) and self.l2 > 0):
             raise ValueError(f"l2 must be finite and above 0, got {self.l2}")
+        try:
+            largest = self.path()[0]
+        except OverflowError:
+            largest = math.inf
+        if not math.isfinite(largest):
+            raise ValueError(
+                f"epochs {self.epochs} and l2 {self.l2} put the path's largest penalty,"
+                " l2 * 10 ** ((epochs - 1) / 2), beyond the float range"
+            )
 
     def path(self) -> tuple[float, ...]:
         """The penalties of the path, largest first."""

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pairsim import experiments
 from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import Uniform, read_dataset, read_gold
@@ -164,9 +165,9 @@ def test_cli_sweep_nonzero_exit_on_cell_failure(tmp_path, config_path, capsys):
     out = tmp_path / "results"
     assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
-    # each failure's line gives its cell once: the error names it
+    # each failure's line gives its cell once, then the error
     assert len(err) == 2
-    assert all(line.startswith("FAILED cell task=OL recipe=adjusted") for line in err)
+    assert all(line.startswith("FAILED task=OL recipe=adjusted") for line in err)
     assert all(line.count("recipe=") == 1 for line in err)
     assert (out / "failures.csv").exists()
 
@@ -205,6 +206,114 @@ def test_cli_sweep_rejects_a_split_that_does_not_cover_the_gold(tmp_path, config
     message = "split (40, 10, 9) sums to 59, but the synthetic gold has 60 items"
     assert capsys.readouterr().err == f"pairsim: error: {bad_path}: {message}\n"
     assert not out.exists()
+
+
+def _counted_cells(monkeypatch) -> list:
+    """The cells the sweep runs from now on (serial sweeps only)."""
+    ran = []
+    original = experiments._cell_outcome
+
+    def counting(args):
+        ran.append(args)
+        return original(args)
+
+    monkeypatch.setattr(experiments, "_cell_outcome", counting)
+    return ran
+
+
+def _with_gold_file(tmp_path, config_path, gold):
+    """A copy of the config at ``config_path`` that reads its gold from ``gold``."""
+    raw = json.loads(config_path.read_text())
+    raw["gold"] = {"file": str(gold)}
+    path = tmp_path / "file-config.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def _annotation_file(path, n):
+    rows = (
+        {"item_id": f"tw{i}", "text": f"tok{i} tok", "ol": [i % 2] * 12, "hs": [0] * 12}
+        for i in range(n)
+    )
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["utf-16-bom", "missing", "split"])
+def test_cli_sweep_checks_the_gold_file_once_before_any_cell(
+    tmp_path, config_path, capsys, monkeypatch, case
+):
+    gold = tmp_path / "annotations.jsonl"
+    if case == "utf-16-bom":
+        gold.write_bytes(b"\xff\xfe{\x00")
+        message = f"{gold}: 'utf-8' codec can't decode byte 0xff in position 0"
+    elif case == "missing":
+        message = f"No such file or directory: '{gold}'"
+    else:
+        _annotation_file(gold, 30)  # the split (40, 10, 10) needs 60 items
+        message = "split counts (40, 10, 10) sum to 60, but the gold table has 30 items"
+    file_config = _with_gold_file(tmp_path, config_path, gold)
+    ran = _counted_cells(monkeypatch)
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(file_config), "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("pairsim: error: ") and err.count("\n") == 1
+    assert message in err
+    assert ran == [] and not (out / "failures.csv").exists()
+
+
+def test_cli_simulate_names_an_undecodable_gold_file(tmp_path, config_path, capsys):
+    gold = tmp_path / "annotations.jsonl"
+    gold.write_bytes(b"\xff\xfe{\x00")
+    file_config = _with_gold_file(tmp_path, config_path, gold)
+    assert main(["simulate", "--config", str(file_config), "--beta", "0.2",
+                 "--seed", "10", "--out", str(tmp_path / "sim")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"pairsim: error: {gold}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda raw: raw["gold"]["synthetic"].update(vocab_size=1),
+         "vocab_size must be at least 2, got 1"),
+        (lambda raw: raw["gold"]["synthetic"].update(tokens_per_item=0),
+         "tokens_per_item must be at least 1, got 0"),
+        (lambda raw: raw["gold"]["synthetic"]["components"][0].update(n=-5),
+         "components[0].n must be at least 1, got -5"),
+        (lambda raw: raw["train"].update(epochs=700),
+         "epochs 700 and l2 1e-05 put the path's largest penalty, "
+         "l2 * 10 ** ((epochs - 1) / 2), beyond the float range"),
+    ],
+    ids=["vocab-size-1", "tokens-per-item-0", "component-n-negative", "epochs-700"],
+)
+def test_cli_sweep_rejects_a_config_no_cell_can_run(
+    tmp_path, config_path, capsys, monkeypatch, edit, message
+):
+    raw = json.loads(config_path.read_text())
+    edit(raw)
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    ran = _counted_cells(monkeypatch)
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"pairsim: error: {bad_path}: {message}\n")
+    assert ran == [] and not out.exists()
+
+
+def test_cli_train_rejects_a_path_beyond_the_float_range(tmp_path, config_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    capsys.readouterr()
+    model = tmp_path / "model.json"
+    assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
+                 str(out / "gold.jsonl"), "--out", str(model), "--epochs", "700"]) == 2
+    assert capsys.readouterr() == ("", (
+        "pairsim: error: epochs 700 and l2 1e-05 put the path's largest penalty, "
+        "l2 * 10 ** ((epochs - 1) / 2), beyond the float range\n"
+    ))
+    assert not model.exists()
 
 
 def test_cli_simulate_seed_beyond_stream_keys_is_one_error_line(tmp_path, config_path, capsys):
@@ -339,9 +448,11 @@ _REPORT = (
         (lambda t: "", ": empty report file"),
         (lambda t: t.splitlines(keepends=True)[0], ": no cell rows"),
         (lambda t: "".join(t.splitlines(keepends=True)[::3]), ": no cell rows"),
+        (lambda t: t.replace(",42,", ",10,", 1),
+         ":3: cell repeats line 2's task, recipe, beta and seed"),
     ],
     ids=["no-row-type", "no-recipe", "acb-abc", "seed-10.5", "acb-nan", "inf", "empty-recipe",
-         "short-row", "empty-file", "header-only", "mean-rows-only"],
+         "short-row", "empty-file", "header-only", "mean-rows-only", "repeated-cell"],
 )
 def test_cli_report_rejects_bad_cells_by_line_and_column(tmp_path, capsys, edit, message):
     report = tmp_path / "report.csv"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -249,11 +250,9 @@ def test_run_cell_beta_zero_recipes_indistinguishable():
     assert max(proportions) - min(proportions) < 0.01
 
 
-def test_run_cell_wraps_errors_with_context():
-    from pairsim.experiments import CellError
-
+def test_run_cell_raises_the_cells_own_error():
     config = tiny_config(benchmark=PopulationBenchmark({"A": 0.4, "B": 0.4, "C": 0.2}))
-    with pytest.raises(CellError, match=r"recipe=adjusted beta=0.3 seed=10"):
+    with pytest.raises(ValueError, match=r"absent from the annotation pool: 'C'"):
         run_cell(config, 0.3, 10, "adjusted")
 
 
@@ -304,6 +303,16 @@ def test_sweep_isolates_failures(tmp_path):
     assert all(r.recipe == "representative" for r in result.rows)
     assert (tmp_path / "failures.csv").exists()
     assert "absent from the annotation pool: 'C'" in (tmp_path / "failures.csv").read_text()
+
+
+def test_failures_file_gives_the_exception_and_not_the_cell_again(tmp_path):
+    config = tiny_config(benchmark=PopulationBenchmark({"A": 0.4, "B": 0.4, "C": 0.2}))
+    sweep(config, output_dir=tmp_path)
+    with open(tmp_path / "failures.csv", encoding="utf-8", newline="") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    # the cell's coordinates are the row's other columns
+    assert len(errors) == 2
+    assert all(e.startswith("ValueError: ") and "recipe=" not in e for e in errors)
 
 
 def test_passing_sweep_removes_an_earlier_runs_failures_file(tmp_path):

@@ -207,6 +207,11 @@ def test_aggregate_rejects_mixed_configurations():
         aggregate([run(1.0, n_items=100), run(1.0, n_items=200)])
 
 
+def test_aggregate_rejects_repeated_seeds():
+    with pytest.raises(ValueError, match=r"repeat a seed, got seeds \(1, 2, 1\)"):
+        aggregate([run(1.0, seed=1), run(2.0, seed=2), run(3.0, seed=1)])
+
+
 def test_aggregate_rejects_empty():
     with pytest.raises(ValueError):
         aggregate([])

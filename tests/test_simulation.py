@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pairsim import adjust, experiments, simulation, trainer
 from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark, read_weights
-from pairsim.experiments import load_config, load_gold, read_report_cells
+from pairsim.experiments import ingest_external, load_config, load_gold, read_report_cells
 from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
@@ -812,27 +812,33 @@ _READERS = {
     "weights": read_weights,
     "model": load_model,
     "report": read_report_cells,
+    "annotations": ingest_external,
 }
 
 
-@pytest.mark.parametrize("content", ["", "[]\n", "{\n"], ids=["empty", "list", "not-json"])
+@pytest.mark.parametrize(
+    "content",
+    [b"", b"[]\n", b"{\n", b"\xff\xfe{\x00"],
+    ids=["empty", "list", "not-json", "utf-16-bom"],
+)
 @pytest.mark.parametrize("reader", _READERS.values(), ids=_READERS.keys())
 def test_every_reader_rejects_a_malformed_file_by_path(tmp_path, reader, content):
     path = tmp_path / "input"
-    path.write_text(content)
+    path.write_bytes(content)
     with pytest.raises(ValueError) as caught:
         reader(path)
     assert str(path) in str(caught.value)
 
 
 def test_the_malformed_file_guard_covers_every_reader():
-    # every read_* or load_* function of the package that takes a path
+    # every public function of the package that takes a path and does not
+    # write it, whatever its name
     readers = {
         f
         for module in (adjust, experiments, simulation, trainer)
         for name, f in vars(module).items()
-        if name.startswith(("read_", "load_"))
-        and callable(f)
+        if not name.startswith(("_", "write_", "save_"))
+        and inspect.isfunction(f)
         and "path" in inspect.signature(f).parameters
     }
     assert readers == set(_READERS.values())
