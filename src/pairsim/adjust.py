@@ -21,7 +21,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .simulation import Dataset, RECIPE_ADJUSTED, reads_file, typed, typed_object
+from .simulation import Dataset, RECIPE_ADJUSTED, reads_file, typed
 
 ShareLike = Union[int, float, str, Fraction]
 
@@ -199,13 +199,6 @@ def apply_pair(
 # file formats
 
 
-def write_benchmark(benchmark: PopulationBenchmark, path: Union[str, Path]) -> None:
-    payload = {s: str(v) for s, v in sorted(benchmark.shares.items())}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @reads_file
 def read_benchmark(path: Union[str, Path]) -> PopulationBenchmark:
     with open(path, encoding="utf-8") as fh:
@@ -213,11 +206,8 @@ def read_benchmark(path: Union[str, Path]) -> PopulationBenchmark:
 
 
 def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:
-    """Audit export: raw, K, normalized and counts per stratum.
-
-    Floats for readability plus exact fraction strings for lossless
-    round-trips.
-    """
+    """Audit export: raw, K, normalized and counts per stratum, as
+    floats for readability and as exact fraction strings."""
     strata = {
         s: {
             "raw": float(weights.raw[s]),
@@ -233,66 +223,3 @@ def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-
-@dataclass(frozen=True)
-class _StratumWeights:
-    """One stratum's entry of a weight file, as write_weights writes it."""
-
-    raw: float
-    raw_exact: str
-    normalized: float
-    normalized_exact: str
-    replication_count: int
-
-
-@dataclass(frozen=True)
-class _WeightsFile:
-    strata: dict[str, _StratumWeights]
-    k: float
-    k_exact: str
-
-
-@reads_file
-def read_weights(path: Union[str, Path]) -> WeightTable:
-    """A weight table from its write_weights file. Values are type-checked,
-    never cast; a missing or ill-typed field is an error naming the file
-    and the field. The table is rebuilt from the exact raw weights and K;
-    each stratum's normalized_exact and replication_count must equal the
-    rebuilt values, and each float field the float of its exact value."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    where = f"{path}: weights"
-    table = typed_object(payload, _WeightsFile, where)
-    raw = {
-        s: _to_fraction(e.raw_exact, f"{where}.strata.{s}.raw_exact")
-        for s, e in table.strata.items()
-    }
-    k = _to_fraction(table.k_exact, f"{where}.k_exact")
-    try:
-        weights = WeightTable(raw, k)
-    except ValueError as err:
-        raise ValueError(f"{where}: {err}") from None
-    for s, e in table.strata.items():
-        at = f"{where}.strata.{s}"
-        normalized = _to_fraction(e.normalized_exact, f"{at}.normalized_exact")
-        if normalized != weights.normalized[s]:
-            raise ValueError(
-                f"{at}.normalized_exact is {normalized}, "
-                f"but raw_exact * k_exact is {weights.normalized[s]}"
-            )
-        if e.replication_count != weights.counts[s]:
-            raise ValueError(
-                f"{at}.replication_count is {e.replication_count}, "
-                f"but round(normalized_exact) - 1 is {weights.counts[s]}"
-            )
-    # the floats are for reading; each must be its exact value's float
-    floats = [("k", table.k, weights.k)]
-    for s, e in table.strata.items():
-        floats += [
-            (f"strata.{s}.raw", e.raw, weights.raw[s]),
-            (f"strata.{s}.normalized", e.normalized, weights.normalized[s]),
-        ]
-    for name, value, exact in floats:
-        if value != float(exact):
-            raise ValueError(f"{where}.{name} is {value}, but {name}_exact is {exact}")
-    return weights

@@ -122,7 +122,6 @@ def _add_evaluate(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--gold", required=True, help="gold table for the evaluation items")
     p.add_argument("--dataset", default=None, help="optional dataset for positive_proportion")
     p.add_argument("--out", default=None, help="metrics JSON (default: stdout)")
-    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=_cmd_evaluate)
 
 
@@ -133,7 +132,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     payload = {
         "n_items": len(gold),
         "acb": acb(preds, gold),
-        "f1": f1(preds, gold, prob_threshold=args.threshold),
+        "f1": f1(preds, gold),
     }
     if args.dataset:
         payload["positive_proportion"] = positive_proportion(read_dataset(args.dataset))

@@ -26,7 +26,6 @@ from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
 from .rng import check_key_int, stream
 from .simulation import (
-    GOLD_PANEL_SIZE,
     GoldShape,
     GoldTable,
     Rare,
@@ -217,9 +216,7 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
                 continue
             try:
                 row = json.loads(line)
-                item_id, tokens, labels = annotation_row(
-                    row["item_id"], row["text"], row[key], GOLD_PANEL_SIZE
-                )
+                item_id, tokens, labels = annotation_row(row["item_id"], row["text"], row[key])
                 if (
                     not isinstance(item_id, str)
                     or item_id in seen
@@ -234,7 +231,7 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
             rows.append((item_id, tokens, labels))
     if not rows:
         raise ValueError(f"{path}: no valid annotation rows")
-    return IngestResult(derive_gold(rows, subsample=GOLD_PANEL_SIZE), skipped)
+    return IngestResult(derive_gold(rows), skipped)
 
 
 # A process keeps the gold tables of its last few configs. The caches key
@@ -399,10 +396,15 @@ def sweep(
     starts no more processes than there are cells. Failures are
     isolated per cell: the sweep continues, failed cells are
     enumerated, and the report holds one row per completed cell plus
-    cross-seed aggregate rows. ``workers`` below 1 is an error.
+    cross-seed aggregate rows. ``workers`` below 1 is an error, and so
+    is an ``output_dir`` that cannot be made a directory, before any
+    cell runs.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    out = None if output_dir is None else Path(output_dir)
+    if out is not None:  # a path that cannot be a directory fails before any cell
+        out.mkdir(parents=True, exist_ok=True)
     cells = [
         (config, recipe, beta, seed)
         for beta in config.betas
@@ -425,9 +427,7 @@ def sweep(
         key=lambda f: (f.task, f.recipe, f.beta, f.seed),
     )
     aggregates = aggregate_rows(rows)
-    if output_dir is not None:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         write_report(rows, aggregates, out / REPORT_NAME)
         _write_table(out / TIMINGS_NAME, TIMINGS_COLUMNS, map(asdict, rows))
         if failures:

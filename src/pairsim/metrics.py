@@ -45,23 +45,18 @@ def acb(preds: Mapping[str, float], gold: GoldTable) -> float:
     return sum(abs(preds[e.item_id] - e.p_gold) for e in gold.entries) / len(gold.entries)
 
 
-def f1(
-    preds: Mapping[str, float],
-    gold: GoldTable,
-    prob_threshold: float = 0.5,
-) -> float:
-    """Binary F1 of thresholded predictions against the gold majority label.
+def f1(preds: Mapping[str, float], gold: GoldTable) -> float:
+    """Binary F1 of predictions against the gold majority label.
 
-    An item is gold-positive when p_gold >= 0.5 (ties count positive).
+    An item is predicted positive when its prediction is >= 0.5 and
+    gold-positive when p_gold >= 0.5: ties count positive on both sides.
     When there are no positive predictions and no positive gold labels
     the score is reported as 0.0 with a warning.
     """
-    if not 0.0 < prob_threshold < 1.0:
-        raise ValueError(f"prob_threshold {prob_threshold} outside (0, 1)")
     _check_items(preds, gold)
     tp = fp = fn = 0
     for e in gold.entries:
-        pred_pos = preds[e.item_id] >= prob_threshold
+        pred_pos = preds[e.item_id] >= 0.5
         gold_pos = e.p_gold >= 0.5
         if pred_pos and gold_pos:
             tp += 1

@@ -372,17 +372,15 @@ def subsample_indices(seed: int, item_index: int, n: int, m: int) -> tuple[int, 
 
 
 def annotation_row(
-    item_id: str,
-    text: Union[str, Sequence[str]],
-    labels: Sequence[int],
-    subsample: int | None = None,
+    item_id: str, text: Union[str, Sequence[str]], labels: Sequence[int]
 ) -> tuple[str, tuple[str, ...], tuple[int, ...]]:
     """One item's reference annotations as ``(item_id, tokens, labels)``;
     a string text is split on whitespace.
 
     Raises ValueError when the labels are empty, not each the integer 0
     or 1 (``True`` and ``1.0`` compare equal to 1 but are not labels), or
-    fewer than ``subsample`` (a draw of that many without replacement).
+    fewer than ``GOLD_PANEL_SIZE`` (a draw of that many without
+    replacement).
     """
     labels = tuple(labels)
     if not labels:
@@ -390,32 +388,29 @@ def annotation_row(
     bad = [l for l in labels if type(l) is not int or l not in (0, 1)]
     if bad:
         raise ValueError(f"item {item_id!r} has non-binary labels: {bad}")
-    if subsample is not None and len(labels) < subsample:
+    if len(labels) < GOLD_PANEL_SIZE:
         raise ValueError(
             f"item {item_id!r} has {len(labels)} annotations, "
-            f"cannot draw {subsample} without replacement"
+            f"cannot draw {GOLD_PANEL_SIZE} without replacement"
         )
     tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
     return item_id, tokens, labels
 
 
-def derive_gold(
-    raw: Iterable[tuple],
-    subsample: int | None = None,
-    seed: int = 0,
-) -> GoldTable:
+def derive_gold(raw: Iterable[tuple]) -> GoldTable:
     """Turn ``(item_id, text, labels)`` rows into a gold agreement table.
 
-    Each row is checked by :func:`annotation_row`. With
-    ``subsample=m``, exactly m annotations per item are drawn without
-    replacement (seeded by the row's position) before the proportion is
-    computed.
+    Each row is checked by :func:`annotation_row`. Exactly
+    ``GOLD_PANEL_SIZE`` annotations per item are drawn without
+    replacement (``subsample_indices`` at seed 0 and the row's position)
+    before the proportion is computed.
     """
-    rows = [annotation_row(*row, subsample) for row in raw]
+    rows = [annotation_row(*row) for row in raw]
     entries = []
     for i, (item_id, tokens, labels) in enumerate(rows):
-        if subsample is not None and len(labels) > subsample:
-            labels = tuple(labels[j] for j in subsample_indices(seed, i, len(labels), subsample))
+        if len(labels) > GOLD_PANEL_SIZE:
+            keep = subsample_indices(0, i, len(labels), GOLD_PANEL_SIZE)
+            labels = tuple(labels[j] for j in keep)
         entries.append(GoldEntry(item_id, tokens, sum(labels) / len(labels), len(labels)))
     return GoldTable(tuple(entries))
 
@@ -575,15 +570,15 @@ def sample_pool(
     bias: BiasSpec,
     seed: int,
     task: str = "OL",
-    recipe: str = "custom",
 ) -> Dataset:
     """Draw a full annotation pool: per item, ``comp.counts[s]`` labels per stratum.
 
     Labels are independent Bernoulli draws at the stratum-shifted
     proportion. Records run item by item, and within an item stratum by
     stratum in sorted order, slot by slot; the record of slot k of
-    stratum s of an item is named ``"<item_id>:<s><k>"``. Deterministic
-    given (gold order, comp, bias, seed, task).
+    stratum s of an item is named ``"<item_id>:<s><k>"``. The pool's
+    recipe is ``"custom"``. Deterministic given (gold order, comp, bias,
+    seed, task).
 
     Slot k of stratum s of item i compares double k of the stream
     ``stream(seed, f"{task}:annot:{s}", i)`` with the shifted proportion;
@@ -610,7 +605,7 @@ def sample_pool(
     item_ids = gold.item_ids()
     slots = [f"{s}{k}" for s in strata for k in range(comp.counts[s])]
     return Dataset(
-        DatasetMeta(task, recipe, bias.beta, seed),
+        DatasetMeta(task, "custom", bias.beta, seed),
         item_ids,
         strata,
         np.repeat(np.arange(n), per_item),
@@ -710,11 +705,10 @@ _JSON_TYPES = {
 def typed(value, kind, where: str):
     """``value`` as a field of type ``kind``: bool, int, float, str,
     ``tuple[t, ...]`` for a JSON list of ``t`` values (each named
-    ``where[i]``), ``dict[str, t]`` for a JSON object of ``t`` values
-    (each named ``where.<key>``), a dataclass for a JSON object of its
-    fields, read by :func:`typed_object`, or ``t | None``. A JSON value
-    of any other type is an error naming ``where``; an integer for a
-    float field is widened, nothing is cast."""
+    ``where[i]``), a dataclass for a JSON object of its fields, read by
+    :func:`typed_object`, or ``t | None``. A JSON value of any other
+    type is an error naming ``where``; an integer for a float field is
+    widened, nothing is cast."""
     origin = get_origin(kind)
     if origin is tuple:
         if not isinstance(value, list):
@@ -723,11 +717,6 @@ def typed(value, kind, where: str):
         if {item}.issuperset(map(type, value)):
             return tuple(value)
         return tuple(typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise ValueError(f"{where} must be a JSON object, got {value!r}")
-        item = kind.__args__[1]
-        return {key: typed(v, item, f"{where}.{key}") for key, v in value.items()}
     if origin is UnionType:  # t | None
         if value is None:
             return None

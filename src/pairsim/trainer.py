@@ -35,7 +35,9 @@ MODEL_VERSION = 2
 
 # L-BFGS: correction pairs kept, the two stopping tests (largest gradient
 # entry; loss drop relative to the loss, as L-BFGS-B's factr 1e7 times
-# machine epsilon), and the iteration cap, which is an error to reach
+# machine epsilon, taken only once the largest gradient entry is within
+# ten times the gradient test), and the iteration cap, which is an error
+# to reach
 _MEMORY = 10
 _GRADIENT_TOL = 1e-5
 _REDUCTION_TOL = 2.2e-9
@@ -269,9 +271,11 @@ def _lbfgs(
             raise ValueError(
                 f"training at l2={l2!r} reached a non-finite loss, gradient or weight"
             )
-        if np.abs(g).max() <= _GRADIENT_TOL:
+        largest = np.abs(g).max()
+        if largest <= _GRADIENT_TOL:
             return theta, iteration, STOP_GRADIENT
-        if reduction <= _REDUCTION_TOL:
+        # a small loss drop far from a stationary point is a slow step, not a stop
+        if reduction <= _REDUCTION_TOL and largest <= 10 * _GRADIENT_TOL:
             return theta, iteration, STOP_REDUCTION
         if iteration == _MAX_ITERATIONS:
             break

@@ -72,3 +72,26 @@ def test_sweep_hands_each_cell_the_tuple_the_worker_unpacks(monkeypatch):
         for recipe in config.recipes
     ]
     assert len(result.failures) == len(seen)
+
+
+def test_every_cli_call_of_the_files_workload_parses(tmp_path, monkeypatch):
+    # a flag the worker passes, such as train --seed or --epochs, must stay;
+    # the commands are stubbed, so only the parser runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run and worker import yardstick
+    run, worker = _load("run"), _load("worker")
+    from pairsim import cli
+
+    called = []
+    for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+        monkeypatch.setattr(cli, name, lambda args, name=name: called.append((name, args)) or 0)
+    inputs = run.make_inputs("files", 1, run.TREND_CONFIG)
+    inputs["files"]["benchmark"] = str(tmp_path / "benchmark.json")
+    job = {**inputs, "config": str(tmp_path / "config.json"), "out": str(tmp_path / "out")}
+    steps = worker._files_steps(job)
+    for _, _, argv in steps:
+        assert cli.main(argv) == 0, argv
+    assert [name for name, _ in called] == [f"_cmd_{step}" for step, _, _ in steps]
+    for (_, _, argv), (_, args) in zip(steps, called):
+        # argparse takes a prefix of a longer flag, so check each flag by name
+        for flag in (a for a in argv if a.startswith("--")):
+            assert hasattr(args, flag[2:].replace("-", "_")), (flag, argv)

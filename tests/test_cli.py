@@ -261,6 +261,17 @@ def test_cli_sweep_checks_the_gold_file_once_before_any_cell(
     assert ran == [] and not (out / "failures.csv").exists()
 
 
+def test_cli_sweep_into_a_file_is_one_error_line_before_any_cell(
+    tmp_path, config_path, capsys, monkeypatch
+):
+    out = tmp_path / "results"
+    out.write_text("")
+    ran = _counted_cells(monkeypatch)
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"pairsim: error: [Errno 17] File exists: '{out}'\n")
+    assert ran == []
+
+
 def test_cli_simulate_names_an_undecodable_gold_file(tmp_path, config_path, capsys):
     gold = tmp_path / "annotations.jsonl"
     gold.write_bytes(b"\xff\xfe{\x00")

@@ -179,9 +179,7 @@ def test_ingest_hands_derive_gold_the_accepted_rows_in_order(tmp_path):
     assert result.skipped == 3
     kept = [json.loads(line) for i, line in enumerate(lines) if i not in bad]
     # the subsample stream of each row is its position among accepted rows
-    expected = derive_gold(
-        [(row["item_id"], row["text"], row["ol"]) for row in kept], subsample=12
-    )
+    expected = derive_gold([(row["item_id"], row["text"], row["ol"]) for row in kept])
     assert result.gold == expected
 
 
@@ -321,6 +319,17 @@ def test_passing_sweep_removes_an_earlier_runs_failures_file(tmp_path):
     assert (tmp_path / "failures.csv").exists()
     assert not sweep(tiny_config(), output_dir=tmp_path).failures
     assert not (tmp_path / "failures.csv").exists()
+
+
+def test_sweep_rejects_an_output_path_that_is_a_file_before_any_cell(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(experiments, "_cell_outcome", lambda args: ran.append(args))
+    out = tmp_path / "report"
+    out.write_text("not a directory\n")
+    with pytest.raises(FileExistsError):
+        sweep(tiny_config(), output_dir=out)
+    assert ran == []
+    assert out.read_text() == "not a directory\n"
 
 
 def test_report_cells_round_trip(tmp_path):

@@ -110,10 +110,12 @@ def test_f1_tie_handling():
     assert f1(preds, gold) == 1.0
 
 
-def test_f1_rejects_bad_threshold():
-    gold = flat_gold([0.5])
-    with pytest.raises(ValueError):
-        f1({"it000": 0.5}, gold, prob_threshold=1.0)
+def test_f1_counts_a_prediction_of_one_half_positive():
+    gold = flat_gold([0.9, 0.1])
+    below = 0.5 - 2**-53
+    # item 0: 0.5 is a true positive; item 1: 0.5 is a false positive
+    assert f1({"it000": 0.5, "it001": 0.5}, gold) == 2 / 3
+    assert f1({"it000": 0.5, "it001": below}, gold) == 1.0
 
 
 def test_f1_invariant_to_threshold_preserving_transform():

@@ -2,7 +2,7 @@ import hashlib
 import inspect
 import json
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim import adjust, experiments, simulation, trainer
-from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark, read_weights
+from pairsim.adjust import PopulationBenchmark, apply_pair, read_benchmark
 from pairsim.experiments import ingest_external, load_config, load_gold, read_report_cells
 from pairsim.rng import stream
 from pairsim.simulation import (
@@ -54,34 +54,34 @@ def flat_gold(ps, k=12):
 
 
 def test_derive_gold_mean():
-    gold = derive_gold([("a", "some text", [1, 1, 0, 0])])
+    gold = derive_gold([("a", "some text", [1, 1, 0, 0] * 3)])
     assert gold.entries[0].p_gold == 0.5
-    assert gold.entries[0].k_reference == 4
+    assert gold.entries[0].k_reference == 12
     assert gold.entries[0].text == ("some", "text")
 
 
 def test_derive_gold_all_negative():
-    gold = derive_gold([("a", "t", [0, 0, 0])])
+    gold = derive_gold([("a", "t", [0] * 12)])
     assert gold.entries[0].p_gold == 0.0
 
 
 def test_derive_gold_rejects_empty_item():
     with pytest.raises(ValueError, match="'bad-item'"):
-        derive_gold([("ok", "t", [1]), ("bad-item", "t", [])])
+        derive_gold([("ok", "t", [1] * 12), ("bad-item", "t", [])])
 
 
 def test_derive_gold_rejects_non_binary():
     with pytest.raises(ValueError, match="non-binary"):
-        derive_gold([("a", "t", [0, 2, 1])])
+        derive_gold([("a", "t", [0, 2, 1] + [0] * 9)])
 
 
 def test_derive_gold_subsample_recount_oracle():
     # recount: recompute the retained subset independently and compare means
     labels = [1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1]
-    gold = derive_gold([("a", "t", labels)], subsample=12, seed=9)
+    gold = derive_gold([("a", "t", labels)])
     entry = gold.entries[0]
     assert entry.k_reference == 12
-    keep = subsample_indices(9, 0, 15, 12)
+    keep = subsample_indices(0, 0, 15, 12)
     assert len(keep) == 12 and len(set(keep)) == 12
     assert all(0 <= i < 15 for i in keep)
     assert entry.p_gold == sum(labels[i] for i in keep) / 12
@@ -89,51 +89,48 @@ def test_derive_gold_subsample_recount_oracle():
 
 def test_derive_gold_subsample_deterministic():
     labels = [1, 0] * 8
-    g1 = derive_gold([("a", "t", labels)], subsample=12, seed=3)
-    g2 = derive_gold([("a", "t", labels)], subsample=12, seed=3)
+    g1 = derive_gold([("a", "t", labels)])
+    g2 = derive_gold([("a", "t", labels)])
     assert g1.entries[0].p_gold == g2.entries[0].p_gold
 
 
 def test_derive_gold_subsample_too_few():
-    with pytest.raises(ValueError, match="cannot draw"):
-        derive_gold([("a", "t", [1, 0, 1])], subsample=12)
+    with pytest.raises(ValueError, match="has 11 annotations, cannot draw 12"):
+        derive_gold([("a", "t", [1, 0] * 5 + [1])])
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.lists(st.lists(st.integers(0, 1), min_size=3, max_size=9), min_size=1, max_size=6),
-    st.integers(1, 3),
-    st.integers(0, 2**63 - 1),
-)
-def test_derive_gold_subsample_draws_are_those_of_each_rows_stream(labels, m, seed):
-    # row i keeps the labels that stream(seed, "subsample", i) chooses
+@given(st.lists(st.lists(st.integers(0, 1), min_size=12, max_size=18), min_size=1, max_size=6))
+def test_derive_gold_subsample_draws_are_those_of_each_rows_stream(labels):
+    # row i keeps the 12 labels that stream(0, "subsample", i) chooses
     rows = [(f"it{i}", "t", row) for i, row in enumerate(labels)]
-    gold = derive_gold(rows, subsample=m, seed=seed)
+    gold = derive_gold(rows)
     for i, (entry, row) in enumerate(zip(gold.entries, labels)):
-        if len(row) > m:
-            keep = stream(seed, "subsample", i).choice(len(row), size=m, replace=False)
+        if len(row) > 12:
+            keep = stream(0, "subsample", i).choice(len(row), size=12, replace=False)
         else:
             keep = range(len(row))
-        assert entry.p_gold == sum(row[j] for j in keep) / m
-        assert entry.k_reference == m
+        assert entry.p_gold == sum(row[j] for j in keep) / 12
+        assert entry.k_reference == 12
 
 
 def test_annotation_row_splits_text_and_checks_labels():
-    assert annotation_row("a", " some  text ", [1, 0]) == ("a", ("some", "text"), (1, 0))
-    assert annotation_row("a", ["tok", "en"], (0,), subsample=1) == ("a", ("tok", "en"), (0,))
+    labels = (1, 0) * 6
+    assert annotation_row("a", " some  text ", list(labels)) == ("a", ("some", "text"), labels)
+    assert annotation_row("a", ["tok", "en"], (0,) * 12) == ("a", ("tok", "en"), (0,) * 12)
     with pytest.raises(ValueError, match="no annotations"):
         annotation_row("a", "t", [])
     with pytest.raises(ValueError, match="non-binary"):
-        annotation_row("a", "t", [0, 2])
-    with pytest.raises(ValueError, match="cannot draw 3"):
-        annotation_row("a", "t", [0, 1], subsample=3)
+        annotation_row("a", "t", [0, 2] * 6)
+    with pytest.raises(ValueError, match="has 2 annotations, cannot draw 12"):
+        annotation_row("a", "t", [0, 1])
 
 
 @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None])
 def test_annotation_row_takes_only_the_integers_0_and_1(label):
     # True == 1 and 1.0 == 1 in Python, but neither is a label
     with pytest.raises(ValueError, match=rf"non-binary labels: \[{label!r}\]"):
-        annotation_row("a", "t", [0, label, 1])
+        annotation_row("a", "t", [0, label] + [1] * 10)
 
 
 def test_gold_table_rejects_duplicates_and_bad_p():
@@ -207,6 +204,7 @@ def test_sample_pool_record_invariants():
     gold = flat_gold([0.2, 0.6, 0.9])
     ds = sample_pool(gold, PoolComposition({"A": 4, "B": 2}), BiasSpec.two_type(0.1), seed=5)
     ds.validate()
+    assert ds.meta == DatasetMeta("OL", "custom", 0.1, 5)
     assert {r.stratum_id for r in ds.records} == {"A", "B"}
     per_item = ds.records_by_item()
     for recs in per_item.values():
@@ -325,9 +323,8 @@ def oracle_stratum_labels(seed, task, stratum, item_index, p_shifted, count, off
 
 def oracle_build_suite(gold, beta, seed, task="OL"):
     bias = BiasSpec.two_type(beta)
-    rep = sample_pool(
-        gold, PoolComposition({"A": 6, "B": 6}), bias, seed, task=task, recipe="representative"
-    )
+    pool = sample_pool(gold, PoolComposition({"A": 6, "B": 6}), bias, seed, task=task)
+    rep = Dataset.from_records(pool.records, DatasetMeta(task, "representative", beta, seed))
     by_item = rep.records_by_item()
     n1_records, n2_records = [], []
     for idx, entry in enumerate(gold.entries):
@@ -784,13 +781,12 @@ _RECORD = {"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1
     [
         (load_config, _TRUNCATED),
         (read_benchmark, _TRUNCATED),
-        (read_weights, _TRUNCATED),
         (load_model, _TRUNCATED),
         (read_gold, [{"item_id": "item00001", "text": [], "p_gold": 1.5, "k_reference": 12}]),
         (read_dataset, [_HEADER, {**_RECORD, "label": 2}]),
         (read_dataset, [_HEADER, _RECORD, {**_RECORD, "item_id": "other"}]),
     ],
-    ids=["config", "benchmark", "weights", "model", "gold", "dataset-label", "dataset-repeated-id"],
+    ids=["config", "benchmark", "model", "gold", "dataset-label", "dataset-repeated-id"],
 )
 def test_every_reader_names_its_file_once(tmp_path, reader, rows):
     path = tmp_path / "input.json"
@@ -809,7 +805,6 @@ _READERS = {
     "gold": read_gold,
     "dataset": read_dataset,
     "benchmark": read_benchmark,
-    "weights": read_weights,
     "model": load_model,
     "report": read_report_cells,
     "annotations": ingest_external,
@@ -847,24 +842,23 @@ def test_the_malformed_file_guard_covers_every_reader():
 @dataclass(frozen=True)
 class _Point:
     x: int
-    tags: dict[str, float] = field(default_factory=dict)
+    tags: tuple[float, ...] = ()
 
 
-def test_typed_reads_dataclasses_and_string_keyed_objects():
-    read = typed({"a": {"x": 1, "tags": {"u": 2}}, "b": {"x": 3}}, dict[str, _Point], "top")
-    assert read == {"a": _Point(1, {"u": 2.0}), "b": _Point(3)}
-    assert type(read["a"].tags["u"]) is float  # widened, as in any float field
-    assert typed([{"x": 1}], tuple[_Point, ...], "top") == (_Point(1),)
+def test_typed_reads_dataclasses():
+    read = typed([{"x": 1, "tags": [2]}, {"x": 3}], tuple[_Point, ...], "top")
+    assert read == (_Point(1, (2.0,)), _Point(3))
+    assert type(read[0].tags[0]) is float  # widened, as in any float field
     assert typed(None, _Point | None, "top") is None
 
 
 @pytest.mark.parametrize(
     "value, kind, message",
     [
-        ([], dict[str, int], r"^top must be a JSON object, got \[\]$"),
-        ({"a": 1, "b": 1.5}, dict[str, int], r"^top\.b must be an integer, got 1\.5$"),
-        ({"a": {"x": 1, "y": 2}}, dict[str, _Point], r"^unknown key 'y' in top\.a$"),
-        ({"a": {"x": 1, "tags": {"u": "2"}}}, dict[str, _Point], r"^top\.a\.tags\.u must be"),
+        ({"a": 1}, tuple[int, ...], r"^top must be a list, got \{'a': 1\}$"),
+        ([1, 1.5], tuple[int, ...], r"^top\[1\] must be an integer, got 1\.5$"),
+        ([{"x": 1, "y": 2}], tuple[_Point, ...], r"^unknown key 'y' in top\[0\]$"),
+        ([{"x": 1, "tags": ["2"]}], tuple[_Point, ...], r"^top\[0\]\.tags\[0\] must be a number"),
         ([{"x": 1}, {}], tuple[_Point, ...], r"^top\[1\]\.x is missing$"),
         ([{"x": 1}, [1]], tuple[_Point, ...], r"^top\[1\] must be a JSON object, got list$"),
         (5, _Point | None, r"^top must be a JSON object, got int$"),
