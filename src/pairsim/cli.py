@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -205,11 +206,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pairsim",
+        allow_abbrev=False,
         description="simulate annotator-composition bias, rebalance pools by "
         "replication, and measure calibration/accuracy effects",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a flag is taken only as spelled in full, never by a prefix of it
+    exact = partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=exact)
     _add_simulate(sub)
     _add_adjust(sub)
     _add_train(sub)

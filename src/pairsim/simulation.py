@@ -28,6 +28,7 @@ id strings are made only when a dataset is written or its ``records``
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property, wraps
 from pathlib import Path
@@ -280,10 +281,12 @@ class Dataset:
         return self.take(np.flatnonzero(keep[self.item]))
 
     def validate(self) -> None:
-        """Check that annotation ids are unique and that each replica
-        agrees with its original on (item, stratum, label); raises
-        ValueError on violation. Labels, sources and replica references
-        are checked where records become columns (:func:`_from_rows`)."""
+        """Check that annotation ids are unique, that each replica agrees
+        with the record it replicates on (item, stratum, label), and that
+        following ``replica_of`` from each replica reaches an original;
+        raises ValueError on violation. Labels, sources and replica
+        references are checked where records become columns
+        (:func:`_from_rows`)."""
         ids = self.annotation_ids
         seen: set[str] = set()
         for aid in ids:
@@ -303,6 +306,17 @@ class Dataset:
                 f"replica {ids[k]!r} disagrees with its original "
                 f"{ids[self.original[k]]!r} on (item, stratum, label)"
             )
+        # pointer doubling: after s steps, end[k] is the record 2**s links
+        # down k's chain, or the original the chain stops at
+        end = np.where(self.original < 0, np.arange(len(self)), self.original)
+        for _ in range(len(self).bit_length()):
+            end = end[end]
+        cyclic = self.original[end] >= 0
+        if cyclic.any():
+            k = int(np.argmax(cyclic))
+            raise ValueError(
+                f"replica {ids[k]!r} has no original: its replica_of chain ends in a cycle"
+            )
 
 
 def _from_rows(rows: Sequence[Row], meta: DatasetMeta) -> Dataset:
@@ -314,16 +328,8 @@ def _from_rows(rows: Sequence[Row], meta: DatasetMeta) -> Dataset:
     ``replica_of`` names no record, or an original with a ``replica_of``.
     """
     ids, items, strata, labels, sources, refs = zip(*rows) if rows else ((),) * 6
-    n = len(rows)
-    item_ids = tuple(dict.fromkeys(items))
-    stratum_ids = tuple(dict.fromkeys(strata))
-
-    def codes(names: tuple[str, ...], table: tuple[str, ...]) -> np.ndarray:
-        code = {name: k for k, name in enumerate(table)}
-        return np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=n)
-
     index = {aid: k for k, aid in enumerate(ids)}
-    original = np.full(n, -1, dtype=np.intp)
+    original = np.full(len(rows), -1, dtype=np.intp)
     for k, (aid, label, source, ref) in enumerate(zip(ids, labels, sources, refs)):
         if label not in (0, 1):
             raise ValueError(f"annotation {aid!r}: label {label} not binary")
@@ -335,13 +341,34 @@ def _from_rows(rows: Sequence[Row], meta: DatasetMeta) -> Dataset:
             raise ValueError(f"annotation {aid!r}: bad source {source!r}")
         elif ref is not None:
             raise ValueError(f"original {aid!r} carries replica_of")
+    return _from_columns(meta, ids, items, strata, np.array(labels, dtype=np.int8), original)
+
+
+def _from_columns(
+    meta: DatasetMeta,
+    ids: Sequence[str],
+    items: Sequence[str],
+    strata: Sequence[str],
+    label: np.ndarray,
+    original: np.ndarray,
+) -> Dataset:
+    """The dataset whose record k has annotation id ``ids[k]``, item
+    ``items[k]``, stratum ``strata[k]``, ``label[k]`` and ``original[k]``.
+    Item and stratum codes follow first appearance."""
+    item_ids = tuple(dict.fromkeys(items))
+    stratum_ids = tuple(dict.fromkeys(strata))
+
+    def codes(names: Sequence[str], table: tuple[str, ...]) -> np.ndarray:
+        code = {name: k for k, name in enumerate(table)}
+        return np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(names))
+
     return Dataset(
         meta,
         item_ids,
         stratum_ids,
         codes(items, item_ids),
         codes(strata, stratum_ids),
-        np.array(labels, dtype=np.int8),
+        label,
         original,
         lambda: ids,
     )
@@ -858,28 +885,69 @@ def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
 
 
 # A dataset file has one line per annotation record, about ten times the
-# lines of its gold file, so read_dataset first tries the layout
-# write_dataset produces, checked by hand: reading every line through
-# typed_object made the CLI chain take 30% more CPU. Any other layout
-# goes through typed_object, which names what is wrong.
-def _written_record(d) -> Row | None:
-    """``d`` as a row when it has write_dataset's layout: the fields in
-    order, string ids and source, an integer label and a string or null
-    replica_of; None otherwise."""
-    if type(d) is not dict or tuple(d) != _RECORD_KEYS:
+# lines of its gold file, so read_dataset first reads the layout
+# write_dataset produces with one pattern, matched a block of lines at a
+# time: decoding each line as JSON made the CLI chain take 44% more CPU
+# (2-vCPU x86 host). A JSON string without quotes, backslashes or control
+# characters decodes to its own text, so a captured string is its value.
+# Any other layout, and any record the columns cannot hold, goes line by
+# line through typed_object, which names what is wrong.
+_TEXT = r'[^"\\\x00-\x1f]*'
+_RECORD_VALUES = {
+    "annotation_id": f'"({_TEXT})"',
+    "item_id": f'"({_TEXT})"',
+    "stratum_id": f'"({_TEXT})"',
+    "label": "([01])",
+    "source": '"(original|replica)"',
+    "replica_of": f'(null|"{_TEXT}")',
+}
+_RECORD_PATTERN = re.compile(
+    "^" + re.escape(_RECORD_LINE[:-1]) % tuple(_RECORD_VALUES[key] for key in _RECORD_KEYS) + "$",
+    re.M,
+)
+#: characters read per block of record lines; a block ends with a whole line
+_BLOCK_CHARS = 1 << 18
+
+
+def _read_written_dataset(path: Union[str, Path]) -> Dataset | None:
+    """The dataset of a file in write_dataset's layout, not yet validated,
+    or None for a file in any other layout or with a record that
+    :func:`_from_rows` would reject."""
+    columns: tuple[list[str], ...] = ([], [], [], [], [], [])
+    try:
+        with open(path, encoding="utf-8") as fh:
+            meta = typed_object(json.loads(fh.readline()), DatasetMeta, "header")
+            while block := fh.read(_BLOCK_CHARS):
+                block += fh.readline()  # up to the end of the line the read stopped in
+                matches = _RECORD_PATTERN.findall(block)
+                if len(matches) != block.count("\n") + (not block.endswith("\n")):
+                    return None
+                for column, values in zip(columns, zip(*matches)):
+                    column.extend(values)
+    except ValueError:  # a header that is not JSON or not DatasetMeta, or bad UTF-8
         return None
-    annotation_id, item_id, stratum_id, label, source, replica_of = row = tuple(d.values())
-    if (
-        type(annotation_id) is type(item_id) is type(stratum_id) is type(source) is str
-        and type(label) is int
-        and (replica_of is None or type(replica_of) is str)
-    ):
-        return row
-    return None
+    ids, items, strata, labels, sources, refs = columns
+    if not ids:
+        return None
+    replicas = [k for k, source in enumerate(sources) if source == "replica"]
+    # an original's replica_of must be null and a replica's a string
+    if replicas != [k for k, ref in enumerate(refs) if ref != "null"]:
+        return None
+    original = np.full(len(ids), -1, dtype=np.intp)
+    if replicas:
+        index = dict(zip(ids, range(len(ids))))
+        targets = [index.get(refs[k][1:-1], -1) for k in replicas]
+        if -1 in targets:
+            return None
+        original[replicas] = targets
+    label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
+    return _from_columns(meta, ids, items, strata, label, original)
 
 
-@reads_file
-def read_dataset(path: Union[str, Path]) -> Dataset:
+def _read_dataset_lines(path: Union[str, Path]) -> Dataset:
+    """The dataset of a file in any layout, not yet validated: each line
+    read as JSON and checked by typed_object, so an error names the line
+    and the field."""
     lines = _json_lines(path)
     try:
         lineno, header = next(lines)
@@ -887,12 +955,20 @@ def read_dataset(path: Union[str, Path]) -> Dataset:
         raise ValueError("empty dataset file") from None
     meta = typed_object(header, DatasetMeta, f"{path}:{lineno}: header")
     rows = [
-        _written_record(d)
-        or tuple(vars(typed_object(d, Annotation, f"{path}:{lineno}: record")).values())
+        tuple(vars(typed_object(d, Annotation, f"{path}:{lineno}: record")).values())
         for lineno, d in lines
     ]
     if not rows:
         raise ValueError("dataset has no records")
-    dataset = _from_rows(rows, meta)
+    return _from_rows(rows, meta)
+
+
+@reads_file
+def read_dataset(path: Union[str, Path]) -> Dataset:
+    """The validated dataset of a file that :func:`write_dataset` wrote,
+    or of any JSON-lines file with a header and the same fields."""
+    dataset = _read_written_dataset(path)
+    if dataset is None:
+        dataset = _read_dataset_lines(path)
     dataset.validate()
     return dataset

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from pairsim import experiments
+from pairsim import experiments, simulation
 from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
-from pairsim.simulation import Uniform, read_dataset, read_gold
+from pairsim.simulation import RECIPES, Uniform, read_dataset, read_gold
 from pairsim.trainer import TrainConfig, load_model
 
 
@@ -429,6 +429,51 @@ def test_cli_rejects_a_header_only_dataset_by_file(tmp_path, config_path, capsys
     assert main(["evaluate", "--model", str(model), "--gold", str(out / "gold.jsonl"),
                  "--dataset", str(header_only)]) == 2
     assert capsys.readouterr() == ("", f"pairsim: error: {header_only}: dataset has no records\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["train", "--dataset", "d.jsonl", "--gold", "g.jsonl", "--out", "m.json", "--ep", "2"],
+         "pairsim: error: unrecognized arguments: --ep 2"),
+        (["simulate", "--conf", "c.json", "--beta", "0.2", "--seed", "1", "--out", "sim"],
+         "pairsim simulate: error: the following arguments are required: --config"),
+        (["--vers"], "pairsim: error: the following arguments are required: command"),
+    ],
+)
+def test_cli_takes_no_prefix_of_a_flag(tmp_path, capsys, monkeypatch, argv, error):
+    # "--ep" is not "--epochs": a flag is taken only as spelled in full
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path, monkeypatch):
+    # every dataset file simulate and adjust write must be read by
+    # read_dataset's line pattern: were the pattern wrong, every file would
+    # be read line by line, which is as correct but several times slower
+    def per_line(path):
+        raise AssertionError(f"{path} was read line by line")
+
+    monkeypatch.setattr(simulation, "_read_dataset_lines", per_line)
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
+                 "--seed", "10", "--out", str(out)]) == 0
+    benchmark_path = tmp_path / "benchmark.json"
+    benchmark_path.write_text('{"A": 0.5, "B": 0.5}')
+    assert main(["adjust", "--dataset", str(out / "nonrep1.jsonl"),
+                 "--benchmark", str(benchmark_path), "--out-dataset", str(out / "adjusted.jsonl"),
+                 "--out-weights", str(out / "weights.json")]) == 0
+    paths = [out / f"{recipe}.jsonl" for recipe in RECIPES]
+    read = [read_dataset(path) for path in paths]
+    monkeypatch.undo()
+    assert sum(len(dataset) for dataset in read) == 60 * (12 + 9 + 12 + 12)
+    assert read == [simulation._read_dataset_lines(path) for path in paths]
 
 
 _REPORT = (

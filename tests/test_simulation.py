@@ -3,6 +3,7 @@ import inspect
 import json
 from collections import Counter
 from dataclasses import astuple, dataclass
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -644,6 +645,48 @@ def test_read_dataset_rejects_broken_replica(tmp_path):
         read_dataset(path)
 
 
+def _replica(aid, of):
+    return Annotation(aid, "it", "A", 1, source="replica", replica_of=of)
+
+
+def _cycle(length):
+    """Replicas r0..r{length-1}, each of the next and the last of r0."""
+    return [_replica(f"r{k}", f"r{(k + 1) % length}") for k in range(length)]
+
+
+@pytest.mark.parametrize(
+    "replicas, first",
+    [
+        ([_replica("a", "a")], "a"),
+        ([_replica("a", "b"), _replica("b", "a")], "a"),
+        ([_replica("c", "a"), _replica("a", "b"), _replica("b", "a")], "c"),
+        ([_replica("x", "o"), *_cycle(70)], "r0"),
+    ],
+    ids=["self", "two-cycle", "into-a-cycle", "long-cycle"],
+)
+def test_validate_rejects_a_replica_chain_without_an_original(tmp_path, replicas, first):
+    records = (Annotation("o", "it", "A", 1), *replicas)
+    message = rf"replica '{first}' has no original: its replica_of chain ends in a cycle$"
+    with pytest.raises(ValueError, match="^" + message):
+        Dataset.from_records(records, DatasetMeta(**_HEADER)).validate()
+    path = tmp_path / "cycle.jsonl"
+    _rewrite(path, [_HEADER, *map(vars, records)])
+    with pytest.raises(ValueError, match=rf"^{path}: {message}"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 63, 64, 65, 130])
+def test_validate_accepts_replica_chains_that_reach_an_original(tmp_path, length):
+    # r{k} replicates r{k-1} and r0 the original; listed last to first
+    chain = [_replica(f"r{k}", f"r{k - 1}" if k else "o") for k in range(length)][::-1]
+    records = (*chain, Annotation("o", "it", "A", 1))
+    dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
+    dataset.validate()
+    path = tmp_path / "chain.jsonl"
+    _rewrite(path, [_HEADER, *map(vars, records)])
+    assert read_dataset(path) == dataset
+
+
 def _written_dataset(tmp_path):
     gold = synth_gold(3, Uniform(0.2, 0.8), seed=1)
     path = tmp_path / "ds.jsonl"
@@ -928,6 +971,88 @@ def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factor
         return dataset
 
     assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: checked(path))
+
+
+@cache
+def _replicated_lines():
+    """An adjusted dataset of two items in write_dataset's line layout: a
+    header, then 24 records of which 6 are replicas."""
+    suite = build_suite(synth_gold(2, Uniform(0.2, 0.8), seed=1), 0.1, seed=2)
+    adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
+    records = [json.dumps(vars(r)) for r in adjusted.records]
+    return [json.dumps(vars(adjusted.meta)), *records]
+
+
+_RECORD_EDITS = ("odd id", "empty replica_of", "duplicate id", "forward reference",
+                 "self replica", "bad label")
+# text put before and after a line; "\f" is whitespace to Python, not to JSON
+_AFFIXES = {
+    "space before": (" ", ""),
+    "space after": ("", " "),
+    "form feed before": ("\f", ""),
+    "extra data": ("", " {}"),
+}
+_LINE_EDITS = ("blank line", *_AFFIXES, "split record", "bad header")
+
+
+@st.composite
+def _edited_dataset_files(draw):
+    """The text of a written dataset file after a few whole-file edits."""
+    header, *lines = _replicated_lines()
+    records = [json.loads(line) for line in lines]
+    index = st.integers(0, len(records) - 1)
+    for edit in draw(st.lists(st.sampled_from(_RECORD_EDITS), max_size=2)):
+        record = records[draw(index)]
+        if edit == "odd id":
+            key = draw(st.sampled_from(("annotation_id", "item_id", "stratum_id", "replica_of")))
+            record[key] = (record[key] or "") + draw(st.sampled_from('"\\\u00e9'))
+        elif edit == "empty replica_of":
+            record["replica_of"] = ""
+        elif edit == "duplicate id":
+            record["annotation_id"] = records[draw(index)]["annotation_id"]
+        elif edit == "forward reference":
+            replica = draw(st.sampled_from([r for r in records if r["source"] == "replica"]))
+            records.remove(replica)
+            records.insert(0, replica)
+        elif edit == "self replica":
+            record.update(source="replica", replica_of=record["annotation_id"])
+        else:
+            record["label"] = draw(st.sampled_from((2, 1.0)))
+    raw = draw(st.sets(index))  # records written with raw non-ASCII characters
+    lines = [header, *(json.dumps(r, ensure_ascii=k not in raw) for k, r in enumerate(records))]
+    for edit in draw(st.lists(st.sampled_from(_LINE_EDITS), max_size=3)):
+        k = draw(st.integers(0, len(lines) - 1))
+        if edit == "blank line":
+            lines.insert(k, draw(st.sampled_from(("", "  \f "))))
+        elif edit in _AFFIXES:
+            before, after = _AFFIXES[edit]
+            lines[k] = before + lines[k] + after
+        elif edit == "split record":  # at a member boundary, dropping the comma
+            members = lines[k].split(", ")
+            cut = draw(st.integers(1, max(1, len(members) - 1)))
+            lines[k : k + 1] = [", ".join(members[:cut]), ", ".join(members[cut:])]
+        else:
+            lines[0] = draw(st.sampled_from(("not json", header[:-1], "[]")))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    return newline.join(lines) + draw(st.sampled_from((newline, "")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edited_dataset_files())
+def test_read_dataset_agrees_with_the_per_line_reader(tmp_path_factory, text):
+    # read_dataset reads write_dataset's layout by a line pattern and falls
+    # back to the per-line reader for anything else: either way it must
+    # return the same dataset or raise the same message
+    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+
+    @reads_file
+    def per_line(path):
+        dataset = simulation._read_dataset_lines(path)
+        dataset.validate()
+        return dataset
+
+    assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: per_line(path))
 
 
 def test_dataset_restrict():
