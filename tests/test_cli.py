@@ -456,7 +456,7 @@ def test_cli_takes_no_prefix_of_a_flag(tmp_path, capsys, monkeypatch, argv, erro
 def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path, monkeypatch):
     # every dataset file simulate and adjust write must be read by
     # read_dataset's line pattern: were the pattern wrong, every file would
-    # be read line by line, which is as correct but several times slower
+    # be read line by line, which is as correct but about twice as slow
     def per_line(path):
         raise AssertionError(f"{path} was read line by line")
 
