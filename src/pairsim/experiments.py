@@ -30,14 +30,16 @@ from .simulation import (
     GoldTable,
     Rare,
     RECIPE_ADJUSTED,
+    RECIPE_NONREP1,
     RECIPES,
-    Suite,
+    SuiteDraws,
     Uniform,
     annotation_row,
-    build_suite,
     derive_gold,
+    draw_suite,
     filter_difficult,
     reads_file,
+    suite_dataset,
     synth_gold,
     synth_text,
     typed,
@@ -258,10 +260,13 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
     return gold
 
 
-# sweep runs a (beta, seed) pair's recipes back to back, so one entry suffices
+# sweep runs a seed's cells back to back, so one entry suffices
 @lru_cache(maxsize=1)
-def _suite_cached(config: ExperimentConfig, beta: float, seed: int) -> Suite:
-    return build_suite(load_gold(config), beta, seed, config.task)
+def _seed_cached(
+    config: ExperimentConfig, seed: int
+) -> tuple[tuple[GoldTable, GoldTable, GoldTable], SuiteDraws]:
+    """The seed's train/dev/test split and the draws of its suite at every beta."""
+    return split_gold(config, seed), draw_suite(load_gold(config), seed, config.task)
 
 
 # a sweep has one config, so one gold table and one hash_dim
@@ -325,22 +330,20 @@ def split_gold(config: ExperimentConfig, seed: int) -> tuple[GoldTable, GoldTabl
 # cells and sweeps
 
 
-def _recipe_dataset(suite: Suite, recipe: str, benchmark: PopulationBenchmark):
-    """The dataset of ``recipe``: adjusted, or the suite field of that name."""
+def _recipe_dataset(draws: SuiteDraws, beta: float, recipe: str, benchmark: PopulationBenchmark):
+    """The dataset of ``recipe`` at ``beta``: adjusted, or the suite's
+    dataset of that name."""
     if recipe == RECIPE_ADJUSTED:
-        adjusted, _ = apply_pair(suite.nonrep1, benchmark)
+        adjusted, _ = apply_pair(suite_dataset(draws, beta, RECIPE_NONREP1), benchmark)
         return adjusted
-    if recipe not in RECIPES:
-        raise ValueError(f"unknown recipe {recipe!r}")
-    return getattr(suite, recipe)
+    return suite_dataset(draws, beta, recipe)
 
 
 def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> ResultRow:
     """Run one cell end to end. Deterministic given (config, beta, seed, recipe)."""
     start = time.perf_counter()
-    train_gold, dev_gold, test_gold = split_gold(config, seed)
-    suite = _suite_cached(config, beta, seed)
-    dataset = _recipe_dataset(suite, recipe, config.benchmark)
+    (train_gold, dev_gold, test_gold), draws = _seed_cached(config, seed)
+    dataset = _recipe_dataset(draws, beta, recipe, config.benchmark)
     features = _features_cached(config)
     train_ds = dataset.restrict(train_gold.item_ids())
     dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
@@ -388,13 +391,14 @@ def sweep(
 ) -> SweepResult:
     """Run the full recipes x betas x seeds grid.
 
-    Cells run grouped by (beta, seed), recipe fastest. A process keeps
-    the suite of the last pair it ran, so a serial sweep builds each
-    pair's suite once. Under a pool, a pair's suite is built in every
-    process that runs one of its cells: pool workers are dealt single
-    cells, so with ``workers=2`` both processes build it. The pool
-    starts no more processes than there are cells. Failures are
-    isolated per cell: the sweep continues, failed cells are
+    Cells run grouped by seed, then by beta, recipe fastest. A process
+    keeps the split and the suite draws of the last seed it ran, and
+    labels the draws at each cell's beta, so a serial sweep splits the
+    gold table and draws the pool once per seed. Under a pool, a seed is
+    split and drawn in every process that runs one of its cells: pool
+    workers are dealt single cells, so with ``workers=2`` both processes
+    draw it. The pool starts no more processes than there are cells.
+    Failures are isolated per cell: the sweep continues, failed cells are
     enumerated, and the report holds one row per completed cell plus
     cross-seed aggregate rows. ``workers`` below 1 is an error, and so
     is an ``output_dir`` that cannot be made a directory, before any
@@ -407,8 +411,8 @@ def sweep(
         out.mkdir(parents=True, exist_ok=True)
     cells = [
         (config, recipe, beta, seed)
-        for beta in config.betas
         for seed in config.seeds
+        for beta in config.betas
         for recipe in config.recipes
     ]
     # the pool starts all its processes at the first submit

@@ -39,11 +39,14 @@ import numpy as np
 
 KeyPart = Union[int, str]
 
+# an int key part is hashed as 16 signed bytes; CPython does not fold 2**127
+_KEY_INT_BOUND = 2**127
+
 
 def check_key_int(value: int, name: str = "stream key part") -> None:
     """Reject an int that cannot be a stream key part (each is hashed as
     16 signed bytes); ``name`` says what the value is in the error."""
-    if not -(2**127) <= value < 2**127:
+    if not -_KEY_INT_BOUND <= value < _KEY_INT_BOUND:
         raise ValueError(f"{name} {value} outside the signed 128-bit range [-2**127, 2**127)")
 
 
@@ -87,7 +90,8 @@ def stream_keys(*parts: KeyPart, count: int) -> np.ndarray:
     digests = bytearray()
     for i in range(count):
         h = prefix.copy()
-        h.update(_int_part(i))
+        # _int_part(i) without its range check: 0 <= i < count
+        h.update(b"i" + i.to_bytes(16, "little"))
         digests += h.digest()
     return np.frombuffer(digests, dtype="<u8").astype(np.uint64).reshape(count, 2)
 

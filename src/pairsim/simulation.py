@@ -607,40 +607,99 @@ def sample_pool(
     recipe is ``"custom"``. Deterministic given (gold order, comp, bias,
     seed, task).
 
-    Slot k of stratum s of item i compares double k of the stream
-    ``stream(seed, f"{task}:annot:{s}", i)`` with the shifted proportion;
-    the doubles of every item of a stratum come from one Philox pass
-    (``rng.philox_words``), not from a generator per item.
+    The draws do not depend on the bias: this is :func:`label_pool` of
+    :func:`draw_pool`, and a caller that needs the pool at several betas
+    draws once and labels once per beta.
+    """
+    return label_pool(draw_pool(gold, comp, seed, task), bias)
+
+
+@dataclass(frozen=True, eq=False)
+class PoolDraws:
+    """The bias-free part of an annotation pool.
+
+    ``u[i]`` holds item i's slot doubles, stratum by stratum in the order
+    of ``strata`` with ``counts[k]`` slots for ``strata[k]``, and ``p[i]``
+    its gold proportion. The arrays are read-only, since the pools of
+    every beta are labelled from them.
+    """
+
+    task: str
+    seed: int
+    item_ids: tuple[str, ...]
+    strata: tuple[str, ...]
+    counts: tuple[int, ...]
+    p: np.ndarray
+    u: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.p.flags.writeable = False
+        self.u.flags.writeable = False
+
+
+def draw_pool(gold: GoldTable, comp: PoolComposition, seed: int, task: str = "OL") -> PoolDraws:
+    """The slot doubles of ``sample_pool(gold, comp, bias, seed, task)``.
+
+    Slot k of stratum s of item i is double k of the stream
+    ``stream(seed, f"{task}:annot:{s}", i)``; the doubles of every item of
+    a stratum come from one Philox pass (``rng.philox_words``), not from a
+    generator per item. Slot k has the same double whatever the
+    stratum's count is.
     """
     if not gold.entries:
         raise ValueError("gold table is empty")
-    missing = sorted(set(comp.counts) - set(bias.direction_by_stratum))
+    strata = tuple(sorted(comp.counts))
+    counts = tuple(comp.counts[s] for s in strata)
+    n = len(gold)
+    u = np.concatenate(
+        [
+            doubles(philox_words(stream_keys(seed, f"{task}:annot:{s}", count=n), c))
+            for s, c in zip(strata, counts)
+        ],
+        axis=1,
+    )
+    p = np.array([e.p_gold for e in gold.entries])
+    return PoolDraws(task, seed, gold.item_ids(), strata, counts, p, u)
+
+
+def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
+    """The pool of ``draws`` at ``bias``: each slot's label is whether its
+    double falls below the item's stratum-shifted proportion."""
+    missing = sorted(set(draws.strata) - set(bias.direction_by_stratum))
     if missing:
         raise ValueError(f"no bias direction for strata: {', '.join(missing)}")
-    strata = tuple(sorted(comp.counts))
-    n = len(gold)
-    p = np.array([e.p_gold for e in gold.entries])
-    labels = []
-    for s in strata:
-        # slot k of an item's stratum is value k of its Philox stream, so it
-        # has the same label whatever the stratum's count is
-        keys = stream_keys(seed, f"{task}:annot:{s}", count=n)
-        u = doubles(philox_words(keys, comp.counts[s]))
-        p_shifted = shift_probability(p, bias.beta, bias.direction_by_stratum[s])
-        labels.append(u < p_shifted[:, None])
-    per_item = sum(comp.counts.values())
-    item_ids = gold.item_ids()
-    slots = [f"{s}{k}" for s in strata for k in range(comp.counts[s])]
+    n, per_item = draws.u.shape
+    label = np.empty((n, per_item), dtype=np.int8)
+    start = 0
+    for s, count in zip(draws.strata, draws.counts):
+        p_shifted = shift_probability(draws.p, bias.beta, bias.direction_by_stratum[s])
+        label[:, start : start + count] = draws.u[:, start : start + count] < p_shifted[:, None]
+        start += count
+    item_ids = draws.item_ids
+    slots = [f"{s}{k}" for s, count in zip(draws.strata, draws.counts) for k in range(count)]
     return Dataset(
-        DatasetMeta(task, "custom", bias.beta, seed),
+        DatasetMeta(draws.task, "custom", bias.beta, draws.seed),
         item_ids,
-        strata,
+        draws.strata,
         np.repeat(np.arange(n), per_item),
-        np.tile(np.repeat(np.arange(len(strata)), [comp.counts[s] for s in strata]), n),
-        np.concatenate(labels, axis=1).ravel().astype(np.int8),
+        np.tile(np.repeat(np.arange(len(draws.strata)), draws.counts), n),
+        label.ravel(),
         np.full(n * per_item, -1, dtype=np.intp),
         lambda: [f"{item_id}:{slot}" for item_id in item_ids for slot in slots],
     )
+
+
+@dataclass(frozen=True, eq=False)
+class SuiteDraws:
+    """The beta-free part of a suite: its pool's 9 A and 6 B slot doubles
+    and, per item, which B slots nonrep1 keeps (read-only, like the
+    doubles)."""
+
+    pool: PoolDraws
+    b_kept: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.b_kept.flags.writeable = False
 
 
 def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Suite:
@@ -654,37 +713,59 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     nonrep1. Slot values do not depend on how many slots are drawn, so
     representative equals ``sample_pool`` with 6 A and 6 B per item.
 
+    The draws do not depend on beta (:func:`draw_suite`); a caller that
+    needs several betas draws once and takes each beta's datasets with
+    :func:`suite_dataset`. Here the pool is labelled once for all three.
+    """
+    draws = draw_suite(gold, seed, task)
+    pool = label_pool(draws.pool, BiasSpec.two_type(beta))
+    return Suite(
+        representative=_recipe_view(pool, draws.b_kept, RECIPE_REPRESENTATIVE),
+        nonrep1=_recipe_view(pool, draws.b_kept, RECIPE_NONREP1),
+        nonrep2=_recipe_view(pool, draws.b_kept, RECIPE_NONREP2),
+    )
+
+
+def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
+    """The draws every beta's suite of (gold, seed, task) is made from.
+
     Item i's deleted B slots are the set that
     ``stream(seed, f"{task}:nonrep1-delete", i).choice(6, 3, replace=False)``
     selects, computed for every item in one pass (``_nonrep1_deletions``).
     """
-    n_a, n_b = REPRESENTATIVE_COUNTS[TYPE_A], REPRESENTATIVE_COUNTS[TYPE_B]
-    n_pool_a = n_a + NONREP2_EXTRA_A
-    pool = sample_pool(
-        gold,
-        PoolComposition({TYPE_A: n_pool_a, TYPE_B: n_b}),
-        BiasSpec.two_type(beta),
-        seed,
-        task=task,
-    )
-    # sample_pool lays out each item's records as A0..A8, B0..B5: one row
-    # of these masks per item, one column per slot
+    n_b = REPRESENTATIVE_COUNTS[TYPE_B]
+    comp = PoolComposition({TYPE_A: REPRESENTATIVE_COUNTS[TYPE_A] + NONREP2_EXTRA_A, TYPE_B: n_b})
+    pool = draw_pool(gold, comp, seed, task)
     n = len(gold)
     b_kept = np.ones((n, n_b), dtype=bool)
     b_kept[np.arange(n)[:, None], _nonrep1_deletions(n, n_b, seed, task)] = False
-    a_base = np.zeros((n, n_pool_a), dtype=bool)
-    a_base[:, :n_a] = True
-    a_all = np.ones((n, n_pool_a), dtype=bool)
+    return SuiteDraws(pool, b_kept)
 
-    def dataset(a: np.ndarray, b: np.ndarray, recipe: str) -> Dataset:
-        rows = np.flatnonzero(np.hstack([a, b]))
-        return pool.take(rows, DatasetMeta(task, recipe, beta, seed))
 
-    return Suite(
-        representative=dataset(a_base, np.ones((n, n_b), dtype=bool), RECIPE_REPRESENTATIVE),
-        nonrep1=dataset(a_base, b_kept, RECIPE_NONREP1),
-        nonrep2=dataset(a_all, b_kept, RECIPE_NONREP2),
-    )
+def suite_dataset(draws: SuiteDraws, beta: float, recipe: str) -> Dataset:
+    """The ``recipe`` dataset (representative, nonrep1 or nonrep2) of the
+    suite at ``beta``: the pool labelled at ``beta``, less the slots the
+    recipe leaves out."""
+    return _recipe_view(label_pool(draws.pool, BiasSpec.two_type(beta)), draws.b_kept, recipe)
+
+
+def _recipe_view(pool: Dataset, b_kept: np.ndarray, recipe: str) -> Dataset:
+    """The records of the labelled suite ``pool`` that ``recipe`` keeps,
+    given the B slots nonrep1 keeps."""
+    # label_pool lays out each item's records as A0..A8, B0..B5: one row
+    # of these masks per item, one column per slot
+    n_a = REPRESENTATIVE_COUNTS[TYPE_A]
+    a = np.ones((len(b_kept), n_a + NONREP2_EXTRA_A), dtype=bool)
+    b = b_kept
+    if recipe == RECIPE_REPRESENTATIVE:
+        a[:, n_a:] = False
+        b = np.ones_like(b)
+    elif recipe == RECIPE_NONREP1:
+        a[:, n_a:] = False
+    elif recipe != RECIPE_NONREP2:
+        raise ValueError(f"unknown recipe {recipe!r}")
+    rows = np.flatnonzero(np.hstack([a, b]))
+    return pool.take(rows, DatasetMeta(pool.meta.task, recipe, pool.meta.beta, pool.meta.seed))
 
 
 def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:

@@ -5,9 +5,10 @@ name, and ``perfbench/worker.py`` replaces the private
 ``experiments._cell_outcome`` and calls the package's functions by name.
 A rename or deletion there would only fail a benchmark run; these tests
 fail the suite instead. The benchmark's modules are loaded from their
-files; the tracer is not installed.
+files; one test installs the tracer around a sweep.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from pairsim import experiments
+from pairsim.trainer import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 QUICK = Path(__file__).resolve().parent.parent / "configs" / "quick.json"
@@ -67,11 +69,32 @@ def test_sweep_hands_each_cell_the_tuple_the_worker_unpacks(monkeypatch):
     result = experiments.sweep(config)
     assert seen == [
         (config, recipe, beta, seed)
-        for beta in config.betas
         for seed in config.seeds
+        for beta in config.betas
         for recipe in config.recipes
     ]
     assert len(result.failures) == len(seen)
+
+
+def test_a_traced_serial_sweep_makes_every_traced_call_inside_a_cell(tmp_path, monkeypatch):
+    # the benchmark marks a traced sweep incorrect when a traced function
+    # (load_gold, split_items, ...) runs outside run_cell, as it would if
+    # sweep built the gold table, split it or drew a pool before the cells
+    monkeypatch.setenv(_TRACING.SPANS_DIR_ENV, str(tmp_path))  # install sets it
+    config = dataclasses.replace(
+        experiments.load_config(QUICK), train=TrainConfig(epochs=1, hash_dim=64)
+    )
+    for cache in (experiments.load_gold, experiments._seed_cached, experiments._features_cached):
+        cache.cache_clear()  # so that this sweep makes, and traces, every input
+    _TRACING.install(tmp_path)
+    try:
+        result = experiments.sweep(config)
+    finally:
+        _TRACING.uninstall()
+    spans, _ = _TRACING.read_trace(tmp_path)
+    assert len(result.rows) == 16 and not result.failures
+    assert {"experiments.load_gold", "experiments.split_items"} <= {s["name"] for s in spans}
+    assert _TRACING.check_span_trees(spans, "experiments.run_cell", len(result.rows)) == []
 
 
 def test_every_cli_call_of_the_files_workload_parses(tmp_path, monkeypatch):

@@ -31,8 +31,8 @@ from pairsim.simulation import (
     GoldEntry,
     Rare,
     Uniform,
-    build_suite,
     derive_gold,
+    draw_suite,
     synth_gold,
 )
 from pairsim.trainer import TrainConfig
@@ -214,8 +214,7 @@ def test_run_cell_adjusted_recipe_structure():
     gold = load_gold(config)
     from pairsim.experiments import _recipe_dataset
 
-    suite = build_suite(gold, 0.3, 10, "OL")
-    adjusted = _recipe_dataset(suite, "adjusted", config.benchmark)
+    adjusted = _recipe_dataset(draw_suite(gold, 10, "OL"), 0.3, "adjusted", config.benchmark)
     for recs in adjusted.records_by_item().values():
         assert len(recs) == 12
         assert Counter(r.stratum_id for r in recs) == {"A": 6, "B": 6}
@@ -350,21 +349,6 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.aggregates == parallel.aggregates
 
 
-def test_sweep_builds_one_suite_per_beta_seed_pair(monkeypatch):
-    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
-    builds = Counter()
-
-    def counting_build_suite(gold, beta, seed, task):
-        builds[(beta, seed)] += 1
-        return build_suite(gold, beta, seed, task)
-
-    experiments._suite_cached.cache_clear()
-    monkeypatch.setattr(experiments, "build_suite", counting_build_suite)
-    result = sweep(config)
-    assert len(result.rows) == 8 and not result.failures
-    assert builds == {(beta, seed): 1 for beta in (0.1, 0.3) for seed in (10, 42)}
-
-
 def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
     # the per-cell caches must not key on the gold table: hashing it walks
     # every entry and its tokens on each lookup
@@ -376,7 +360,7 @@ def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
         hashes[entry.item_id] += 1
         return entry_hash(entry)
 
-    for cache in (experiments.load_gold, experiments._suite_cached):
+    for cache in (experiments.load_gold, experiments._seed_cached):
         cache.cache_clear()
     monkeypatch.setattr(GoldEntry, "__hash__", counting_hash)
     result = sweep(config)
@@ -395,7 +379,7 @@ def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
         made[type(self).__name__] += 1
         init(self, *args, **kwargs)
 
-    for cache in (experiments.load_gold, experiments._suite_cached):
+    for cache in (experiments.load_gold, experiments._seed_cached):
         cache.cache_clear()
     monkeypatch.setattr(Annotation, "__init__", counting_init)
     result = sweep(config)
@@ -440,6 +424,33 @@ def test_sweep_starts_no_more_pool_processes_than_cells(
     result = sweep(config, workers=workers)
     assert len(result.rows) == len(seeds) * len(recipes) and not result.failures
     assert _RecordingPool.sizes == pools
+
+
+def test_sweep_draws_the_pool_and_splits_once_per_seed(monkeypatch):
+    # neither depends on beta, so a process makes them once for all the
+    # cells of a seed, serially and when a pool deals out the cells
+    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
+    calls = Counter()
+
+    def counting_draw_suite(gold, seed, task):
+        calls["draw", seed] += 1
+        return draw_suite(gold, seed, task)
+
+    def counting_split_items(gold, counts, seed):
+        calls["split", seed] += 1
+        return split_items(gold, counts, seed)
+
+    monkeypatch.setattr(experiments, "draw_suite", counting_draw_suite)
+    monkeypatch.setattr(experiments, "split_items", counting_split_items)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    for workers in (1, 2):
+        experiments._seed_cached.cache_clear()
+        calls.clear()
+        result = sweep(config, workers=workers)
+        assert len(result.rows) == 8 and not result.failures
+        assert calls == {(what, seed): 1 for what in ("draw", "split") for seed in (10, 42)}
+    assert _RecordingPool.sizes == [2]
 
 
 @pytest.mark.parametrize("workers", [0, -3])

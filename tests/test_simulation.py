@@ -28,13 +28,17 @@ from pairsim.simulation import (
     annotation_row,
     build_suite,
     derive_gold,
+    draw_pool,
+    draw_suite,
     filter_difficult,
+    label_pool,
     read_dataset,
     read_gold,
     reads_file,
     sample_pool,
     shift_probability,
     subsample_indices,
+    suite_dataset,
     synth_gold,
     synth_text,
     typed,
@@ -309,6 +313,60 @@ def test_suite_tasks_use_independent_draws():
     assert [r.label for r in ol.representative.records] != [
         r.label for r in hs.representative.records
     ]
+
+
+def dataset_columns(ds):
+    """A dataset's codes, labels, ids and meta, as comparable values."""
+    arrays = (ds.item, ds.stratum, ds.label, ds.original)
+    return (
+        ds.meta,
+        ds.item_ids,
+        ds.stratum_ids,
+        list(ds.annotation_ids),
+        [(a.dtype, a.tolist()) for a in arrays],
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    twelfths=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    betas=st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4),
+    counts=st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+    seed=st.integers(0, 2**63 - 1),
+    task=st.sampled_from(["OL", "HS"]),
+)
+def test_every_beta_labelled_from_one_draw_equals_a_fresh_draw(twelfths, betas, counts, seed, task):
+    # a sweep draws each seed once and labels the draws at each beta, in
+    # any order; that must give what drawing afresh for each beta gives
+    gold = GoldTable(
+        tuple(GoldEntry(f"it{i:02d}", ("tok",), k / 12, 12) for i, k in enumerate(twelfths))
+    )
+    comp = PoolComposition(dict(zip("AB", counts)))
+    pool_draws, suite_draws = draw_pool(gold, comp, seed, task), draw_suite(gold, seed, task)
+    for beta in betas:
+        bias = BiasSpec.two_type(beta)
+        assert dataset_columns(label_pool(pool_draws, bias)) == dataset_columns(
+            sample_pool(gold, comp, bias, seed, task)
+        )
+        suite = build_suite(gold, beta, seed, task)
+        for recipe in ("representative", "nonrep1", "nonrep2"):
+            assert dataset_columns(suite_dataset(suite_draws, beta, recipe)) == dataset_columns(
+                getattr(suite, recipe)
+            )
+
+
+def test_suite_draws_are_read_only():
+    # every cell of a seed labels the same draws, so none may edit them
+    draws = draw_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), seed=2)
+    for array in (draws.pool.p, draws.pool.u, draws.b_kept):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_suite_dataset_rejects_a_recipe_it_does_not_make():
+    draws = draw_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), seed=2)
+    with pytest.raises(ValueError, match="unknown recipe 'adjusted'"):
+        suite_dataset(draws, 0.1, "adjusted")
 
 
 # Reference oracle: build_suite as it was before it drew one pool per
