@@ -247,14 +247,17 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
     if isinstance(source, str):
         gold = ingest_external(source, task=config.task).gold
     else:
-        entries = [
-            entry
+        parts = [
+            synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-")
             for ci, (shape, n) in enumerate(source.components)
-            for entry in synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-").entries
         ]
-        gold = synth_text(
-            GoldTable(tuple(entries)), source.vocab_size, source.tokens_per_item, source.seed
+        gold = GoldTable.from_columns(
+            [i for part in parts for i in part.item_id],
+            [t for part in parts for t in part.text],
+            np.concatenate([part.p_gold for part in parts]),
+            np.concatenate([part.k_reference for part in parts]),
         )
+        gold = synth_text(gold, source.vocab_size, source.tokens_per_item, source.seed)
     if config.difficult:
         gold = filter_difficult(gold, config.difficult_lo, config.difficult_hi)
     return gold
@@ -284,10 +287,15 @@ def split_items(
 ) -> tuple[GoldTable, GoldTable, GoldTable]:
     """Disjoint train/dev/test partition at the item level, uniform given seed.
 
-    Entries keep their original table order within each part.
+    Entries keep their original table order within each part. The counts
+    must be three non-negative integers that sum to the table's length.
     """
     if len(counts) != 3:
         raise ValueError(f"expected three split counts, got {len(counts)}")
+    if not all(
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts
+    ):
+        raise ValueError(f"split counts {tuple(counts)} must be non-negative integers")
     if sum(counts) != len(gold):
         raise ValueError(
             f"split counts {tuple(counts)} sum to {sum(counts)}, "
@@ -296,10 +304,7 @@ def split_items(
     perm = stream(seed, "item-split").permutation(len(gold))
     part = np.empty(len(gold), dtype=np.intp)  # 0 train, 1 dev, 2 test, by table position
     part[perm] = np.repeat([0, 1, 2], counts)
-    parts: tuple[list, list, list] = ([], [], [])
-    for entry, p in zip(gold.entries, part.tolist()):
-        parts[p].append(entry)
-    return GoldTable(tuple(parts[0])), GoldTable(tuple(parts[1])), GoldTable(tuple(parts[2]))
+    return tuple(gold.take(np.flatnonzero(part == p)) for p in range(3))
 
 
 def scaled_split(n_items: int, base: Sequence[int]) -> tuple[int, int, int]:

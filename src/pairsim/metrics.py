@@ -39,10 +39,10 @@ def _check_items(preds: Mapping[str, float], gold: GoldTable) -> None:
 
 def acb(preds: Mapping[str, float], gold: GoldTable) -> float:
     """Mean absolute difference between predictions and gold proportions."""
-    if not gold.entries:
+    if not len(gold):
         raise ValueError("gold table is empty")
     _check_items(preds, gold)
-    return sum(abs(preds[e.item_id] - e.p_gold) for e in gold.entries) / len(gold.entries)
+    return sum(abs(preds[i] - p) for i, p in zip(gold.item_id, gold.p_gold.tolist())) / len(gold)
 
 
 def f1(preds: Mapping[str, float], gold: GoldTable) -> float:
@@ -55,9 +55,9 @@ def f1(preds: Mapping[str, float], gold: GoldTable) -> float:
     """
     _check_items(preds, gold)
     tp = fp = fn = 0
-    for e in gold.entries:
-        pred_pos = preds[e.item_id] >= 0.5
-        gold_pos = e.p_gold >= 0.5
+    for item_id, p_gold in zip(gold.item_id, gold.p_gold.tolist()):
+        pred_pos = preds[item_id] >= 0.5
+        gold_pos = p_gold >= 0.5
         if pred_pos and gold_pos:
             tp += 1
         elif pred_pos:

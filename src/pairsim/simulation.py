@@ -23,6 +23,8 @@ stratum codes index two small tables of ids. Sampling, restriction,
 replication, training and scoring work on the columns alone; annotation
 id strings are made only when a dataset is written or its ``records``
 (:class:`Annotation` rows, for hand-built data and tests) are asked for.
+A :class:`GoldTable` is columns too, one entry per item; its ``entries``
+(:class:`GoldEntry` rows) are likewise made only when asked for.
 """
 
 from __future__ import annotations
@@ -80,34 +82,114 @@ class GoldEntry:
     k_reference: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class GoldTable:
-    """Per-item reference agreement proportions."""
+    """Per-item reference agreement proportions, stored as columns with
+    one entry per item.
 
-    entries: tuple[GoldEntry, ...]
+    Item k has id ``item_id[k]``, tokens ``text[k]``, agreement
+    proportion ``p_gold[k]`` (float64) and reference panel size
+    ``k_reference[k]`` (int64); both arrays are read-only.
+    ``GoldTable(entries)`` builds the columns from :class:`GoldEntry`
+    rows and :meth:`from_columns` takes them as they are; either way the
+    table is checked once, and :attr:`entries` is built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for e in self.entries:
-            if not 0.0 <= e.p_gold <= 1.0:
-                raise ValueError(f"item {e.item_id!r}: p_gold {e.p_gold} outside [0, 1]")
-            if e.k_reference < 1:
-                raise ValueError(f"item {e.item_id!r}: k_reference must be positive")
-            if e.item_id in seen:
-                raise ValueError(f"duplicate item_id {e.item_id!r} in gold table")
-            seen.add(e.item_id)
+    item_id: tuple[str, ...]
+    text: tuple[tuple[str, ...], ...]
+    p_gold: np.ndarray
+    k_reference: np.ndarray
+
+    def __init__(self, entries: Iterable[GoldEntry]) -> None:
+        rows = [(e.item_id, e.text, e.p_gold, e.k_reference) for e in entries]
+        item_id, text, p_gold, k_reference = zip(*rows) if rows else ((),) * 4
+        self._set_columns(item_id, text, p_gold, k_reference)
+
+    @classmethod
+    def from_columns(
+        cls,
+        item_id: Sequence[str],
+        text: Sequence[tuple[str, ...]],
+        p_gold: Sequence[float],
+        k_reference: Sequence[int],
+    ) -> "GoldTable":
+        """The table whose item k is (``item_id[k]``, ``text[k]``,
+        ``p_gold[k]``, ``k_reference[k]``)."""
+        table = cls.__new__(cls)
+        table._set_columns(item_id, text, p_gold, k_reference)
+        return table
+
+    def _set_columns(self, item_id, text, p_gold, k_reference) -> None:
+        """Store and check the columns: the first item in table order
+        that has a p_gold outside [0, 1], a k_reference below 1 or the id
+        of an earlier item is an error naming it."""
+        p_gold = np.asarray(p_gold, dtype=np.float64)
+        k_reference = np.asarray(k_reference, dtype=np.int64)
+        for name, value in (
+            ("item_id", tuple(item_id)),
+            ("text", tuple(text)),
+            ("p_gold", p_gold),
+            ("k_reference", k_reference),
+        ):
+            object.__setattr__(self, name, value)
+        p_gold.flags.writeable = False
+        k_reference.flags.writeable = False
+        ids = self.item_id
+        bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
+        first = int(bad[0]) if len(bad) else len(ids)
+        if len(set(ids[:first])) < first:
+            seen: set[str] = set()
+            for item in ids:
+                if item in seen:
+                    raise ValueError(f"duplicate item_id {item!r} in gold table")
+                seen.add(item)
+        if first < len(ids):
+            p = float(p_gold[first])
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"item {ids[first]!r}: p_gold {p} outside [0, 1]")
+            raise ValueError(f"item {ids[first]!r}: k_reference must be positive")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.item_id)
+
+    @cached_property
+    def entries(self) -> tuple[GoldEntry, ...]:
+        """The items as :class:`GoldEntry` rows, built on first use."""
+        return tuple(
+            map(GoldEntry, self.item_id, self.text, self.p_gold.tolist(), self.k_reference.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GoldTable):
+            return NotImplemented
+        return (
+            self.item_id == other.item_id
+            and self.text == other.text
+            and np.array_equal(self.p_gold, other.p_gold)
+            and np.array_equal(self.k_reference, other.k_reference)
+        )
+
+    def __repr__(self) -> str:
+        return f"GoldTable(entries={self.entries!r})"
+
+    def take(self, rows: np.ndarray) -> "GoldTable":
+        """The items at the distinct indices ``rows``, in that order."""
+        index = rows.tolist()
+        return GoldTable.from_columns(
+            [self.item_id[k] for k in index],
+            [self.text[k] for k in index],
+            self.p_gold[rows],
+            self.k_reference[rows],
+        )
 
     def item_ids(self) -> tuple[str, ...]:
-        return tuple(e.item_id for e in self.entries)
+        return self.item_id
 
     def texts(self) -> dict[str, tuple[str, ...]]:
-        return {e.item_id: e.text for e in self.entries}
+        return dict(zip(self.item_id, self.text))
 
     def p_by_item(self) -> dict[str, float]:
-        return {e.item_id: e.p_gold for e in self.entries}
+        return dict(zip(self.item_id, self.p_gold.tolist()))
 
 
 @dataclass(frozen=True)
@@ -433,20 +515,21 @@ def derive_gold(raw: Iterable[tuple]) -> GoldTable:
     before the proportion is computed.
     """
     rows = [annotation_row(*row) for row in raw]
-    entries = []
-    for i, (item_id, tokens, labels) in enumerate(rows):
+    p_gold = []
+    for i, (_, _, labels) in enumerate(rows):
         if len(labels) > GOLD_PANEL_SIZE:
             keep = subsample_indices(0, i, len(labels), GOLD_PANEL_SIZE)
             labels = tuple(labels[j] for j in keep)
-        entries.append(GoldEntry(item_id, tokens, sum(labels) / len(labels), len(labels)))
-    return GoldTable(tuple(entries))
+        p_gold.append(sum(labels) / len(labels))
+    item_id, text, _ = zip(*rows) if rows else ((),) * 3
+    return GoldTable.from_columns(item_id, text, p_gold, np.full(len(rows), GOLD_PANEL_SIZE))
 
 
 def filter_difficult(gold: GoldTable, lo: float, hi: float) -> GoldTable:
     """Keep items whose agreement proportion lies in [lo, hi], inclusive."""
     if not 0.0 <= lo <= hi <= 1.0:
         raise ValueError(f"bounds ({lo}, {hi}) must satisfy 0 <= lo <= hi <= 1")
-    return GoldTable(tuple(e for e in gold.entries if lo <= e.p_gold <= hi))
+    return gold.take(np.flatnonzero((lo <= gold.p_gold) & (gold.p_gold <= hi)))
 
 
 @dataclass(frozen=True)
@@ -497,12 +580,13 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
     else:  # numpy's beta sampler has no array form: one generator per item
         a, b = 2 * shape.mean, 2 * (1 - shape.mean)
         p = np.array([stream(seed, tag, i).beta(a, b) for i in range(n)])
-    grid = np.minimum(np.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE).astype(int)
-    entries = (
-        GoldEntry(f"{id_prefix}{i:05d}", (), k / GOLD_PANEL_SIZE, GOLD_PANEL_SIZE)
-        for i, k in enumerate(grid.tolist())
+    grid = np.minimum(np.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE)
+    return GoldTable.from_columns(
+        [f"{id_prefix}{i:05d}" for i in range(n)],
+        ((),) * n,
+        grid / GOLD_PANEL_SIZE,
+        np.full(n, GOLD_PANEL_SIZE),
     )
-    return GoldTable(tuple(entries))
 
 
 def synth_text(
@@ -530,17 +614,16 @@ def synth_text(
     n_words = t + (n_halves + 1) // 2
     keys = stream_keys(seed, "text", count=len(gold))
     table = np.array(names, dtype=object)
-    entries: list[GoldEntry] = []
+    text: list[tuple[str, ...]] = []
     for start in range(0, len(gold), _TEXT_BLOCK):
-        block = gold.entries[start : start + _TEXT_BLOCK]
-        words = philox_words(keys[start : start + len(block)], n_words)
-        p = np.array([e.p_gold for e in block])
+        p = gold.p_gold[start : start + _TEXT_BLOCK]
+        words = philox_words(keys[start : start + len(p)], n_words)
         toxic = doubles(words[:, :t]) < p[:, None]
-        redraw = np.zeros(len(block), dtype=bool)
+        redraw = np.zeros(len(p), dtype=bool)
         ids = []
         for size, first in ((n_tox, 0), (n_ben, ben_start)):
             if size == 1:
-                ids.append(np.zeros((len(block), t), dtype=np.int64))
+                ids.append(np.zeros((len(p), t), dtype=np.int64))
                 continue
             values, flagged = bounded_draws(words[:, t:], size - 1)
             ids.append(values[:, first : first + t])
@@ -548,12 +631,9 @@ def synth_text(
         tokens = table[np.where(toxic, ids[0], n_tox + ids[1])].tolist()
         for j in np.flatnonzero(redraw):
             gen = stream(seed, "text", start + j)
-            tokens[j] = _item_tokens(gen, block[j].p_gold, t, names, n_tox)
-        entries.extend(
-            GoldEntry(e.item_id, tuple(row), e.p_gold, e.k_reference)
-            for e, row in zip(block, tokens)
-        )
-    return GoldTable(tuple(entries))
+            tokens[j] = _item_tokens(gen, float(p[j]), t, names, n_tox)
+        text += map(tuple, tokens)
+    return GoldTable.from_columns(gold.item_id, text, gold.p_gold, gold.k_reference)
 
 
 #: items per synth_text block, which bounds the block's token lists
@@ -646,7 +726,7 @@ def draw_pool(gold: GoldTable, comp: PoolComposition, seed: int, task: str = "OL
     generator per item. Slot k has the same double whatever the
     stratum's count is.
     """
-    if not gold.entries:
+    if not len(gold):
         raise ValueError("gold table is empty")
     strata = tuple(sorted(comp.counts))
     counts = tuple(comp.counts[s] for s in strata)
@@ -658,8 +738,7 @@ def draw_pool(gold: GoldTable, comp: PoolComposition, seed: int, task: str = "OL
         ],
         axis=1,
     )
-    p = np.array([e.p_gold for e in gold.entries])
-    return PoolDraws(task, seed, gold.item_ids(), strata, counts, p, u)
+    return PoolDraws(task, seed, gold.item_id, strata, counts, gold.p_gold, u)
 
 
 def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
@@ -919,27 +998,66 @@ def _json_lines(path: Union[str, Path]):
             yield lineno, value
 
 
+def _line_template(keys: Sequence[str]) -> str:
+    """The line json.dumps writes for a dict of ``keys``, with a %s per
+    value; filling it in takes a quarter of the time of encoding the dict."""
+    return "{" + ", ".join(f'"{key}": %s' for key in keys) + "}\n"
+
+
+_GOLD_KEYS = tuple(f.name for f in fields(GoldEntry))
+_GOLD_LINE = _line_template(_GOLD_KEYS)
+
+
 def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
-    """One line per entry: a JSON object of its fields, in field order."""
+    """One line per item: a JSON object of the :class:`GoldEntry` fields,
+    in field order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in gold.entries:
-            fh.write(_encode(vars(e)) + "\n")
+        fh.writelines(
+            _GOLD_LINE % (_encode(item_id), _encode(text), _encode(p), k)
+            for item_id, text, p, k in zip(
+                gold.item_id, gold.text, gold.p_gold.tolist(), gold.k_reference.tolist()
+            )
+        )
+
+
+def _written_entry(d) -> tuple[str, tuple[str, ...], float, int] | None:
+    """``d``'s values when it has write_gold's layout: the fields in
+    order, a string id, a list of strings for ``text``, a float
+    ``p_gold`` and an integer ``k_reference``; None otherwise."""
+    if type(d) is not dict or tuple(d) != _GOLD_KEYS:
+        return None
+    item_id, text, p_gold, k_reference = d.values()
+    if (
+        type(item_id) is str
+        and type(text) is list
+        and {str}.issuperset(map(type, text))
+        and type(p_gold) is float
+        and type(k_reference) is int
+    ):
+        return item_id, tuple(text), p_gold, k_reference
+    return None
 
 
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
-    entries = tuple(
-        typed_object(d, GoldEntry, f"{path}:{lineno}: entry") for lineno, d in _json_lines(path)
-    )
-    if not entries:
+    """The checked gold table of a file that :func:`write_gold` wrote, or
+    of any JSON-lines file with the same fields. A line in write_gold's
+    layout goes straight into the columns; any other is checked by
+    typed_object, so an error names the line and the field."""
+    rows = []
+    for lineno, d in _json_lines(path):
+        row = _written_entry(d)
+        if row is None:
+            e = typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
+            row = (e.item_id, e.text, e.p_gold, e.k_reference)
+        rows.append(row)
+    if not rows:
         raise ValueError("gold table has no entries")
-    return GoldTable(entries)
+    return GoldTable.from_columns(*zip(*rows))
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(Annotation))
-# A record's line as json.dumps writes a dict of its fields, with a %s per
-# value; filling it in takes a quarter of the time of encoding that dict.
-_RECORD_LINE = "{" + ", ".join(f'"{key}": %s' for key in _RECORD_KEYS) + "}\n"
+_RECORD_LINE = _line_template(_RECORD_KEYS)
 
 
 def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:

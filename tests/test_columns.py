@@ -3,7 +3,9 @@
 Each ``*_rows`` function below is the loop over :class:`Annotation`
 records that a stage ran before datasets became columns, kept as the
 reference: the columnar stage must give the same result on random
-datasets of 1-5 strata with replicas, items in any order.
+datasets of 1-5 strata with replicas, items in any order. The
+``*_entries`` functions do the same for the gold table and its
+:class:`GoldEntry` rows.
 """
 
 import json
@@ -22,13 +24,18 @@ from pairsim.adjust import (
     pair_weights,
     pool_shares,
 )
+from pairsim.experiments import split_items
 from pairsim.metrics import positive_proportion
+from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
     Dataset,
     DatasetMeta,
+    GoldEntry,
+    GoldTable,
     Uniform,
     build_suite,
+    filter_difficult,
     read_dataset,
     synth_gold,
     write_dataset,
@@ -260,3 +267,97 @@ def test_suite_files_are_the_record_lines(tmp_path):
         write_dataset(dataset, path)
         assert path.read_bytes() == write_dataset_rows(dataset)
         assert read_dataset(path) == dataset
+
+
+# ---------------------------------------------------------------------------
+# the gold table against its entries
+
+
+def check_entries(entries):
+    """The check a gold table ran over its entries before it became columns."""
+    seen = set()
+    for e in entries:
+        if not 0.0 <= e.p_gold <= 1.0:
+            raise ValueError(f"item {e.item_id!r}: p_gold {e.p_gold} outside [0, 1]")
+        if e.k_reference < 1:
+            raise ValueError(f"item {e.item_id!r}: k_reference must be positive")
+        if e.item_id in seen:
+            raise ValueError(f"duplicate item_id {e.item_id!r} in gold table")
+        seen.add(e.item_id)
+
+
+def split_entries(gold, counts, seed):
+    perm = stream(seed, "item-split").permutation(len(gold))
+    part = np.empty(len(gold), dtype=np.intp)
+    part[perm] = np.repeat([0, 1, 2], counts)
+    parts = ([], [], [])
+    for entry, p in zip(gold.entries, part.tolist()):
+        parts[p].append(entry)
+    return tuple(tuple(p) for p in parts)
+
+
+def _outcome(make):
+    try:
+        make()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+_ANY_P = st.one_of(st.floats(-0.5, 1.5), st.just(float("nan")), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+def entry_lists(ids=st.sampled_from("abcdef"), p=_ANY_P, k=st.integers(-1, 13)):
+    """Lists of entries whose ids may repeat and whose values may be out
+    of range (NaN included), several bad entries at once."""
+    tokens = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(tuple)
+    return st.lists(st.builds(GoldEntry, ids, tokens, p, k), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entry_lists())
+def test_gold_table_check_equals_the_entry_loop(entries):
+    assert _outcome(lambda: GoldTable(entries)) == _outcome(lambda: check_entries(entries))
+
+
+def valid_golds():
+    return entry_lists(
+        ids=st.integers(0, 999).map(lambda i: f"it{i}"),
+        p=st.floats(0.0, 1.0),
+        k=st.integers(1, 13),
+    ).map(lambda entries: GoldTable({e.item_id: e for e in entries}.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_golds())
+def test_gold_entries_columns_entries_round_trip(gold):
+    entries = gold.entries
+    assert all(type(e) is GoldEntry for e in entries)
+    assert GoldTable(entries).entries == entries
+    again = GoldTable.from_columns(gold.item_id, gold.text, gold.p_gold, gold.k_reference)
+    assert again == gold and again.entries == entries
+    assert repr(again) == repr(gold) == f"GoldTable(entries={entries!r})"
+    assert [(e.item_id, e.text, e.p_gold, e.k_reference) for e in entries] == list(
+        zip(gold.item_id, gold.text, gold.p_gold.tolist(), gold.k_reference.tolist())
+    )
+    assert gold.p_gold.dtype == np.float64 and gold.k_reference.dtype == np.int64
+    assert not gold.p_gold.flags.writeable and not gold.k_reference.flags.writeable
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_golds(), st.data())
+def test_split_items_equals_the_entry_partition(gold, data):
+    n = len(gold)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    counts = (cuts[0], cuts[1] - cuts[0], n - cuts[1])
+    seed = data.draw(st.integers(0, 2**32))
+    parts = split_items(gold, counts, seed)
+    assert tuple(p.entries for p in parts) == split_entries(gold, counts, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_golds(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_filter_difficult_equals_the_entry_filter(gold, lo, hi):
+    lo, hi = min(lo, hi), max(lo, hi)
+    kept = filter_difficult(gold, lo, hi)
+    assert kept.entries == tuple(e for e in gold.entries if lo <= e.p_gold <= hi)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -87,6 +88,13 @@ def test_split_items_rejects_count_mismatch():
     gold = synth_gold(10, Uniform(0.0, 1.0), seed=2)
     with pytest.raises(ValueError, match="sum"):
         split_items(gold, (5, 5, 5), seed=1)
+
+
+@pytest.mark.parametrize("counts", [(5, -2, 1), (2.5, 1, 0.5), (True, 2, 1)])
+def test_split_items_rejects_negative_or_non_integer_counts(counts):
+    gold = synth_gold(4, Uniform(0.0, 1.0), seed=2)
+    with pytest.raises(ValueError, match=rf"split counts {re.escape(str(counts))} must"):
+        split_items(gold, counts, seed=1)
 
 
 def test_scaled_split_proportional():
@@ -382,6 +390,25 @@ def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
     for cache in (experiments.load_gold, experiments._seed_cached):
         cache.cache_clear()
     monkeypatch.setattr(Annotation, "__init__", counting_init)
+    result = sweep(config)
+    assert len(result.rows) == 16 and not result.failures
+    assert made == {}
+
+
+def test_quick_sweep_constructs_no_gold_entries(monkeypatch):
+    # the gold table is columns; GoldEntry rows are only built when a
+    # table's entries are asked for
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "quick.json")
+    made = Counter()
+    init = GoldEntry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    for cache in (experiments.load_gold, experiments._seed_cached):
+        cache.cache_clear()
+    monkeypatch.setattr(GoldEntry, "__init__", counting_init)
     result = sweep(config)
     assert len(result.rows) == 16 and not result.failures
     assert made == {}
