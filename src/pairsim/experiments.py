@@ -237,8 +237,7 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
 
 
 # A process keeps the gold tables of its last few configs. The caches key
-# on the config, not on the table: hashing a table walks every entry and
-# its tokens on each lookup.
+# on the config: a gold table is compared column by column and has no hash.
 @lru_cache(maxsize=4)
 def load_gold(config: ExperimentConfig) -> GoldTable:
     """The experiment's gold table (synthetic or ingested), difficult-filtered
@@ -251,7 +250,7 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
             synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-")
             for ci, (shape, n) in enumerate(source.components)
         ]
-        gold = GoldTable.from_columns(
+        gold = GoldTable(
             [i for part in parts for i in part.item_id],
             [t for part in parts for t in part.text],
             np.concatenate([part.p_gold for part in parts]),

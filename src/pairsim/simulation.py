@@ -30,6 +30,7 @@ A :class:`GoldTable` is columns too, one entry per item; its ``entries``
 from __future__ import annotations
 
 import json
+import numbers
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property, wraps
@@ -82,17 +83,16 @@ class GoldEntry:
     k_reference: int
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class GoldTable:
     """Per-item reference agreement proportions, stored as columns with
     one entry per item.
 
     Item k has id ``item_id[k]``, tokens ``text[k]``, agreement
     proportion ``p_gold[k]`` (float64) and reference panel size
-    ``k_reference[k]`` (int64); both arrays are read-only.
-    ``GoldTable(entries)`` builds the columns from :class:`GoldEntry`
-    rows and :meth:`from_columns` takes them as they are; either way the
-    table is checked once, and :attr:`entries` is built on first use.
+    ``k_reference[k]`` (int64); both arrays are read-only. The table is
+    checked once when it is made; :attr:`entries` is built on first use.
+    Build a table from :class:`GoldEntry` rows with :meth:`from_entries`.
     """
 
     item_id: tuple[str, ...]
@@ -100,54 +100,42 @@ class GoldTable:
     p_gold: np.ndarray
     k_reference: np.ndarray
 
-    def __init__(self, entries: Iterable[GoldEntry]) -> None:
-        rows = [(e.item_id, e.text, e.p_gold, e.k_reference) for e in entries]
-        item_id, text, p_gold, k_reference = zip(*rows) if rows else ((),) * 4
-        self._set_columns(item_id, text, p_gold, k_reference)
-
     @classmethod
-    def from_columns(
-        cls,
-        item_id: Sequence[str],
-        text: Sequence[tuple[str, ...]],
-        p_gold: Sequence[float],
-        k_reference: Sequence[int],
-    ) -> "GoldTable":
-        """The table whose item k is (``item_id[k]``, ``text[k]``,
-        ``p_gold[k]``, ``k_reference[k]``)."""
-        table = cls.__new__(cls)
-        table._set_columns(item_id, text, p_gold, k_reference)
-        return table
+    def from_entries(cls, entries: Iterable[GoldEntry]) -> "GoldTable":
+        """The table of ``entries``, in their order."""
+        rows = [(e.item_id, e.text, e.p_gold, e.k_reference) for e in entries]
+        return cls(*(zip(*rows) if rows else ((),) * 4))
 
-    def _set_columns(self, item_id, text, p_gold, k_reference) -> None:
-        """Store and check the columns: the first item in table order
-        that has a p_gold outside [0, 1], a k_reference below 1 or the id
-        of an earlier item is an error naming it."""
-        p_gold = np.asarray(p_gold, dtype=np.float64)
-        k_reference = np.asarray(k_reference, dtype=np.int64)
-        for name, value in (
-            ("item_id", tuple(item_id)),
-            ("text", tuple(text)),
-            ("p_gold", p_gold),
-            ("k_reference", k_reference),
+    def __post_init__(self) -> None:
+        """Check the columns, casting nothing, and store them as tuples and
+        read-only arrays: the first item that :func:`_entry_error` faults,
+        or whose id an earlier item has, is an error naming it."""
+        item_id, text = tuple(self.item_id), tuple(self.text)
+        p_gold, k_reference = self.p_gold, self.k_reference
+        if (
+            isinstance(p_gold, np.ndarray) and p_gold.dtype.kind in "fiu"
+            and isinstance(k_reference, np.ndarray) and k_reference.dtype.kind in "iu"
+            and str not in map(type, text)
         ):
-            object.__setattr__(self, name, value)
-        p_gold.flags.writeable = False
-        k_reference.flags.writeable = False
-        ids = self.item_id
-        bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
-        first = int(bad[0]) if len(bad) else len(ids)
-        if len(set(ids[:first])) < first:
+            bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
+            first = int(bad[0]) if len(bad) else len(item_id)
+        else:  # values whose dtype does not vouch for them: check item by item
+            rows = enumerate(zip(item_id, text, p_gold, k_reference))
+            first = next((k for k, row in rows if _entry_error(*row)), len(item_id))
+        if len(set(item_id[:first])) < first:
             seen: set[str] = set()
-            for item in ids:
+            for item in item_id:
                 if item in seen:
                     raise ValueError(f"duplicate item_id {item!r} in gold table")
                 seen.add(item)
-        if first < len(ids):
-            p = float(p_gold[first])
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"item {ids[first]!r}: p_gold {p} outside [0, 1]")
-            raise ValueError(f"item {ids[first]!r}: k_reference must be positive")
+        if first < len(item_id):
+            row = item_id[first], text[first], p_gold[first], k_reference[first]
+            raise ValueError(_entry_error(*row))
+        p_gold = np.asarray(p_gold, dtype=np.float64)
+        k_reference = np.asarray(k_reference, dtype=np.int64)
+        p_gold.flags.writeable = k_reference.flags.writeable = False
+        for name, value in zip(_GOLD_KEYS, (item_id, text, p_gold, k_reference)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.item_id)
@@ -170,12 +158,12 @@ class GoldTable:
         )
 
     def __repr__(self) -> str:
-        return f"GoldTable(entries={self.entries!r})"
+        return f"GoldTable.from_entries({self.entries!r})"
 
     def take(self, rows: np.ndarray) -> "GoldTable":
         """The items at the distinct indices ``rows``, in that order."""
         index = rows.tolist()
-        return GoldTable.from_columns(
+        return GoldTable(
             [self.item_id[k] for k in index],
             [self.text[k] for k in index],
             self.p_gold[rows],
@@ -190,6 +178,23 @@ class GoldTable:
 
     def p_by_item(self) -> dict[str, float]:
         return dict(zip(self.item_id, self.p_gold.tolist()))
+
+
+def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
+    """What is wrong with a gold item, by the first of its checks that
+    fails, or None. A bool is neither a number nor an integer here."""
+    where = f"item {item_id!r}:"
+    if isinstance(p_gold, bool) or not isinstance(p_gold, numbers.Real):
+        return f"{where} p_gold must be a number, got {p_gold!r}"
+    if not 0.0 <= p_gold <= 1.0:
+        return f"{where} p_gold {p_gold} outside [0, 1]"
+    if isinstance(k_reference, bool) or not isinstance(k_reference, numbers.Integral):
+        return f"{where} k_reference must be an integer, got {k_reference!r}"
+    if k_reference < 1:
+        return f"{where} k_reference must be positive"
+    if isinstance(text, str):
+        return f"{where} text must be a sequence of tokens, got {text!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -244,10 +249,6 @@ class DatasetMeta:
     seed: int
 
 
-#: one annotation record as a tuple, in :class:`Annotation` field order
-Row = tuple[str, str, str, int, str, str | None]
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class Dataset:
     """Multiset of stratum-tagged annotations with replication provenance,
@@ -274,9 +275,28 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
-        """The dataset of ``records``, in their order; see :func:`_from_rows`
-        for the records it rejects."""
-        return _from_rows([tuple(vars(r).values()) for r in records], meta)
+        """The dataset of ``records``, in their order; item and stratum codes
+        follow first appearance. A label other than the integer 0 or 1 (not
+        ``True`` or ``1.0``), a source other than "original" or "replica", a
+        replica whose ``replica_of`` names no record and an original with a
+        ``replica_of`` are errors."""
+        records = tuple(records)
+        index = {r.annotation_id: k for k, r in enumerate(records)}
+        original = np.full(len(records), -1, dtype=np.intp)
+        for k, r in enumerate(records):
+            aid = r.annotation_id
+            if type(r.label) is not int or r.label not in (0, 1):
+                raise ValueError(f"annotation {aid!r}: label {r.label!r} not binary")
+            if r.source == "replica":
+                if r.replica_of not in index:
+                    raise ValueError(f"replica {aid!r} does not reference an existing annotation")
+                original[k] = index[r.replica_of]
+            elif r.source != "original":
+                raise ValueError(f"annotation {aid!r}: bad source {r.source!r}")
+            elif r.replica_of is not None:
+                raise ValueError(f"original {aid!r} carries replica_of")
+        ids, items, strata, labels = ([getattr(r, key) for r in records] for key in _RECORD_KEYS[:4])
+        return _coded_dataset(meta, ids, items, strata, np.array(labels, dtype=np.int8), original)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -368,7 +388,7 @@ class Dataset:
         following ``replica_of`` from each replica reaches an original;
         raises ValueError on violation. Labels, sources and replica
         references are checked where records become columns
-        (:func:`_from_rows`)."""
+        (:meth:`from_records` and :func:`read_dataset`)."""
         ids = self.annotation_ids
         seen: set[str] = set()
         for aid in ids:
@@ -401,32 +421,7 @@ class Dataset:
             )
 
 
-def _from_rows(rows: Sequence[Row], meta: DatasetMeta) -> Dataset:
-    """The dataset of ``rows``, each in :class:`Annotation` field order.
-
-    Item and stratum codes follow first appearance. Raises ValueError
-    on what the columns cannot hold: a label other than 0 or 1, a
-    source other than "original" or "replica", a replica whose
-    ``replica_of`` names no record, or an original with a ``replica_of``.
-    """
-    ids, items, strata, labels, sources, refs = zip(*rows) if rows else ((),) * 6
-    index = {aid: k for k, aid in enumerate(ids)}
-    original = np.full(len(rows), -1, dtype=np.intp)
-    for k, (aid, label, source, ref) in enumerate(zip(ids, labels, sources, refs)):
-        if label not in (0, 1):
-            raise ValueError(f"annotation {aid!r}: label {label} not binary")
-        if source == "replica":
-            if ref not in index:
-                raise ValueError(f"replica {aid!r} does not reference an existing annotation")
-            original[k] = index[ref]
-        elif source != "original":
-            raise ValueError(f"annotation {aid!r}: bad source {source!r}")
-        elif ref is not None:
-            raise ValueError(f"original {aid!r} carries replica_of")
-    return _from_columns(meta, ids, items, strata, np.array(labels, dtype=np.int8), original)
-
-
-def _from_columns(
+def _coded_dataset(
     meta: DatasetMeta,
     ids: Sequence[str],
     items: Sequence[str],
@@ -522,7 +517,7 @@ def derive_gold(raw: Iterable[tuple]) -> GoldTable:
             labels = tuple(labels[j] for j in keep)
         p_gold.append(sum(labels) / len(labels))
     item_id, text, _ = zip(*rows) if rows else ((),) * 3
-    return GoldTable.from_columns(item_id, text, p_gold, np.full(len(rows), GOLD_PANEL_SIZE))
+    return GoldTable(item_id, text, np.array(p_gold), np.full(len(rows), GOLD_PANEL_SIZE))
 
 
 def filter_difficult(gold: GoldTable, lo: float, hi: float) -> GoldTable:
@@ -581,7 +576,7 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
         a, b = 2 * shape.mean, 2 * (1 - shape.mean)
         p = np.array([stream(seed, tag, i).beta(a, b) for i in range(n)])
     grid = np.minimum(np.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE)
-    return GoldTable.from_columns(
+    return GoldTable(
         [f"{id_prefix}{i:05d}" for i in range(n)],
         ((),) * n,
         grid / GOLD_PANEL_SIZE,
@@ -633,7 +628,7 @@ def synth_text(
             gen = stream(seed, "text", start + j)
             tokens[j] = _item_tokens(gen, float(p[j]), t, names, n_tox)
         text += map(tuple, tokens)
-    return GoldTable.from_columns(gold.item_id, text, gold.p_gold, gold.k_reference)
+    return GoldTable(gold.item_id, text, gold.p_gold, gold.k_reference)
 
 
 #: items per synth_text block, which bounds the block's token lists
@@ -1053,7 +1048,8 @@ def read_gold(path: Union[str, Path]) -> GoldTable:
         rows.append(row)
     if not rows:
         raise ValueError("gold table has no entries")
-    return GoldTable.from_columns(*zip(*rows))
+    item_id, text, p_gold, k_reference = zip(*rows)
+    return GoldTable(item_id, text, np.array(p_gold), np.array(k_reference))
 
 
 _RECORD_KEYS = tuple(f.name for f in fields(Annotation))
@@ -1122,7 +1118,7 @@ def _unescape(texts: Sequence[str]) -> list[str]:
 def _read_written_dataset(path: Union[str, Path]) -> Dataset | None:
     """The dataset of a file in write_dataset's layout, not yet validated,
     or None for a file in any other layout or with a record that
-    :func:`_from_rows` would reject."""
+    :meth:`Dataset.from_records` would reject."""
     ids: list[str] = []
     items: list[str] = []
     strata: list[str] = []
@@ -1167,47 +1163,23 @@ def _read_written_dataset(path: Union[str, Path]) -> Dataset | None:
             return None
         original[replicas] = targets
     label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
-    return _from_columns(meta, ids, items, strata, label, original)
-
-
-# A file the pattern does not take may still hold mostly records in
-# write_dataset's field order (one edited line, other spacing); parsed as
-# JSON, such a record is checked here in a third of typed_object's time.
-# Any other record goes through typed_object, which names what is wrong.
-def _written_record(d) -> Row | None:
-    """``d`` as a row when it has write_dataset's layout: the fields in
-    order, string ids and source, an integer label and a string or null
-    replica_of; None otherwise."""
-    if type(d) is not dict or tuple(d) != _RECORD_KEYS:
-        return None
-    annotation_id, item_id, stratum_id, label, source, replica_of = row = tuple(d.values())
-    if (
-        type(annotation_id) is type(item_id) is type(stratum_id) is type(source) is str
-        and type(label) is int
-        and (replica_of is None or type(replica_of) is str)
-    ):
-        return row
-    return None
+    return _coded_dataset(meta, ids, items, strata, label, original)
 
 
 def _read_dataset_lines(path: Union[str, Path]) -> Dataset:
     """The dataset of a file in any layout, not yet validated: each line
-    read as JSON and checked by :func:`_written_record` or typed_object,
-    so an error names the line and the field."""
+    read as JSON and checked by typed_object, so an error names the line
+    and the field."""
     lines = _json_lines(path)
     try:
         lineno, header = next(lines)
     except StopIteration:
         raise ValueError("empty dataset file") from None
     meta = typed_object(header, DatasetMeta, f"{path}:{lineno}: header")
-    rows = [
-        _written_record(d)
-        or tuple(vars(typed_object(d, Annotation, f"{path}:{lineno}: record")).values())
-        for lineno, d in lines
-    ]
-    if not rows:
+    records = [typed_object(d, Annotation, f"{path}:{lineno}: record") for lineno, d in lines]
+    if not records:
         raise ValueError("dataset has no records")
-    return _from_rows(rows, meta)
+    return Dataset.from_records(records, meta)
 
 
 @reads_file

@@ -71,7 +71,7 @@ def _ok(criterion: int, message: str) -> None:
 
 
 def test_criterion_1_worked_example_exact():
-    gold = GoldTable(tuple(GoldEntry(f"i{k}", (), 0.5, 12) for k in range(3)))
+    gold = GoldTable.from_entries(tuple(GoldEntry(f"i{k}", (), 0.5, 12) for k in range(3)))
     pool = sample_pool(gold, PoolComposition({"A": 6, "B": 3}), BiasSpec.two_type(0.0), seed=1)
     start = time.perf_counter()
     weights = pair_weights(HALF_HALF, pool_shares(pool))
@@ -87,7 +87,7 @@ def test_criterion_1_worked_example_exact():
 
 
 def test_criterion_2_table_structure_every_beta_and_seed():
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         tuple(GoldEntry(f"i{k:03d}", (), (k % 13) / 12, 12) for k in range(25))
     )
     for beta in PAPER_BETAS:
@@ -154,7 +154,7 @@ def test_criterion_4_share_restoration_exact():
         benchmark = PopulationBenchmark(
             {s: Fraction(counts[s], total) * multipliers[s] / mass for s in strata}
         )
-        gold = GoldTable((GoldEntry("only", (), 0.5, 12),))
+        gold = GoldTable.from_entries((GoldEntry("only", (), 0.5, 12),))
         pool = sample_pool(
             gold,
             PoolComposition(counts),
@@ -172,7 +172,7 @@ def test_criterion_4_share_restoration_exact():
 
 def test_criterion_5_scale_invariance():
     gen = stream(73, "c5-constants")
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         tuple(GoldEntry(f"i{k}", (), (k % 13) / 12, 12) for k in range(12))
     )
     pool = sample_pool(gold, PoolComposition({"A": 6, "B": 3}), BiasSpec.two_type(0.0), seed=3)
@@ -235,7 +235,7 @@ def test_criterion_6_end_to_end_trend():
 
 
 def test_criterion_7_acb_metric_correctness():
-    gold = GoldTable(tuple(GoldEntry(f"i{k}", (), k / 12, 12) for k in range(13)))
+    gold = GoldTable.from_entries(tuple(GoldEntry(f"i{k}", (), k / 12, 12) for k in range(13)))
     perfect = gold.p_by_item()
     assert acb(perfect, gold) == 0.0
     constant = {i: 0.5 for i in gold.item_ids()}

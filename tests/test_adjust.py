@@ -34,7 +34,7 @@ HALF_HALF = PopulationBenchmark({"A": 0.5, "B": 0.5})
 
 
 def pool_dataset(counts, n_items=4, p=0.5, seed=0):
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         tuple(GoldEntry(f"it{i}", (), p, 12) for i in range(n_items))
     )
     return sample_pool(gold, PoolComposition(counts), BiasSpec.two_type(0.0), seed=seed)
@@ -250,7 +250,7 @@ def test_share_restoration_exact_for_integer_weights():
         bench = PopulationBenchmark(
             {s: Fraction(counts[s], total) * t[s] / weight_mass for s in strata}
         )
-        gold = GoldTable((GoldEntry("only", (), 0.5, 12),))
+        gold = GoldTable.from_entries((GoldEntry("only", (), 0.5, 12),))
         bias = BiasSpec(0.0, {s: "plus" for s in strata})
         ds = sample_pool(gold, PoolComposition(counts), bias, seed=trial)
         adjusted, wt = apply_pair(ds, bench)
@@ -374,7 +374,7 @@ def test_share_restoration_residual_bound_for_fractional_weights():
         nw_by = {s: raw[s] * k for s in strata}
         if any(nw + Fraction(1, 2) < 1 for nw in nw_by.values()):
             continue  # would round to zero; rejected by WeightTable
-        gold = GoldTable((GoldEntry("only", (), 0.5, 12),))
+        gold = GoldTable.from_entries((GoldEntry("only", (), 0.5, 12),))
         pool = sample_pool(
             gold,
             PoolComposition(counts),

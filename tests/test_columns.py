@@ -274,13 +274,23 @@ def test_suite_files_are_the_record_lines(tmp_path):
 
 
 def check_entries(entries):
-    """The check a gold table ran over its entries before it became columns."""
+    """The check a gold table makes, one entry at a time."""
     seen = set()
     for e in entries:
+        if type(e.p_gold) not in (int, float):
+            raise ValueError(f"item {e.item_id!r}: p_gold must be a number, got {e.p_gold!r}")
         if not 0.0 <= e.p_gold <= 1.0:
             raise ValueError(f"item {e.item_id!r}: p_gold {e.p_gold} outside [0, 1]")
+        if type(e.k_reference) is not int:
+            raise ValueError(
+                f"item {e.item_id!r}: k_reference must be an integer, got {e.k_reference!r}"
+            )
         if e.k_reference < 1:
             raise ValueError(f"item {e.item_id!r}: k_reference must be positive")
+        if isinstance(e.text, str):
+            raise ValueError(
+                f"item {e.item_id!r}: text must be a sequence of tokens, got {e.text!r}"
+            )
         if e.item_id in seen:
             raise ValueError(f"duplicate item_id {e.item_id!r} in gold table")
         seen.add(e.item_id)
@@ -304,20 +314,37 @@ def _outcome(make):
     return None
 
 
-_ANY_P = st.one_of(st.floats(-0.5, 1.5), st.just(float("nan")), st.sampled_from([0.0, 0.5, 1.0]))
+_ANY_P = st.one_of(
+    st.floats(-0.5, 1.5),
+    st.just(float("nan")),
+    st.sampled_from([0.0, 0.5, 1.0, 0, 1]),
+    st.sampled_from(["0.5", True, False, None]),  # not numbers
+)
+_ANY_K = st.one_of(st.integers(-1, 13), st.sampled_from([12.5, 12.0, "3", True, None]))
+_TOKENS = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(tuple)
 
 
-def entry_lists(ids=st.sampled_from("abcdef"), p=_ANY_P, k=st.integers(-1, 13)):
+def entry_lists(
+    ids=st.sampled_from("abcdef"), p=_ANY_P, k=_ANY_K, text=st.one_of(_TOKENS, st.just("x y"))
+):
     """Lists of entries whose ids may repeat and whose values may be out
-    of range (NaN included), several bad entries at once."""
-    tokens = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(tuple)
-    return st.lists(st.builds(GoldEntry, ids, tokens, p, k), max_size=8)
+    of range (NaN included) or of another type, several bad entries at
+    once."""
+    return st.lists(st.builds(GoldEntry, ids, text, p, k), max_size=8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(entry_lists())
 def test_gold_table_check_equals_the_entry_loop(entries):
-    assert _outcome(lambda: GoldTable(entries)) == _outcome(lambda: check_entries(entries))
+    expected = _outcome(lambda: check_entries(entries))
+    assert _outcome(lambda: GoldTable.from_entries(entries)) == expected
+    if all(type(e.p_gold) in (int, float) and type(e.k_reference) is int for e in entries):
+        # the same values as numeric arrays, checked without an item loop
+        ids = [e.item_id for e in entries]
+        text = [e.text for e in entries]
+        p = np.array([e.p_gold for e in entries], dtype=np.float64)
+        k = np.array([e.k_reference for e in entries], dtype=np.int64)
+        assert _outcome(lambda: GoldTable(ids, text, p, k)) == expected
 
 
 def valid_golds():
@@ -325,7 +352,8 @@ def valid_golds():
         ids=st.integers(0, 999).map(lambda i: f"it{i}"),
         p=st.floats(0.0, 1.0),
         k=st.integers(1, 13),
-    ).map(lambda entries: GoldTable({e.item_id: e for e in entries}.values()))
+        text=_TOKENS,
+    ).map(lambda entries: GoldTable.from_entries({e.item_id: e for e in entries}.values()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,10 +361,10 @@ def valid_golds():
 def test_gold_entries_columns_entries_round_trip(gold):
     entries = gold.entries
     assert all(type(e) is GoldEntry for e in entries)
-    assert GoldTable(entries).entries == entries
-    again = GoldTable.from_columns(gold.item_id, gold.text, gold.p_gold, gold.k_reference)
+    assert GoldTable.from_entries(entries).entries == entries
+    again = GoldTable(gold.item_id, gold.text, gold.p_gold, gold.k_reference)
     assert again == gold and again.entries == entries
-    assert repr(again) == repr(gold) == f"GoldTable(entries={entries!r})"
+    assert repr(again) == repr(gold) == f"GoldTable.from_entries({entries!r})"
     assert [(e.item_id, e.text, e.p_gold, e.k_reference) for e in entries] == list(
         zip(gold.item_id, gold.text, gold.p_gold.tolist(), gold.k_reference.tolist())
     )

@@ -357,25 +357,6 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.aggregates == parallel.aggregates
 
 
-def test_sweep_hashes_the_gold_entries_at_most_once(monkeypatch):
-    # the per-cell caches must not key on the gold table: hashing it walks
-    # every entry and its tokens on each lookup
-    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
-    hashes = Counter()
-    entry_hash = GoldEntry.__hash__
-
-    def counting_hash(entry):
-        hashes[entry.item_id] += 1
-        return entry_hash(entry)
-
-    for cache in (experiments.load_gold, experiments._seed_cached):
-        cache.cache_clear()
-    monkeypatch.setattr(GoldEntry, "__hash__", counting_hash)
-    result = sweep(config)
-    assert len(result.rows) == 8 and not result.failures
-    assert max(hashes.values(), default=0) <= 1
-
-
 def test_quick_sweep_constructs_no_annotation_objects(monkeypatch):
     # the sweep path works on dataset columns; Annotation rows are only
     # built when a dataset's records are asked for

@@ -21,7 +21,7 @@ from pairsim.simulation import (
 
 
 def flat_gold(ps):
-    return GoldTable(
+    return GoldTable.from_entries(
         tuple(GoldEntry(f"it{i:03d}", (), p, 12) for i, p in enumerate(ps))
     )
 
@@ -66,7 +66,7 @@ def test_acb_symmetry_and_triangle_inequality():
     r = {i: float(v) for i, v in zip(ids, gen.random(40))}
 
     def table(values):
-        return GoldTable(tuple(GoldEntry(i, (), values[i], 12) for i in ids))
+        return GoldTable.from_entries(tuple(GoldEntry(i, (), values[i], 12) for i in ids))
 
     assert_allclose(acb(p, table(q)), acb(q, table(p)), rtol=0, atol=1e-15)
     assert acb(p, table(q)) <= acb(p, table(r)) + acb(r, table(q)) + 1e-12

@@ -1,12 +1,14 @@
 import hashlib
 import inspect
 import json
+import re
 from collections import Counter
 from dataclasses import astuple, dataclass
 from functools import cache
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,7 +52,7 @@ from pairsim.trainer import load_model
 
 
 def flat_gold(ps, k=12):
-    return GoldTable(
+    return GoldTable.from_entries(
         tuple(GoldEntry(f"it{i:04d}", ("tok",), p, k) for i, p in enumerate(ps))
     )
 
@@ -139,11 +141,47 @@ def test_annotation_row_takes_only_the_integers_0_and_1(label):
         annotation_row("a", "t", [0, label] + [1] * 10)
 
 
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        (("a", (), "0.5", 12), "p_gold must be a number, got '0.5'"),
+        (("a", (), True, 12), "p_gold must be a number, got True"),
+        (("a", (), None, 12), "p_gold must be a number, got None"),
+        (("a", (), 0.5, 12.5), "k_reference must be an integer, got 12.5"),
+        (("a", (), 0.5, "3"), "k_reference must be an integer, got '3'"),
+        (("a", (), 0.5, True), "k_reference must be an integer, got True"),
+        (("a", "x y", 0.5, 12), "text must be a sequence of tokens, got 'x y'"),
+    ],
+)
+def test_gold_table_casts_no_value(columns, message):
+    # the table once stored k_reference 12.5 as 12, "3" as 3, p_gold "0.5"
+    # as 0.5 and True as 1.0, and kept a str text, whose characters would
+    # be taken for tokens
+    pattern = rf"^item 'a': {re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        GoldTable.from_entries((GoldEntry("ok", ("t",), 0.5, 12), GoldEntry(*columns)))
+    with pytest.raises(ValueError, match=pattern):
+        GoldTable(*([value] for value in columns))
+
+
+@pytest.mark.parametrize(
+    "p_gold, k_reference, message",
+    [
+        (np.array([True]), np.array([12]), "p_gold must be a number, got np.True_"),
+        (np.array([0.5]), np.array([12.5]), "k_reference must be an integer, got np.float64(12.5)"),
+        (np.array(["0.5"]), np.array([12]), "p_gold must be a number, got np.str_('0.5')"),
+    ],
+)
+def test_gold_table_takes_only_numeric_arrays_as_they_are(p_gold, k_reference, message):
+    with pytest.raises(ValueError, match=rf"^item 'a': {re.escape(message)}$"):
+        GoldTable(("a",), ((),), p_gold, k_reference)
+
+
 def test_gold_table_rejects_duplicates_and_bad_p():
     with pytest.raises(ValueError, match="duplicate"):
-        GoldTable((GoldEntry("a", (), 0.5, 12), GoldEntry("a", (), 0.2, 12)))
+        GoldTable.from_entries((GoldEntry("a", (), 0.5, 12), GoldEntry("a", (), 0.2, 12)))
     with pytest.raises(ValueError, match="outside"):
-        GoldTable((GoldEntry("a", (), 1.2, 12),))
+        GoldTable.from_entries((GoldEntry("a", (), 1.2, 12),))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +235,7 @@ def test_sample_pool_clamped_negative():
 
 def test_sample_pool_rejects_empty_gold():
     with pytest.raises(ValueError, match="empty"):
-        sample_pool(GoldTable(()), PoolComposition({"A": 1}), BiasSpec.two_type(0.1), seed=1)
+        sample_pool(GoldTable.from_entries(()), PoolComposition({"A": 1}), BiasSpec.two_type(0.1), seed=1)
 
 
 def test_sample_pool_rejects_unknown_stratum():
@@ -338,7 +376,7 @@ def dataset_columns(ds):
 def test_every_beta_labelled_from_one_draw_equals_a_fresh_draw(twelfths, betas, counts, seed, task):
     # a sweep draws each seed once and labels the draws at each beta, in
     # any order; that must give what drawing afresh for each beta gives
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         tuple(GoldEntry(f"it{i:02d}", ("tok",), k / 12, 12) for i, k in enumerate(twelfths))
     )
     comp = PoolComposition(dict(zip("AB", counts)))
@@ -417,7 +455,7 @@ def oracle_build_suite(gold, beta, seed, task="OL"):
     task=st.sampled_from(["OL", "HS"]),
 )
 def test_build_suite_matches_reference_oracle(twelfths, beta, seed, task):
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         tuple(GoldEntry(f"it{i:02d}", ("tok",), k / 12, 12) for i, k in enumerate(twelfths))
     )
     suite = build_suite(gold, beta, seed, task)
@@ -657,7 +695,7 @@ def test_dataset_file_round_trip(tmp_path):
 
 
 def test_write_gold_is_pinned_byte_for_byte(tmp_path):
-    gold = GoldTable(
+    gold = GoldTable.from_entries(
         (GoldEntry("a", ("hello", "world"), 0.5, 12), GoldEntry("b\u00e9", (), 1 / 3, 3))
     )
     path = tmp_path / "gold.jsonl"
@@ -701,6 +739,20 @@ def test_read_dataset_rejects_broken_replica(tmp_path):
     lines[1] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="replica"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None, 2])
+def test_a_record_label_is_the_integer_0_or_1_built_or_read(tmp_path, label):
+    # True == 1 and 1.0 == 1 in Python, but neither is a label: a record
+    # built by hand is rejected as the same record read from a file is
+    record = Annotation("a1", "it", "A", label)
+    message = rf"^annotation 'a1': label {re.escape(repr(label))} not binary$"
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_records((record,), DatasetMeta(**_HEADER))
+    path = tmp_path / "ds.jsonl"
+    _rewrite(path, [_HEADER, vars(record)])  # a label the line pattern does not take
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:.*\blabel\b"):
         read_dataset(path)
 
 
@@ -861,7 +913,7 @@ def test_read_gold_reads_other_key_orders_and_integer_proportions(tmp_path):
     _rewrite(path, rows)
     entries = list(expected.entries)
     entries[1] = GoldEntry(entries[1].item_id, entries[1].text, 1.0, entries[1].k_reference)
-    assert read_gold(path) == GoldTable(tuple(entries))
+    assert read_gold(path) == GoldTable.from_entries(tuple(entries))
 
 
 def test_read_gold_rejects_missing_fields_by_name(tmp_path):
@@ -1005,7 +1057,7 @@ def test_read_gold_agrees_with_typed_object_on_written_layout(tmp_path_factory, 
 
     @reads_file
     def checked(path):
-        return GoldTable((typed_object(row, GoldEntry, f"{path}:1: entry"),))
+        return GoldTable.from_entries((typed_object(row, GoldEntry, f"{path}:1: entry"),))
 
     assert _outcome(lambda: read_gold(path)) == _outcome(lambda: checked(path))
 
@@ -1159,23 +1211,19 @@ def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
     assert dataset.original.tolist() == [-1, 0]
 
 
-def test_read_dataset_lines_takes_records_in_written_order_without_typed_object(tmp_path):
-    # a file the pattern rejects (here for one blank line) is read line by
-    # line, where a record with write_dataset's fields in order skips
-    # typed_object, which takes about three times as long per record
+def test_read_dataset_reads_a_file_the_pattern_rejects_by_the_per_line_reader(tmp_path):
+    # the tests above replace _read_dataset_lines to show that a file was
+    # read by the line pattern; they check something only while
+    # read_dataset falls back by that name
     header, *lines = _replicated_lines()
     path = tmp_path / "ds.jsonl"
-    path.write_text("\n".join([header, "", *lines]) + "\n")
-    checked = simulation.typed_object
-
-    def typed_object(d, cls, where, /, **parsers):
-        assert cls is not Annotation, f"{where} went through typed_object"
-        return checked(d, cls, where, **parsers)
-
-    with mock.patch.object(simulation, "typed_object", typed_object):
+    path.write_text("\n".join([header, "", *lines]) + "\n")  # a blank line
+    per_line = mock.Mock(wraps=simulation._read_dataset_lines)
+    with mock.patch.object(simulation, "_read_dataset_lines", per_line):
         dataset = read_dataset(path)
-    assert dataset == simulation._read_dataset_lines(path)
+    per_line.assert_called_once_with(path)
     assert len(dataset) == 24
+
 
 def test_dataset_restrict():
     gold = synth_gold(10, Uniform(0.2, 0.8), seed=1)
