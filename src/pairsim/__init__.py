@@ -33,6 +33,7 @@ from .simulation import (
     PoolComposition,
     Rare,
     Suite,
+    TextColumn,
     Uniform,
     build_suite,
     derive_gold,

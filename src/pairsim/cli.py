@@ -106,7 +106,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     gold = read_gold(args.gold)
     dev = read_dataset(args.dev_dataset) if args.dev_dataset else None
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
-    model = train(dataset, gold.texts(), config, args.seed, dev=dev)
+    model = train(dataset, gold, config, args.seed, dev=dev)
     save_model(model, args.out)
     chosen = model.path[model.best_epoch - 1]
     print(
@@ -129,7 +129,7 @@ def _add_evaluate(sub: argparse._SubParsersAction) -> None:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     gold = read_gold(args.gold)
-    preds = predict(model, gold.texts())
+    preds = predict(model, gold)
     payload = {
         "n_items": len(gold),
         "acb": acb(preds, gold),

@@ -33,6 +33,7 @@ from .simulation import (
     RECIPE_NONREP1,
     RECIPES,
     SuiteDraws,
+    TextColumn,
     Uniform,
     annotation_row,
     derive_gold,
@@ -203,7 +204,7 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
 
     Each row needs "item_id", "text", and per-task label lists under
     "ol" / "hs". Malformed rows (bad JSON, missing fields, empty or
-    whitespace-only text, duplicate ids, or labels that
+    whitespace-only text, duplicate ids, or tokens or labels that
     :func:`annotation_row` rejects) are skipped and counted. Gold
     proportions come from a seeded without-replacement subsample of
     ``GOLD_PANEL_SIZE`` labels per item.
@@ -250,9 +251,10 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
             synth_gold(n, shape, source.seed, id_prefix=f"g{ci}-")
             for ci, (shape, n) in enumerate(source.components)
         ]
+        # synth_gold's parts have no tokens; synth_text draws every item's
         gold = GoldTable(
             [i for part in parts for i in part.item_id],
-            [t for part in parts for t in part.text],
+            TextColumn.of(((),) * sum(map(len, parts))),
             np.concatenate([part.p_gold for part in parts]),
             np.concatenate([part.k_reference for part in parts]),
         )
@@ -274,7 +276,7 @@ def _seed_cached(
 # a sweep has one config, so one gold table and one hash_dim
 @lru_cache(maxsize=1)
 def _features_cached(config: ExperimentConfig) -> Features:
-    return featurize(load_gold(config).texts(), config.train.hash_dim)
+    return featurize(load_gold(config), config.train.hash_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -108,38 +108,58 @@ _32 = np.uint64(32)
 _11 = np.uint64(11)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64-bit words of the 128-bit products ``m * x``,
-    from products of 32-bit halves (none of which overflows)."""
+def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+             t: np.ndarray, u: np.ndarray) -> None:
+    """Write the high and low 64-bit words of the 128-bit products ``m * x``
+    into ``hi`` and ``lo``, from products of 32-bit halves, none of which
+    overflows, and no sum either (the carry chain of Hacker's Delight's
+    ``mulhu``); ``t`` and ``u`` are scratch. No argument may share memory
+    with another."""
     m_lo, m_hi = m & _LOW32, m >> _32
-    x_lo, x_hi = x & _LOW32, x >> _32
-    ll = x_lo * m_lo
-    lh = x_lo * m_hi
-    hl = x_hi * m_lo
-    mid = (ll >> _32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = x_hi * m_hi + (lh >> _32) + (hl >> _32) + (mid >> _32)
-    return hi, x * m
+    np.bitwise_and(x, _LOW32, out=t)
+    np.multiply(t, m_hi, out=u)
+    np.multiply(t, m_lo, out=t)
+    np.right_shift(t, _32, out=t)
+    np.right_shift(x, _32, out=hi)
+    np.multiply(hi, m_lo, out=lo)
+    np.add(t, lo, out=t)  # x_hi * m_lo + (x_lo * m_lo >> 32)
+    np.multiply(hi, m_hi, out=hi)
+    np.bitwise_and(t, _LOW32, out=lo)
+    np.add(u, lo, out=u)  # x_lo * m_hi + (t & low 32 bits)
+    np.right_shift(t, _32, out=t)
+    np.add(hi, t, out=hi)
+    np.right_shift(u, _32, out=u)
+    np.add(hi, u, out=hi)
+    np.multiply(x, m, out=lo)
 
 
 def philox_words(keys: np.ndarray, n: int) -> np.ndarray:
     """Each key's first ``n`` 64-bit Philox4x64-10 outputs: row ``i`` is
     ``stream(...).bit_generator.random_raw(n)`` of the stream whose key
-    is ``keys[i]``, as a ``(len(keys), n)`` uint64 array."""
+    is ``keys[i]``, as a ``(len(keys), n)`` uint64 array.
+
+    Each round writes into arrays allocated once: the four counter words,
+    the four products and two scratch arrays."""
     keys = np.asarray(keys, dtype=np.uint64)
     k0 = keys[:, :1].copy()
     k1 = keys[:, 1:].copy()
     blocks = -(-n // 4)
-    shape = (len(keys), blocks)
+    x0, x1, x2, x3, hi0, lo0, hi1, lo1, t, u = np.zeros((10, len(keys), blocks), dtype=np.uint64)
     # numpy increments the counter before each block: block b uses b + 1
-    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    x1 = x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    x0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
     for r in range(10):
         if r:
             k0 += _W0
             k1 += _W1
-        hi0, lo0 = _mulhilo(_M0, x0)
-        hi1, lo1 = _mulhilo(_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+        _mulhilo(_M0, x0, hi0, lo0, t, u)
+        _mulhilo(_M1, x2, hi1, lo1, t, u)
+        np.bitwise_xor(hi1, x1, out=hi1)
+        np.bitwise_xor(hi1, k0, out=hi1)
+        np.bitwise_xor(hi0, x3, out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        # the new words are (hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0); the
+        # old ones hold the next round's products
+        x0, x1, x2, x3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, x0, x1, x2, x3
     return np.stack([x0, x1, x2, x3], axis=2).reshape(len(keys), 4 * blocks)[:, :n]
 
 

@@ -23,8 +23,10 @@ stratum codes index two small tables of ids. Sampling, restriction,
 replication, training and scoring work on the columns alone; annotation
 id strings are made only when a dataset is written or its ``records``
 (:class:`Annotation` rows, for hand-built data and tests) are asked for.
-A :class:`GoldTable` is columns too, one entry per item; its ``entries``
-(:class:`GoldEntry` rows) are likewise made only when asked for.
+A :class:`GoldTable` is columns too, one entry per item. Its texts are a
+:class:`TextColumn`: a vocabulary of distinct tokens and every item's
+tokens as integer codes into it. Its ``entries`` (:class:`GoldEntry`
+rows) and per-item token tuples are likewise made only when asked for.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numbers
 import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from functools import cache, cached_property, wraps
+from itertools import chain
 from pathlib import Path
 from types import UnionType
 from typing import (
@@ -84,19 +87,115 @@ class GoldEntry:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
+class TextColumn:
+    """Item texts as integer codes into a vocabulary of distinct tokens.
+
+    Item k's tokens are ``vocab[c]`` for ``c`` in
+    ``codes[offsets[k]:offsets[k + 1]]``; both arrays are read-only. As a
+    sequence, item k is the tuple of its tokens, and these tuples are
+    built on first use. Columns are equal when their texts are, whatever
+    the order of their vocabularies. Build one from token sequences with
+    :meth:`of`.
+    """
+
+    vocab: tuple[str, ...]
+    codes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Sequence[Sequence[str]]) -> "TextColumn":
+        """The column of ``texts``; the vocabulary is in order of first use."""
+        tokens = list(chain.from_iterable(texts))
+        code = {token: k for k, token in enumerate(dict.fromkeys(tokens))}
+        return cls(
+            tuple(code),
+            np.fromiter(map(code.__getitem__, tokens), dtype=np.intp, count=len(tokens)),
+            _offsets(np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))),
+        )
+
+    def __post_init__(self) -> None:
+        vocab = tuple(self.vocab)
+        codes = np.asarray(self.codes, dtype=np.intp)
+        offsets = np.asarray(self.offsets, dtype=np.intp)
+        if (
+            offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
+            or offsets[-1] != len(codes) or (np.diff(offsets) < 0).any()
+        ):
+            raise ValueError("text offsets must rise from 0 to the number of codes")
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(vocab):
+            raise ValueError(f"text codes must index the {len(vocab)} vocabulary entries")
+        if len(set(vocab)) < len(vocab):
+            raise ValueError("text vocabulary repeats a token")
+        codes.flags.writeable = offsets.flags.writeable = False
+        for name, value in (("vocab", vocab), ("codes", codes), ("offsets", offsets)):
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def _tuples(self) -> tuple[tuple[str, ...], ...]:
+        tokens = np.array(self.vocab, dtype=object)[self.codes].tolist()
+        bounds = self.offsets.tolist()
+        return tuple(tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __getitem__(self, k: int) -> tuple[str, ...]:
+        return self._tuples[k]
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        return iter(self._tuples)
+
+    def __repr__(self) -> str:
+        return f"TextColumn.of({self._tuples!r})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TextColumn):
+            return NotImplemented
+        if not np.array_equal(self.offsets, other.offsets):
+            return False
+        if self.vocab == other.vocab:
+            return np.array_equal(self.codes, other.codes)
+        code = {token: k for k, token in enumerate(other.vocab)}
+        recode = np.fromiter(
+            (code.get(token, -1) for token in self.vocab), dtype=np.intp, count=len(self.vocab)
+        )
+        return np.array_equal(recode[self.codes], other.codes)
+
+    def take(self, rows: np.ndarray) -> "TextColumn":
+        """The texts of the items at indices ``rows``, in that order, coded
+        in this vocabulary."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = _offsets(lengths)
+        # a kept token's code sits at its run's old start plus its place in the run
+        index = np.repeat(starts - offsets[:-1], lengths)
+        index += np.arange(len(index))
+        return TextColumn(self.vocab, self.codes[index], offsets)
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """The offsets of runs of ``lengths``: 0, then their running sums."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class GoldTable:
     """Per-item reference agreement proportions, stored as columns with
     one entry per item.
 
     Item k has id ``item_id[k]``, tokens ``text[k]``, agreement
     proportion ``p_gold[k]`` (float64) and reference panel size
-    ``k_reference[k]`` (int64); both arrays are read-only. The table is
-    checked once when it is made; :attr:`entries` is built on first use.
-    Build a table from :class:`GoldEntry` rows with :meth:`from_entries`.
+    ``k_reference[k]`` (int64); both arrays are read-only. ``text`` is a
+    :class:`TextColumn`; token sequences given in its place are coded
+    once. The table is checked once when it is made; :attr:`entries` is
+    built on first use. Build a table from :class:`GoldEntry` rows with
+    :meth:`from_entries`.
     """
 
     item_id: tuple[str, ...]
-    text: tuple[tuple[str, ...], ...]
+    text: TextColumn
     p_gold: np.ndarray
     k_reference: np.ndarray
 
@@ -107,30 +206,42 @@ class GoldTable:
         return cls(*(zip(*rows) if rows else ((),) * 4))
 
     def __post_init__(self) -> None:
-        """Check the columns, casting nothing, and store them as tuples and
-        read-only arrays: the first item that :func:`_entry_error` faults,
-        or whose id an earlier item has, is an error naming it."""
-        item_id, text = tuple(self.item_id), tuple(self.text)
+        """Check the columns, casting nothing, and store them as a tuple, a
+        text column and read-only arrays: the first item that
+        :func:`_entry_error` faults, or whose id an earlier item has, is an
+        error naming it. Numeric arrays and a text column are checked
+        without an item loop, each vocabulary entry once."""
+        item_id, text = tuple(self.item_id), self.text
         p_gold, k_reference = self.p_gold, self.k_reference
+        n = len(item_id)
+        coded = isinstance(text, TextColumn)
+        texts = text if coded else tuple(text)
+        if not n == len(texts) == len(p_gold) == len(k_reference):
+            raise ValueError(
+                f"gold columns differ in length: {n} item ids, {len(texts)} texts, "
+                f"{len(p_gold)} p_gold, {len(k_reference)} k_reference"
+            )
         if (
             isinstance(p_gold, np.ndarray) and p_gold.dtype.kind in "fiu"
             and isinstance(k_reference, np.ndarray) and k_reference.dtype.kind in "iu"
-            and str not in map(type, text)
+            and coded
         ):
             bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
-            first = int(bad[0]) if len(bad) else len(item_id)
-        else:  # values whose dtype does not vouch for them: check item by item
-            rows = enumerate(zip(item_id, text, p_gold, k_reference))
-            first = next((k for k, row in rows if _entry_error(*row)), len(item_id))
+            first = min(int(bad[0]) if len(bad) else n, _first_bad_token_item(text))
+        else:  # values whose type does not vouch for them: check item by item
+            rows = enumerate(zip(item_id, texts, p_gold, k_reference))
+            first = next((k for k, row in rows if _entry_error(*row)), n)
         if len(set(item_id[:first])) < first:
             seen: set[str] = set()
             for item in item_id:
                 if item in seen:
                     raise ValueError(f"duplicate item_id {item!r} in gold table")
                 seen.add(item)
-        if first < len(item_id):
-            row = item_id[first], text[first], p_gold[first], k_reference[first]
+        if first < n:
+            row = item_id[first], texts[first], p_gold[first], k_reference[first]
             raise ValueError(_entry_error(*row))
+        if not coded:
+            text = TextColumn.of(texts)
         p_gold = np.asarray(p_gold, dtype=np.float64)
         k_reference = np.asarray(k_reference, dtype=np.int64)
         p_gold.flags.writeable = k_reference.flags.writeable = False
@@ -162,10 +273,9 @@ class GoldTable:
 
     def take(self, rows: np.ndarray) -> "GoldTable":
         """The items at the distinct indices ``rows``, in that order."""
-        index = rows.tolist()
         return GoldTable(
-            [self.item_id[k] for k in index],
-            [self.text[k] for k in index],
+            [self.item_id[k] for k in rows.tolist()],
+            self.text.take(rows),
             self.p_gold[rows],
             self.k_reference[rows],
         )
@@ -180,6 +290,38 @@ class GoldTable:
         return dict(zip(self.item_id, self.p_gold.tolist()))
 
 
+def _token_error(tokens: Iterable) -> str | None:
+    """What is wrong with the first of ``tokens`` that is not a str UTF-8
+    can encode, or None."""
+    for token in tokens:
+        if type(token) is not str:
+            return f"token {token!r} is not a string"
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"token {token!r} cannot be encoded as UTF-8"
+    return None
+
+
+def _first_bad_token_item(text: TextColumn) -> int:
+    """The first item of ``text`` with a token that :func:`_token_error`
+    faults, or ``len(text)``; each vocabulary entry is checked once."""
+    vocab = text.vocab
+    if {str}.issuperset(map(type, vocab)):
+        try:
+            "".join(vocab).encode("utf-8")
+            return len(text)
+        except UnicodeEncodeError:
+            pass
+    bad = np.fromiter(
+        (_token_error((token,)) is not None for token in vocab), dtype=bool, count=len(vocab)
+    )
+    used = np.flatnonzero(bad[text.codes])
+    if not len(used):
+        return len(text)
+    return int(np.searchsorted(text.offsets, used[0], side="right")) - 1
+
+
 def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
     """What is wrong with a gold item, by the first of its checks that
     fails, or None. A bool is neither a number nor an integer here."""
@@ -192,9 +334,10 @@ def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
         return f"{where} k_reference must be an integer, got {k_reference!r}"
     if k_reference < 1:
         return f"{where} k_reference must be positive"
-    if isinstance(text, str):
+    if isinstance(text, str) or not isinstance(text, Sequence):
         return f"{where} text must be a sequence of tokens, got {text!r}"
-    return None
+    error = _token_error(text)
+    return None if error is None else f"{where} {error}"
 
 
 @dataclass(frozen=True)
@@ -481,10 +624,10 @@ def annotation_row(
     """One item's reference annotations as ``(item_id, tokens, labels)``;
     a string text is split on whitespace.
 
-    Raises ValueError when the labels are empty, not each the integer 0
-    or 1 (``True`` and ``1.0`` compare equal to 1 but are not labels), or
-    fewer than ``GOLD_PANEL_SIZE`` (a draw of that many without
-    replacement).
+    Raises ValueError when a token is not a str that UTF-8 can encode,
+    or when the labels are empty, not each the integer 0 or 1 (``True``
+    and ``1.0`` compare equal to 1 but are not labels), or fewer than
+    ``GOLD_PANEL_SIZE`` (a draw of that many without replacement).
     """
     labels = tuple(labels)
     if not labels:
@@ -498,6 +641,9 @@ def annotation_row(
             f"cannot draw {GOLD_PANEL_SIZE} without replacement"
         )
     tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
+    error = _token_error(tokens)
+    if error:
+        raise ValueError(f"item {item_id!r}: {error}")
     return item_id, tokens, labels
 
 
@@ -517,7 +663,9 @@ def derive_gold(raw: Iterable[tuple]) -> GoldTable:
             labels = tuple(labels[j] for j in keep)
         p_gold.append(sum(labels) / len(labels))
     item_id, text, _ = zip(*rows) if rows else ((),) * 3
-    return GoldTable(item_id, text, np.array(p_gold), np.full(len(rows), GOLD_PANEL_SIZE))
+    return GoldTable(
+        item_id, TextColumn.of(text), np.array(p_gold), np.full(len(rows), GOLD_PANEL_SIZE)
+    )
 
 
 def filter_difficult(gold: GoldTable, lo: float, hi: float) -> GoldTable:
@@ -578,7 +726,7 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
     grid = np.minimum(np.floor(p * GOLD_PANEL_SIZE + 0.5), GOLD_PANEL_SIZE)
     return GoldTable(
         [f"{id_prefix}{i:05d}" for i in range(n)],
-        ((),) * n,
+        TextColumn.of(((),) * n),
         grid / GOLD_PANEL_SIZE,
         np.full(n, GOLD_PANEL_SIZE),
     )
@@ -591,7 +739,9 @@ def synth_text(
 
     The vocabulary is split into a toxic-indicative half and a
     benign-indicative half; each of an item's tokens comes from the
-    toxic half with probability p_gold.
+    toxic half with probability p_gold. The text column's vocabulary is
+    every toxic token, then every benign one, whether an item uses it or
+    not.
     """
     if tokens_per_item < 1:
         raise ValueError("tokens_per_item must be at least 1")
@@ -599,7 +749,7 @@ def synth_text(
         raise ValueError("vocab_size must be at least 2 (one token per half)")
     n_tox = vocab_size // 2
     n_ben = vocab_size - n_tox
-    names = [f"tox{i}" for i in range(n_tox)] + [f"ben{i}" for i in range(n_ben)]
+    names = tuple([f"tox{i}" for i in range(n_tox)] + [f"ben{i}" for i in range(n_ben)])
     # item i's stream: the toxic mask from words [0, T), then T tox ids
     # and T ben ids from the 32-bit halves of the following words; a half
     # of size 1 draws nothing
@@ -608,8 +758,7 @@ def synth_text(
     n_halves = ben_start + (t if n_ben > 1 else 0)
     n_words = t + (n_halves + 1) // 2
     keys = stream_keys(seed, "text", count=len(gold))
-    table = np.array(names, dtype=object)
-    text: list[tuple[str, ...]] = []
+    codes = np.empty((len(gold), t), dtype=np.intp)  # codes into names
     for start in range(0, len(gold), _TEXT_BLOCK):
         p = gold.p_gold[start : start + _TEXT_BLOCK]
         words = philox_words(keys[start : start + len(p)], n_words)
@@ -618,34 +767,34 @@ def synth_text(
         ids = []
         for size, first in ((n_tox, 0), (n_ben, ben_start)):
             if size == 1:
-                ids.append(np.zeros((len(p), t), dtype=np.int64))
+                ids.append(0)
                 continue
             values, flagged = bounded_draws(words[:, t:], size - 1)
             ids.append(values[:, first : first + t])
             redraw |= flagged[:, first : first + t].any(axis=1)
-        tokens = table[np.where(toxic, ids[0], n_tox + ids[1])].tolist()
+        block = codes[start : start + len(p)]
+        block[:] = np.where(toxic, ids[0], n_tox + ids[1])
         for j in np.flatnonzero(redraw):
-            gen = stream(seed, "text", start + j)
-            tokens[j] = _item_tokens(gen, float(p[j]), t, names, n_tox)
-        text += map(tuple, tokens)
+            block[j] = _item_codes(stream(seed, "text", start + j), float(p[j]), t, n_tox, n_ben)
+    text = TextColumn(names, codes.ravel(), np.arange(0, len(gold) * t + 1, t))
     return GoldTable(gold.item_id, text, gold.p_gold, gold.k_reference)
 
 
-#: items per synth_text block, which bounds the block's token lists
+#: items per synth_text block, which bounds the block's Philox words
 _TEXT_BLOCK = 256
 
 
-def _item_tokens(
-    gen: np.random.Generator, p_gold: float, t: int, names: list[str], n_tox: int
-) -> list[str]:
-    """One item's tokens drawn from its own generator: what synth_text
+def _item_codes(
+    gen: np.random.Generator, p_gold: float, t: int, n_tox: int, n_ben: int
+) -> np.ndarray:
+    """One item's token codes drawn from its own generator: what synth_text
     computes for every item in one pass."""
-    toxic = (gen.random(t) < p_gold).tolist()
+    toxic = gen.random(t) < p_gold
     # draw indices for both halves unconditionally so consumption per
     # item is fixed regardless of the toxic mask
-    tox_ids = gen.integers(0, n_tox, size=t).tolist()
-    ben_ids = gen.integers(0, len(names) - n_tox, size=t).tolist()
-    return [names[tx] if x else names[n_tox + b] for x, tx, b in zip(toxic, tox_ids, ben_ids)]
+    tox_ids = gen.integers(0, n_tox, size=t)
+    ben_ids = gen.integers(0, n_ben, size=t)
+    return np.where(toxic, tox_ids, n_tox + ben_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,17 +1154,20 @@ _GOLD_LINE = _line_template(_GOLD_KEYS)
 
 def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
     """One line per item: a JSON object of the :class:`GoldEntry` fields,
-    in field order."""
+    in field order. Each vocabulary entry is encoded once."""
+    text = gold.text
+    tokens = np.array([_encode(token) for token in text.vocab], dtype=object)[text.codes].tolist()
+    bounds = text.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(
-            _GOLD_LINE % (_encode(item_id), _encode(text), _encode(p), k)
-            for item_id, text, p, k in zip(
-                gold.item_id, gold.text, gold.p_gold.tolist(), gold.k_reference.tolist()
+            _GOLD_LINE % (_encode(item_id), "[" + ", ".join(tokens[a:b]) + "]", _encode(p), k)
+            for item_id, a, b, p, k in zip(
+                gold.item_id, bounds, bounds[1:], gold.p_gold.tolist(), gold.k_reference.tolist()
             )
         )
 
 
-def _written_entry(d) -> tuple[str, tuple[str, ...], float, int] | None:
+def _written_entry(d) -> tuple[str, list[str], float, int] | None:
     """``d``'s values when it has write_gold's layout: the fields in
     order, a string id, a list of strings for ``text``, a float
     ``p_gold`` and an integer ``k_reference``; None otherwise."""
@@ -1029,8 +1181,16 @@ def _written_entry(d) -> tuple[str, tuple[str, ...], float, int] | None:
         and type(p_gold) is float
         and type(k_reference) is int
     ):
-        return item_id, tuple(text), p_gold, k_reference
+        return item_id, text, p_gold, k_reference
     return None
+
+
+class _Vocabulary(dict):
+    """Token to code; a token's first lookup gives it the next code."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = code = len(self)
+        return code
 
 
 @reads_file
@@ -1038,17 +1198,23 @@ def read_gold(path: Union[str, Path]) -> GoldTable:
     """The checked gold table of a file that :func:`write_gold` wrote, or
     of any JSON-lines file with the same fields. A line in write_gold's
     layout goes straight into the columns; any other is checked by
-    typed_object, so an error names the line and the field."""
+    typed_object, so an error names the line and the field. Tokens are
+    coded as they are read, the vocabulary in order of first use."""
     rows = []
+    vocab = _Vocabulary()
+    codes: list[int] = []
     for lineno, d in _json_lines(path):
         row = _written_entry(d)
         if row is None:
             e = typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
             row = (e.item_id, e.text, e.p_gold, e.k_reference)
-        rows.append(row)
+        item_id, text, p_gold, k_reference = row
+        codes += map(vocab.__getitem__, text)
+        rows.append((item_id, len(text), p_gold, k_reference))
     if not rows:
         raise ValueError("gold table has no entries")
-    item_id, text, p_gold, k_reference = zip(*rows)
+    item_id, lengths, p_gold, k_reference = zip(*rows)
+    text = TextColumn(tuple(vocab), np.array(codes, dtype=np.intp), _offsets(np.array(lengths)))
     return GoldTable(item_id, text, np.array(p_gold), np.array(k_reference))
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, reads_file, typed_object
+from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 2
@@ -126,29 +126,28 @@ def token_index(token: str, dim: int) -> int:
     return int.from_bytes(digest, "little") % dim
 
 
-def _item_matrix(
-    item_ids: Sequence[str],
-    texts: Mapping[str, Sequence[str]],
-    dim: int,
-) -> sparse.csr_matrix:
-    """One row per item: hashed token frequencies (counts / length).
+def _item_matrix(item_ids: Sequence[str], text: TextColumn, dim: int) -> sparse.csr_matrix:
+    """One row per item of ``text``, whose ids are ``item_ids``: hashed
+    token frequencies (counts / length).
 
-    Each distinct token is hashed once per call; every row holds its
-    columns in ascending order.
+    Each vocabulary entry that some item uses is hashed once per call;
+    every row holds its columns in ascending order.
     """
-    n = len(item_ids)
-    lengths = np.array([len(texts[item_id]) for item_id in item_ids], dtype=np.int64)
+    lengths = np.diff(text.offsets)
     if not lengths.all():
         raise ValueError(f"item {item_ids[int(np.argmin(lengths))]!r} has an empty text")
-    tokens = [tok for item_id in item_ids for tok in texts[item_id]]
-    column = {tok: token_index(tok, dim) for tok in set(tokens)}
-    cols = np.fromiter(map(column.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    # one key per (row, column) pair, sorted row-major: counts per cell
-    keys, counts = np.unique(rows * dim + cols, return_counts=True)
-    key_rows = keys // dim
-    indptr = np.searchsorted(key_rows, np.arange(n + 1))
-    return sparse.csr_matrix((counts / lengths[key_rows], keys % dim, indptr), shape=(n, dim))
+    used = np.flatnonzero(np.bincount(text.codes, minlength=len(text.vocab)))
+    column = np.zeros(len(text.vocab), dtype=np.int64)
+    column[used] = [token_index(text.vocab[k], dim) for k in used.tolist()]
+    # one entry per token; summing a row's duplicates counts each column.
+    # sum_duplicates rewrites indptr in place, so it gets a copy of the offsets
+    matrix = sparse.csr_matrix(
+        (np.ones(len(text.codes)), column[text.codes], text.offsets.copy()),
+        shape=(len(lengths), dim),
+    )
+    matrix.sum_duplicates()
+    matrix.data /= np.repeat(lengths, np.diff(matrix.indptr))
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,15 +172,24 @@ class Features:
         return Features({item_id: i for i, item_id in enumerate(item_ids)}, self.of(item_ids))
 
 
-def featurize(texts: Mapping[str, Sequence[str]], hash_dim: int) -> Features:
-    """Features of every item in ``texts`` (item_id to token sequence),
-    one row per item in mapping order; an empty text is an error."""
-    item_ids = list(texts)
+Texts = Union[GoldTable, Mapping[str, Sequence[str]]]
+
+
+def featurize(texts: Texts, hash_dim: int) -> Features:
+    """Features of every item of the gold table ``texts``, or of the
+    mapping of item_id to token sequence ``texts``, one row per item in
+    table or mapping order; an empty text is an error. A mapping is
+    coded once into a :class:`TextColumn`, as a table's texts are."""
+    if isinstance(texts, GoldTable):
+        item_ids, text = texts.item_id, texts.text
+    else:
+        item_ids = list(texts)
+        text = TextColumn.of(list(texts.values()))
     rows = {item_id: i for i, item_id in enumerate(item_ids)}
-    return Features(rows, _item_matrix(item_ids, texts, hash_dim))
+    return Features(rows, _item_matrix(item_ids, text, hash_dim))
 
 
-def _features(texts: Union[Features, Mapping[str, Sequence[str]]], hash_dim: int) -> Features:
+def _features(texts: Union[Features, Texts], hash_dim: int) -> Features:
     """``texts`` as features with ``hash_dim`` columns."""
     if not isinstance(texts, Features):
         return featurize(texts, hash_dim)
@@ -330,15 +338,15 @@ def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 def train(
     dataset: Dataset,
-    texts: Union[Features, Mapping[str, Sequence[str]]],
+    texts: Union[Features, Texts],
     config: TrainConfig = TrainConfig(),
     seed: int = 0,
     dev: Dataset | None = None,
 ) -> Model:
     """Fit the classifier on the per-annotation loss of ``dataset``.
 
-    ``texts`` maps item_id to its token sequence, or is the
-    :func:`featurize` result of such a mapping, and must cover every
+    ``texts`` is a gold table, a mapping of item_id to token sequence,
+    or the :func:`featurize` result of either, and must cover every
     item in ``dataset`` (and ``dev``). The penalties of
     ``config.path()`` are fitted in turn, the first from the
     intercept-only fit and each later one from the last one's
@@ -412,12 +420,10 @@ def train(
     )
 
 
-def predict(
-    model: Model, texts: Union[Features, Mapping[str, Sequence[str]]]
-) -> dict[str, float]:
-    """Predicted positive probability per item of ``texts`` (a mapping of
-    item_id to tokens, or its features), in its order; pure function of
-    the model."""
+def predict(model: Model, texts: Union[Features, Texts]) -> dict[str, float]:
+    """Predicted positive probability per item of ``texts`` (a gold table,
+    a mapping of item_id to tokens, or the features of either), in its
+    order; pure function of the model."""
     features = _features(texts, model.config.hash_dim)
     p = expit(features.matrix @ model.weights + model.bias)
     return {item_id: float(p[i]) for item_id, i in features.rows.items()}

@@ -33,6 +33,7 @@ from pairsim.simulation import (
     DatasetMeta,
     GoldEntry,
     GoldTable,
+    TextColumn,
     Uniform,
     build_suite,
     filter_difficult,
@@ -291,6 +292,15 @@ def check_entries(entries):
             raise ValueError(
                 f"item {e.item_id!r}: text must be a sequence of tokens, got {e.text!r}"
             )
+        for token in e.text:
+            if type(token) is not str:
+                raise ValueError(f"item {e.item_id!r}: token {token!r} is not a string")
+            try:
+                token.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(
+                    f"item {e.item_id!r}: token {token!r} cannot be encoded as UTF-8"
+                ) from None
         if e.item_id in seen:
             raise ValueError(f"duplicate item_id {e.item_id!r} in gold table")
         seen.add(e.item_id)
@@ -322,14 +332,21 @@ _ANY_P = st.one_of(
 )
 _ANY_K = st.one_of(st.integers(-1, 13), st.sampled_from([12.5, 12.0, "3", True, None]))
 _TOKENS = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(tuple)
+# tokens that are not strings, or that UTF-8 cannot encode (a lone surrogate)
+_ANY_TOKENS = st.lists(
+    st.one_of(st.sampled_from(["x", "y", "z"]), st.sampled_from([1, None, "\ud800"])), max_size=3
+).map(tuple)
 
 
 def entry_lists(
-    ids=st.sampled_from("abcdef"), p=_ANY_P, k=_ANY_K, text=st.one_of(_TOKENS, st.just("x y"))
+    ids=st.sampled_from("abcdef"),
+    p=_ANY_P,
+    k=_ANY_K,
+    text=st.one_of(_TOKENS, _ANY_TOKENS, st.just("x y")),
 ):
     """Lists of entries whose ids may repeat and whose values may be out
-    of range (NaN included) or of another type, several bad entries at
-    once."""
+    of range (NaN included) or of another type, and whose tokens may not
+    be UTF-8 strings, several bad entries at once."""
     return st.lists(st.builds(GoldEntry, ids, text, p, k), max_size=8)
 
 
@@ -339,9 +356,12 @@ def test_gold_table_check_equals_the_entry_loop(entries):
     expected = _outcome(lambda: check_entries(entries))
     assert _outcome(lambda: GoldTable.from_entries(entries)) == expected
     if all(type(e.p_gold) in (int, float) and type(e.k_reference) is int for e in entries):
-        # the same values as numeric arrays, checked without an item loop
+        # the same values as numeric arrays and, when no text is a str, a
+        # text column: checked without an item loop
         ids = [e.item_id for e in entries]
         text = [e.text for e in entries]
+        if not any(isinstance(t, str) for t in text):
+            text = TextColumn.of(text)
         p = np.array([e.p_gold for e in entries], dtype=np.float64)
         k = np.array([e.k_reference for e in entries], dtype=np.int64)
         assert _outcome(lambda: GoldTable(ids, text, p, k)) == expected
@@ -381,6 +401,21 @@ def test_split_items_equals_the_entry_partition(gold, data):
     seed = data.draw(st.integers(0, 2**32))
     parts = split_items(gold, counts, seed)
     assert tuple(p.entries for p in parts) == split_entries(gold, counts, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_golds(), st.data())
+def test_split_and_filter_keep_every_items_tokens(gold, data):
+    n = len(gold)
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    counts = (cuts[0], cuts[1] - cuts[0], n - cuts[1])
+    parts = split_items(gold, counts, data.draw(st.integers(0, 2**32)))
+    lo, hi = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    texts = gold.texts()
+    for part in (*parts, filter_difficult(gold, lo, hi)):
+        # a part keeps the table's vocabulary and gathers each item's run of codes
+        assert part.text.vocab == gold.text.vocab
+        assert part.texts() == {item_id: texts[item_id] for item_id in part.item_ids()}
 
 
 @settings(max_examples=200, deadline=None)

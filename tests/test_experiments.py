@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pairsim import experiments
+from pairsim import experiments, simulation, trainer
 from pairsim.adjust import PopulationBenchmark
 from pairsim.experiments import (
     ExperimentConfig,
@@ -206,6 +206,22 @@ def test_ingest_skips_rows_whose_labels_are_not_integers(tmp_path, label):
     assert len(result.gold) == 9
 
 
+@pytest.mark.parametrize("text", [["ok", 5, None], ["ok", "\ud800"]])
+def test_ingest_skips_rows_with_a_token_that_is_not_a_utf8_string(tmp_path, text):
+    # the blank-text check stopped at "ok", and featurize failed later
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=10)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[4])
+    row["text"] = text
+    lines[4] = json.dumps(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = ingest_external(path, task="OL")
+    assert result.skipped == 1
+    assert "tw0004" not in result.gold.item_ids()
+    assert len(result.gold) == 9
+
+
 def test_ingest_rejects_empty(tmp_path):
     path = tmp_path / "annotations.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -393,6 +409,33 @@ def test_quick_sweep_constructs_no_gold_entries(monkeypatch):
     result = sweep(config)
     assert len(result.rows) == 16 and not result.failures
     assert made == {}
+
+
+def test_quick_sweep_codes_texts_once_and_hashes_each_vocabulary_entry_once(monkeypatch):
+    # the sweep featurizes the gold table from its codes: no per-item
+    # token tuple is built, and each token a text uses is hashed once
+    config = load_config(Path(__file__).resolve().parent.parent / "configs" / "quick.json")
+    for cache in (experiments.load_gold, experiments._seed_cached, experiments._features_cached):
+        cache.cache_clear()
+    tuples_of = simulation.TextColumn._tuples.func
+    built = []
+    monkeypatch.setattr(
+        simulation.TextColumn, "_tuples", property(lambda self: built.append(self) or tuples_of(self))
+    )
+    hashed = Counter()
+    index = trainer.token_index
+
+    def counting_index(token, dim):
+        hashed[token] += 1
+        return index(token, dim)
+
+    monkeypatch.setattr(trainer, "token_index", counting_index)
+    result = sweep(config)
+    assert len(result.rows) == 16 and not result.failures
+    assert built == []
+    text = load_gold(config).text
+    assert set(hashed) == {text.vocab[c] for c in set(text.codes.tolist())}
+    assert max(hashed.values()) == 1
 
 
 class _RecordingPool:

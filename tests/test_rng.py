@@ -79,6 +79,24 @@ def test_philox_words_are_each_streams_raw_output(parts, count, n):
         assert np.array_equal(doubles(words[i]), stream(*parts, i).random(n))
 
 
+# synth_text asks for 120 words per item; lengths that are not a multiple
+# of 4 end inside a cipher block
+word_counts = st.one_of(st.integers(0, 130), st.sampled_from([117, 119, 120, 121, 127, 129, 130]))
+raw_keys = st.lists(
+    st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), max_size=40
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=raw_keys, n=word_counts)
+def test_philox_words_are_numpys_philox_at_the_lengths_used(pairs, n):
+    keys = np.array(pairs, dtype=np.uint64).reshape(len(pairs), 2)
+    words = philox_words(keys, n)
+    assert words.shape == (len(pairs), n) and words.dtype == np.uint64
+    for row, (low, high) in zip(words, pairs):
+        assert np.array_equal(row, np.random.Philox(key=low | high << 64).random_raw(n))
+
+
 # a bound in [2**31, 2**32 - 2] rejects up to half its 32-bit values
 bounds = st.one_of(st.integers(1, 2**32 - 2), st.integers(2**31, 2**32 - 2))
 

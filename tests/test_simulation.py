@@ -24,6 +24,7 @@ from pairsim.simulation import (
     DatasetMeta,
     GoldEntry,
     GoldTable,
+    TextColumn,
     PoolComposition,
     Rare,
     Uniform,
@@ -175,6 +176,77 @@ def test_gold_table_casts_no_value(columns, message):
 def test_gold_table_takes_only_numeric_arrays_as_they_are(p_gold, k_reference, message):
     with pytest.raises(ValueError, match=rf"^item 'a': {re.escape(message)}$"):
         GoldTable(("a",), ((),), p_gold, k_reference)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ((1, 2), "token 1 is not a string"),
+        (("ok", None), "token None is not a string"),
+        (("ok", ["x"]), "token ['x'] is not a string"),
+        (("\ud800",), "token '\\ud800' cannot be encoded as UTF-8"),
+    ],
+)
+def test_gold_table_names_the_item_of_a_bad_token(text, message):
+    # these tables were once accepted and failed later, in featurize, with
+    # an AttributeError or a UnicodeEncodeError naming no item
+    pattern = rf"^item 'a': {re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        GoldTable.from_entries((GoldEntry("ok", ("t",), 0.5, 12), GoldEntry("a", text, 0.5, 12)))
+    with pytest.raises(ValueError, match=pattern):
+        GoldTable(("ok", "a"), (("t",), text), np.array([0.5, 0.5]), np.array([12, 12]))
+
+
+def test_gold_table_checks_a_text_columns_vocabulary_once_per_entry():
+    text = TextColumn(("t", "\ud800", 5), [0, 0, 1, 0], [0, 1, 1, 3, 4])
+    with pytest.raises(ValueError, match=r"^item 'c': token '\\ud800' cannot be encoded"):
+        GoldTable(("a", "b", "c", "d"), text, np.full(4, 0.5), np.full(4, 12))
+    # an entry no item uses is never hashed, so it is no error
+    unused = TextColumn(("t", 5), [0], [0, 1])
+    assert GoldTable(("a",), unused, np.full(1, 0.5), np.full(1, 12)).texts() == {"a": ("t",)}
+
+
+@pytest.mark.parametrize(
+    "vocab, codes, offsets, message",
+    [
+        (("a",), [0], [1, 1], "offsets must rise from 0"),
+        (("a",), [0], [0, 2], "offsets must rise from 0"),
+        (("a",), [0, 0], [0, 2, 1, 2], "offsets must rise from 0"),
+        (("a",), [1], [0, 1], "codes must index the 1 vocabulary entries"),
+        (("a",), [-1], [0, 1], "codes must index the 1 vocabulary entries"),
+        (("a", "a"), [0], [0, 1], "vocabulary repeats a token"),
+    ],
+)
+def test_text_column_rejects_codes_that_are_not_texts(vocab, codes, offsets, message):
+    with pytest.raises(ValueError, match=message):
+        TextColumn(vocab, codes, offsets)
+
+
+def test_text_column_compares_texts_not_vocabulary_order():
+    a = TextColumn(("x", "y"), [0, 1, 1], [0, 1, 3])
+    assert a == TextColumn(("y", "x", "z"), [1, 0, 0], [0, 1, 3])
+    assert a != TextColumn(("y", "x"), [0, 1, 1], [0, 1, 3])
+    assert a != TextColumn(("x", "y"), [0, 1, 1], [0, 2, 3])
+    assert list(a) == [("x",), ("y", "y")] and a[1] == ("y", "y") and len(a) == 2
+    assert not a.codes.flags.writeable and not a.offsets.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "item_id, text, p_gold, k_reference, lengths",
+    [
+        (("a", "b"), TextColumn.of([("x",)]), np.full(2, 0.5), np.full(2, 12), (2, 1, 2, 2)),
+        (("a", "b"), [("x",)], [0.5, 0.5], [12, 12], (2, 1, 2, 2)),
+        (("a",), [("x",)], np.full(2, 0.5), np.full(2, 12), (1, 1, 2, 2)),
+        (("a",), [("x",)], [0.5], [12, 12], (1, 1, 1, 2)),
+    ],
+)
+def test_gold_table_rejects_columns_of_different_lengths(
+    item_id, text, p_gold, k_reference, lengths
+):
+    # a shorter column was once cut off silently by a zip, dropping items
+    message = "gold columns differ in length: {} item ids, {} texts, {} p_gold, {} k_reference"
+    with pytest.raises(ValueError, match=f"^{message.format(*lengths)}$"):
+        GoldTable(item_id, text, p_gold, k_reference)
 
 
 def test_gold_table_rejects_duplicates_and_bad_p():
@@ -666,6 +738,19 @@ def test_synth_text_matches_per_item_oracle(twelfths, vocab_size, tokens_per_ite
     ]
 
 
+def test_synth_text_codes_equal_the_same_texts_coded_in_first_use_order(tmp_path):
+    gold = synth_text(synth_gold(40, Uniform(0.0, 1.0), seed=2), 30, 7, seed=3)
+    names = tuple(f"tox{i}" for i in range(15)) + tuple(f"ben{i}" for i in range(15))
+    assert gold.text.vocab == names
+    again = GoldTable.from_entries(gold.entries)
+    assert again.text.vocab != names and set(again.text.vocab) <= set(names)
+    assert again == gold and gold == again and again.entries == gold.entries
+    write_gold(gold, tmp_path / "synth.jsonl")
+    write_gold(again, tmp_path / "again.jsonl")
+    assert (tmp_path / "synth.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
+    assert read_gold(tmp_path / "synth.jsonl") == gold
+
+
 def test_synth_text_deterministic():
     gold = flat_gold([0.4, 0.6])
     a = synth_text(gold, 100, 20, seed=9)
@@ -914,6 +999,16 @@ def test_read_gold_reads_other_key_orders_and_integer_proportions(tmp_path):
     entries = list(expected.entries)
     entries[1] = GoldEntry(entries[1].item_id, entries[1].text, 1.0, entries[1].k_reference)
     assert read_gold(path) == GoldTable.from_entries(tuple(entries))
+
+
+def test_read_gold_names_the_file_and_item_of_a_token_utf8_cannot_encode(tmp_path):
+    path, rows = _written_gold(tmp_path)
+    rows[2]["text"][1] = "\ud800"  # a lone surrogate, which JSON can escape
+    _rewrite(path, rows)
+    item = rows[2]["item_id"]
+    message = rf"gold\.jsonl: item '{item}': token '\\ud800' cannot be encoded as UTF-8$"
+    with pytest.raises(ValueError, match=message):
+        read_gold(path)
 
 
 def test_read_gold_rejects_missing_fields_by_name(tmp_path):

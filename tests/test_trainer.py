@@ -17,6 +17,9 @@ from pairsim.simulation import (
     Annotation,
     Dataset,
     DatasetMeta,
+    GoldEntry,
+    GoldTable,
+    TextColumn,
     Uniform,
     build_suite,
     synth_gold,
@@ -29,7 +32,6 @@ from pairsim.trainer import (
     PathPoint,
     TrainConfig,
     _item_counts,
-    _item_matrix,
     _lbfgs,
     featurize,
     load_model,
@@ -629,7 +631,7 @@ def test_each_path_point_is_a_stationary_point_of_its_objective(problem):
 def test_item_matrix_matches_per_item_reference(token_lists, dim):
     texts = {f"i{i}": tuple(tokens) for i, tokens in enumerate(token_lists)}
     item_ids = list(texts)
-    fast = _item_matrix(item_ids, texts, dim)
+    fast = featurize(texts, dim).matrix
     ref = _reference_item_matrix(item_ids, texts, dim)
     assert fast.shape == ref.shape
     assert np.array_equal(fast.indptr, ref.indptr)
@@ -637,9 +639,43 @@ def test_item_matrix_matches_per_item_reference(token_lists, dim):
     assert np.array_equal(fast.data, ref.data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(["a", "b", "c", "d", "\u00e9", "tok"]), min_size=1, max_size=12),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(2, 8),
+    st.randoms(use_true_random=False),
+)
+def test_featurize_from_codes_equals_featurize_from_texts_bit_for_bit(token_lists, dim, rnd):
+    # repeated tokens in a row; at 2-8 columns most vocabularies collide;
+    # the same texts coded in another vocabulary order give the same rows
+    gold = GoldTable.from_entries(
+        GoldEntry(f"i{i}", tuple(tokens), 0.5, 12) for i, tokens in enumerate(token_lists)
+    )
+    vocab = list(gold.text.vocab)
+    rnd.shuffle(vocab)
+    code = {token: k for k, token in enumerate(vocab)}
+    recode = np.array([code[token] for token in gold.text.vocab], dtype=np.intp)
+    text = TextColumn(tuple(vocab), recode[gold.text.codes], gold.text.offsets)
+    shuffled = GoldTable(gold.item_id, text, gold.p_gold, gold.k_reference)
+    assert shuffled == gold and shuffled.texts() == gold.texts()
+    ref = _reference_item_matrix(list(gold.item_id), gold.texts(), dim)
+    for features in (featurize(gold, dim), featurize(shuffled, dim), featurize(gold.texts(), dim)):
+        assert list(features.rows) == list(gold.item_id)
+        got = features.matrix
+        assert got.shape == ref.shape
+        assert got.indptr.dtype == ref.indptr.dtype and got.indptr.tobytes() == ref.indptr.tobytes()
+        assert got.indices.dtype == np.int32 == ref.indices.dtype
+        assert got.indices.tobytes() == ref.indices.tobytes()
+        assert got.data.dtype == np.float64 and got.data.tobytes() == ref.data.tobytes()
+
+
 def test_item_matrix_rejects_empty_text_by_name():
     with pytest.raises(ValueError, match="'b'"):
-        _item_matrix(["a", "b"], {"a": ("x",), "b": ()}, 16)
+        featurize({"a": ("x",), "b": ()}, 16)
 
 
 # ---------------------------------------------------------------------------
