@@ -151,15 +151,11 @@ class TextColumn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TextColumn):
             return NotImplemented
-        if not np.array_equal(self.offsets, other.offsets):
-            return False
-        if self.vocab == other.vocab:
-            return np.array_equal(self.codes, other.codes)
-        code = {token: k for k, token in enumerate(other.vocab)}
-        recode = np.fromiter(
-            (code.get(token, -1) for token in self.vocab), dtype=np.intp, count=len(self.vocab)
+        if self.vocab != other.vocab:
+            return self._tuples == other._tuples
+        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
+            self.codes, other.codes
         )
-        return np.array_equal(recode[self.codes], other.codes)
 
     def take(self, rows: np.ndarray) -> "TextColumn":
         """The texts of the items at indices ``rows``, in that order, coded
@@ -419,27 +415,17 @@ class Dataset:
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
         """The dataset of ``records``, in their order; item and stratum codes
-        follow first appearance. A label other than the integer 0 or 1 (not
-        ``True`` or ``1.0``), a source other than "original" or "replica", a
-        replica whose ``replica_of`` names no record and an original with a
-        ``replica_of`` are errors."""
+        follow first appearance. The first record that :func:`_check_record`
+        faults is an error, and then the first replica whose ``replica_of``
+        names no record."""
         records = tuple(records)
-        index = {r.annotation_id: k for k, r in enumerate(records)}
-        original = np.full(len(records), -1, dtype=np.intp)
-        for k, r in enumerate(records):
-            aid = r.annotation_id
-            if type(r.label) is not int or r.label not in (0, 1):
-                raise ValueError(f"annotation {aid!r}: label {r.label!r} not binary")
-            if r.source == "replica":
-                if r.replica_of not in index:
-                    raise ValueError(f"replica {aid!r} does not reference an existing annotation")
-                original[k] = index[r.replica_of]
-            elif r.source != "original":
-                raise ValueError(f"annotation {aid!r}: bad source {r.source!r}")
-            elif r.replica_of is not None:
-                raise ValueError(f"original {aid!r} carries replica_of")
+        for r in records:
+            _check_record(r)
         ids, items, strata, labels = ([getattr(r, key) for r in records] for key in _RECORD_KEYS[:4])
-        return _coded_dataset(meta, ids, items, strata, np.array(labels, dtype=np.int8), original)
+        replicas = [k for k, r in enumerate(records) if r.source == "replica"]
+        refs = [records[k].replica_of for k in replicas]
+        label = np.array(labels, dtype=np.int8)
+        return _coded_dataset(meta, ids, items, strata, label, replicas, refs)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -530,8 +516,9 @@ class Dataset:
         with the record it replicates on (item, stratum, label), and that
         following ``replica_of`` from each replica reaches an original;
         raises ValueError on violation. Labels, sources and replica
-        references are checked where records become columns
-        (:meth:`from_records` and :func:`read_dataset`)."""
+        references are checked where records become columns: by
+        :meth:`from_records`, and by :func:`read_dataset` for the records
+        of a file."""
         ids = self.annotation_ids
         seen: set[str] = set()
         for aid in ids:
@@ -564,17 +551,43 @@ class Dataset:
             )
 
 
+def _check_record(r: Annotation) -> None:
+    """Raise the error of a record that is wrong on its own: a label other
+    than the integer 0 or 1 (not ``True`` or ``1.0``), a source other than
+    "original" or "replica", or a ``replica_of`` that is not a replica's."""
+    aid = r.annotation_id
+    if type(r.label) is not int or r.label not in (0, 1):
+        raise ValueError(f"annotation {aid!r}: label {r.label!r} not binary")
+    if r.source not in ("original", "replica"):
+        raise ValueError(f"annotation {aid!r}: bad source {r.source!r}")
+    if r.source == "replica" and r.replica_of is None:
+        raise ValueError(f"replica {aid!r} has no replica_of")
+    if r.source == "original" and r.replica_of is not None:
+        raise ValueError(f"original {aid!r} carries replica_of")
+
+
 def _coded_dataset(
     meta: DatasetMeta,
     ids: Sequence[str],
     items: Sequence[str],
     strata: Sequence[str],
     label: np.ndarray,
-    original: np.ndarray,
+    replicas: list[int],
+    refs: Sequence[str],
 ) -> Dataset:
     """The dataset whose record k has annotation id ``ids[k]``, item
-    ``items[k]``, stratum ``strata[k]``, ``label[k]`` and ``original[k]``.
-    Item and stratum codes follow first appearance."""
+    ``items[k]``, stratum ``strata[k]`` and ``label[k]``; the records at
+    indices ``replicas`` replicate those with the ids ``refs``, and an id
+    that names no record is an error. Item and stratum codes follow
+    first appearance."""
+    original = np.full(len(ids), -1, dtype=np.intp)
+    if replicas:
+        index = dict(zip(ids, range(len(ids))))
+        targets = [index.get(ref, -1) for ref in refs]
+        if -1 in targets:
+            k = replicas[targets.index(-1)]
+            raise ValueError(f"replica {ids[k]!r} does not reference an existing annotation")
+        original[replicas] = targets
     item_ids = tuple(dict.fromkeys(items))
     stratum_ids = tuple(dict.fromkeys(strata))
 
@@ -1125,21 +1138,16 @@ def reads_file(reader):
     return read
 
 
-def _json_lines(path: Union[str, Path]):
-    """``(line number, value)`` for each non-blank line of a JSON-lines
-    file; a line that is not one JSON value is an error naming it."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            text = line.strip(" \t\n\r")  # the whitespace JSON allows
-            try:
-                value, end = _raw_decode(text)
-                if end != len(text):
-                    raise json.JSONDecodeError("Extra data", text, end)
-            except json.JSONDecodeError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-            yield lineno, value
+def _decoded_line(path: Union[str, Path], lineno: int, line: str, cls: type, name: str):
+    """Line ``lineno`` of the file ``path`` read as a ``cls`` dataclass
+    named ``name`` by :func:`typed_object`: a line that is not one JSON
+    value, or whose value is not a ``cls``, is an error naming the line."""
+    where = f"{path}:{lineno}"
+    try:
+        value = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where}: {err}") from None
+    return typed_object(value, cls, f"{where}: {name}")
 
 
 def _line_template(keys: Sequence[str]) -> str:
@@ -1195,22 +1203,27 @@ class _Vocabulary(dict):
 
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
-    """The checked gold table of a file that :func:`write_gold` wrote, or
-    of any JSON-lines file with the same fields. A line in write_gold's
-    layout goes straight into the columns; any other is checked by
-    typed_object, so an error names the line and the field. Tokens are
+    """The checked gold table of a file in the layout :func:`write_gold`
+    writes: each line one JSON object, which :func:`_written_entry`
+    accepts, and nothing after it. Any other line is an error naming the
+    line, and the field when :func:`typed_object` faults one. Tokens are
     coded as they are read, the vocabulary in order of first use."""
     rows = []
     vocab = _Vocabulary()
     codes: list[int] = []
-    for lineno, d in _json_lines(path):
-        row = _written_entry(d)
-        if row is None:
-            e = typed_object(d, GoldEntry, f"{path}:{lineno}: entry")
-            row = (e.item_id, e.text, e.p_gold, e.k_reference)
-        item_id, text, p_gold, k_reference = row
-        codes += map(vocab.__getitem__, text)
-        rows.append((item_id, len(text), p_gold, k_reference))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                d, end = _raw_decode(line)
+                row = _written_entry(d) if line[end:] in ("\n", "") else None
+            except json.JSONDecodeError:
+                row = None
+            if row is None:
+                _decoded_line(path, lineno, line, GoldEntry, "entry")
+                raise ValueError(f"{path}:{lineno}: not in the layout write_gold writes")
+            item_id, text, p_gold, k_reference = row
+            codes += map(vocab.__getitem__, text)
+            rows.append((item_id, len(text), p_gold, k_reference))
     if not rows:
         raise ValueError("gold table has no entries")
     item_id, lengths, p_gold, k_reference = zip(*rows)
@@ -1246,20 +1259,21 @@ def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
 
 
 # A dataset file has one line per annotation record, about ten times the
-# lines of its gold file, so read_dataset first reads the layout
-# write_dataset produces with one pattern, matched a block of lines at a
-# time: decoding each line as JSON made the CLI chain take 44% more CPU
-# (2-vCPU x86 host). A JSON string without a backslash is its own value,
-# so the captured strings are decoded only in a block that has one. Any
-# other layout, and any record the columns cannot hold, goes line by line.
+# lines of its gold file, so read_dataset reads the layout write_dataset
+# produces with one pattern, matched a block of lines at a time: decoding
+# each line as JSON made the CLI chain take 44% more CPU, and matching
+# each line on its own made reading a trend adjusted.jsonl a quarter
+# slower (2-vCPU x86 host). A JSON string without a backslash is its own
+# value, so the captured strings are decoded only in a block that has one.
 _TEXT = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
 _RECORD_VALUES = {
     "annotation_id": f'"({_TEXT})"',
     "item_id": f'"({_TEXT})"',
     "stratum_id": f'"({_TEXT})"',
     "label": "([01])",
-    "source": '"(original|replica)"',
-    "replica_of": f'(null|"{_TEXT}")',
+    # a replica's replica_of is a string, captured without its quotes; an original's is null
+    "source": '"(?:original|(?P<replica>replica))"',
+    "replica_of": f'(?(replica)"({_TEXT})"|null)',
 }
 
 
@@ -1281,79 +1295,46 @@ def _unescape(texts: Sequence[str]) -> list[str]:
     return json.loads('["' + '","'.join(texts) + '"]') if texts else []
 
 
-def _read_written_dataset(path: Union[str, Path]) -> Dataset | None:
-    """The dataset of a file in write_dataset's layout, not yet validated,
-    or None for a file in any other layout or with a record that
-    :meth:`Dataset.from_records` would reject."""
+@reads_file
+def read_dataset(path: Union[str, Path]) -> Dataset:
+    """The validated dataset of a file in the layout :func:`write_dataset`
+    writes: a header line, one JSON object of the :class:`DatasetMeta`
+    fields, then one record per line that :func:`_record_pattern` matches.
+    Any other line is an error naming the line, and the field when
+    :func:`typed_object` faults one; a record that :func:`_check_record`
+    faults is an error naming its annotation id."""
     ids: list[str] = []
     items: list[str] = []
     strata: list[str] = []
     labels: list[str] = []  # one string of "0" and "1" per block
     replicas: list[int] = []  # the records that are replicas
     refs: list[str] = []  # and their replica_of
-    try:
-        with open(path, encoding="utf-8") as fh:
-            meta = typed_object(json.loads(fh.readline()), DatasetMeta, "header")
-            while block := fh.read(_BLOCK_CHARS):
-                block += fh.readline()  # up to the end of the line the read stopped in
-                matches = _record_pattern().findall(block)
-                if len(matches) != block.count("\n") + (not block.endswith("\n")):
-                    return None
-                block_ids, block_items, block_strata, block_labels, sources, block_refs = zip(
-                    *matches
+    with open(path, encoding="utf-8") as fh:
+        meta = _decoded_line(path, 1, fh.readline(), DatasetMeta, "header")
+        while block := fh.read(_BLOCK_CHARS):
+            block += fh.readline()  # up to the end of the line the read stopped in
+            matches = _record_pattern().findall(block)
+            if len(matches) != block.count("\n") + (not block.endswith("\n")):
+                lines = enumerate(block.split("\n"), len(ids) + 2)
+                lineno, line = next(x for x in lines if not _record_pattern().fullmatch(x[1]))
+                _check_record(_decoded_line(path, lineno, line, Annotation, "record"))
+                raise ValueError(f"{path}:{lineno}: not in the layout write_dataset writes")
+            block_ids, block_items, block_strata, block_labels, sources, block_refs = zip(*matches)
+            block_replicas = [k for k, s in enumerate(sources, len(ids)) if s]
+            block_refs = [r for s, r in zip(sources, block_refs) if s]
+            if "\\" in block:  # some string holds a JSON escape
+                block_ids, block_items, block_strata, block_refs = map(
+                    _unescape, (block_ids, block_items, block_strata, block_refs)
                 )
-                # an original's replica_of must be null and a replica's a string
-                block_replicas = [k for k, s in enumerate(sources, len(ids)) if s == "replica"]
-                if block_replicas != [k for k, r in enumerate(block_refs, len(ids)) if r != "null"]:
-                    return None
-                block_refs = tuple(r[1:-1] for r in block_refs if r != "null")
-                if "\\" in block:  # some string holds a JSON escape
-                    block_ids, block_items, block_strata, block_refs = map(
-                        _unescape, (block_ids, block_items, block_strata, block_refs)
-                    )
-                ids += block_ids
-                items += block_items
-                strata += block_strata
-                labels.append("".join(block_labels))
-                replicas += block_replicas
-                refs += block_refs
-    except ValueError:  # a header that is not JSON or not DatasetMeta, or bad UTF-8
-        return None
+            ids += block_ids
+            items += block_items
+            strata += block_strata
+            labels.append("".join(block_labels))
+            replicas += block_replicas
+            refs += block_refs
     if not ids:
-        return None
-    original = np.full(len(ids), -1, dtype=np.intp)
-    if replicas:
-        index = dict(zip(ids, range(len(ids))))
-        targets = [index.get(ref, -1) for ref in refs]
-        if -1 in targets:
-            return None
-        original[replicas] = targets
-    label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
-    return _coded_dataset(meta, ids, items, strata, label, original)
-
-
-def _read_dataset_lines(path: Union[str, Path]) -> Dataset:
-    """The dataset of a file in any layout, not yet validated: each line
-    read as JSON and checked by typed_object, so an error names the line
-    and the field."""
-    lines = _json_lines(path)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ValueError("empty dataset file") from None
-    meta = typed_object(header, DatasetMeta, f"{path}:{lineno}: header")
-    records = [typed_object(d, Annotation, f"{path}:{lineno}: record") for lineno, d in lines]
-    if not records:
         raise ValueError("dataset has no records")
-    return Dataset.from_records(records, meta)
-
-
-@reads_file
-def read_dataset(path: Union[str, Path]) -> Dataset:
-    """The validated dataset of a file that :func:`write_dataset` wrote,
-    or of any JSON-lines file with a header and the same fields."""
-    dataset = _read_written_dataset(path)
-    if dataset is None:
-        dataset = _read_dataset_lines(path)
+    label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
+    dataset = _coded_dataset(meta, ids, items, strata, label, replicas, refs)
     dataset.validate()
     return dataset

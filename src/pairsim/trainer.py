@@ -29,6 +29,7 @@ from scipy import sparse
 from scipy.special import expit, log_expit
 
 from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed_object
+from .simulation import _first_bad_token_item, _token_error
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 2
@@ -178,13 +179,17 @@ Texts = Union[GoldTable, Mapping[str, Sequence[str]]]
 def featurize(texts: Texts, hash_dim: int) -> Features:
     """Features of every item of the gold table ``texts``, or of the
     mapping of item_id to token sequence ``texts``, one row per item in
-    table or mapping order; an empty text is an error. A mapping is
-    coded once into a :class:`TextColumn`, as a table's texts are."""
+    table or mapping order; an empty text, or in a mapping a token that
+    is not a str UTF-8 can encode, is an error naming the item. A mapping
+    is coded once into a :class:`TextColumn`, as a table's texts are."""
     if isinstance(texts, GoldTable):
         item_ids, text = texts.item_id, texts.text
     else:
         item_ids = list(texts)
         text = TextColumn.of(list(texts.values()))
+        bad = _first_bad_token_item(text)
+        if bad < len(text):
+            raise ValueError(f"item {item_ids[bad]!r}: {_token_error(texts[item_ids[bad]])}")
     rows = {item_id: i for i, item_id in enumerate(item_ids)}
     return Features(rows, _item_matrix(item_ids, text, hash_dim))
 
@@ -509,4 +514,14 @@ def load_model(path: Union[str, Path]) -> Model:
         raise ValueError(f"model.history must be {n} long (the path), got {len(model.history)}")
     if not 1 <= model.best_epoch <= n:
         raise ValueError(f"model.best_epoch must be in 1..{n} (the path), got {model.best_epoch}")
+    # a diverged fit must not load as a model
+    if not math.isfinite(model.bias):
+        raise ValueError(f"model.bias must be finite, got {model.bias}")
+    for name, values in (("weights", model.weights), ("history", np.array(model.history))):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"model.{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
+    for k, point in enumerate(model.path):
+        if point.iterations < 0:
+            raise ValueError(f"model.path[{k}].iterations must be >= 0, got {point.iterations}")
     return model

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from pairsim import experiments, simulation
+from pairsim import experiments
 from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import RECIPES, Uniform, read_dataset, read_gold
 from pairsim.trainer import TrainConfig, load_model
+from test_columns import read_dataset_rows
 
 
 @pytest.fixture()
@@ -453,14 +454,10 @@ def test_cli_takes_no_prefix_of_a_flag(tmp_path, capsys, monkeypatch, argv, erro
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path, monkeypatch):
+def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path):
     # every dataset file simulate and adjust write must be read by
-    # read_dataset's line pattern: were the pattern wrong, every file would
-    # be read line by line, which is as correct but about twice as slow
-    def per_line(path):
-        raise AssertionError(f"{path} was read line by line")
-
-    monkeypatch.setattr(simulation, "_read_dataset_lines", per_line)
+    # read_dataset's line pattern, the only layout it reads, to the
+    # dataset the record-level reader finds
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
                  "--seed", "10", "--out", str(out)]) == 0
@@ -471,9 +468,8 @@ def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path, monk
                  "--out-weights", str(out / "weights.json")]) == 0
     paths = [out / f"{recipe}.jsonl" for recipe in RECIPES]
     read = [read_dataset(path) for path in paths]
-    monkeypatch.undo()
     assert sum(len(dataset) for dataset in read) == 60 * (12 + 9 + 12 + 12)
-    assert read == [simulation._read_dataset_lines(path) for path in paths]
+    assert read == [read_dataset_rows(path) for path in paths]
 
 
 _REPORT = (

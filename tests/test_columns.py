@@ -39,6 +39,7 @@ from pairsim.simulation import (
     filter_difficult,
     read_dataset,
     synth_gold,
+    typed_object,
     write_dataset,
 )
 from pairsim.trainer import _item_counts, proportion_oracle
@@ -109,6 +110,19 @@ def write_dataset_rows(dataset):
     lines = [json.dumps(vars(dataset.meta))]
     lines += [json.dumps(vars(r)) for r in dataset.records]
     return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+def read_dataset_rows(path):
+    """A dataset file read record by record: each line decoded as JSON,
+    the first as a header and every other as an Annotation, and the
+    records made a validated Dataset by from_records."""
+    with open(path, encoding="utf-8") as fh:
+        header, *rows = (json.loads(line) for line in fh)
+    meta = typed_object(header, DatasetMeta, "header")
+    records = [typed_object(row, Annotation, f"record {k}") for k, row in enumerate(rows)]
+    dataset = Dataset.from_records(records, meta)
+    dataset.validate()
+    return dataset
 
 
 # ---------------------------------------------------------------------------

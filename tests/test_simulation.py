@@ -3,10 +3,9 @@ import inspect
 import json
 import re
 from collections import Counter
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cache
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +49,7 @@ from pairsim.simulation import (
     write_gold,
 )
 from pairsim.trainer import load_model
+from test_columns import read_dataset_rows
 
 
 def flat_gold(ps, k=12):
@@ -931,13 +931,16 @@ def test_read_dataset_rejects_unknown_keys_by_line(tmp_path):
         read_dataset(path)
 
 
-def test_read_dataset_reads_other_key_orders_and_default_provenance(tmp_path):
+def test_read_dataset_rejects_other_key_orders_and_default_provenance_by_line(tmp_path):
+    # valid JSON records, but not the lines write_dataset writes
     path, rows = _written_dataset(tmp_path)
-    expected = read_dataset(path)
-    rows[1] = dict(reversed(list(rows[1].items())))
-    del rows[2]["source"], rows[2]["replica_of"]
-    _rewrite(path, rows)
-    assert read_dataset(path) == expected
+    reversed_keys = dict(reversed(list(rows[1].items())))
+    no_provenance = dict(list(rows[2].items())[:4])  # without source and replica_of
+    for k, row in ((1, reversed_keys), (2, no_provenance)):
+        _rewrite(path, [*rows[:k], row, *rows[k + 1 :]])
+        message = rf"^{re.escape(str(path))}:{k + 1}: not in the layout write_dataset writes$"
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
 
 
 @pytest.mark.parametrize(
@@ -957,14 +960,20 @@ def test_read_dataset_names_the_line_of_bad_json(tmp_path, edit, message):
         read_dataset(path)
 
 
-def test_read_dataset_skips_blank_lines_and_json_whitespace(tmp_path):
-    path, rows = _written_dataset(tmp_path)
-    expected = read_dataset(path)
+def test_read_dataset_rejects_blank_lines_and_json_whitespace_by_line(tmp_path):
+    path, _ = _written_dataset(tmp_path)
     lines = path.read_text().splitlines()
-    lines[1] = " \t" + lines[1] + " \r"
-    lines.insert(3, "  \f ")
-    path.write_text("\n".join(lines) + "\n\n")
-    assert read_dataset(path) == expected
+    layout = "not in the layout write_dataset writes$"
+    edited = [
+        ([lines[0], " \t" + lines[1], *lines[2:]], 2, layout),
+        ([*lines[:2], lines[2] + " \r", *lines[3:]], 3, layout),  # " \r\n" reads as " \n"
+        ([*lines[:3], "  \f ", *lines[3:]], 4, "Expecting value"),
+        ([*lines, ""], len(lines) + 1, "Expecting value"),
+    ]
+    for text, lineno, message in edited:
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: {message}"):
+            read_dataset(path)
 
 
 def _written_gold(tmp_path):
@@ -990,15 +999,27 @@ def test_read_gold_rejects_wrong_types_by_name(tmp_path, key, value, message):
         read_gold(path)
 
 
-def test_read_gold_reads_other_key_orders_and_integer_proportions(tmp_path):
+def test_read_gold_rejects_other_key_orders_and_integer_proportions_by_line(tmp_path):
+    # valid JSON entries, but not the lines write_gold writes
     path, rows = _written_gold(tmp_path)
-    expected = read_gold(path)
-    rows[0] = dict(reversed(list(rows[0].items())))
-    rows[1]["p_gold"] = 1
-    _rewrite(path, rows)
-    entries = list(expected.entries)
-    entries[1] = GoldEntry(entries[1].item_id, entries[1].text, 1.0, entries[1].k_reference)
-    assert read_gold(path) == GoldTable.from_entries(tuple(entries))
+    reversed_keys = dict(reversed(list(rows[0].items())))
+    for k, row in ((0, reversed_keys), (1, {**rows[1], "p_gold": 1})):
+        _rewrite(path, [*rows[:k], row, *rows[k + 1 :]])
+        message = rf"^{re.escape(str(path))}:{k + 1}: not in the layout write_gold writes$"
+        with pytest.raises(ValueError, match=message):
+            read_gold(path)
+
+
+@pytest.mark.parametrize(
+    "after, message", [(" ", "not in the layout write_gold writes$"), (" {}", "Extra data")]
+)
+def test_read_gold_rejects_text_after_the_entry_by_line(tmp_path, after, message):
+    path, _ = _written_gold(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] += after
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
+        read_gold(path)
 
 
 def test_read_gold_names_the_file_and_item_of_a_token_utf8_cannot_encode(tmp_path):
@@ -1145,14 +1166,20 @@ def _edits(keys):
 @given(_edits(("item_id", "text", "p_gold", "k_reference")))
 def test_read_gold_agrees_with_typed_object_on_written_layout(tmp_path_factory, edits):
     # a line in write_gold's layout with some values of another JSON type:
-    # the reader's check of that layout must give what typed_object gives
+    # with write_gold's exact types it reads as typed_object reads it; any
+    # other is an error naming the line, typed_object's when it faults one
     row = {**{"item_id": "x", "text": ["a", "b"], "p_gold": 0.5, "k_reference": 12}, **edits}
     path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
     _rewrite(path, [row])
+    types = tuple(map(type, row.values()))
+    written_types = types == (str, list, float, int) and {str}.issuperset(map(type, row["text"]))
 
     @reads_file
     def checked(path):
-        return GoldTable.from_entries((typed_object(row, GoldEntry, f"{path}:1: entry"),))
+        entry = typed_object(row, GoldEntry, f"{path}:1: entry")
+        if not written_types:
+            raise ValueError(f"{path}:1: not in the layout write_gold writes")
+        return GoldTable.from_entries((entry,))
 
     assert _outcome(lambda: read_gold(path)) == _outcome(lambda: checked(path))
 
@@ -1243,35 +1270,66 @@ def _edited_dataset_files(draw):
     return newline.join(lines) + draw(st.sampled_from((newline, "")))
 
 
+def _first_line_outside_the_layout(text):
+    """(line number, line) of the first line of a dataset file's text, as
+    written by _edited_dataset_files, that read_dataset does not take:
+    a header that is not a JSON object of DatasetMeta fields, or a record
+    line other than the json.dumps of a record that write_dataset could
+    write (ASCII or not); None when every line is taken."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    try:
+        typed_object(json.loads(lines[0]), DatasetMeta, "header")
+    except ValueError:
+        return 1, lines[0]
+    for lineno, line in enumerate(lines[1:], 2):
+        try:
+            d = json.loads(line)
+        except ValueError:
+            return lineno, line
+        written = (
+            type(d) is dict
+            and list(d) == [f.name for f in fields(Annotation)]
+            and line in (json.dumps(d), json.dumps(d, ensure_ascii=False))
+            and {str}.issuperset(type(d[key]) for key in ("annotation_id", "item_id", "stratum_id"))
+            and type(d["label"]) is int
+            and d["label"] in (0, 1)
+            and (d["source"], type(d["replica_of"])) in (("original", type(None)), ("replica", str))
+        )
+        if not written:
+            return lineno, line
+    return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_edited_dataset_files())
 def test_read_dataset_agrees_with_the_per_line_reader(tmp_path_factory, text):
-    # read_dataset reads write_dataset's layout by a line pattern and falls
-    # back to the per-line reader for anything else: either way it must
-    # return the same dataset or raise the same message
+    # a file whose every line is in write_dataset's layout reads as the
+    # record-level reader reads it, to the same dataset or the same error;
+    # any other file is an error naming its first line outside that
+    # layout, or, for a record that from_records faults, what
+    # from_records says of that record
     path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
     path.write_bytes(text.encode("utf-8"))
-
-    @reads_file
-    def per_line(path):
-        dataset = simulation._read_dataset_lines(path)
-        dataset.validate()
-        return dataset
-
-    assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: per_line(path))
-
-
-
-def _read_line_by_line(path):
-    raise AssertionError(f"{path} was read line by line")
+    outcome = _outcome(lambda: read_dataset(path))
+    first = _first_line_outside_the_layout(text)
+    if first is None:
+        assert outcome == _outcome(lambda: reads_file(read_dataset_rows)(path))
+    else:
+        lineno, line = first
+        if not outcome.startswith(f"{path}:{lineno}: "):
+            record = Annotation(**json.loads(line))
+            alone = reads_file(lambda path: Dataset.from_records((record,), DatasetMeta(**_HEADER)))
+            assert outcome == _outcome(lambda: alone(path))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(), min_size=1, max_size=4, unique=True), st.text())
 def test_read_dataset_reads_escaped_ids_by_its_line_pattern(tmp_path_factory, items, stratum):
     # write_dataset escapes quotes, backslashes, control and non-ASCII
-    # characters; the line pattern decodes them, so no file the program
-    # writes is read line by line
+    # characters; the line pattern decodes them, so every file the program
+    # writes is read
     records = []
     for k, item in enumerate(items):
         original = Annotation(f"{item}:0", item, stratum, k % 2)
@@ -1280,8 +1338,7 @@ def test_read_dataset_reads_escaped_ids_by_its_line_pattern(tmp_path_factory, it
     dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
     path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
     simulation.write_dataset(dataset, path)
-    with mock.patch.object(simulation, "_read_dataset_lines", _read_line_by_line):
-        assert read_dataset(path) == dataset
+    assert read_dataset(path) == dataset == read_dataset_rows(path)
 
 
 def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
@@ -1298,26 +1355,25 @@ def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
     ]
     path = tmp_path / "ds.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with mock.patch.object(simulation, "_read_dataset_lines", _read_line_by_line):
-        dataset = read_dataset(path)
-    assert dataset == simulation._read_dataset_lines(path)
+    dataset = read_dataset(path)
+    assert dataset == read_dataset_rows(path)
     assert list(dataset.annotation_ids) == ['q"b\\s/c\b\f\n\r\t\xe9\U0001f600', "r"]
     assert dataset.stratum_ids == ("A",)
     assert dataset.original.tolist() == [-1, 0]
 
 
-def test_read_dataset_reads_a_file_the_pattern_rejects_by_the_per_line_reader(tmp_path):
-    # the tests above replace _read_dataset_lines to show that a file was
-    # read by the line pattern; they check something only while
-    # read_dataset falls back by that name
+def test_read_dataset_names_the_line_the_pattern_rejects_in_any_block(tmp_path):
+    # the records of a file over 256K characters are matched in blocks of
+    # lines; a blank line is named by its line in the file, in any block
     header, *lines = _replicated_lines()
+    records = lines * 150  # 3600 records, about 400K characters
     path = tmp_path / "ds.jsonl"
-    path.write_text("\n".join([header, "", *lines]) + "\n")  # a blank line
-    per_line = mock.Mock(wraps=simulation._read_dataset_lines)
-    with mock.patch.object(simulation, "_read_dataset_lines", per_line):
-        dataset = read_dataset(path)
-    per_line.assert_called_once_with(path)
-    assert len(dataset) == 24
+    for blank in (2, 3000):
+        text = [header, *records]
+        text.insert(blank - 1, "")
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{blank}: Expecting value"):
+            read_dataset(path)
 
 
 def test_dataset_restrict():

@@ -496,6 +496,26 @@ def test_load_model_rejects_bad_path_points(tmp_path, point, message):
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.update(bias=math.nan), r"bias must be finite, got nan$"),
+        (lambda p: p.update(bias=math.inf), r"bias must be finite, got inf$"),
+        (lambda p: p["weights"].__setitem__(3, -math.inf), r"weights\[3\] must be finite"),
+        (lambda p: p["history"].__setitem__(0, math.nan), r"history\[0\] must be finite"),
+        (lambda p: p["path"][0].update(iterations=-4), r"path\[0\]\.iterations must be >= 0, got -4$"),
+    ],
+    ids=["nan-bias", "infinite-bias", "infinite-weight", "nan-history", "negative-iterations"],
+)
+def test_load_model_rejects_a_diverged_model_by_name(tmp_path, edit, message):
+    # json writes and reads NaN and Infinity; a model holding one is not a fit
+    path, payload = _saved_model_payload(tmp_path)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=rf"model\.json: model\.{message}"):
+        load_model(path)
+
+
 def test_load_model_rejects_version_1_files(tmp_path):
     # version 1 held SGD settings (learning_rate, batch_size) and no path
     path, payload = _saved_model_payload(tmp_path)
@@ -715,6 +735,23 @@ def test_featurize_rows_follow_mapping_order():
     assert features.hash_dim == 16
     ref = _reference_item_matrix(["a"], texts, 16)
     assert np.array_equal(features.select(["a"]).matrix.toarray(), ref.toarray())
+
+
+@pytest.mark.parametrize(
+    "token, error",
+    [(5, "token 5 is not a string"), ("\ud800", r"token '\\ud800' cannot be encoded as UTF-8")],
+    ids=["int", "lone-surrogate"],
+)
+def test_a_mapping_token_that_is_not_a_utf8_string_is_named_by_item(token, error):
+    # as in a gold table: the item is named, not a failure inside token_index
+    texts = {"a": ("x",), "b": ("y", token)}
+    message = rf"^item 'b': {error}$"
+    with pytest.raises(ValueError, match=message):
+        featurize(texts, 16)
+    records = [Annotation("a:0", "a", "A", 1), Annotation("b:0", "b", "A", 0)]
+    dataset = Dataset.from_records(records, DatasetMeta("OL", "custom", 0.0, 0))
+    with pytest.raises(ValueError, match=message):
+        train(dataset, texts, FAST)
 
 
 def test_train_and_predict_reject_features_of_another_hash_dim():
