@@ -36,6 +36,8 @@ from .simulation import (
     TextColumn,
     Uniform,
     annotation_row,
+    check_beta,
+    check_task,
     derive_gold,
     draw_suite,
     filter_difficult,
@@ -56,19 +58,8 @@ TIMINGS_NAME = "timings.csv"
 FAILURES_NAME = "failures.csv"
 
 REPORT_COLUMNS = (
-    "row_type",
-    "task",
-    "recipe",
-    "beta",
-    "seed",
-    "n_items",
-    "acb",
-    "f1",
-    "positive_proportion",
-    "n_seeds",
-    "acb_std",
-    "f1_std",
-    "positive_proportion_std",
+    "row_type", "task", "recipe", "beta", "seed", "n_items", *metrics.METRIC_FIELDS,
+    "n_seeds", *(f"{name}_std" for name in metrics.METRIC_FIELDS),
 )
 TIMINGS_COLUMNS = ("task", "recipe", "beta", "seed", "wall_time")
 
@@ -117,15 +108,13 @@ class ExperimentConfig:
     difficult_hi: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.task not in ("OL", "HS"):
-            raise ValueError(f"task must be 'OL' or 'HS', got {self.task!r}")
+        check_task(self.task)
         if not self.betas:
             raise ValueError("need at least one beta")
         if not self.seeds:
             raise ValueError("need at least one seed")
         for b in self.betas:
-            if not 0.0 <= b <= 0.5:
-                raise ValueError(f"beta {b} outside [0, 0.5]")
+            check_beta(b)
         for s in self.seeds:
             check_key_int(s, "seed")
         unknown = sorted(set(self.recipes) - set(RECIPES))

@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import numbers
 import re
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, wraps
 from itertools import chain
 from pathlib import Path
-from types import UnionType
+from types import MappingProxyType, UnionType
 from typing import (
     Callable,
     Iterable,
@@ -52,7 +52,7 @@ from typing import (
 
 import numpy as np
 
-from .rng import bounded_draws, doubles, philox_words, stream, stream_keys
+from .rng import bounded_draws, check_key_int, doubles, philox_words, stream, stream_keys
 
 MINUS = "minus"
 PLUS = "plus"
@@ -72,6 +72,18 @@ NONREP2_EXTRA_A = 3
 
 #: size of the reference panel synthetic proportions are quantized to
 GOLD_PANEL_SIZE = 12
+
+
+def check_task(task: str) -> None:
+    """Reject a task other than OL (offensive language) or HS (hate speech)."""
+    if task not in ("OL", "HS"):
+        raise ValueError(f"task must be 'OL' or 'HS', got {task!r}")
+
+
+def check_beta(beta: float) -> None:
+    """Reject a bias offset outside [0, 0.5]; NaN is outside."""
+    if not 0.0 <= beta <= 0.5:
+        raise ValueError(f"beta {beta} outside [0, 0.5]")
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +117,9 @@ class TextColumn:
     @classmethod
     def of(cls, texts: Sequence[Sequence[str]]) -> "TextColumn":
         """The column of ``texts``; the vocabulary is in order of first use."""
-        tokens = list(chain.from_iterable(texts))
-        code = {token: k for k, token in enumerate(dict.fromkeys(tokens))}
-        return cls(
-            tuple(code),
-            np.fromiter(map(code.__getitem__, tokens), dtype=np.intp, count=len(tokens)),
-            _offsets(np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))),
-        )
+        vocab, codes = _first_use_codes(chain.from_iterable(texts))
+        lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+        return cls(vocab, codes, _offsets(lengths))
 
     def __post_init__(self) -> None:
         vocab = tuple(self.vocab)
@@ -167,6 +175,22 @@ class TextColumn:
         index = np.repeat(starts - offsets[:-1], lengths)
         index += np.arange(len(index))
         return TextColumn(self.vocab, self.codes[index], offsets)
+
+
+class _Vocabulary(dict):
+    """Name to code; a name's first lookup gives it the next code."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = code = len(self)
+        return code
+
+
+def _first_use_codes(names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ``names`` in order of first use, and each name's code:
+    its index in them. ``names`` is coded as it is iterated."""
+    vocab = _Vocabulary()
+    codes = np.fromiter(map(vocab.__getitem__, names), dtype=np.intp)
+    return tuple(vocab), codes
 
 
 def _offsets(lengths: np.ndarray) -> np.ndarray:
@@ -330,10 +354,15 @@ def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
         return f"{where} k_reference must be an integer, got {k_reference!r}"
     if k_reference < 1:
         return f"{where} k_reference must be positive"
-    if isinstance(text, str) or not isinstance(text, Sequence):
-        return f"{where} text must be a sequence of tokens, got {text!r}"
-    error = _token_error(text)
+    error = _text_error(text) or _token_error(text)
     return None if error is None else f"{where} {error}"
+
+
+def _text_error(text) -> str | None:
+    """What is wrong with ``text`` as an item's text, its tokens aside, or None."""
+    if isinstance(text, str) or not isinstance(text, Sequence):
+        return f"text must be a sequence of tokens, got {text!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -344,8 +373,7 @@ class BiasSpec:
     direction_by_stratum: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 0.5:
-            raise ValueError(f"beta {self.beta} outside [0, 0.5]")
+        check_beta(self.beta)
         for s, d in self.direction_by_stratum.items():
             if d not in (MINUS, PLUS):
                 raise ValueError(f"stratum {s!r}: direction must be {MINUS!r} or {PLUS!r}")
@@ -382,10 +410,20 @@ class Annotation:
 
 @dataclass(frozen=True)
 class DatasetMeta:
+    """A dataset's task, recipe (one of :data:`RECIPES`, or ``"custom"``
+    for any other pool), bias offset and seed; each error names the field."""
+
     task: str
     recipe: str
     beta: float
     seed: int
+
+    def __post_init__(self) -> None:
+        check_task(self.task)
+        if self.recipe not in (*RECIPES, "custom"):
+            raise ValueError(f"recipe must be one of {RECIPES} or 'custom', got {self.recipe!r}")
+        check_beta(self.beta)
+        check_key_int(self.seed, "seed")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -470,10 +508,9 @@ class Dataset:
             grouped.setdefault(rec.item_id, []).append(rec)
         return grouped
 
-    def take(self, rows: np.ndarray, meta: DatasetMeta | None = None) -> "Dataset":
+    def take(self, rows: np.ndarray) -> "Dataset":
         """The records at the distinct indices ``rows``, in that order, with
-        ``meta`` (default: this dataset's). A kept replica's original must
-        be kept."""
+        this dataset's meta. A kept replica's original must be kept."""
         original = self.original[rows]
         replica = original >= 0
         if replica.any():
@@ -492,15 +529,9 @@ class Dataset:
             ids = self.annotation_ids
             return [ids[k] for k in rows.tolist()]
 
-        return Dataset(
-            self.meta if meta is None else meta,
-            self.item_ids,
-            self.stratum_ids,
-            self.item[rows],
-            self.stratum[rows],
-            self.label[rows],
-            original,
-            make_ids,
+        return replace(
+            self, item=self.item[rows], stratum=self.stratum[rows], label=self.label[rows],
+            original=original, make_ids=make_ids,
         )
 
     def restrict(self, item_ids: Iterable[str]) -> "Dataset":
@@ -588,23 +619,9 @@ def _coded_dataset(
             k = replicas[targets.index(-1)]
             raise ValueError(f"replica {ids[k]!r} does not reference an existing annotation")
         original[replicas] = targets
-    item_ids = tuple(dict.fromkeys(items))
-    stratum_ids = tuple(dict.fromkeys(strata))
-
-    def codes(names: Sequence[str], table: tuple[str, ...]) -> np.ndarray:
-        code = {name: k for k, name in enumerate(table)}
-        return np.fromiter(map(code.__getitem__, names), dtype=np.intp, count=len(names))
-
-    return Dataset(
-        meta,
-        item_ids,
-        stratum_ids,
-        codes(items, item_ids),
-        codes(strata, stratum_ids),
-        label,
-        original,
-        lambda: ids,
-    )
+    item_ids, item = _first_use_codes(items)
+    stratum_ids, stratum = _first_use_codes(strata)
+    return Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, lambda: ids)
 
 
 @dataclass(frozen=True)
@@ -819,8 +836,7 @@ def shift_probability(p, beta: float, direction: str):
     clamped to [0, 1]."""
     if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"p {p} outside [0, 1]")
-    if not 0.0 <= beta <= 0.5:
-        raise ValueError(f"beta {beta} outside [0, 0.5]")
+    check_beta(beta)
     if direction == MINUS:
         return np.maximum(p - beta, 0.0)
     if direction == PLUS:
@@ -928,80 +944,76 @@ def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
 @dataclass(frozen=True, eq=False)
 class SuiteDraws:
     """The beta-free part of a suite: its pool's 9 A and 6 B slot doubles
-    and, per item, which B slots nonrep1 keeps (read-only, like the
-    doubles)."""
+    and ``rows``, per recipe (representative, nonrep1, nonrep2), the
+    indices of the pool records that the recipe keeps. The mapping and
+    its arrays are read-only, like the doubles."""
 
     pool: PoolDraws
-    b_kept: np.ndarray
+    rows: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        self.b_kept.flags.writeable = False
+        for rows in self.rows.values():
+            rows.flags.writeable = False
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
 
 
 def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Suite:
-    """Build the representative, nonrep1 and nonrep2 datasets for one cell.
-
-    One pool of 9 A and 6 B draws per item is sampled; each recipe is a
-    view of it. representative keeps A slots 0-5 and every B slot;
-    nonrep1 drops 3 uniformly-chosen B annotations per item from
-    representative, keeping the surviving annotation ids unchanged;
-    nonrep2 adds A slots 6-8, 3 fresh A draws per item, on top of
-    nonrep1. Slot values do not depend on how many slots are drawn, so
+    """Build the representative, nonrep1 and nonrep2 datasets for one cell:
+    the pool of ``draws = draw_suite(gold, seed, task)`` labelled once at
+    ``beta``, then the records of ``draws.rows[recipe]`` for each recipe.
+    Slot values do not depend on how many slots are drawn, so
     representative equals ``sample_pool`` with 6 A and 6 B per item.
 
-    The draws do not depend on beta (:func:`draw_suite`); a caller that
-    needs several betas draws once and takes each beta's datasets with
-    :func:`suite_dataset`. Here the pool is labelled once for all three.
+    The draws do not depend on beta; a caller that needs several betas
+    draws once and takes each beta's datasets with :func:`suite_dataset`.
     """
     draws = draw_suite(gold, seed, task)
     pool = label_pool(draws.pool, BiasSpec.two_type(beta))
-    return Suite(
-        representative=_recipe_view(pool, draws.b_kept, RECIPE_REPRESENTATIVE),
-        nonrep1=_recipe_view(pool, draws.b_kept, RECIPE_NONREP1),
-        nonrep2=_recipe_view(pool, draws.b_kept, RECIPE_NONREP2),
-    )
+    return Suite(**{recipe: _recipe(pool, rows, recipe) for recipe, rows in draws.rows.items()})
 
 
 def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
-    """The draws every beta's suite of (gold, seed, task) is made from.
+    """The draws every beta's suite of (gold, seed, task) is made from: a
+    pool of 9 A and 6 B slots per item, and the records each recipe keeps,
+    which do not depend on beta either. representative keeps A slots 0-5
+    and every B slot; nonrep1 drops 3 uniformly-chosen B slots per item
+    from representative, keeping the surviving annotation ids unchanged;
+    nonrep2 adds A slots 6-8, 3 fresh A draws per item, on top of nonrep1.
 
     Item i's deleted B slots are the set that
     ``stream(seed, f"{task}:nonrep1-delete", i).choice(6, 3, replace=False)``
     selects, computed for every item in one pass (``_nonrep1_deletions``).
     """
-    n_b = REPRESENTATIVE_COUNTS[TYPE_B]
-    comp = PoolComposition({TYPE_A: REPRESENTATIVE_COUNTS[TYPE_A] + NONREP2_EXTRA_A, TYPE_B: n_b})
+    n_a, n_b = REPRESENTATIVE_COUNTS[TYPE_A], REPRESENTATIVE_COUNTS[TYPE_B]
+    comp = PoolComposition({TYPE_A: n_a + NONREP2_EXTRA_A, TYPE_B: n_b})
     pool = draw_pool(gold, comp, seed, task)
-    n = len(gold)
-    b_kept = np.ones((n, n_b), dtype=bool)
-    b_kept[np.arange(n)[:, None], _nonrep1_deletions(n, n_b, seed, task)] = False
-    return SuiteDraws(pool, b_kept)
+    # label_pool lays out each item's records as A0..A8, B0..B5: one row
+    # of these masks per item, one column per slot
+    n, first_b = len(gold), n_a + NONREP2_EXTRA_A
+    extra_a = np.zeros((n, first_b + n_b), dtype=bool)
+    extra_a[:, n_a:first_b] = True
+    deleted_b = np.zeros_like(extra_a)
+    deleted_b[np.arange(n)[:, None], first_b + _nonrep1_deletions(n, n_b, seed, task)] = True
+    rows = {
+        RECIPE_REPRESENTATIVE: np.flatnonzero(~extra_a),
+        RECIPE_NONREP1: np.flatnonzero(~(extra_a | deleted_b)),
+        RECIPE_NONREP2: np.flatnonzero(~deleted_b),
+    }
+    return SuiteDraws(pool, rows)
 
 
 def suite_dataset(draws: SuiteDraws, beta: float, recipe: str) -> Dataset:
     """The ``recipe`` dataset (representative, nonrep1 or nonrep2) of the
-    suite at ``beta``: the pool labelled at ``beta``, less the slots the
-    recipe leaves out."""
-    return _recipe_view(label_pool(draws.pool, BiasSpec.two_type(beta)), draws.b_kept, recipe)
-
-
-def _recipe_view(pool: Dataset, b_kept: np.ndarray, recipe: str) -> Dataset:
-    """The records of the labelled suite ``pool`` that ``recipe`` keeps,
-    given the B slots nonrep1 keeps."""
-    # label_pool lays out each item's records as A0..A8, B0..B5: one row
-    # of these masks per item, one column per slot
-    n_a = REPRESENTATIVE_COUNTS[TYPE_A]
-    a = np.ones((len(b_kept), n_a + NONREP2_EXTRA_A), dtype=bool)
-    b = b_kept
-    if recipe == RECIPE_REPRESENTATIVE:
-        a[:, n_a:] = False
-        b = np.ones_like(b)
-    elif recipe == RECIPE_NONREP1:
-        a[:, n_a:] = False
-    elif recipe != RECIPE_NONREP2:
+    suite at ``beta``: the pool labelled at ``beta``, then the records of
+    ``draws.rows[recipe]``."""
+    if recipe not in draws.rows:
         raise ValueError(f"unknown recipe {recipe!r}")
-    rows = np.flatnonzero(np.hstack([a, b]))
-    return pool.take(rows, DatasetMeta(pool.meta.task, recipe, pool.meta.beta, pool.meta.seed))
+    return _recipe(label_pool(draws.pool, BiasSpec.two_type(beta)), draws.rows[recipe], recipe)
+
+
+def _recipe(pool: Dataset, rows: np.ndarray, recipe: str) -> Dataset:
+    """The records ``rows`` of the labelled suite ``pool``, as ``recipe``."""
+    return replace(pool.take(rows), meta=replace(pool.meta, recipe=recipe))
 
 
 def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:
@@ -1141,13 +1153,17 @@ def reads_file(reader):
 def _decoded_line(path: Union[str, Path], lineno: int, line: str, cls: type, name: str):
     """Line ``lineno`` of the file ``path`` read as a ``cls`` dataclass
     named ``name`` by :func:`typed_object`: a line that is not one JSON
-    value, or whose value is not a ``cls``, is an error naming the line."""
+    value, or whose value is not a ``cls``, is an error naming the line,
+    as is a value ``cls`` rejects: its error begins with the field."""
     where = f"{path}:{lineno}"
     try:
-        value = json.loads(line)
+        return typed_object(json.loads(line), cls, f"{where}: {name}")
     except json.JSONDecodeError as err:
         raise ValueError(f"{where}: {err}") from None
-    return typed_object(value, cls, f"{where}: {name}")
+    except ValueError as err:
+        if where in str(err):
+            raise
+        raise ValueError(f"{where}: {name}.{err}") from None
 
 
 def _line_template(keys: Sequence[str]) -> str:
@@ -1193,14 +1209,6 @@ def _written_entry(d) -> tuple[str, list[str], float, int] | None:
     return None
 
 
-class _Vocabulary(dict):
-    """Token to code; a token's first lookup gives it the next code."""
-
-    def __missing__(self, token: str) -> int:
-        self[token] = code = len(self)
-        return code
-
-
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
     """The checked gold table of a file in the layout :func:`write_gold`
@@ -1209,9 +1217,8 @@ def read_gold(path: Union[str, Path]) -> GoldTable:
     line, and the field when :func:`typed_object` faults one. Tokens are
     coded as they are read, the vocabulary in order of first use."""
     rows = []
-    vocab = _Vocabulary()
-    codes: list[int] = []
-    with open(path, encoding="utf-8") as fh:
+
+    def texts(fh) -> Iterator[list[str]]:
         for lineno, line in enumerate(fh, 1):
             try:
                 d, end = _raw_decode(line)
@@ -1222,12 +1229,15 @@ def read_gold(path: Union[str, Path]) -> GoldTable:
                 _decoded_line(path, lineno, line, GoldEntry, "entry")
                 raise ValueError(f"{path}:{lineno}: not in the layout write_gold writes")
             item_id, text, p_gold, k_reference = row
-            codes += map(vocab.__getitem__, text)
             rows.append((item_id, len(text), p_gold, k_reference))
+            yield text
+
+    with open(path, encoding="utf-8") as fh:
+        vocab, codes = _first_use_codes(chain.from_iterable(texts(fh)))
     if not rows:
         raise ValueError("gold table has no entries")
     item_id, lengths, p_gold, k_reference = zip(*rows)
-    text = TextColumn(tuple(vocab), np.array(codes, dtype=np.intp), _offsets(np.array(lengths)))
+    text = TextColumn(vocab, codes, _offsets(np.array(lengths)))
     return GoldTable(item_id, text, np.array(p_gold), np.array(k_reference))
 
 

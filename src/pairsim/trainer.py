@@ -29,7 +29,7 @@ from scipy import sparse
 from scipy.special import expit, log_expit
 
 from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed_object
-from .simulation import _first_bad_token_item, _token_error
+from .simulation import _first_bad_token_item, _text_error, _token_error
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 2
@@ -179,13 +179,17 @@ Texts = Union[GoldTable, Mapping[str, Sequence[str]]]
 def featurize(texts: Texts, hash_dim: int) -> Features:
     """Features of every item of the gold table ``texts``, or of the
     mapping of item_id to token sequence ``texts``, one row per item in
-    table or mapping order; an empty text, or in a mapping a token that
-    is not a str UTF-8 can encode, is an error naming the item. A mapping
-    is coded once into a :class:`TextColumn`, as a table's texts are."""
+    table or mapping order; an empty text, or in a mapping a text that is
+    not a sequence of tokens (a str is not) or a token that is not a str
+    UTF-8 can encode, is an error naming the item. A mapping is coded once
+    into a :class:`TextColumn`, as a table's texts are."""
     if isinstance(texts, GoldTable):
         item_ids, text = texts.item_id, texts.text
     else:
         item_ids = list(texts)
+        for item_id, tokens in texts.items():
+            if error := _text_error(tokens):
+                raise ValueError(f"item {item_id!r}: {error}")
         text = TextColumn.of(list(texts.values()))
         bad = _first_bad_token_item(text)
         if bad < len(text):
@@ -451,19 +455,15 @@ def proportion_oracle(dataset: Dataset) -> dict[str, float]:
 
 
 def save_model(model: Model, path: Union[str, Path]) -> None:
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        **asdict(model.config),
-        "seed": model.seed,
-        "best_epoch": model.best_epoch,
-        "history": list(model.history),
-        "path": [asdict(point) for point in model.path],
-        "bias": model.bias,
-        "weights": model.weights.tolist(),
-    }
+    """The :class:`_ModelFile` fields as one JSON object, path points as
+    objects of theirs: ``asdict`` of the file would copy every weight."""
+    file = _ModelFile(
+        MODEL_FORMAT, MODEL_VERSION, **asdict(model.config), seed=model.seed,
+        best_epoch=model.best_epoch, history=model.history, path=model.path, bias=model.bias,
+        weights=model.weights.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(vars(file), fh, default=asdict)
         fh.write("\n")
 
 

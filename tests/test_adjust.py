@@ -336,7 +336,7 @@ def test_pair_restores_shares_exactly_when_weights_are_integers(data):
     records = tuple(
         Annotation(f"{s}-{i}", "it0", s, i % 2) for s in strata for i in range(counts[s])
     )
-    adjusted, weights = apply_pair(Dataset.from_records(records, DatasetMeta("OL", "x", 0.0, 0)), benchmark)
+    adjusted, weights = apply_pair(Dataset.from_records(records, DatasetMeta("OL", "custom", 0.0, 0)), benchmark)
     assert weights.normalized == multipliers
     out = Counter(r.stratum_id for r in adjusted.records)
     assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares

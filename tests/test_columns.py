@@ -35,6 +35,7 @@ from pairsim.simulation import (
     GoldTable,
     TextColumn,
     Uniform,
+    _first_use_codes,
     build_suite,
     filter_difficult,
     read_dataset,
@@ -379,6 +380,17 @@ def test_gold_table_check_equals_the_entry_loop(entries):
         p = np.array([e.p_gold for e in entries], dtype=np.float64)
         k = np.array([e.k_reference for e in entries], dtype=np.int64)
         assert _outcome(lambda: GoldTable(ids, text, p, k)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", "é", "名前", "", " "]) | st.text(max_size=3)))
+def test_first_use_codes_index_a_table_of_distinct_names_in_order_of_first_use(names):
+    table, codes = _first_use_codes(iter(names))
+    assert codes.dtype == np.intp
+    assert np.array(table, dtype=object)[codes].tolist() == names
+    assert len(set(table)) == len(table)
+    first_use = [names.index(name) for name in table]
+    assert first_use == sorted(first_use)
 
 
 def valid_golds():

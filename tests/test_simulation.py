@@ -468,9 +468,12 @@ def test_every_beta_labelled_from_one_draw_equals_a_fresh_draw(twelfths, betas, 
 def test_suite_draws_are_read_only():
     # every cell of a seed labels the same draws, so none may edit them
     draws = draw_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), seed=2)
-    for array in (draws.pool.p, draws.pool.u, draws.b_kept):
+    assert list(draws.rows) == ["representative", "nonrep1", "nonrep2"]
+    for array in (draws.pool.p, draws.pool.u, *draws.rows.values()):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+    with pytest.raises(TypeError):
+        draws.rows["nonrep1"] = draws.rows["representative"]
 
 
 def test_suite_dataset_rejects_a_recipe_it_does_not_make():
@@ -911,6 +914,28 @@ def test_read_dataset_rejects_wrong_header_types_by_name(tmp_path, key, value, k
     rows[0][key] = value
     _rewrite(path, rows)
     with pytest.raises(ValueError, match=rf"ds\.jsonl:1: header\.{key} must be {kind}"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, error",
+    [
+        ("task", "XX", "must be 'OL' or 'HS', got 'XX'"),
+        ("recipe", "nonsense", r"must be one of \(.*\) or 'custom', got 'nonsense'"),
+        ("beta", float("nan"), r"nan outside \[0, 0\.5\]"),
+        ("beta", -0.1, r"-0\.1 outside \[0, 0\.5\]"),
+        ("seed", 2**127, r"\d+ outside the signed 128-bit range \[-2\*\*127, 2\*\*127\)"),
+    ],
+    ids=["task", "recipe", "nan-beta", "negative-beta", "seed"],
+)
+def test_read_dataset_rejects_header_values_out_of_range_by_name(tmp_path, key, value, error):
+    # adjust copies the header into its output, so a NaN beta would travel on
+    with pytest.raises(ValueError, match=rf"^{key} {error}$"):
+        DatasetMeta(**{**_HEADER, key: value})
+    path, rows = _written_dataset(tmp_path)
+    rows[0][key] = value
+    _rewrite(path, rows)
+    with pytest.raises(ValueError, match=rf"ds\.jsonl:1: header\.{key} {error}$"):
         read_dataset(path)
 
 

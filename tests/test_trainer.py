@@ -754,6 +754,19 @@ def test_a_mapping_token_that_is_not_a_utf8_string_is_named_by_item(token, error
         train(dataset, texts, FAST)
 
 
+@pytest.mark.parametrize("text, shown", [("hello", "'hello'"), (5, "5")], ids=["str", "int"])
+def test_a_mapping_text_that_is_not_a_token_sequence_is_named_by_item(text, shown):
+    # a str would otherwise be coded as one-character tokens
+    texts = {"a": ("x",), "b": text}
+    message = rf"^item 'b': text must be a sequence of tokens, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        featurize(texts, 16)
+    records = [Annotation("a:0", "a", "A", 1), Annotation("b:0", "b", "A", 0)]
+    dataset = Dataset.from_records(records, DatasetMeta("OL", "custom", 0.0, 0))
+    with pytest.raises(ValueError, match=message):
+        train(dataset, texts, FAST)
+
+
 def test_train_and_predict_reject_features_of_another_hash_dim():
     gold = textual_gold(n=20)
     features = featurize(gold.texts(), FAST.hash_dim * 2)
