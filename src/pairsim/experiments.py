@@ -78,8 +78,10 @@ class SyntheticGold:
         if not self.components:
             raise ValueError("need at least one gold component")
         for i, (_, n) in enumerate(self.components):
-            if n < 1:
+            if typed(n, int, f"components[{i}].n") < 1:
                 raise ValueError(f"components[{i}].n must be at least 1, got {n}")
+        for name in ("vocab_size", "tokens_per_item"):
+            typed(getattr(self, name), int, name)
         if self.vocab_size < 2:
             raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
         if self.tokens_per_item < 1:
@@ -126,8 +128,7 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} must not repeat a value, got {values}")
-        if len(self.split) != 3 or any(c < 0 for c in self.split):
-            raise ValueError(f"split must be three non-negative counts, got {self.split}")
+        _check_split_counts(self.split)
         if self.split[0] < 1:
             raise ValueError(f"split[0] (train items) must be at least 1, got {self.split[0]}")
         if self.split[2] < 1:
@@ -272,20 +273,26 @@ def _features_cached(config: ExperimentConfig) -> Features:
 # splits
 
 
-def split_items(
-    gold: GoldTable, counts: Sequence[int], seed: int
-) -> tuple[GoldTable, GoldTable, GoldTable]:
-    """Disjoint train/dev/test partition at the item level, uniform given seed.
-
-    Entries keep their original table order within each part. The counts
-    must be three non-negative integers that sum to the table's length.
-    """
+def _check_split_counts(counts: Sequence[int]) -> None:
+    """Reject split counts that are not three non-negative integers (a
+    bool is not one): the rule of a config's split and of :func:`split_items`."""
     if len(counts) != 3:
         raise ValueError(f"expected three split counts, got {len(counts)}")
     if not all(
         isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts
     ):
         raise ValueError(f"split counts {tuple(counts)} must be non-negative integers")
+
+
+def split_items(
+    gold: GoldTable, counts: Sequence[int], seed: int
+) -> tuple[GoldTable, GoldTable, GoldTable]:
+    """Disjoint train/dev/test partition at the item level, uniform given seed.
+
+    Entries keep their original table order within each part. The counts
+    must pass :func:`_check_split_counts` and sum to the table's length.
+    """
+    _check_split_counts(counts)
     if sum(counts) != len(gold):
         raise ValueError(
             f"split counts {tuple(counts)} sum to {sum(counts)}, "
@@ -574,28 +581,22 @@ def _gold_from_dict(d) -> Union[SyntheticGold, str]:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The JSON form that :func:`config_from_dict` reads back: one key per
+    field, in field order, so no field read from a file is dropped when it
+    is saved. Tuples become lists."""
+    d = {f.name: getattr(config, f.name) for f in fields(config)}
     if isinstance(config.gold, str):
-        gold: dict = {"file": config.gold}
+        d["gold"] = {"file": config.gold}
     else:
         names = {cls: name for name, cls in _SHAPES.items()}
         components = [
             {"shape": names[type(shape)], **asdict(shape), "n": n}
             for shape, n in config.gold.components
         ]
-        gold = {"synthetic": {**asdict(config.gold), "components": components}}
-    return {
-        "task": config.task,
-        "betas": list(config.betas),
-        "seeds": list(config.seeds),
-        "split": list(config.split),
-        "recipes": list(config.recipes),
-        "benchmark": {s: str(v) for s, v in sorted(config.benchmark.shares.items())},
-        "gold": gold,
-        "train": asdict(config.train),
-        "difficult": config.difficult,
-        "difficult_lo": config.difficult_lo,
-        "difficult_hi": config.difficult_hi,
-    }
+        d["gold"] = {"synthetic": {**asdict(config.gold), "components": components}}
+    d["benchmark"] = {s: str(v) for s, v in sorted(config.benchmark.shares.items())}
+    d["train"] = asdict(config.train)
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in d.items()}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:

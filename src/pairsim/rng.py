@@ -44,8 +44,12 @@ _KEY_INT_BOUND = 2**127
 
 
 def check_key_int(value: int, name: str = "stream key part") -> None:
-    """Reject an int that cannot be a stream key part (each is hashed as
-    16 signed bytes); ``name`` says what the value is in the error."""
+    """Reject a value that cannot be an int stream key part: anything but
+    an int (a bool is not one, as in a JSON config), or an int outside the
+    signed 128-bit range, since each is hashed as 16 signed bytes;
+    ``name`` says what the value is in the error."""
+    if type(value) is bool or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if not -_KEY_INT_BOUND <= value < _KEY_INT_BOUND:
         raise ValueError(f"{name} {value} outside the signed 128-bit range [-2**127, 2**127)")
 

@@ -123,8 +123,11 @@ class TextColumn:
 
     def __post_init__(self) -> None:
         vocab = tuple(self.vocab)
-        codes = np.asarray(self.codes, dtype=np.intp)
-        offsets = np.asarray(self.offsets, dtype=np.intp)
+        codes, offsets = np.asarray(self.codes), np.asarray(self.offsets)
+        for name, array in (("codes", codes), ("offsets", offsets)):
+            if array.size and array.dtype.kind not in "iu":  # [] is a float array
+                raise ValueError(f"text {name} must be integers, got {array.dtype}")
+        codes, offsets = codes.astype(np.intp, copy=False), offsets.astype(np.intp, copy=False)
         if (
             offsets.ndim != 1 or not len(offsets) or offsets[0] != 0
             or offsets[-1] != len(codes) or (np.diff(offsets) < 0).any()
@@ -159,11 +162,7 @@ class TextColumn:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TextColumn):
             return NotImplemented
-        if self.vocab != other.vocab:
-            return self._tuples == other._tuples
-        return np.array_equal(self.offsets, other.offsets) and np.array_equal(
-            self.codes, other.codes
-        )
+        return self._tuples == other._tuples
 
     def take(self, rows: np.ndarray) -> "TextColumn":
         """The texts of the items at indices ``rows``, in that order, coded
@@ -392,6 +391,7 @@ class PoolComposition:
 
     def __post_init__(self) -> None:
         for s, n in self.counts.items():
+            typed(n, int, f"counts[{s!r}]")
             if n < 0:
                 raise ValueError(f"stratum {s!r}: negative annotation count")
         if sum(self.counts.values()) < 1:
@@ -454,8 +454,8 @@ class Dataset:
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
         """The dataset of ``records``, in their order; item and stratum codes
         follow first appearance. The first record that :func:`_check_record`
-        faults is an error, and then the first replica whose ``replica_of``
-        names no record."""
+        faults is an error, then the first replica whose ``replica_of``
+        names no record, then what :meth:`validate` finds."""
         records = tuple(records)
         for r in records:
             _check_record(r)
@@ -546,10 +546,10 @@ class Dataset:
         """Check that annotation ids are unique, that each replica agrees
         with the record it replicates on (item, stratum, label), and that
         following ``replica_of`` from each replica reaches an original;
-        raises ValueError on violation. Labels, sources and replica
-        references are checked where records become columns: by
-        :meth:`from_records`, and by :func:`read_dataset` for the records
-        of a file."""
+        raises ValueError on violation. Labels and sources are checked
+        before records become columns, and replica references as they
+        do, in :func:`_coded_dataset`, which then runs this for
+        :meth:`from_records` and :func:`read_dataset` alike."""
         ids = self.annotation_ids
         seen: set[str] = set()
         for aid in ids:
@@ -610,7 +610,8 @@ def _coded_dataset(
     ``items[k]``, stratum ``strata[k]`` and ``label[k]``; the records at
     indices ``replicas`` replicate those with the ids ``refs``, and an id
     that names no record is an error. Item and stratum codes follow
-    first appearance."""
+    first appearance. The one step from records to a dataset: the result
+    is checked by :meth:`Dataset.validate`."""
     original = np.full(len(ids), -1, dtype=np.intp)
     if replicas:
         index = dict(zip(ids, range(len(ids))))
@@ -621,7 +622,9 @@ def _coded_dataset(
         original[replicas] = targets
     item_ids, item = _first_use_codes(items)
     stratum_ids, stratum = _first_use_codes(strata)
-    return Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, lambda: ids)
+    dataset = Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, lambda: ids)
+    dataset.validate()
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -1345,6 +1348,4 @@ def read_dataset(path: Union[str, Path]) -> Dataset:
     if not ids:
         raise ValueError("dataset has no records")
     label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
-    dataset = _coded_dataset(meta, ids, items, strata, label, replicas, refs)
-    dataset.validate()
-    return dataset
+    return _coded_dataset(meta, ids, items, strata, label, replicas, refs)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed_object
+from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed, typed_object
 from .simulation import _first_bad_token_item, _text_error, _token_error
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
@@ -64,6 +64,8 @@ class TrainConfig:
     l2: float = 1e-5
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "hash_dim"):
+            typed(getattr(self, name), int, name)
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.hash_dim < 2:
@@ -164,8 +166,14 @@ class Features:
         return self.matrix.shape[1]
 
     def of(self, item_ids: Sequence[str]) -> sparse.csr_matrix:
-        """The rows of ``item_ids``, in that order."""
-        return self.matrix[np.fromiter(map(self.rows.__getitem__, item_ids), dtype=np.int64)]
+        """The rows of ``item_ids``, in that order; ids without a row are
+        an error naming them (sorted, the first 10)."""
+        try:
+            rows = np.fromiter(map(self.rows.__getitem__, item_ids), dtype=np.int64)
+        except KeyError:
+            missing = sorted(set(item_ids) - self.rows.keys())
+            raise ValueError(f"no text for items: {', '.join(missing[:10])}") from None
+        return self.matrix[rows]
 
     def select(self, item_ids: Sequence[str]) -> "Features":
         """The features of ``item_ids`` alone, in that order."""
@@ -176,13 +184,19 @@ class Features:
 Texts = Union[GoldTable, Mapping[str, Sequence[str]]]
 
 
-def featurize(texts: Texts, hash_dim: int) -> Features:
-    """Features of every item of the gold table ``texts``, or of the
-    mapping of item_id to token sequence ``texts``, one row per item in
-    table or mapping order; an empty text, or in a mapping a text that is
-    not a sequence of tokens (a str is not) or a token that is not a str
-    UTF-8 can encode, is an error naming the item. A mapping is coded once
-    into a :class:`TextColumn`, as a table's texts are."""
+def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
+    """``texts`` as features with ``hash_dim`` columns, one row per item.
+
+    Features are returned as they are, and features of another width are
+    an error. A gold table or a mapping of item_id to token sequence is
+    featurized in table or mapping order; an empty text, or in a mapping
+    a text that is not a sequence of tokens (a str is not) or a token that
+    is not a str UTF-8 can encode, is an error naming the item. A mapping
+    is coded once into a :class:`TextColumn`, as a table's texts are."""
+    if isinstance(texts, Features):
+        if texts.hash_dim != hash_dim:
+            raise ValueError(f"features have {texts.hash_dim} hash columns, expected {hash_dim}")
+        return texts
     if isinstance(texts, GoldTable):
         item_ids, text = texts.item_id, texts.text
     else:
@@ -196,15 +210,6 @@ def featurize(texts: Texts, hash_dim: int) -> Features:
             raise ValueError(f"item {item_ids[bad]!r}: {_token_error(texts[item_ids[bad]])}")
     rows = {item_id: i for i, item_id in enumerate(item_ids)}
     return Features(rows, _item_matrix(item_ids, text, hash_dim))
-
-
-def _features(texts: Union[Features, Texts], hash_dim: int) -> Features:
-    """``texts`` as features with ``hash_dim`` columns."""
-    if not isinstance(texts, Features):
-        return featurize(texts, hash_dim)
-    if texts.hash_dim != hash_dim:
-        raise ValueError(f"features have {texts.hash_dim} hash columns, expected {hash_dim}")
-    return texts
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -356,7 +361,8 @@ def train(
 
     ``texts`` is a gold table, a mapping of item_id to token sequence,
     or the :func:`featurize` result of either, and must cover every
-    item in ``dataset`` (and ``dev``). The penalties of
+    item in ``dataset`` (and ``dev``): :meth:`Features.of` names the
+    training items it lacks, then the dev items. The penalties of
     ``config.path()`` are fitted in turn, the first from the
     intercept-only fit and each later one from the last one's
     minimizer; the walk stops at the first point whose selection loss
@@ -370,7 +376,7 @@ def train(
     every other coordinate has zero gradient and zero ridge pull, so its
     weight is exactly 0.
     """
-    features = _features(texts, config.hash_dim)
+    features = featurize(texts, config.hash_dim)
     if not len(dataset):
         raise ValueError("training dataset is empty")
     if dev is not None and not len(dev):
@@ -379,10 +385,6 @@ def train(
     sel_items, sel_positives, sel_totals = (
         (item_ids, positives, totals) if dev is None else _item_counts(dev)
     )
-    missing = sorted({*item_ids, *sel_items} - features.rows.keys())
-    if missing:
-        raise ValueError(f"no text for items: {', '.join(missing[:10])}")
-
     X_items = features.of(item_ids)
     X_sel = X_items if dev is None else features.of(sel_items)
     active = np.flatnonzero(np.bincount(X_items.indices, minlength=config.hash_dim))
@@ -433,7 +435,7 @@ def predict(model: Model, texts: Union[Features, Texts]) -> dict[str, float]:
     """Predicted positive probability per item of ``texts`` (a gold table,
     a mapping of item_id to tokens, or the features of either), in its
     order; pure function of the model."""
-    features = _features(texts, model.config.hash_dim)
+    features = featurize(texts, model.config.hash_dim)
     p = expit(features.matrix @ model.weights + model.bias)
     return {item_id: float(p[i]) for item_id, i in features.rows.items()}
 
@@ -462,9 +464,9 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
         best_epoch=model.best_epoch, history=model.history, path=model.path, bias=model.bias,
         weights=model.weights.tolist(),
     )
+    # one-shot dumps runs json's C encoder; dump runs the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vars(file), fh, default=asdict)
-        fh.write("\n")
+        fh.write(json.dumps(vars(file), default=asdict) + "\n")
 
 
 @dataclass(frozen=True)

@@ -235,14 +235,39 @@ def test_stages_on_a_suite_equal_the_record_loops():
             assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            (Annotation("a", "i", "A", 1), Annotation("a", "j", "A", 0)),
+            r"^duplicate annotation_id 'a'$",
+        ),
+        (
+            (Annotation("a", "i", "A", 1), Annotation("b", "j", "B", 0, "replica", "a")),
+            r"^replica 'b' disagrees with its original 'a' on \(item, stratum, label\)$",
+        ),
+    ],
+    ids=["duplicate-id", "disagreeing-replica"],
+)
+def test_from_records_rejects_what_validate_rejects(records, message):
+    # the one step from records to columns checks rows as read_dataset does;
+    # test_validate_rejects_a_replica_chain_without_an_original has the cycles
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_records(records, META)
+
+
 def test_take_refuses_to_drop_the_original_of_a_kept_replica():
-    # from_records does not validate, so a replica may name a record of
-    # another item; restricting to the replica's item would lose its original
+    # the column constructor does not validate, so a replica may name a
+    # record of another item; restricting to the replica's item would lose
+    # its original
     records = (
         Annotation("a", "it0", "A", 1),
         Annotation("b", "it1", "A", 1, source="replica", replica_of="a"),
     )
-    dataset = Dataset.from_records(records, META)
+    dataset = Dataset(
+        META, ("it0", "it1"), ("A",), np.array([0, 1]), np.array([0, 0]),
+        np.array([1, 1], dtype=np.int8), np.array([-1, 0]), lambda: ("a", "b"),
+    )
     with pytest.raises(ValueError, match="replica 'b' is kept without its original 'a'"):
         dataset.restrict(["it1"])
     assert dataset.take(np.array([1, 0])).records == records[::-1]

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairsim import experiments, simulation, trainer
 from pairsim.adjust import PopulationBenchmark
@@ -532,6 +534,113 @@ def test_config_round_trip_rare_component():
     spec = SyntheticGold(components=((Rare(0.167), 100), (Uniform(0.3, 0.7), 50)), seed=4)
     config = ExperimentConfig(gold=spec, seeds=(1,), split=(100, 25, 25))
     assert config_from_dict(config_to_dict(config)) == config
+
+
+def _uniform(bounds):
+    return Uniform(*sorted(bounds))
+
+
+_shapes = st.one_of(
+    st.tuples(st.floats(0, 1), st.floats(0, 1)).map(_uniform),
+    st.floats(0, 1, exclude_min=True, exclude_max=True).map(Rare),
+)
+
+
+_seeds = st.integers(-(2**127), 2**127 - 1)
+
+
+@st.composite
+def configs(draw):
+    """Configs of file or synthetic gold, with and without difficult mode."""
+    difficult = draw(st.booleans())
+    split = draw(st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(1, 40)))
+    if draw(st.booleans()):
+        gold = draw(st.text(min_size=1, max_size=8))
+    else:
+        # without difficult mode the components must hold the split's items
+        total = draw(st.integers(1, 100)) if difficult else sum(split)
+        cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=2))) if total > 1 else []
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        gold = SyntheticGold(
+            components=tuple((draw(_shapes), n) for n in sizes),
+            vocab_size=draw(st.integers(2, 5000)),
+            tokens_per_item=draw(st.integers(1, 100)),
+            seed=draw(_seeds),
+        )
+    shares = [{"A": "1/2", "B": "1/2"}, {"A": "1/3", "B": "2/3"}, {"A": 0.25, "B": 0.75}]
+    lo, hi = sorted(draw(st.tuples(st.floats(0, 1), st.floats(0, 1))))
+    return ExperimentConfig(
+        gold=gold,
+        task=draw(st.sampled_from(["OL", "HS"])),
+        betas=tuple(draw(st.lists(st.floats(0, 0.5), min_size=1, max_size=4, unique=True))),
+        seeds=tuple(draw(st.lists(_seeds, min_size=1, max_size=4, unique=True))),
+        split=split,
+        recipes=tuple(draw(st.lists(st.sampled_from(simulation.RECIPES), min_size=1, unique=True))),
+        benchmark=PopulationBenchmark(draw(st.sampled_from(shares))),
+        train=TrainConfig(
+            epochs=draw(st.integers(1, 6)),
+            hash_dim=draw(st.integers(2, 2**16)),
+            l2=draw(st.floats(1e-9, 1e3)),
+        ),
+        difficult=difficult,
+        difficult_lo=lo,
+        difficult_hi=hi,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs())
+def test_config_to_dict_then_from_dict_gives_the_config_back(config):
+    d = config_to_dict(config)
+    assert list(d) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert config_from_dict(d) == config
+    # and through the JSON text that save_config writes
+    assert config_from_dict(json.loads(json.dumps(d))) == config
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(seeds=(1.5,)), r"^seed must be an integer, got 1\.5$"),
+        (dict(seeds=(True,)), r"^seed must be an integer, got True$"),
+        (dict(split=(200.0, 50, 50)), r"^split counts \(200\.0, 50, 50\) must be non-negative integers$"),
+        (dict(split=(200, 50)), r"^expected three split counts, got 2$"),
+    ],
+    ids=["float-seed", "bool-seed", "float-split", "two-counts"],
+)
+def test_a_python_built_config_holds_to_the_json_integer_rule(change, message):
+    # each of these would fail every cell, or run seed True as seed 1
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(load_config(CONFIG_DIR / "quick.json"), **change)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TrainConfig(hash_dim=64.5), r"^hash_dim must be an integer, got 64\.5$"),
+        (lambda: TrainConfig(epochs=True), r"^epochs must be an integer, got True$"),
+        (
+            lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 1.5),)),
+            r"^components\[0\]\.n must be an integer, got 1\.5$",
+        ),
+        (
+            lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 3),), vocab_size=2000.0),
+            r"^vocab_size must be an integer, got 2000\.0$",
+        ),
+        (
+            lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 3),), tokens_per_item=True),
+            r"^tokens_per_item must be an integer, got True$",
+        ),
+        (
+            lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 3),), seed=0.5),
+            r"^gold seed must be an integer, got 0\.5$",
+        ),
+    ],
+    ids=["hash-dim", "epochs", "component-n", "vocab-size", "tokens-per-item", "gold-seed"],
+)
+def test_python_built_train_and_gold_settings_hold_to_the_json_integer_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_config_validation():

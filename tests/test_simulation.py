@@ -215,11 +215,23 @@ def test_gold_table_checks_a_text_columns_vocabulary_once_per_entry():
         (("a",), [1], [0, 1], "codes must index the 1 vocabulary entries"),
         (("a",), [-1], [0, 1], "codes must index the 1 vocabulary entries"),
         (("a", "a"), [0], [0, 1], "vocabulary repeats a token"),
+        (("x", "y"), np.array([0.9, 1.7]), [0, 1, 2], "codes must be integers, got float64"),
+        (("a",), [0], [0.0, 1.0], "offsets must be integers, got float64"),
+        (("a", "b"), [True, False], [0, 2], "codes must be integers, got bool"),
     ],
 )
 def test_text_column_rejects_codes_that_are_not_texts(vocab, codes, offsets, message):
     with pytest.raises(ValueError, match=message):
         TextColumn(vocab, codes, offsets)
+    # an empty list names no code, so it is no error
+    assert list(TextColumn((), [], [0, 0])) == [()]
+
+
+@pytest.mark.parametrize("count", [1.5, True])
+def test_a_pool_composition_count_is_an_int(count):
+    # 1.5 failed inside numpy, and True counted as 1
+    with pytest.raises(ValueError, match=rf"^counts\['A'\] must be an integer, got {count}$"):
+        PoolComposition({"A": count})
 
 
 def test_text_column_compares_texts_not_vocabulary_order():
@@ -867,7 +879,7 @@ def test_validate_rejects_a_replica_chain_without_an_original(tmp_path, replicas
     records = (Annotation("o", "it", "A", 1), *replicas)
     message = rf"replica '{first}' has no original: its replica_of chain ends in a cycle$"
     with pytest.raises(ValueError, match="^" + message):
-        Dataset.from_records(records, DatasetMeta(**_HEADER)).validate()
+        Dataset.from_records(records, DatasetMeta(**_HEADER))
     path = tmp_path / "cycle.jsonl"
     _rewrite(path, [_HEADER, *map(vars, records)])
     with pytest.raises(ValueError, match=rf"^{path}: {message}"):
@@ -925,8 +937,10 @@ def test_read_dataset_rejects_wrong_header_types_by_name(tmp_path, key, value, k
         ("beta", float("nan"), r"nan outside \[0, 0\.5\]"),
         ("beta", -0.1, r"-0\.1 outside \[0, 0\.5\]"),
         ("seed", 2**127, r"\d+ outside the signed 128-bit range \[-2\*\*127, 2\*\*127\)"),
+        ("seed", 1.5, r"must be an integer, got 1\.5"),
+        ("seed", True, r"must be an integer, got True"),
     ],
-    ids=["task", "recipe", "nan-beta", "negative-beta", "seed"],
+    ids=["task", "recipe", "nan-beta", "negative-beta", "seed", "float-seed", "bool-seed"],
 )
 def test_read_dataset_rejects_header_values_out_of_range_by_name(tmp_path, key, value, error):
     # adjust copies the header into its output, so a NaN beta would travel on

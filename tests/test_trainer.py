@@ -782,3 +782,27 @@ def test_train_names_items_the_features_lack():
     features = featurize(gold.texts(), FAST.hash_dim).select(gold.item_ids()[1:])
     with pytest.raises(ValueError, match=f"no text for items: {gold.item_ids()[0]}"):
         train(small_dataset(gold), features, FAST)
+
+
+def test_features_of_and_select_name_the_items_they_lack():
+    features = featurize({"a": ("x",)}, 16)
+    for lookup in (features.of, features.select):
+        with pytest.raises(ValueError, match=r"^no text for items: nope, zz$"):
+            lookup(["zz", "a", "nope"])
+    # sorted, the first 10
+    with pytest.raises(ValueError, match=r"^no text for items: m00, m01, .*, m09$"):
+        features.of([f"m{j:02d}" for j in range(12, -1, -1)])
+    assert featurize(features, 16) is features
+
+
+def test_train_names_missing_training_items_before_missing_dev_items():
+    gold = textual_gold(n=20)
+    train_ds = small_dataset(gold).restrict(gold.item_ids()[10:])
+    dev_ds = small_dataset(gold).restrict(gold.item_ids()[:10])
+    # the dev item sorts first, but the training items are looked up first
+    features = featurize(gold, FAST.hash_dim)
+    lacking = features.select([i for i in gold.item_ids() if i not in gold.item_ids()[::19]])
+    with pytest.raises(ValueError, match=rf"^no text for items: {gold.item_ids()[19]}$"):
+        train(train_ds, lacking, FAST, dev=dev_ds)
+    with pytest.raises(ValueError, match=rf"^no text for items: {gold.item_ids()[0]}$"):
+        train(train_ds, features.select(gold.item_ids()[1:]), FAST, dev=dev_ds)
