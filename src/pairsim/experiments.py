@@ -115,8 +115,8 @@ class ExperimentConfig:
             raise ValueError("need at least one beta")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        for b in self.betas:
-            check_beta(b)
+        for i, b in enumerate(self.betas):
+            check_beta(b, f"betas[{i}]")
         for s in self.seeds:
             check_key_int(s, "seed")
         unknown = sorted(set(self.recipes) - set(RECIPES))
@@ -133,6 +133,8 @@ class ExperimentConfig:
             raise ValueError(f"split[0] (train items) must be at least 1, got {self.split[0]}")
         if self.split[2] < 1:
             raise ValueError(f"split[2] (test items) must be at least 1, got {self.split[2]}")
+        for name, kind in (("difficult", bool), ("difficult_lo", float), ("difficult_hi", float)):
+            typed(getattr(self, name), kind, name)
         if not 0.0 <= self.difficult_lo <= self.difficult_hi <= 1.0:
             raise ValueError(
                 "difficult_lo and difficult_hi must satisfy 0 <= difficult_lo <= difficult_hi"

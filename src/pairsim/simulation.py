@@ -37,6 +37,7 @@ import re
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, wraps
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType, UnionType
 from typing import (
@@ -80,9 +81,10 @@ def check_task(task: str) -> None:
         raise ValueError(f"task must be 'OL' or 'HS', got {task!r}")
 
 
-def check_beta(beta: float) -> None:
-    """Reject a bias offset outside [0, 0.5]; NaN is outside."""
-    if not 0.0 <= beta <= 0.5:
+def check_beta(beta: float, name: str = "beta") -> None:
+    """Reject a bias offset that is not a number, naming it ``name``, or
+    that lies outside [0, 0.5]; NaN is outside."""
+    if not 0.0 <= typed(beta, float, name) <= 0.5:
         raise ValueError(f"beta {beta} outside [0, 0.5]")
 
 
@@ -472,26 +474,16 @@ class Dataset:
     def annotation_ids(self) -> Sequence[str]:
         return self.make_ids()
 
-    def _columns(self) -> Iterator[tuple[str, int, int, int, int]]:
-        """Per record: annotation id, item code, stratum code, label and
-        original index, as Python values."""
-        return zip(
-            self.annotation_ids,
-            self.item.tolist(),
-            self.stratum.tolist(),
-            self.label.tolist(),
-            self.original.tolist(),
-        )
-
     @cached_property
     def records(self) -> tuple[Annotation, ...]:
         """The records as :class:`Annotation` rows, built on first use."""
         ids = self.annotation_ids
+        codes = (self.item.tolist(), self.stratum.tolist(), self.label.tolist())
         return tuple(
             Annotation(aid, self.item_ids[i], self.stratum_ids[s], label)
             if o < 0
             else Annotation(aid, self.item_ids[i], self.stratum_ids[s], label, "replica", ids[o])
-            for aid, i, s, label, o in self._columns()
+            for aid, i, s, label, o in zip(ids, *codes, self.original.tolist())
         )
 
     def __eq__(self, other) -> bool:
@@ -551,11 +543,12 @@ class Dataset:
         do, in :func:`_coded_dataset`, which then runs this for
         :meth:`from_records` and :func:`read_dataset` alike."""
         ids = self.annotation_ids
-        seen: set[str] = set()
-        for aid in ids:
-            if aid in seen:
-                raise ValueError(f"duplicate annotation_id {aid!r}")
-            seen.add(aid)
+        if len(set(ids)) < len(ids):
+            seen: set[str] = set()
+            for aid in ids:
+                if aid in seen:
+                    raise ValueError(f"duplicate annotation_id {aid!r}")
+                seen.add(aid)
         replicas = np.flatnonzero(self.original >= 0)
         of = self.original[replicas]
         disagree = (
@@ -1250,34 +1243,34 @@ _RECORD_LINE = _line_template(_RECORD_KEYS)
 
 def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
     """One metadata header line, then one line per annotation record, each
-    a JSON object of the :class:`Annotation` fields in field order."""
-    ids = dataset.annotation_ids
-    items = [_encode(i) for i in dataset.item_ids]
-    strata = [_encode(s) for s in dataset.stratum_ids]
-    original, replica = _encode("original"), _encode("replica")
-    null = _encode(None)
+    a JSON object of the :class:`Annotation` fields in field order, filled
+    in from columns of encoded values: each distinct value is encoded once."""
+    ids = list(map(encode_basestring_ascii, dataset.annotation_ids))
+
+    def encoded(values: Sequence[str], codes: np.ndarray) -> list[str]:
+        return np.array(values, dtype=object)[codes].tolist()
+
+    columns = (
+        ids,
+        encoded([_encode(i) for i in dataset.item_ids], dataset.item),
+        encoded([_encode(s) for s in dataset.stratum_ids], dataset.stratum),
+        dataset.label.tolist(),
+        encoded(['"original"', '"replica"'], (dataset.original >= 0).view(np.int8)),
+        encoded([*ids, _encode(None)], dataset.original),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_encode(vars(dataset.meta)) + "\n")
-        fh.writelines(
-            _RECORD_LINE
-            % (
-                _encode(aid),
-                items[i],
-                strata[s],
-                label,
-                *((original, null) if o < 0 else (replica, _encode(ids[o]))),
-            )
-            for aid, i, s, label, o in dataset._columns()
-        )
+        fh.writelines(map(_RECORD_LINE.__mod__, zip(*columns)))
 
 
 # A dataset file has one line per annotation record, about ten times the
 # lines of its gold file, so read_dataset reads the layout write_dataset
-# produces with one pattern, matched a block of lines at a time: decoding
-# each line as JSON made the CLI chain take 44% more CPU, and matching
-# each line on its own made reading a trend adjusted.jsonl a quarter
-# slower (2-vCPU x86 host). A JSON string without a backslash is its own
-# value, so the captured strings are decoded only in a block that has one.
+# produces with one pattern, which splits a block of lines at a time into
+# columns of fields: decoding each line as JSON made the CLI chain take 44%
+# more CPU, matching each line on its own made reading a trend
+# adjusted.jsonl a quarter slower, and findall's one tuple per record a
+# fifth slower (2-vCPU x86 host). A JSON string without a backslash is its
+# own value, so the captured strings are decoded only in a block that has one.
 _TEXT = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
 _RECORD_VALUES = {
     "annotation_id": f'"({_TEXT})"',
@@ -1326,15 +1319,19 @@ def read_dataset(path: Union[str, Path]) -> Dataset:
         meta = _decoded_line(path, 1, fh.readline(), DatasetMeta, "header")
         while block := fh.read(_BLOCK_CHARS):
             block += fh.readline()  # up to the end of the line the read stopped in
-            matches = _record_pattern().findall(block)
-            if len(matches) != block.count("\n") + (not block.endswith("\n")):
+            # the text before the first record, then per record its six
+            # values and the text after it
+            parts = _record_pattern().split(block)
+            between = parts[7:-1:7]
+            if parts[0] or parts[-1] not in ("", "\n") or between.count("\n") != len(between):
                 lines = enumerate(block.split("\n"), len(ids) + 2)
                 lineno, line = next(x for x in lines if not _record_pattern().fullmatch(x[1]))
                 _check_record(_decoded_line(path, lineno, line, Annotation, "record"))
                 raise ValueError(f"{path}:{lineno}: not in the layout write_dataset writes")
-            block_ids, block_items, block_strata, block_labels, sources, block_refs = zip(*matches)
-            block_replicas = [k for k, s in enumerate(sources, len(ids)) if s]
-            block_refs = [r for s, r in zip(sources, block_refs) if s]
+            block_ids, block_items, block_strata, block_labels = (parts[k::7] for k in range(1, 5))
+            block_refs = parts[6::7]  # None for an original
+            block_replicas = [k for k, r in enumerate(block_refs, len(ids)) if r is not None]
+            block_refs = [r for r in block_refs if r is not None]
             if "\\" in block:  # some string holds a JSON escape
                 block_ids, block_items, block_strata, block_refs = map(
                     _unescape, (block_ids, block_items, block_strata, block_refs)

@@ -70,7 +70,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.hash_dim < 2:
             raise ValueError(f"hash_dim must be at least 2, got {self.hash_dim}")
-        if not (math.isfinite(self.l2) and self.l2 > 0):
+        if not (math.isfinite(typed(self.l2, float, "l2")) and self.l2 > 0):
             raise ValueError(f"l2 must be finite and above 0, got {self.l2}")
         try:
             largest = self.path()[0]

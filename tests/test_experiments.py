@@ -615,6 +615,23 @@ def test_a_python_built_config_holds_to_the_json_integer_rule(change, message):
 
 
 @pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(difficult=1), r"^difficult must be true or false, got 1$"),
+        (dict(betas=("0.1",)), r"^betas\[0\] must be a number, got '0\.1'$"),
+        (dict(betas=(0.1, True)), r"^betas\[1\] must be a number, got True$"),
+        (dict(difficult_lo="0.3"), r"^difficult_lo must be a number, got '0\.3'$"),
+        (dict(difficult_hi=None), r"^difficult_hi must be a number, got None$"),
+    ],
+    ids=["int-difficult", "str-beta", "bool-beta", "str-difficult-lo", "none-difficult-hi"],
+)
+def test_a_python_built_config_holds_to_the_json_bool_and_number_rules(change, message):
+    # a config that runs is one that save_config writes and load_config reads
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(load_config(CONFIG_DIR / "quick.json"), **change)
+
+
+@pytest.mark.parametrize(
     "build, message",
     [
         (lambda: TrainConfig(hash_dim=64.5), r"^hash_dim must be an integer, got 64\.5$"),

@@ -1061,6 +1061,16 @@ def test_read_gold_rejects_text_after_the_entry_by_line(tmp_path, after, message
         read_gold(path)
 
 
+def test_read_gold_takes_any_json_spacing_within_a_line(tmp_path):
+    # key order and value types are checked, spacing is not: only dataset
+    # records are matched by a line pattern
+    path, rows = _written_gold(tmp_path)
+    written = read_gold(path)
+    path.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
+    assert path.read_text().startswith('{"item_id":')
+    assert read_gold(path) == written
+
+
 def test_read_gold_names_the_file_and_item_of_a_token_utf8_cannot_encode(tmp_path):
     path, rows = _written_gold(tmp_path)
     rows[2]["text"][1] = "\ud800"  # a lone surrogate, which JSON can escape
@@ -1412,6 +1422,52 @@ def test_read_dataset_names_the_line_the_pattern_rejects_in_any_block(tmp_path):
         text.insert(blank - 1, "")
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{blank}: Expecting value"):
+            read_dataset(path)
+
+
+def _file_over_one_block(tmp_path):
+    """A written nonrep1 dataset of 3600 records, about 450K characters, so
+    that its records are matched in two blocks: its path and lines."""
+    path = tmp_path / "ds.jsonl"
+    gold = synth_gold(400, Uniform(0.2, 0.8), seed=1)
+    write_dataset(build_suite(gold, 0.1, seed=2).nonrep1, path)
+    text = path.read_text()
+    assert len(text) > 1.5 * simulation._BLOCK_CHARS
+    return path, text.splitlines()
+
+
+def test_read_dataset_reads_crlf_endings_and_names_joined_records_in_any_block(tmp_path):
+    # in the first block and in a later one: a CRLF ending reads as "\n",
+    # since the file is read with universal newlines, and two records on
+    # one line are named by their line
+    path, lines = _file_over_one_block(tmp_path)
+    written = read_dataset(path)
+    for lineno in (3, 3000):
+        crlf = [*lines[: lineno - 1], lines[lineno - 1] + "\r", *lines[lineno:]]
+        path.write_text("\n".join(crlf) + "\n")
+        assert read_dataset(path) == written
+        joined = [*lines[: lineno - 1], lines[lineno - 1] + lines[lineno], *lines[lineno + 1 :]]
+        path.write_text("\n".join(joined) + "\n")
+        column = len(lines[lineno - 1]) + 1
+        message = rf"^{re.escape(str(path))}:{lineno}: Extra data: line 1 column {column} "
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
+
+
+def test_read_dataset_names_a_blank_last_line_and_reads_a_last_record_without_newline(tmp_path):
+    # in a file of one block and in one of two, the last line ends the last
+    # block: a blank one is named, and a record without its newline is read
+    small, _ = _written_dataset(tmp_path)
+    small_lines = small.read_text().splitlines()
+    big, big_lines = _file_over_one_block(tmp_path)
+    for path, lines in ((small, small_lines), (big, big_lines)):
+        path.write_text("\n".join(lines) + "\n")
+        written = read_dataset(path)
+        path.write_text("\n".join(lines))
+        assert read_dataset(path) == written == read_dataset_rows(path)
+        path.write_text("\n".join(lines) + "\n\n")
+        message = rf"^{re.escape(str(path))}:{len(lines) + 1}: Expecting value"
+        with pytest.raises(ValueError, match=message):
             read_dataset(path)
 
 

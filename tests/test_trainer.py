@@ -265,6 +265,9 @@ def test_train_validates_config():
         ("l2", -1e-9),
         ("l2", math.inf),
         ("l2", math.nan),
+        ("l2", "1e-5"),
+        ("l2", True),
+        ("l2", None),
     ],
 )
 def test_train_config_rejects_bad_field_by_name(field, value):
