@@ -26,6 +26,7 @@ from . import metrics
 from .adjust import PopulationBenchmark, apply_pair
 from .rng import check_key_int, stream
 from .simulation import (
+    DIFFICULT_BAND,
     GoldShape,
     GoldTable,
     Rare,
@@ -75,11 +76,17 @@ class SyntheticGold:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.components, tuple):
+            raise ValueError(f"components must be a tuple, got {self.components!r}")
         if not self.components:
             raise ValueError("need at least one gold component")
-        for i, (_, n) in enumerate(self.components):
-            if typed(n, int, f"components[{i}].n") < 1:
-                raise ValueError(f"components[{i}].n must be at least 1, got {n}")
+        for i, pair in enumerate(self.components):
+            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], GoldShape)):
+                raise ValueError(
+                    f"components[{i}] must be a (Uniform or Rare, n) pair, got {pair!r}"
+                )
+            if typed(pair[1], int, f"components[{i}].n") < 1:
+                raise ValueError(f"components[{i}].n must be at least 1, got {pair[1]}")
         for name in ("vocab_size", "tokens_per_item"):
             typed(getattr(self, name), int, name)
         if self.vocab_size < 2:
@@ -106,10 +113,16 @@ class ExperimentConfig:
     )
     train: TrainConfig = TrainConfig()
     difficult: bool = False
-    difficult_lo: float = 0.4
-    difficult_hi: float = 0.6
 
     def __post_init__(self) -> None:
+        if not isinstance(self.gold, (SyntheticGold, str)):
+            raise ValueError(f"gold must be a SyntheticGold or a file name, got {self.gold!r}")
+        for name, kind in (
+            ("betas", tuple), ("seeds", tuple), ("split", tuple), ("recipes", tuple),
+            ("benchmark", PopulationBenchmark), ("train", TrainConfig),
+        ):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         check_task(self.task)
         if not self.betas:
             raise ValueError("need at least one beta")
@@ -133,13 +146,7 @@ class ExperimentConfig:
             raise ValueError(f"split[0] (train items) must be at least 1, got {self.split[0]}")
         if self.split[2] < 1:
             raise ValueError(f"split[2] (test items) must be at least 1, got {self.split[2]}")
-        for name, kind in (("difficult", bool), ("difficult_lo", float), ("difficult_hi", float)):
-            typed(getattr(self, name), kind, name)
-        if not 0.0 <= self.difficult_lo <= self.difficult_hi <= 1.0:
-            raise ValueError(
-                "difficult_lo and difficult_hi must satisfy 0 <= difficult_lo <= difficult_hi"
-                f" <= 1, got {self.difficult_lo} and {self.difficult_hi}"
-            )
+        typed(self.difficult, bool, "difficult")
         # file gold and difficult filtering fix the item count only when run
         if isinstance(self.gold, SyntheticGold) and not self.difficult:
             if sum(self.split) != self.gold.n_items:
@@ -191,16 +198,17 @@ class IngestResult:
 
 
 @reads_file
-def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
-    """Load a user-supplied annotation file (line-delimited JSON).
+def ingest_external(path: Union[str, Path], task: str) -> IngestResult:
+    """Load a user-supplied annotation file (line-delimited JSON) as the
+    gold table of ``task``, which :func:`check_task` checks first.
 
     Each row needs "item_id", "text", and per-task label lists under
-    "ol" / "hs". Malformed rows (bad JSON, missing fields, empty or
-    whitespace-only text, duplicate ids, or tokens or labels that
-    :func:`annotation_row` rejects) are skipped and counted. Gold
-    proportions come from a seeded without-replacement subsample of
-    ``GOLD_PANEL_SIZE`` labels per item.
+    "ol" / "hs"; the task's list gives the gold. Malformed rows (bad JSON,
+    missing fields, empty or whitespace-only text, duplicate ids, or ids,
+    tokens or labels that :func:`annotation_row` rejects) are skipped and
+    counted; :func:`derive_gold` makes the table of the rest.
     """
+    check_task(task)
     key = task.lower()
     rows: list[tuple] = []
     seen: set[str] = set()
@@ -213,8 +221,7 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
                 row = json.loads(line)
                 item_id, tokens, labels = annotation_row(row["item_id"], row["text"], row[key])
                 if (
-                    not isinstance(item_id, str)
-                    or item_id in seen
+                    item_id in seen
                     or not isinstance(row[key], list)
                     or not any(tok.strip() for tok in tokens)
                 ):
@@ -230,11 +237,11 @@ def ingest_external(path: Union[str, Path], task: str = "OL") -> IngestResult:
 
 
 # A process keeps the gold tables of its last few configs. The caches key
-# on the config: a gold table is compared column by column and has no hash.
+# on the config: a gold table has no hash.
 @lru_cache(maxsize=4)
 def load_gold(config: ExperimentConfig) -> GoldTable:
-    """The experiment's gold table (synthetic or ingested), difficult-filtered
-    when the config asks for it."""
+    """The config's gold table, synthetic or ingested for its task, kept to
+    the items in :data:`DIFFICULT_BAND` in difficult mode."""
     source = config.gold
     if isinstance(source, str):
         gold = ingest_external(source, task=config.task).gold
@@ -252,7 +259,7 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
         )
         gold = synth_text(gold, source.vocab_size, source.tokens_per_item, source.seed)
     if config.difficult:
-        gold = filter_difficult(gold, config.difficult_lo, config.difficult_hi)
+        gold = filter_difficult(gold, *DIFFICULT_BAND)
     return gold
 
 
@@ -404,11 +411,11 @@ def sweep(
     draw it. The pool starts no more processes than there are cells.
     Failures are isolated per cell: the sweep continues, failed cells are
     enumerated, and the report holds one row per completed cell plus
-    cross-seed aggregate rows. ``workers`` below 1 is an error, and so
-    is an ``output_dir`` that cannot be made a directory, before any
-    cell runs.
+    cross-seed aggregate rows. ``workers`` that is not an int of at
+    least 1 is an error, and so is an ``output_dir`` that cannot be made
+    a directory, before any cell runs.
     """
-    if workers < 1:
+    if typed(workers, int, "workers") < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     out = None if output_dir is None else Path(output_dir)
     if out is not None:  # a path that cannot be a directory fails before any cell

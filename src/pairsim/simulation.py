@@ -73,6 +73,8 @@ NONREP2_EXTRA_A = 3
 
 #: size of the reference panel synthetic proportions are quantized to
 GOLD_PANEL_SIZE = 12
+#: the agreement proportions of a difficult (ambiguous) item, bounds included
+DIFFICULT_BAND = (0.4, 0.6)
 
 
 def check_task(task: str) -> None:
@@ -206,13 +208,13 @@ class GoldTable:
     """Per-item reference agreement proportions, stored as columns with
     one entry per item.
 
-    Item k has id ``item_id[k]``, tokens ``text[k]``, agreement
+    Item k has id ``item_id[k]`` (a str), tokens ``text[k]``, agreement
     proportion ``p_gold[k]`` (float64) and reference panel size
     ``k_reference[k]`` (int64); both arrays are read-only. ``text`` is a
     :class:`TextColumn`; token sequences given in its place are coded
     once. The table is checked once when it is made; :attr:`entries` is
-    built on first use. Build a table from :class:`GoldEntry` rows with
-    :meth:`from_entries`.
+    built on first use, and tables are equal when their entries are.
+    Build a table from :class:`GoldEntry` rows with :meth:`from_entries`.
     """
 
     item_id: tuple[str, ...]
@@ -231,7 +233,8 @@ class GoldTable:
         text column and read-only arrays: the first item that
         :func:`_entry_error` faults, or whose id an earlier item has, is an
         error naming it. Numeric arrays and a text column are checked
-        without an item loop, each vocabulary entry once."""
+        without an item loop, each vocabulary entry once, and the ids by
+        one scan of their types."""
         item_id, text = tuple(self.item_id), self.text
         p_gold, k_reference = self.p_gold, self.k_reference
         n = len(item_id)
@@ -249,6 +252,8 @@ class GoldTable:
         ):
             bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
             first = min(int(bad[0]) if len(bad) else n, _first_bad_token_item(text))
+            if not {str}.issuperset(map(type, item_id)):
+                first = min(first, next(k for k, i in enumerate(item_id) if type(i) is not str))
         else:  # values whose type does not vouch for them: check item by item
             rows = enumerate(zip(item_id, texts, p_gold, k_reference))
             first = next((k for k, row in rows if _entry_error(*row)), n)
@@ -282,12 +287,7 @@ class GoldTable:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GoldTable):
             return NotImplemented
-        return (
-            self.item_id == other.item_id
-            and self.text == other.text
-            and np.array_equal(self.p_gold, other.p_gold)
-            and np.array_equal(self.k_reference, other.k_reference)
-        )
+        return self.entries == other.entries
 
     def __repr__(self) -> str:
         return f"GoldTable.from_entries({self.entries!r})"
@@ -347,6 +347,8 @@ def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
     """What is wrong with a gold item, by the first of its checks that
     fails, or None. A bool is neither a number nor an integer here."""
     where = f"item {item_id!r}:"
+    if type(item_id) is not str:
+        return f"{where} item_id must be a string"
     if isinstance(p_gold, bool) or not isinstance(p_gold, numbers.Real):
         return f"{where} p_gold must be a number, got {p_gold!r}"
     if not 0.0 <= p_gold <= 1.0:
@@ -576,10 +578,15 @@ class Dataset:
 
 
 def _check_record(r: Annotation) -> None:
-    """Raise the error of a record that is wrong on its own: a label other
-    than the integer 0 or 1 (not ``True`` or ``1.0``), a source other than
+    """Raise the error of a record that is wrong on its own: an id other
+    than a str (``replica_of`` may be None), a label other than the
+    integer 0 or 1 (not ``True`` or ``1.0``), a source other than
     "original" or "replica", or a ``replica_of`` that is not a replica's."""
     aid = r.annotation_id
+    for key in ("annotation_id", "item_id", "stratum_id", "replica_of"):
+        value = getattr(r, key)
+        if type(value) is not str and (value is not None or key != "replica_of"):
+            raise ValueError(f"annotation {aid!r}: {key} must be a string, got {value!r}")
     if type(r.label) is not int or r.label not in (0, 1):
         raise ValueError(f"annotation {aid!r}: label {r.label!r} not binary")
     if r.source not in ("original", "replica"):
@@ -637,11 +644,11 @@ class Suite:
 # gold-table construction
 
 
-def subsample_indices(seed: int, item_index: int, n: int, m: int) -> tuple[int, ...]:
-    """Which of an item's ``n`` reference annotations survive a draw of
-    ``m``: uniform without replacement, ascending."""
-    gen = stream(seed, "subsample", item_index)
-    return tuple(sorted(gen.choice(n, size=m, replace=False).tolist()))
+def subsample_indices(item_index: int, n: int) -> tuple[int, ...]:
+    """Which ``GOLD_PANEL_SIZE`` of the ``n`` reference annotations of the item
+    at ``item_index`` its seed-0 draw keeps: uniform without replacement, ascending."""
+    gen = stream(0, "subsample", item_index)
+    return tuple(sorted(gen.choice(n, size=GOLD_PANEL_SIZE, replace=False).tolist()))
 
 
 def annotation_row(
@@ -650,11 +657,14 @@ def annotation_row(
     """One item's reference annotations as ``(item_id, tokens, labels)``;
     a string text is split on whitespace.
 
-    Raises ValueError when a token is not a str that UTF-8 can encode,
-    or when the labels are empty, not each the integer 0 or 1 (``True``
-    and ``1.0`` compare equal to 1 but are not labels), or fewer than
-    ``GOLD_PANEL_SIZE`` (a draw of that many without replacement).
+    Raises ValueError when the id is not a str, when a token is not a
+    str that UTF-8 can encode, or when the labels are empty, not each
+    the integer 0 or 1 (``True`` and ``1.0`` compare equal to 1 but are
+    not labels), or fewer than ``GOLD_PANEL_SIZE`` (a draw of that many
+    without replacement).
     """
+    if type(item_id) is not str:
+        raise ValueError(f"item {item_id!r}: item_id must be a string")
     labels = tuple(labels)
     if not labels:
         raise ValueError(f"item {item_id!r} has no annotations")
@@ -676,16 +686,15 @@ def annotation_row(
 def derive_gold(raw: Iterable[tuple]) -> GoldTable:
     """Turn ``(item_id, text, labels)`` rows into a gold agreement table.
 
-    Each row is checked by :func:`annotation_row`. Exactly
-    ``GOLD_PANEL_SIZE`` annotations per item are drawn without
-    replacement (``subsample_indices`` at seed 0 and the row's position)
-    before the proportion is computed.
+    Each row is checked by :func:`annotation_row`. An item's proportion
+    is over exactly ``GOLD_PANEL_SIZE`` of its labels, those that
+    :func:`subsample_indices` keeps at the row's position.
     """
     rows = [annotation_row(*row) for row in raw]
     p_gold = []
     for i, (_, _, labels) in enumerate(rows):
         if len(labels) > GOLD_PANEL_SIZE:
-            keep = subsample_indices(0, i, len(labels), GOLD_PANEL_SIZE)
+            keep = subsample_indices(i, len(labels))
             labels = tuple(labels[j] for j in keep)
         p_gold.append(sum(labels) / len(labels))
     item_id, text, _ = zip(*rows) if rows else ((),) * 3
@@ -709,7 +718,8 @@ class Uniform:
     high: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.low <= self.high <= 1.0:
+        low, high = typed(self.low, float, "low"), typed(self.high, float, "high")
+        if not 0.0 <= low <= high <= 1.0:
             raise ValueError(f"uniform bounds ({self.low}, {self.high}) invalid")
 
 
@@ -724,7 +734,7 @@ class Rare:
     mean: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mean < 1.0:
+        if not 0.0 < typed(self.mean, float, "mean") < 1.0:
             raise ValueError(f"rare mean {self.mean} outside (0, 1)")
 
 

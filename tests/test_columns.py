@@ -318,6 +318,8 @@ def check_entries(entries):
     """The check a gold table makes, one entry at a time."""
     seen = set()
     for e in entries:
+        if type(e.item_id) is not str:
+            raise ValueError(f"item {e.item_id!r}: item_id must be a string")
         if type(e.p_gold) not in (int, float):
             raise ValueError(f"item {e.item_id!r}: p_gold must be a number, got {e.p_gold!r}")
         if not 0.0 <= e.p_gold <= 1.0:
@@ -379,14 +381,14 @@ _ANY_TOKENS = st.lists(
 
 
 def entry_lists(
-    ids=st.sampled_from("abcdef"),
+    ids=st.sampled_from("abcdef") | st.sampled_from([5, None, b"a"]),
     p=_ANY_P,
     k=_ANY_K,
     text=st.one_of(_TOKENS, _ANY_TOKENS, st.just("x y")),
 ):
-    """Lists of entries whose ids may repeat and whose values may be out
-    of range (NaN included) or of another type, and whose tokens may not
-    be UTF-8 strings, several bad entries at once."""
+    """Lists of entries whose ids may repeat or not be strings, whose
+    values may be out of range (NaN included) or of another type, and
+    whose tokens may not be UTF-8 strings, several bad entries at once."""
     return st.lists(st.builds(GoldEntry, ids, text, p, k), max_size=8)
 
 

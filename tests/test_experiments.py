@@ -224,6 +224,23 @@ def test_ingest_skips_rows_with_a_token_that_is_not_a_utf8_string(tmp_path, text
     assert len(result.gold) == 9
 
 
+def test_ingest_has_no_default_task(tmp_path):
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=12)
+    with pytest.raises(TypeError, match="task"):
+        ingest_external(path)
+
+
+@pytest.mark.parametrize("task", ["XX", "hs", None])
+def test_ingest_rejects_a_task_other_than_ol_or_hs_by_name(tmp_path, task):
+    # "XX" skipped every row as malformed, "hs" read the HS labels
+    path = tmp_path / "annotations.jsonl"
+    write_annotation_file(path, n=12)
+    message = rf"task must be 'OL' or 'HS', got {re.escape(repr(task))}$"
+    with pytest.raises(ValueError, match=message):
+        ingest_external(path, task=task)
+
+
 def test_ingest_rejects_empty(tmp_path):
     path = tmp_path / "annotations.jsonl"
     path.write_text("not json\n", encoding="utf-8")
@@ -512,12 +529,20 @@ def test_sweep_rejects_fewer_than_one_worker(workers):
         sweep(tiny_config(), workers=workers)
 
 
+@pytest.mark.parametrize("workers", [True, 2.0, "2"])
+def test_sweep_rejects_workers_that_are_not_an_int(workers):
+    # True ran as one worker
+    message = rf"^workers must be an integer, got {re.escape(repr(workers))}$"
+    with pytest.raises(ValueError, match=message):
+        sweep(tiny_config(), workers=workers)
+
+
 # ---------------------------------------------------------------------------
 # config files
 
 
 def test_config_round_trip(tmp_path):
-    config = tiny_config(difficult=True, difficult_lo=0.3, difficult_hi=0.7)
+    config = tiny_config(difficult=True)
     path = tmp_path / "config.json"
     save_config(config, path)
     assert load_config(path) == config
@@ -568,7 +593,6 @@ def configs(draw):
             seed=draw(_seeds),
         )
     shares = [{"A": "1/2", "B": "1/2"}, {"A": "1/3", "B": "2/3"}, {"A": 0.25, "B": 0.75}]
-    lo, hi = sorted(draw(st.tuples(st.floats(0, 1), st.floats(0, 1))))
     return ExperimentConfig(
         gold=gold,
         task=draw(st.sampled_from(["OL", "HS"])),
@@ -583,8 +607,6 @@ def configs(draw):
             l2=draw(st.floats(1e-9, 1e3)),
         ),
         difficult=difficult,
-        difficult_lo=lo,
-        difficult_hi=hi,
     )
 
 
@@ -620,15 +642,66 @@ def test_a_python_built_config_holds_to_the_json_integer_rule(change, message):
         (dict(difficult=1), r"^difficult must be true or false, got 1$"),
         (dict(betas=("0.1",)), r"^betas\[0\] must be a number, got '0\.1'$"),
         (dict(betas=(0.1, True)), r"^betas\[1\] must be a number, got True$"),
-        (dict(difficult_lo="0.3"), r"^difficult_lo must be a number, got '0\.3'$"),
-        (dict(difficult_hi=None), r"^difficult_hi must be a number, got None$"),
     ],
-    ids=["int-difficult", "str-beta", "bool-beta", "str-difficult-lo", "none-difficult-hi"],
+    ids=["int-difficult", "str-beta", "bool-beta"],
 )
 def test_a_python_built_config_holds_to_the_json_bool_and_number_rules(change, message):
     # a config that runs is one that save_config writes and load_config reads
     with pytest.raises(ValueError, match=message):
         dataclasses.replace(load_config(CONFIG_DIR / "quick.json"), **change)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(train={"epochs": 1}), r"^train must be a TrainConfig, got \{'epochs': 1\}$"),
+        (
+            dict(benchmark={"A": 0.5, "B": 0.5}),
+            r"^benchmark must be a PopulationBenchmark, got \{'A': 0\.5, 'B': 0\.5\}$",
+        ),
+        (dict(gold=5), r"^gold must be a SyntheticGold or a file name, got 5$"),
+        (dict(betas=[0.3]), r"^betas must be a tuple, got \[0\.3\]$"),
+        (dict(split=[200, 50, 50]), r"^split must be a tuple, got \[200, 50, 50\]$"),
+    ],
+    ids=["dict-train", "dict-benchmark", "int-gold", "list-betas", "list-split"],
+)
+def test_a_python_built_config_holds_to_the_json_kind_rules(change, message):
+    # each of these failed every cell of a sweep with a TypeError (a list or
+    # a dict: unhashable) or an AttributeError
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(load_config(CONFIG_DIR / "quick.json"), **change)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: SyntheticGold(components=[(Uniform(0.0, 1.0), 300)]),
+            r"^components must be a tuple, got \[\(Uniform\(low=0\.0, high=1\.0\), 300\)\]$",
+        ),
+        (
+            lambda: SyntheticGold(components=((0.5, 300),)),
+            r"^components\[0\] must be a \(Uniform or Rare, n\) pair, got \(0\.5, 300\)$",
+        ),
+        (
+            lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 5), (Rare(0.1),))),
+            r"^components\[1\] must be a \(Uniform or Rare, n\) pair, got \(Rare\(mean=0\.1\),\)$",
+        ),
+        (lambda: Uniform(True, 1), r"^low must be a number, got True$"),
+        (lambda: Uniform("0", 1), r"^low must be a number, got '0'$"),
+        (lambda: Uniform(0, None), r"^high must be a number, got None$"),
+        (lambda: Rare("0.1"), r"^mean must be a number, got '0\.1'$"),
+    ],
+    ids=[
+        "list-components", "float-component", "one-item-component",
+        "bool-low", "str-low", "none-high", "str-mean",
+    ],
+)
+def test_python_built_gold_shapes_hold_to_the_json_rules(build, message):
+    # a float component failed in load_gold with a TypeError, which is not
+    # an input error; a str bound with a bare TypeError naming no field
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -707,9 +780,9 @@ def test_config_from_dict_rejects_an_empty_grid_axis(field):
     [
         ({"split": [0, 500, 500]}, r"split\[0\] \(train items\) must be at least 1, got 0"),
         ({"split": [2000, 500, 0]}, r"split\[2\] \(test items\) must be at least 1, got 0"),
-        ({"difficult_lo": 0.9, "difficult_hi": 0.1}, "difficult_lo and difficult_hi must"),
-        ({"difficult_lo": -0.1}, "difficult_lo and difficult_hi must"),
-        ({"difficult_hi": 1.5}, "difficult_lo and difficult_hi must"),
+        ({"betas": [0.1, 0.7]}, r"beta 0\.7 outside \[0, 0\.5\]"),
+        ({"recipes": ["adjusted", "reweighted"]}, "unknown recipes: reweighted"),
+        ({"task": "hs"}, "task must be 'OL' or 'HS', got 'hs'"),
         ({"split": [9, 3, 2]}, r"split \(9, 3, 2\) sums to 14, but the synthetic gold has 15 items"),
     ],
 )
@@ -717,6 +790,13 @@ def test_config_from_dict_rejects_unrunnable_values_by_name(values, message):
     # each of these would make every cell of the sweep fail
     with pytest.raises(ValueError, match=message):
         config_from_dict({**_full_config_dict(), **values})
+
+
+@pytest.mark.parametrize("key", ["difficult_lo", "difficult_hi"])
+def test_the_difficult_band_is_not_a_config_key(key):
+    # difficult mode keeps the items in simulation.DIFFICULT_BAND, [0.4, 0.6]
+    with pytest.raises(ValueError, match=f"^unknown key '{key}' in config$"):
+        config_from_dict({**_full_config_dict(), "difficult": True, key: 0.4})
 
 
 @pytest.mark.parametrize("values", [{"difficult": True}, {"gold": {"file": "annotations.jsonl"}}])
@@ -774,7 +854,7 @@ def test_config_from_dict_rejects_unknown_keys_by_name(path, key):
     [
         (("difficult",), "false", "config.difficult"),
         (("difficult",), 0, "config.difficult"),
-        (("difficult_lo",), "0.4", "config.difficult_lo"),
+        (("gold", "synthetic", "tokens_per_item"), "20", "gold.synthetic.tokens_per_item"),
         (("task",), 5, "config.task"),
         (("seeds",), [10.7], r"config.seeds\[0\]"),
         (("seeds",), [True], r"config.seeds\[0\]"),
@@ -892,6 +972,13 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def test_shipped_configs_load(name):
     config = load_config(CONFIG_DIR / name)
     assert config_from_dict(config_to_dict(config)) == config
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_shipped_configs_are_in_canonical_form(name):
+    # every field stated, no removed key and no default relied on
+    path = CONFIG_DIR / name
+    assert config_to_dict(load_config(path)) == json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_fast_training_variant_of_the_trend_config_loads():

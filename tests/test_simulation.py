@@ -90,7 +90,7 @@ def test_derive_gold_subsample_recount_oracle():
     gold = derive_gold([("a", "t", labels)])
     entry = gold.entries[0]
     assert entry.k_reference == 12
-    keep = subsample_indices(0, 0, 15, 12)
+    keep = subsample_indices(0, 15)
     assert len(keep) == 12 and len(set(keep)) == 12
     assert all(0 <= i < 15 for i in keep)
     assert entry.p_gold == sum(labels[i] for i in keep) / 12
@@ -856,6 +856,71 @@ def test_a_record_label_is_the_integer_0_or_1_built_or_read(tmp_path, label):
         read_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("annotation_id", 1), ("item_id", 3), ("stratum_id", None), ("replica_of", 7)],
+)
+def test_a_record_id_is_a_string_built_or_read(tmp_path, key, value):
+    # write_dataset wrote an int item_id as a number, which read_dataset
+    # rejects, and failed on an int annotation_id with a bare TypeError
+    source = "replica" if key == "replica_of" else "original"
+    record = Annotation(**{**_RECORD, "source": source, key: value})
+    aid = re.escape(repr(record.annotation_id))
+    message = rf"^annotation {aid}: {key} must be a string, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_records((record,), DatasetMeta(**_HEADER))
+    path = tmp_path / "ds.jsonl"
+    _rewrite(path, [_HEADER, vars(record)])
+    message = rf"^{re.escape(str(path))}:2: record\.{key} must be a string"
+    with pytest.raises(ValueError, match=message):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("item_id", [5, None, b"a"])
+def test_a_gold_item_id_is_a_string_in_every_constructor(item_id):
+    # write_gold wrote an int id as a number, which read_gold rejects
+    message = rf"^item {re.escape(repr(item_id))}: item_id must be a string$"
+    entries = [GoldEntry("a", ("x",), 0.5, 12), GoldEntry(item_id, ("x",), 0.5, 12)]
+    with pytest.raises(ValueError, match=message):
+        GoldTable.from_entries(entries)
+    with pytest.raises(ValueError, match=message):  # the array path
+        GoldTable(("a", item_id), TextColumn.of([("x",)] * 2), np.full(2, 0.5), np.full(2, 12))
+    with pytest.raises(ValueError, match=message):
+        derive_gold([(item_id, "a b", [1] * 12)])
+    with pytest.raises(ValueError, match=message):
+        annotation_row(item_id, "a b", [1] * 12)
+
+
+_ANY_ID = st.text(max_size=3) | st.integers(0, 3) | st.none()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ANY_ID, min_size=1, max_size=4))
+def test_a_gold_table_that_can_be_made_is_one_read_gold_reads_back(tmp_path_factory, ids):
+    try:
+        gold = GoldTable.from_entries(GoldEntry(i, ("x", "y"), 0.5, 12) for i in ids)
+    except ValueError as err:
+        assert re.search(r"item_id must be a string$|^duplicate item_id", str(err))
+        return
+    path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
+    write_gold(gold, path)
+    assert read_gold(path) == gold
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_ANY_ID, _ANY_ID, _ANY_ID), min_size=1, max_size=4))
+def test_a_dataset_that_can_be_made_is_one_read_dataset_reads_back(tmp_path_factory, ids):
+    records = [Annotation(aid, item, stratum, 1) for aid, item, stratum in ids]
+    try:
+        dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
+    except ValueError as err:
+        assert re.search(r"must be a string, got|^duplicate annotation_id", str(err))
+        return
+    path = tmp_path_factory.mktemp("dataset") / "ds.jsonl"
+    write_dataset(dataset, path)
+    assert read_dataset(path) == dataset
+
+
 def _replica(aid, of):
     return Annotation(aid, "it", "A", 1, source="replica", replica_of=of)
 
@@ -1140,7 +1205,8 @@ def test_every_reader_rejects_a_malformed_file_by_path(tmp_path, reader, content
     path = tmp_path / "input"
     path.write_bytes(content)
     with pytest.raises(ValueError) as caught:
-        reader(path)
+        # the annotation reader has no default task
+        reader(path, "OL") if reader is ingest_external else reader(path)
     assert str(path) in str(caught.value)
 
 
