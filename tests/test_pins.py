@@ -18,6 +18,7 @@ from pairsim.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 QUICK = str(CONFIGS / "quick.json")
 TREND = str(CONFIGS / "trend-beta030.json")
+PAPER = str(CONFIGS / "paper-grid-ol.json")
 
 SIMULATE_PINS = {
     "gold.jsonl": "8e3bfb41a91531824e48cd9c28dac5c12409f9a4155842492d5fe6bdf3ecdd5d",
@@ -29,8 +30,12 @@ ADJUST_PINS = {
     "adjusted.jsonl": "4b56d9c3c84f4eb794a2b1d549b48cfd2c8027c4370bc531e31cf5545cf28306",
     "weights.json": "d74f4cf9395d62bb26ef3e71670ec3cd9c575056113c41d13caa84c4a9f330d5",
 }
-QUICK_REPORT_PIN = "7327b93e39b58d417f7a3667194762e8b21a62eca47f5cab74b37da4dbc9a5a2"
-TREND_REPORT_PIN = "3ae203ab034a2bd3385235b6bfbe9e1a8add6d67cea5e3b975af4dd4af2c8e16"
+REPORT_PINS = {
+    QUICK: "7327b93e39b58d417f7a3667194762e8b21a62eca47f5cab74b37da4dbc9a5a2",
+    TREND: "3ae203ab034a2bd3385235b6bfbe9e1a8add6d67cea5e3b975af4dd4af2c8e16",
+    # every paper beta at trend scale: 24 cells, one seed
+    PAPER: "f0e7abc1a8f160b48b18112387d184b242106dcac3f28406455c421121d581ba",
+}
 MODEL_PIN = "94bccfef3df1e79e2019d10188d81447a6ba96718699c3658a5a4d75e8faf253"
 COLD_MODEL_PIN = "f3befd92ffe485a71769bdadc28891c21ca49a5d7541c2d888c3a975e944c9d3"
 EVALUATE_PIN = "29d3ad4b9ca817e86589b4c836e80cfed49b72c4586ea683a5023da7a291b850"
@@ -72,13 +77,15 @@ def test_adjust_outputs_are_pinned(simulated, tmp_path, k):
 
 @pytest.mark.parametrize(
     "config, flags",
-    [(QUICK, []), (QUICK, ["--workers", "2"]), (TREND, ["--seeds", "10"])],
-    ids=["quick-serial", "quick-workers2", "trend-seed10"],
+    [
+        (QUICK, []), (QUICK, ["--workers", "2"]), (TREND, ["--seeds", "10"]),
+        (PAPER, ["--seeds", "10"]),
+    ],
+    ids=["quick-serial", "quick-workers2", "trend-seed10", "paper-grid-seed10"],
 )
 def test_sweep_report_is_pinned(tmp_path, config, flags):
     assert main(["sweep", "--config", config, "--out", str(tmp_path), *flags]) == 0
-    pin = TREND_REPORT_PIN if config == TREND else QUICK_REPORT_PIN
-    assert sha256(tmp_path / "report.csv") == pin
+    assert sha256(tmp_path / "report.csv") == REPORT_PINS[config]
 
 
 def test_train_and_evaluate_outputs_are_pinned(simulated, tmp_path):
