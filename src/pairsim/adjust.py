@@ -17,11 +17,12 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .simulation import Dataset, RECIPE_ADJUSTED, reads_file, typed
+from .simulation import BiasSpec, Dataset, RECIPE_ADJUSTED, RECIPE_NONREP1, SuiteDraws
+from .simulation import pool_labels, reads_file, typed
 
 ShareLike = Union[int, float, str, Fraction]
 
@@ -117,12 +118,18 @@ class WeightTable:
         object.__setattr__(self, "counts", counts)
 
 
+def _shares(strata: Sequence[str], counts: Sequence[int]) -> dict[str, Fraction]:
+    """The share of each stratum with records, ``counts[k]`` of them of ``strata[k]``."""
+    total = sum(counts)
+    return {s: Fraction(c, total) for s, c in sorted(zip(strata, counts)) if c}
+
+
 def pool_shares(dataset: Dataset) -> dict[str, Fraction]:
     """Share of the pool per stratum, by annotation count."""
     if not len(dataset):
         raise ValueError("dataset is empty")
     counts = np.bincount(dataset.stratum, minlength=len(dataset.stratum_ids)).tolist()
-    return {s: Fraction(c, len(dataset)) for s, c in sorted(zip(dataset.stratum_ids, counts)) if c}
+    return _shares(dataset.stratum_ids, counts)
 
 
 def pair_weights(
@@ -149,6 +156,12 @@ def pair_weights(
     return WeightTable({s: benchmark.shares[s] / pool[s] for s in benchmark.shares}, k)
 
 
+def _copies(weights: WeightTable, strata: Sequence[str]) -> np.ndarray:
+    """PAIR's copies of a record of each of ``strata``: itself and its replicas."""
+    # a table stratum without records has no count and no copies to make
+    return np.array([1 + weights.counts.get(s, 0) for s in strata], dtype=np.intp)
+
+
 def apply_pair(
     dataset: Dataset,
     benchmark: PopulationBenchmark,
@@ -162,9 +175,7 @@ def apply_pair(
     output order is deterministic.
     """
     weights = pair_weights(benchmark, pool_shares(dataset), k)
-    # a table stratum without records has no count and no copies to make
-    per_stratum = [1 + weights.counts.get(s, 0) for s in dataset.stratum_ids]
-    copies = np.array(per_stratum, dtype=np.intp)[dataset.stratum]
+    copies = _copies(weights, dataset.stratum_ids)[dataset.stratum]
     source = np.repeat(np.arange(len(dataset)), copies)  # input record of each output
     first = np.cumsum(copies) - copies  # output index of each input record
     replica_no = np.arange(len(source)) - first[source]  # 0 for the record itself
@@ -193,6 +204,34 @@ def apply_pair(
         make_ids,
     )
     return adjusted, weights
+
+
+def recipe_counts(
+    draws: SuiteDraws, beta: float, recipe: str, benchmark: PopulationBenchmark
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per item of ``draws``, the records of ``recipe`` at ``beta`` labelled
+    1 and all of them, replicas included, as float sums of integers below
+    2**53: bit for bit those of the recipe's dataset from
+    :func:`~pairsim.simulation.build_suite`, or for adjusted of
+    :func:`apply_pair` of nonrep1 at the default K, but with no dataset
+    built. A slot of adjusted counts as its record's copies."""
+    if recipe not in (*draws.rows, RECIPE_ADJUSTED):
+        raise ValueError(f"unknown recipe {recipe!r}")
+    pool = draws.pool
+    rows = draws.rows[RECIPE_NONREP1 if recipe == RECIPE_ADJUSTED else recipe]
+    n, per_item = pool.u.shape
+    item, slot = np.divmod(rows, per_item)
+    weight = np.ones(len(rows))
+    if recipe == RECIPE_ADJUSTED:
+        stratum = np.repeat(np.arange(len(pool.strata)), pool.counts)[slot]
+        kept = np.bincount(stratum, minlength=len(pool.strata)).tolist()
+        table = pair_weights(benchmark, _shares(pool.strata, kept))
+        weight = _copies(table, pool.strata)[stratum].astype(np.float64)
+    label = pool_labels(pool, BiasSpec.two_type(beta)).ravel()[rows]
+    return (
+        np.bincount(item, weights=weight * label, minlength=n),
+        np.bincount(item, weights=weight, minlength=n),
+    )
 
 
 # ---------------------------------------------------------------------------

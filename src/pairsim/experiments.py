@@ -1,11 +1,15 @@
 """Experiment harness: config, item splits, per-cell runs, and sweeps.
 
-A cell is one (recipe, beta, seed) combination: build the suite, adjust
-when the recipe asks for it, train the stand-in classifier on the train
-split with the dev split picking its l2, and score calibration/accuracy on
-the test split against the unbiased gold proportions. Cells are pure
-functions of (config, beta, seed, recipe), so any subset can be re-run
-in isolation and sweeps are reproducible byte for byte.
+A cell is one (recipe, beta, seed) combination: count the records of
+the recipe at beta per item (PAIR's replicas counting like the records
+they copy), fit the stand-in classifier to the train items' counts with
+the dev items' counts picking its l2, and score calibration/accuracy on
+the test split against the unbiased gold proportions. The loss reads a
+training set only through these counts, so a cell builds no dataset;
+it fits over a design of the train and dev items that every cell of its
+seed shares. Cells are pure functions of (config, beta, seed, recipe),
+so any subset can be re-run in isolation and sweeps are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -23,15 +27,13 @@ from typing import Iterable, Sequence, Union, get_type_hints
 import numpy as np
 
 from . import metrics
-from .adjust import PopulationBenchmark, apply_pair
+from .adjust import PopulationBenchmark, recipe_counts
 from .rng import check_key_int, stream
 from .simulation import (
     DIFFICULT_BAND,
     GoldShape,
     GoldTable,
     Rare,
-    RECIPE_ADJUSTED,
-    RECIPE_NONREP1,
     RECIPES,
     SuiteDraws,
     TextColumn,
@@ -43,13 +45,12 @@ from .simulation import (
     draw_suite,
     filter_difficult,
     reads_file,
-    suite_dataset,
     synth_gold,
     synth_text,
     typed,
     typed_object,
 )
-from .trainer import Features, TrainConfig, featurize, predict, train
+from .trainer import Design, Features, TrainConfig, featurize, fit, predict
 
 PAPER_BETAS = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 PAPER_SEEDS = (10, 42, 512, 1010, 3344)
@@ -263,13 +264,34 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
     return gold
 
 
+@dataclass(frozen=True, eq=False)
+class _Seed:
+    """What the cells of a seed share: the draws of its suite at every
+    beta, the gold positions of its train and dev items, the design of
+    those items, and its test items with their features."""
+
+    draws: SuiteDraws
+    train: np.ndarray
+    dev: np.ndarray
+    design: Design
+    test: GoldTable
+    test_features: Features
+
+
 # sweep runs a seed's cells back to back, so one entry suffices
 @lru_cache(maxsize=1)
-def _seed_cached(
-    config: ExperimentConfig, seed: int
-) -> tuple[tuple[GoldTable, GoldTable, GoldTable], SuiteDraws]:
-    """The seed's train/dev/test split and the draws of its suite at every beta."""
-    return split_gold(config, seed), draw_suite(load_gold(config), seed, config.task)
+def _seed_cached(config: ExperimentConfig, seed: int) -> _Seed:
+    """The seed's split and suite draws, and the design of its train and
+    dev items: each cell's fit differs from the others only in counts."""
+    train_gold, dev_gold, test_gold = split_gold(config, seed)
+    features = _features_cached(config)
+    train, dev = (
+        np.fromiter(map(features.rows.__getitem__, part.item_id), np.intp, len(part))
+        for part in (train_gold, dev_gold)
+    )
+    design = Design.of(features.matrix[train], features.matrix[dev] if len(dev) else None)
+    draws = draw_suite(load_gold(config), seed, config.task)
+    return _Seed(draws, train, dev, design, test_gold, features.select(test_gold.item_id))
 
 
 # a sweep has one config, so one gold table and one hash_dim
@@ -341,34 +363,34 @@ def split_gold(config: ExperimentConfig, seed: int) -> tuple[GoldTable, GoldTabl
 # cells and sweeps
 
 
-def _recipe_dataset(draws: SuiteDraws, beta: float, recipe: str, benchmark: PopulationBenchmark):
-    """The dataset of ``recipe`` at ``beta``: adjusted, or the suite's
-    dataset of that name."""
-    if recipe == RECIPE_ADJUSTED:
-        adjusted, _ = apply_pair(suite_dataset(draws, beta, RECIPE_NONREP1), benchmark)
-        return adjusted
-    return suite_dataset(draws, beta, recipe)
-
-
 def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> ResultRow:
-    """Run one cell end to end. Deterministic given (config, beta, seed, recipe)."""
+    """Run one cell end to end: the recipe's record counts per item at
+    ``beta``, one fit over the seed's design, and the test items' scores.
+    Every recipe keeps records of every item, so the design is the one
+    :func:`~pairsim.trainer.train` would build from the recipe's dataset;
+    an item without records is an error naming it. Deterministic given
+    (config, beta, seed, recipe)."""
     start = time.perf_counter()
-    (train_gold, dev_gold, test_gold), draws = _seed_cached(config, seed)
-    dataset = _recipe_dataset(draws, beta, recipe, config.benchmark)
-    features = _features_cached(config)
-    train_ds = dataset.restrict(train_gold.item_ids())
-    dev_ds = dataset.restrict(dev_gold.item_ids()) if len(dev_gold) else None
-    model = train(train_ds, features, config.train, seed, dev=dev_ds)
-    preds = predict(model, features.select(test_gold.item_ids()))
+    cached = _seed_cached(config, seed)
+    positives, totals = recipe_counts(cached.draws, beta, recipe, config.benchmark)
+    empty = np.flatnonzero(totals == 0)
+    if len(empty):
+        item_id = cached.draws.pool.item_ids[empty[0]]
+        raise ValueError(f"recipe {recipe!r} keeps no record of item {item_id!r}")
+    train = positives[cached.train], totals[cached.train]
+    dev = (positives[cached.dev], totals[cached.dev]) if len(cached.dev) else None
+    model = fit(cached.design, train, config.train, seed, dev)
+    preds = predict(model, cached.test_features)
     return ResultRow(
         task=config.task,
         recipe=recipe,
         beta=beta,
         seed=seed,
-        acb=metrics.acb(preds, test_gold),
-        f1=metrics.f1(preds, test_gold),
-        positive_proportion=metrics.positive_proportion(train_ds),
-        n_items=len(test_gold),
+        acb=metrics.acb(preds, cached.test),
+        f1=metrics.f1(preds, cached.test),
+        # bit for bit metrics.positive_proportion of the training dataset
+        positive_proportion=float(train[0].sum() / train[1].sum()),
+        n_items=len(cached.test),
         wall_time=time.perf_counter() - start,
     )
 
@@ -403,12 +425,13 @@ def sweep(
     """Run the full recipes x betas x seeds grid.
 
     Cells run grouped by seed, then by beta, recipe fastest. A process
-    keeps the split and the suite draws of the last seed it ran, and
-    labels the draws at each cell's beta, so a serial sweep splits the
-    gold table and draws the pool once per seed. Under a pool, a seed is
-    split and drawn in every process that runs one of its cells: pool
-    workers are dealt single cells, so with ``workers=2`` both processes
-    draw it. The pool starts no more processes than there are cells.
+    keeps the split, the suite draws and the design of the last seed it
+    ran, and each cell counts the draws at its beta, so a serial sweep
+    splits the gold table, draws the pool and builds the design once per
+    seed. Under a pool, a seed's are built in every process that runs one
+    of its cells, whatever the start method: pool workers are dealt
+    single cells, so with ``workers=2`` both processes build them. The
+    pool starts no more processes than there are cells.
     Failures are isolated per cell: the sweep continues, failed cells are
     enumerated, and the report holds one row per completed cell plus
     cross-seed aggregate rows. ``workers`` that is not an int of at

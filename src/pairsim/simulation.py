@@ -920,19 +920,26 @@ def draw_pool(gold: GoldTable, comp: PoolComposition, seed: int, task: str = "OL
     return PoolDraws(task, seed, gold.item_id, strata, counts, gold.p_gold, u)
 
 
-def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
-    """The pool of ``draws`` at ``bias``: each slot's label is whether its
-    double falls below the item's stratum-shifted proportion."""
+def pool_labels(draws: PoolDraws, bias: BiasSpec) -> np.ndarray:
+    """The labels of the slots of ``draws`` at ``bias``, laid out as
+    ``draws.u``: a slot is labelled 1 when its double falls below the
+    item's stratum-shifted proportion."""
     missing = sorted(set(draws.strata) - set(bias.direction_by_stratum))
     if missing:
         raise ValueError(f"no bias direction for strata: {', '.join(missing)}")
-    n, per_item = draws.u.shape
-    label = np.empty((n, per_item), dtype=np.int8)
+    label = np.empty(draws.u.shape, dtype=np.int8)
     start = 0
     for s, count in zip(draws.strata, draws.counts):
         p_shifted = shift_probability(draws.p, bias.beta, bias.direction_by_stratum[s])
         label[:, start : start + count] = draws.u[:, start : start + count] < p_shifted[:, None]
         start += count
+    return label
+
+
+def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
+    """The pool of ``draws`` at ``bias``, labelled by :func:`pool_labels`."""
+    label = pool_labels(draws, bias)
+    n, per_item = label.shape
     item_ids = draws.item_ids
     slots = [f"{s}{k}" for s, count in zip(draws.strata, draws.counts) for k in range(count)]
     return Dataset(
@@ -971,11 +978,14 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     representative equals ``sample_pool`` with 6 A and 6 B per item.
 
     The draws do not depend on beta; a caller that needs several betas
-    draws once and takes each beta's datasets with :func:`suite_dataset`.
+    draws once and labels the draws at each beta.
     """
     draws = draw_suite(gold, seed, task)
     pool = label_pool(draws.pool, BiasSpec.two_type(beta))
-    return Suite(**{recipe: _recipe(pool, rows, recipe) for recipe, rows in draws.rows.items()})
+    return Suite(**{
+        recipe: replace(pool.take(rows), meta=replace(pool.meta, recipe=recipe))
+        for recipe, rows in draws.rows.items()
+    })
 
 
 def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
@@ -1006,20 +1016,6 @@ def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
         RECIPE_NONREP2: np.flatnonzero(~deleted_b),
     }
     return SuiteDraws(pool, rows)
-
-
-def suite_dataset(draws: SuiteDraws, beta: float, recipe: str) -> Dataset:
-    """The ``recipe`` dataset (representative, nonrep1 or nonrep2) of the
-    suite at ``beta``: the pool labelled at ``beta``, then the records of
-    ``draws.rows[recipe]``."""
-    if recipe not in draws.rows:
-        raise ValueError(f"unknown recipe {recipe!r}")
-    return _recipe(label_pool(draws.pool, BiasSpec.two_type(beta)), draws.rows[recipe], recipe)
-
-
-def _recipe(pool: Dataset, rows: np.ndarray, recipe: str) -> Dataset:
-    """The records ``rows`` of the labelled suite ``pool``, as ``recipe``."""
-    return replace(pool.take(rows), meta=replace(pool.meta, recipe=recipe))
 
 
 def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:

@@ -242,7 +242,7 @@ def loss_and_grad(
     is the mean cross-entropy over those records plus
     ``l2 / 2 * |weights|^2``. Doubling every count leaves loss and
     gradient bit for bit the same. ``X_T`` is ``X.T``, passed in so that
-    a fit builds that transposed view once, not on every call.
+    a :class:`Design` builds that transposed view once, not every call.
     """
     w = theta[:-1]
     z = X @ w + theta[-1]
@@ -350,52 +350,48 @@ def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     return item_ids, positives[kept], totals[kept].astype(np.float64)
 
 
-def train(
-    dataset: Dataset,
-    texts: Union[Features, Texts],
-    config: TrainConfig = TrainConfig(),
-    seed: int = 0,
-    dev: Dataset | None = None,
-) -> Model:
-    """Fit the classifier on the per-annotation loss of ``dataset``.
+@dataclass(frozen=True, eq=False)
+class Design:
+    """The matrices of a fit: ``X``, the training rows over the ``active``
+    hash columns that some training text touches (every other weight is
+    exactly 0: it has zero gradient and zero ridge pull), its transpose
+    ``X_T``, and ``X_sel``, the rows that select the path point."""
 
-    ``texts`` is a gold table, a mapping of item_id to token sequence,
-    or the :func:`featurize` result of either, and must cover every
-    item in ``dataset`` (and ``dev``): :meth:`Features.of` names the
-    training items it lacks, then the dev items. The penalties of
-    ``config.path()`` are fitted in turn, the first from the
-    intercept-only fit and each later one from the last one's
+    X: sparse.csr_matrix
+    X_T: sparse.csc_matrix
+    active: np.ndarray
+    X_sel: sparse.csr_matrix
+
+    @classmethod
+    def of(cls, X_items: sparse.csr_matrix, X_sel: sparse.csr_matrix | None = None) -> "Design":
+        """The design of training rows ``X_items``, selecting on ``X_sel``
+        or, by default, on the training rows."""
+        n, hash_dim = X_items.shape
+        active = np.flatnonzero(np.bincount(X_items.indices, minlength=hash_dim))
+        column = np.zeros(hash_dim, dtype=X_items.indices.dtype)
+        column[active] = np.arange(len(active))
+        X = sparse.csr_matrix(
+            (X_items.data, column[X_items.indices], X_items.indptr), shape=(n, len(active))
+        )
+        return cls(X, X.T, active, X_items if X_sel is None else X_sel)
+
+
+def fit(design: Design, counts, config: TrainConfig, seed: int, sel=None) -> Model:
+    """Fit the classifier over ``design``. With ``counts = (positives,
+    totals)``, row i of ``design.X`` stands for ``totals[i]`` records,
+    ``positives[i]`` of them labeled 1; ``sel`` counts the rows of
+    ``design.X_sel`` and defaults to ``counts``.
+
+    The penalties of ``config.path()`` are fitted in turn, the first
+    from the intercept-only fit and each later one from the last one's
     minimizer; the walk stops at the first point whose selection loss
-    (dev loss with a dev dataset, training loss otherwise) rises, and
-    the point with the lowest selection loss is kept. A fit that reaches
-    a non-finite value or the iteration cap is an error. Deterministic
-    given (dataset, texts, config); ``seed`` is recorded only.
-
-    The fit has one row per training item, in item-table order, and
-    runs over only the hash columns that some training text touches:
-    every other coordinate has zero gradient and zero ridge pull, so its
-    weight is exactly 0.
+    rises, and the point with the lowest selection loss is kept. A fit
+    that reaches a non-finite value or the iteration cap is an error.
+    ``seed`` is recorded only.
     """
-    features = featurize(texts, config.hash_dim)
-    if not len(dataset):
-        raise ValueError("training dataset is empty")
-    if dev is not None and not len(dev):
-        raise ValueError("dev dataset is empty")
-    item_ids, positives, totals = _item_counts(dataset)
-    sel_items, sel_positives, sel_totals = (
-        (item_ids, positives, totals) if dev is None else _item_counts(dev)
-    )
-    X_items = features.of(item_ids)
-    X_sel = X_items if dev is None else features.of(sel_items)
-    active = np.flatnonzero(np.bincount(X_items.indices, minlength=config.hash_dim))
-    column = np.zeros(config.hash_dim, dtype=X_items.indices.dtype)
-    column[active] = np.arange(len(active))
-    Xc = sparse.csr_matrix(
-        (X_items.data, column[X_items.indices], X_items.indptr),
-        shape=(len(item_ids), len(active)),
-    )
-    Xc_T = Xc.T
-
+    positives, totals = counts
+    sel_positives, sel_totals = counts if sel is None else sel
+    X, X_T, active = design.X, design.X_T, design.active
     # the path starts from the intercept-only fit, its limit at infinite penalty
     theta = np.zeros(len(active) + 1)
     positive, total = float(positives.sum()), float(totals.sum())
@@ -406,12 +402,12 @@ def train(
     path: list[PathPoint] = []
     for l2 in config.path():
         theta, iterations, stop = _lbfgs(
-            lambda point: loss_and_grad(point, Xc, Xc_T, positives, totals, l2), theta, l2
+            lambda point: loss_and_grad(point, X, X_T, positives, totals, l2), theta, l2
         )
         weights = np.zeros(config.hash_dim)
         weights[active] = theta[:-1]
         bias = float(theta[-1])
-        loss = _cross_entropy(X_sel @ weights + bias, sel_positives, sel_totals)
+        loss = _cross_entropy(design.X_sel @ weights + bias, sel_positives, sel_totals)
         if not math.isfinite(loss):
             raise ValueError(f"training at l2={l2!r} gave a non-finite selection loss")
         fits.append((weights, bias))
@@ -421,14 +417,38 @@ def train(
             break
     best = history.index(min(history))  # the first of equal losses
     return Model(
-        weights=fits[best][0],
-        bias=fits[best][1],
-        config=config,
-        seed=seed,
-        best_epoch=best + 1,
-        history=tuple(history),
-        path=tuple(path),
+        weights=fits[best][0], bias=fits[best][1], config=config, seed=seed,
+        best_epoch=best + 1, history=tuple(history), path=tuple(path),
     )
+
+
+def train(
+    dataset: Dataset,
+    texts: Union[Features, Texts],
+    config: TrainConfig = TrainConfig(),
+    seed: int = 0,
+    dev: Dataset | None = None,
+) -> Model:
+    """Fit the classifier on the per-annotation loss of ``dataset``: the
+    :func:`fit` over one row per item with records, in item-table order.
+
+    ``texts`` is a gold table, a mapping of item_id to token sequence,
+    or the :func:`featurize` result of either, and must cover every
+    item in ``dataset`` (and ``dev``): :meth:`Features.of` names the
+    training items it lacks, then the dev items. The dev loss selects
+    the path point, or the training loss without a dev dataset.
+    """
+    features = featurize(texts, config.hash_dim)
+    if not len(dataset):
+        raise ValueError("training dataset is empty")
+    if dev is not None and not len(dev):
+        raise ValueError("dev dataset is empty")
+    item_ids, *counts = _item_counts(dataset)
+    X_items = features.of(item_ids)
+    if dev is None:
+        return fit(Design.of(X_items), counts, config, seed)
+    dev_ids, *dev_counts = _item_counts(dev)
+    return fit(Design.of(X_items, features.of(dev_ids)), counts, config, seed, dev_counts)
 
 
 def predict(model: Model, texts: Union[Features, Texts]) -> dict[str, float]:

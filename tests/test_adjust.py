@@ -13,6 +13,7 @@ from pairsim.adjust import (
     pair_weights,
     pool_shares,
     read_benchmark,
+    recipe_counts,
     write_weights,
 )
 from pairsim.rng import stream
@@ -26,6 +27,7 @@ from pairsim.simulation import (
     PoolComposition,
     Uniform,
     build_suite,
+    draw_suite,
     sample_pool,
     synth_gold,
 )
@@ -426,6 +428,13 @@ def test_label_preservation_recount():
 
 # ---------------------------------------------------------------------------
 # file round trips
+
+
+def test_recipe_counts_rejects_a_recipe_it_does_not_make():
+    # "custom" is a dataset's recipe, but no suite recipe
+    draws = draw_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), seed=2)
+    with pytest.raises(ValueError, match="unknown recipe 'custom'"):
+        recipe_counts(draws, 0.1, "custom", PopulationBenchmark({"A": 0.5, "B": 0.5}))
 
 
 def test_read_benchmark_reads_exact_fraction_strings(tmp_path):

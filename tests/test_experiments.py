@@ -2,17 +2,20 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import re
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsim import experiments, simulation, trainer
-from pairsim.adjust import PopulationBenchmark
+from pairsim import adjust, experiments, metrics, simulation, trainer
+from pairsim.adjust import PopulationBenchmark, apply_pair, recipe_counts
 from pairsim.experiments import (
     ExperimentConfig,
     SyntheticGold,
@@ -32,6 +35,7 @@ from pairsim.experiments import (
 from pairsim.simulation import (
     Annotation,
     GoldEntry,
+    GoldTable,
     Rare,
     Uniform,
     derive_gold,
@@ -253,15 +257,16 @@ def test_ingest_rejects_empty(tmp_path):
 
 
 def test_run_cell_adjusted_recipe_structure():
-    config = tiny_config()
-    gold = load_gold(config)
-    from pairsim.experiments import _recipe_dataset
-
-    adjusted = _recipe_dataset(draw_suite(gold, 10, "OL"), 0.3, "adjusted", config.benchmark)
-    for recs in adjusted.records_by_item().values():
-        assert len(recs) == 12
-        assert Counter(r.stratum_id for r in recs) == {"A": 6, "B": 6}
-        assert sum(r.source == "replica" for r in recs) == 3
+    # at gold proportion 0.5 and beta 0.5 every A record is labeled 0 and
+    # every B record 1, so an item's positives count its B records
+    gold = GoldTable.from_entries(GoldEntry(f"it{i}", ("tok",), 0.5, 12) for i in range(40))
+    draws = draw_suite(gold, 10, "OL")
+    benchmark = tiny_config().benchmark
+    positives, totals = recipe_counts(draws, 0.5, "adjusted", benchmark)
+    assert totals.tolist() == [12] * 40  # per item
+    assert positives.tolist() == [6] * 40  # so 6 A and 6 B
+    _, originals = recipe_counts(draws, 0.5, "nonrep1", benchmark)
+    assert (totals - originals).tolist() == [3] * 40  # replicas
 
 
 def test_run_cell_deterministic():
@@ -296,12 +301,70 @@ def test_run_cell_raises_the_cells_own_error():
         run_cell(config, 0.3, 10, "adjusted")
 
 
+def test_run_cell_names_an_item_its_recipe_keeps_no_record_of(monkeypatch):
+    # the seed's design has a row per train and dev item; it is the design
+    # of a cell's dataset only while the recipe keeps records of every item
+    config = tiny_config()
+
+    def dropping(draws, beta, recipe, benchmark):
+        positives, totals = recipe_counts(draws, beta, recipe, benchmark)
+        positives[7] = totals[7] = 0
+        return positives, totals
+
+    monkeypatch.setattr(experiments, "recipe_counts", dropping)
+    item_id = load_gold(config).item_id[7]
+    with pytest.raises(ValueError, match=f"^recipe 'nonrep2' keeps no record of item '{item_id}'$"):
+        run_cell(config, 0.3, 10, "nonrep2")
+
+
 def test_run_cell_difficult_mode():
     config = tiny_config(n=300, split=(200, 50, 50), difficult=True)
     gold = load_gold(config)
     assert all(0.4 <= e.p_gold <= 0.6 for e in gold.entries)
     row = run_cell(config, 0.1, 42, "representative")
     assert row.n_items == scaled_split(len(gold), (200, 50, 50))[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    beta=st.floats(0.0, 0.5),
+    seed=st.integers(-(2**127), 2**127 - 1),
+    share_a=st.integers(1, 23),
+    recipe=st.sampled_from(simulation.RECIPES),
+)
+def test_a_cell_fits_the_counts_of_its_materialized_datasets(beta, seed, share_a, recipe):
+    # the cell counts records without building a dataset; the counts, the
+    # positive proportion and the model must be those of the recipe's
+    # dataset restricted to the train and dev items, adjusted at default K
+    shares = {"A": Fraction(share_a, 24), "B": Fraction(24 - share_a, 24)}
+    config = tiny_config(benchmark=PopulationBenchmark(shares), betas=(beta,), seeds=(seed,))
+    gold = load_gold(config)
+    suite = simulation.build_suite(gold, beta, seed, config.task)
+    if recipe == "adjusted":
+        dataset, _ = apply_pair(suite.nonrep1, config.benchmark)
+    else:
+        dataset = getattr(suite, recipe)
+    train_gold, dev_gold, _ = experiments.split_gold(config, seed)
+    train_ds, dev_ds = (dataset.restrict(part.item_ids()) for part in (train_gold, dev_gold))
+
+    fits = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "fit", lambda *a: fits.append(trainer.fit(*a)) or fits[-1])
+        row = run_cell(config, beta, seed, recipe)
+    cached = experiments._seed_cached(config, seed)
+    positives, totals = recipe_counts(cached.draws, beta, recipe, config.benchmark)
+    for rows, part, ds in ((cached.train, train_gold, train_ds), (cached.dev, dev_gold, dev_ds)):
+        item_ids, want_positives, want_totals = trainer._item_counts(ds)
+        assert item_ids == list(part.item_ids())
+        assert positives[rows].tobytes() == want_positives.tobytes()
+        assert totals[rows].tobytes() == want_totals.tobytes()
+    assert row.positive_proportion == metrics.positive_proportion(train_ds)
+
+    want = trainer.train(train_ds, gold, config.train, seed, dev=dev_ds)
+    (model,) = fits
+    assert model.weights.tobytes() == want.weights.tobytes()
+    assert (model.bias, model.history, model.path) == (want.bias, want.history, want.path)
+    assert model.best_epoch == want.best_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -497,30 +560,62 @@ def test_sweep_starts_no_more_pool_processes_than_cells(
 
 
 def test_sweep_draws_the_pool_and_splits_once_per_seed(monkeypatch):
-    # neither depends on beta, so a process makes them once for all the
-    # cells of a seed, serially and when a pool deals out the cells
-    config = tiny_config(betas=(0.1, 0.3), seeds=(10, 42), train=TrainConfig(epochs=1, hash_dim=64))
+    # none of the draws, the split and the design depends on beta or the
+    # recipe, so a process makes each once for all the cells of a seed,
+    # serially and when a pool deals out the cells; a cell counts records
+    # and builds, takes, restricts, labels and replicates no dataset
+    config = dataclasses.replace(
+        load_config(CONFIG_DIR / "quick.json"), train=TrainConfig(epochs=1, hash_dim=64)
+    )
     calls = Counter()
 
-    def counting_draw_suite(gold, seed, task):
-        calls["draw", seed] += 1
-        return draw_suite(gold, seed, task)
+    def counting(name, fn, key=lambda *args: None):
+        def counted(*args):
+            calls[name, key(*args)] += 1
+            return fn(*args)
 
-    def counting_split_items(gold, counts, seed):
-        calls["split", seed] += 1
-        return split_items(gold, counts, seed)
+        return counted
 
-    monkeypatch.setattr(experiments, "draw_suite", counting_draw_suite)
-    monkeypatch.setattr(experiments, "split_items", counting_split_items)
+    class CountingDesign(trainer.Design):
+        of = classmethod(counting("design", trainer.Design.of.__func__))
+
+    monkeypatch.setattr(experiments, "draw_suite", counting("draw", draw_suite, lambda g, s, t: s))
+    monkeypatch.setattr(
+        experiments, "split_items", counting("split", split_items, lambda g, c, s: s)
+    )
+    monkeypatch.setattr(experiments, "Design", CountingDesign)
+    for owner, name in (
+        (simulation.Dataset, "take"), (simulation.Dataset, "restrict"),
+        (adjust, "apply_pair"), (simulation, "label_pool"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     for workers in (1, 2):
         experiments._seed_cached.cache_clear()
         calls.clear()
         result = sweep(config, workers=workers)
-        assert len(result.rows) == 8 and not result.failures
-        assert calls == {(what, seed): 1 for what in ("draw", "split") for seed in (10, 42)}
+        assert len(result.rows) == 16 and not result.failures
+        assert calls == {
+            **{(what, seed): 1 for what in ("draw", "split") for seed in config.seeds},
+            ("design", None): len(config.seeds),
+        }
     assert _RecordingPool.sizes == [2]
+
+
+def test_spawned_pool_workers_write_the_serial_report(tmp_path, monkeypatch):
+    # a spawned worker inherits no cache from the parent, so it draws,
+    # splits and builds each seed's design afresh
+    config = tiny_config()
+    sweep(config, output_dir=tmp_path / "serial")
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+    )
+    sweep(config, output_dir=tmp_path / "spawned", workers=2)
+    assert (tmp_path / "spawned" / "report.csv").read_bytes() == (
+        tmp_path / "serial" / "report.csv"
+    ).read_bytes()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -1064,13 +1159,13 @@ def test_quick_cell_model_is_pinned_bit_for_bit(monkeypatch):
     # items, 3 path points, 4096 hash columns): its weights, bias, chosen
     # path point and selection losses, hashed exactly
     trained = []
-    original = experiments.train
+    original = experiments.fit
 
-    def capturing_train(*args, **kwargs):
+    def capturing_fit(*args, **kwargs):
         trained.append(original(*args, **kwargs))
         return trained[-1]
 
-    monkeypatch.setattr(experiments, "train", capturing_train)
+    monkeypatch.setattr(experiments, "fit", capturing_fit)
     run_cell(load_config(CONFIG_DIR / "quick.json"), 0.3, 10, "adjusted")
     (model,) = trained
     digest = hashlib.sha256(model.weights.tobytes())

@@ -40,7 +40,6 @@ from pairsim.simulation import (
     sample_pool,
     shift_probability,
     subsample_indices,
-    suite_dataset,
     synth_gold,
     synth_text,
     typed,
@@ -458,13 +457,14 @@ def dataset_columns(ds):
     task=st.sampled_from(["OL", "HS"]),
 )
 def test_every_beta_labelled_from_one_draw_equals_a_fresh_draw(twelfths, betas, counts, seed, task):
-    # a sweep draws each seed once and labels the draws at each beta, in
-    # any order; that must give what drawing afresh for each beta gives
+    # a sweep draws each seed once and counts each recipe's labels at each
+    # beta, in any order; that must give what drawing afresh for each beta gives
     gold = GoldTable.from_entries(
         tuple(GoldEntry(f"it{i:02d}", ("tok",), k / 12, 12) for i, k in enumerate(twelfths))
     )
     comp = PoolComposition(dict(zip("AB", counts)))
     pool_draws, suite_draws = draw_pool(gold, comp, seed, task), draw_suite(gold, seed, task)
+    halves = PopulationBenchmark({"A": "1/2", "B": "1/2"})  # adjusted alone reads it
     for beta in betas:
         bias = BiasSpec.two_type(beta)
         assert dataset_columns(label_pool(pool_draws, bias)) == dataset_columns(
@@ -472,9 +472,9 @@ def test_every_beta_labelled_from_one_draw_equals_a_fresh_draw(twelfths, betas, 
         )
         suite = build_suite(gold, beta, seed, task)
         for recipe in ("representative", "nonrep1", "nonrep2"):
-            assert dataset_columns(suite_dataset(suite_draws, beta, recipe)) == dataset_columns(
-                getattr(suite, recipe)
-            )
+            got = adjust.recipe_counts(suite_draws, beta, recipe, halves)
+            _, *want = trainer._item_counts(getattr(suite, recipe))
+            assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
 
 def test_suite_draws_are_read_only():
@@ -486,12 +486,6 @@ def test_suite_draws_are_read_only():
             array[0] = 0
     with pytest.raises(TypeError):
         draws.rows["nonrep1"] = draws.rows["representative"]
-
-
-def test_suite_dataset_rejects_a_recipe_it_does_not_make():
-    draws = draw_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), seed=2)
-    with pytest.raises(ValueError, match="unknown recipe 'adjusted'"):
-        suite_dataset(draws, 0.1, "adjusted")
 
 
 # Reference oracle: build_suite as it was before it drew one pool per
