@@ -22,17 +22,15 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .simulation import BiasSpec, Dataset, RECIPE_ADJUSTED, RECIPE_NONREP1, SuiteDraws
-from .simulation import pool_labels, reads_file, typed
+from .simulation import check_fields, pool_labels, reads_file, typed
 
-ShareLike = Union[int, float, str, Fraction]
+# an int is widened to a float, exact below 2**53
+ShareLike = Union[float, str, Fraction]
 
 
 def _to_fraction(value: ShareLike, where: str) -> Fraction:
-    """``value`` as an exact fraction: a Fraction, a string such as "1/3",
-    or a finite number by the rules of :func:`~pairsim.simulation.typed`
-    (a bool is not a number). Errors name ``where``."""
-    if isinstance(value, Fraction):
-        return value
+    """``value`` as an exact fraction: a string such as "1/3" that is not
+    one, or a number that is not finite, is an error naming ``where``."""
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -40,8 +38,7 @@ def _to_fraction(value: ShareLike, where: str) -> Fraction:
             raise ValueError(
                 f"{where} must be a number or a fraction string like '1/3', got {value!r}"
             ) from None
-    number = typed(value, float, where)
-    if not math.isfinite(number):
+    if not isinstance(value, Fraction) and not math.isfinite(value):
         raise ValueError(f"{where} must be finite, got {value!r}")
     return Fraction(value)
 
@@ -54,11 +51,10 @@ class PopulationBenchmark:
     "1/3" (exact, recommended for non-dyadic shares).
     """
 
-    shares: Mapping[str, Fraction]
+    shares: Mapping[str, ShareLike]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shares, Mapping):
-            raise ValueError(f"benchmark must map each stratum to its share, got {self.shares!r}")
+        check_fields(self)
         conv = {s: _to_fraction(v, f"benchmark.{s}") for s, v in self.shares.items()}
         object.__setattr__(self, "shares", conv)
         if not conv:
@@ -90,11 +86,12 @@ class WeightTable:
     """
 
     raw: Mapping[str, Fraction]
-    k: Fraction = None  # given as a ShareLike, or None for min_to_one; stored exact
+    k: ShareLike | None = None  # None for min_to_one; stored exact
     normalized: Mapping[str, Fraction] = field(init=False)
     counts: Mapping[str, int] = field(init=False)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if not self.raw or min(self.raw.values()) <= 0:
             raise ValueError("a weight table needs strata, each with a raw weight above 0")
         if self.k is None:
@@ -238,10 +235,15 @@ def recipe_counts(
 # file formats
 
 
+def benchmark_from_json(d, where: str) -> PopulationBenchmark:
+    """The benchmark of a JSON object of shares; errors name ``where``."""
+    return PopulationBenchmark(typed(d, Mapping[str, ShareLike], where))
+
+
 @reads_file
 def read_benchmark(path: Union[str, Path]) -> PopulationBenchmark:
     with open(path, encoding="utf-8") as fh:
-        return PopulationBenchmark(json.load(fh))
+        return benchmark_from_json(json.load(fh), "benchmark")
 
 
 def write_weights(weights: WeightTable, path: Union[str, Path]) -> None:

@@ -22,12 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence, Union, get_type_hints
+from typing import Iterable, Mapping, Sequence, Union, get_type_hints
 
 import numpy as np
 
 from . import metrics
-from .adjust import PopulationBenchmark, recipe_counts
+from .adjust import PopulationBenchmark, benchmark_from_json, recipe_counts
 from .rng import check_key_int, stream
 from .simulation import (
     DIFFICULT_BAND,
@@ -40,6 +40,7 @@ from .simulation import (
     Uniform,
     annotation_row,
     check_beta,
+    check_fields,
     check_task,
     derive_gold,
     draw_suite,
@@ -77,23 +78,15 @@ class SyntheticGold:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.components, tuple):
-            raise ValueError(f"components must be a tuple, got {self.components!r}")
+        check_fields(self)
         if not self.components:
             raise ValueError("need at least one gold component")
-        for i, pair in enumerate(self.components):
-            if not (isinstance(pair, tuple) and len(pair) == 2 and isinstance(pair[0], GoldShape)):
-                raise ValueError(
-                    f"components[{i}] must be a (Uniform or Rare, n) pair, got {pair!r}"
-                )
-            if typed(pair[1], int, f"components[{i}].n") < 1:
-                raise ValueError(f"components[{i}].n must be at least 1, got {pair[1]}")
-        for name in ("vocab_size", "tokens_per_item"):
-            typed(getattr(self, name), int, name)
-        if self.vocab_size < 2:
-            raise ValueError(f"vocab_size must be at least 2, got {self.vocab_size}")
-        if self.tokens_per_item < 1:
-            raise ValueError(f"tokens_per_item must be at least 1, got {self.tokens_per_item}")
+        for i, (_, n) in enumerate(self.components):
+            if n < 1:
+                raise ValueError(f"components[{i}].n must be at least 1, got {n}")
+        for name, least in (("vocab_size", 2), ("tokens_per_item", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
         check_key_int(self.seed, "gold seed")
 
     @property
@@ -116,38 +109,24 @@ class ExperimentConfig:
     difficult: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.gold, (SyntheticGold, str)):
-            raise ValueError(f"gold must be a SyntheticGold or a file name, got {self.gold!r}")
-        for name, kind in (
-            ("betas", tuple), ("seeds", tuple), ("split", tuple), ("recipes", tuple),
-            ("benchmark", PopulationBenchmark), ("train", TrainConfig),
-        ):
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        check_fields(self)
         check_task(self.task)
-        if not self.betas:
-            raise ValueError("need at least one beta")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        for i, b in enumerate(self.betas):
-            check_beta(b, f"betas[{i}]")
+        for name in ("betas", "seeds", "recipes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"need at least one {name[:-1]}")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat a value, got {values}")
+        for b in self.betas:
+            check_beta(b)
         for s in self.seeds:
             check_key_int(s, "seed")
         unknown = sorted(set(self.recipes) - set(RECIPES))
         if unknown:
             raise ValueError(f"unknown recipes: {', '.join(unknown)}")
-        if not self.recipes:
-            raise ValueError("need at least one recipe")
-        for name in ("betas", "seeds", "recipes"):
-            values = getattr(self, name)
-            if len(set(values)) != len(values):
-                raise ValueError(f"{name} must not repeat a value, got {values}")
-        _check_split_counts(self.split)
-        if self.split[0] < 1:
-            raise ValueError(f"split[0] (train items) must be at least 1, got {self.split[0]}")
-        if self.split[2] < 1:
-            raise ValueError(f"split[2] (test items) must be at least 1, got {self.split[2]}")
-        typed(self.difficult, bool, "difficult")
+        for i, (n, part, least) in enumerate(zip(self.split, ("train", "dev", "test"), (1, 0, 1))):
+            if n < least:
+                raise ValueError(f"split[{i}] ({part} items) must be at least {least}, got {n}")
         # file gold and difficult filtering fix the item count only when run
         if isinstance(self.gold, SyntheticGold) and not self.difficult:
             if sum(self.split) != self.gold.n_items:
@@ -304,26 +283,21 @@ def _features_cached(config: ExperimentConfig) -> Features:
 # splits
 
 
-def _check_split_counts(counts: Sequence[int]) -> None:
-    """Reject split counts that are not three non-negative integers (a
-    bool is not one): the rule of a config's split and of :func:`split_items`."""
-    if len(counts) != 3:
-        raise ValueError(f"expected three split counts, got {len(counts)}")
-    if not all(
-        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts
-    ):
-        raise ValueError(f"split counts {tuple(counts)} must be non-negative integers")
-
-
 def split_items(
     gold: GoldTable, counts: Sequence[int], seed: int
 ) -> tuple[GoldTable, GoldTable, GoldTable]:
     """Disjoint train/dev/test partition at the item level, uniform given seed.
 
     Entries keep their original table order within each part. The counts
-    must pass :func:`_check_split_counts` and sum to the table's length.
+    must be three non-negative integers (a bool is not one) that sum to
+    the table's length.
     """
-    _check_split_counts(counts)
+    if len(counts) != 3:
+        raise ValueError(f"expected three split counts, got {len(counts)}")
+    if not all(
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0 for c in counts
+    ):
+        raise ValueError(f"split counts {tuple(counts)} must be non-negative integers")
     if sum(counts) != len(gold):
         raise ValueError(
             f"split counts {tuple(counts)} sum to {sum(counts)}, "
@@ -371,6 +345,7 @@ def run_cell(config: ExperimentConfig, beta: float, seed: int, recipe: str) -> R
     an item without records is an error naming it. Deterministic given
     (config, beta, seed, recipe)."""
     start = time.perf_counter()
+    check_key_int(seed, "seed")  # a seed of True would run seed 1
     cached = _seed_cached(config, seed)
     positives, totals = recipe_counts(cached.draws, beta, recipe, config.benchmark)
     empty = np.flatnonzero(totals == 0)
@@ -581,7 +556,7 @@ _SHAPES = {"uniform": Uniform, "rare": Rare}
 
 
 def _component_from_dict(d, where: str) -> tuple[GoldShape, int]:
-    kind = d.get("shape") if isinstance(d, dict) else None
+    kind = d.get("shape")
     if kind not in _SHAPES:
         raise ValueError(f"unknown gold shape {kind!r} in {where}")
     if "n" not in d:
@@ -590,25 +565,21 @@ def _component_from_dict(d, where: str) -> tuple[GoldShape, int]:
     return typed_object(params, _SHAPES[kind], where), typed(d["n"], int, f"{where}.n")
 
 
-def _components_from_list(value) -> tuple[tuple[GoldShape, int], ...]:
-    where = "gold.synthetic.components"
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a list, got {value!r}")
-    return tuple(_component_from_dict(c, f"{where}[{i}]") for i, c in enumerate(value))
+def _components_from_list(value, where: str) -> tuple[tuple[GoldShape, int], ...]:
+    entries = enumerate(typed(value, tuple[Mapping[str, object], ...], where))
+    return tuple(_component_from_dict(c, f"{where}[{i}]") for i, c in entries)
 
 
-def _gold_from_dict(d) -> Union[SyntheticGold, str]:
-    if not isinstance(d, dict):
-        raise ValueError(f"gold must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {"file", "synthetic"})
+def _gold_from_dict(d, where: str) -> Union[SyntheticGold, str]:
+    unknown = sorted(set(typed(d, Mapping[str, object], where)) - {"file", "synthetic"})
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in gold")
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
     if len(d) != 1:
-        raise ValueError("gold needs exactly one of 'file' or 'synthetic'")
+        raise ValueError(f"{where} needs exactly one of 'file' or 'synthetic'")
     if "file" in d:
-        return typed(d["file"], str, "gold.file")
+        return typed(d["file"], str, f"{where}.file")
     return typed_object(
-        d["synthetic"], SyntheticGold, "gold.synthetic", components=_components_from_list
+        d["synthetic"], SyntheticGold, f"{where}.synthetic", components=_components_from_list
     )
 
 
@@ -635,7 +606,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     """Config from its JSON form. Unknown keys at any level are errors;
     absent keys take the dataclass defaults."""
     return typed_object(
-        d, ExperimentConfig, "config", gold=_gold_from_dict, benchmark=PopulationBenchmark
+        d, ExperimentConfig, "config", gold=_gold_from_dict, benchmark=benchmark_from_json
     )
 
 

@@ -65,7 +65,7 @@ def _key_hash(parts: tuple[KeyPart, ...]) -> hashlib.blake2b:
     little-endian, is the stream's Philox key."""
     h = hashlib.blake2b(digest_size=16)
     for part in parts:
-        if isinstance(part, (int, np.integer)):
+        if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             h.update(_int_part(int(part)))
         elif isinstance(part, str):
             data = part.encode("utf-8")

@@ -34,22 +34,14 @@ from __future__ import annotations
 import json
 import numbers
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, wraps
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import MappingProxyType, UnionType
-from typing import (
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-    Union,
-    get_origin,
-    get_type_hints,
-)
+from types import MappingProxyType, NoneType, UnionType
+from typing import Union, get_origin, get_type_hints
 
 import numpy as np
 
@@ -83,10 +75,9 @@ def check_task(task: str) -> None:
         raise ValueError(f"task must be 'OL' or 'HS', got {task!r}")
 
 
-def check_beta(beta: float, name: str = "beta") -> None:
-    """Reject a bias offset that is not a number, naming it ``name``, or
-    that lies outside [0, 0.5]; NaN is outside."""
-    if not 0.0 <= typed(beta, float, name) <= 0.5:
+def check_beta(beta: float) -> None:
+    """Reject a bias offset that is not a number in [0, 0.5] (NaN is not)."""
+    if not 0.0 <= typed(beta, float, "beta") <= 0.5:
         raise ValueError(f"beta {beta} outside [0, 0.5]")
 
 
@@ -376,6 +367,7 @@ class BiasSpec:
     direction_by_stratum: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        check_fields(self)
         check_beta(self.beta)
         for s, d in self.direction_by_stratum.items():
             if d not in (MINUS, PLUS):
@@ -394,8 +386,8 @@ class PoolComposition:
     counts: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for s, n in self.counts.items():
-            typed(n, int, f"counts[{s!r}]")
             if n < 0:
                 raise ValueError(f"stratum {s!r}: negative annotation count")
         if sum(self.counts.values()) < 1:
@@ -423,6 +415,7 @@ class DatasetMeta:
     seed: int
 
     def __post_init__(self) -> None:
+        check_fields(self)
         check_task(self.task)
         if self.recipe not in (*RECIPES, "custom"):
             raise ValueError(f"recipe must be one of {RECIPES} or 'custom', got {self.recipe!r}")
@@ -718,8 +711,8 @@ class Uniform:
     high: float
 
     def __post_init__(self) -> None:
-        low, high = typed(self.low, float, "low"), typed(self.high, float, "high")
-        if not 0.0 <= low <= high <= 1.0:
+        check_fields(self)
+        if not 0.0 <= self.low <= self.high <= 1.0:
             raise ValueError(f"uniform bounds ({self.low}, {self.high}) invalid")
 
 
@@ -734,7 +727,8 @@ class Rare:
     mean: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < typed(self.mean, float, "mean") < 1.0:
+        check_fields(self)
+        if not 0.0 < self.mean < 1.0:
             raise ValueError(f"rare mean {self.mean} outside (0, 1)")
 
 
@@ -750,8 +744,7 @@ def synth_gold(n: int, shape: GoldShape, seed: int, id_prefix: str = "item") -> 
     """
     if n < 1:
         raise ValueError("need at least one item")
-    if not isinstance(shape, (Uniform, Rare)):
-        raise TypeError(f"unknown gold shape {type(shape).__name__}")
+    typed(shape, GoldShape, "shape", from_json=False)
     tag = f"gold:{id_prefix}"
     if isinstance(shape, Uniform):
         u = doubles(philox_words(stream_keys(seed, tag, count=n), 1))[:, 0]
@@ -1051,61 +1044,99 @@ def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:
 # checked JSON values
 
 
-# The JSON types a field of each Python type accepts, and how errors name them.
-_JSON_TYPES = {
+# The types a value may have, by its kind, its kind's container or (from
+# JSON) a dataclass, and how errors name them.
+_FORMS = {
     bool: ((bool,), "true or false"),
     int: ((int,), "an integer"),
     float: ((int, float), "a number"),
     str: ((str,), "a string"),
+    (tuple, False): ((tuple,), "a tuple"),
+    (tuple, True): ((list,), "a list"),
+    (Mapping, False): ((Mapping,), "a mapping"),
+    (Mapping, True): ((dict,), "a JSON object"),
+    (dataclass, True): ((dict,), "a JSON object"),
 }
 
 
-def typed(value, kind, where: str):
-    """``value`` as a field of type ``kind``: bool, int, float, str,
-    ``tuple[t, ...]`` for a JSON list of ``t`` values (each named
-    ``where[i]``), a dataclass for a JSON object of its fields, read by
-    :func:`typed_object`, or ``t | None``. A JSON value of any other
-    type is an error naming ``where``; an integer for a float field is
-    widened, nothing is cast."""
-    origin = get_origin(kind)
-    if origin is tuple:
-        if not isinstance(value, list):
-            raise ValueError(f"{where} must be a list, got {value!r}")
-        item = kind.__args__[0]
-        if {item}.issuperset(map(type, value)):
-            return tuple(value)
-        return tuple(typed(v, item, f"{where}[{i}]") for i, v in enumerate(value))
-    if origin is UnionType:  # t | None
-        if value is None:
+@cache
+def _form(kind, from_json: bool) -> tuple[tuple[type, ...], str]:
+    container = get_origin(kind) or (dataclass if is_dataclass(kind) else None)
+    return _FORMS.get(kind) or _FORMS.get((container, from_json)) or ((kind,), f"a {kind.__name__}")
+
+
+def typed(value, kind, where: str, from_json: bool = True):
+    """``value`` as a ``kind``, or an error naming ``where``: the one kind
+    rule of configs built in Python and read from JSON (``from_json``).
+
+    ``kind`` is bool, int, float, str, a class, ``tuple[t, ...]``, a fixed
+    ``tuple[t, u]`` (entry i named ``where[i]``), ``Mapping[k, v]`` (key
+    s's value named ``where[s!r]``, from JSON ``where.s``) or a union of
+    these, checked as its first member of the value's type. A bool is not
+    a number, and an int for a float is widened; nothing else is cast.
+    From JSON a tuple is a list and a dataclass an object that
+    :func:`typed_object` reads; from Python either is an error."""
+    if (origin := get_origin(kind)) in (Union, UnionType):
+        members = [t for t in kind.__args__ if t is not NoneType]
+        if value is None and len(members) < len(kind.__args__):
             return None
-        kind = kind.__args__[0]
-    if is_dataclass(kind):
+        forms = [_form(t, from_json) for t in members]
+        of_type = [t for t, (types, _) in zip(members, forms) if isinstance(value, types)]
+        if not of_type and len(members) > 1:
+            names = [name for _, name in forms] + ["None"] * (len(members) < len(kind.__args__))
+            names = f"{', '.join(names[:-1])} or {names[-1]}"
+            raise ValueError(f"{where} must be {names}, got {value!r}")
+        kind = (of_type or members)[0]
+        origin = get_origin(kind)
+    if from_json and is_dataclass(kind):
         return typed_object(value, kind, where)
-    accepted, name = _JSON_TYPES[kind]
+    types, name = _form(kind, from_json)
     # bool is a subclass of int in Python but not a number in JSON
-    if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"{where} must be {name}, got {value!r}")
-    return kind(value)
+    if origin is tuple:
+        kinds = kind.__args__
+        if kinds[-1] is Ellipsis:
+            if {kinds[0]}.issuperset(map(type, value)):  # nothing to check or widen
+                return tuple(value)
+            kinds = kinds[:1] * len(value)
+        elif len(value) != len(kinds):
+            raise ValueError(f"{where} must have {len(kinds)} entries, got {value!r}")
+        entries = enumerate(zip(value, kinds))
+        return tuple(typed(v, t, f"{where}[{i}]", from_json) for i, (v, t) in entries)
+    if origin is Mapping:
+        keys, values = kind.__args__
+        at = "{}.{}" if from_json else "{}[{!r}]"
+        return {
+            typed(k, keys, f"{where} key"): typed(v, values, at.format(where, k), from_json)
+            for k, v in value.items()
+        }
+    return float(value) if kind is float else value
 
 
 @cache
 def _schema(cls: type) -> tuple[dict, frozenset]:
-    """Field types of dataclass ``cls`` and the names of its fields
-    without a default."""
-    required = frozenset(
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    )
-    return get_type_hints(cls), required
+    """The types of dataclass ``cls``'s init fields, and those without a default."""
+    hints, init = get_type_hints(cls), [f for f in fields(cls) if f.init]
+    required = (f.name for f in init if f.default is MISSING and f.default_factory is MISSING)
+    return {f.name: hints[f.name] for f in init}, frozenset(required)
+
+
+def check_fields(self) -> None:
+    """Check each init field of the dataclass ``self`` against its annotation
+    by :func:`typed`, and store what typed returns: every config calls this first."""
+    for name, kind in _schema(type(self))[0].items():
+        object.__setattr__(self, name, typed(getattr(self, name), kind, name, from_json=False))
 
 
 def typed_object(d, cls: type, where: str, /, **parsers):
     """A ``cls`` dataclass from the JSON object ``d``.
 
-    Each key must name a field; its value is checked by :func:`typed`
-    against the field's type, or read by ``parsers[key]`` for a field
-    whose JSON form is not its type. Unknown keys and absent fields
-    without a default are errors naming ``where``; other absent fields
-    keep their default, so defaults are stated once.
+    Each key must name a field; its value is read by :func:`typed`
+    against the field's type, or by ``parsers[key](value, where.key)``
+    for a field whose JSON form is not its type. Unknown keys and absent
+    fields without a default are errors naming ``where``; other absent
+    fields keep their default, so defaults are stated once.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -1116,11 +1147,8 @@ def typed_object(d, cls: type, where: str, /, **parsers):
         raise ValueError(f"{where}.{min(required - d.keys())} is missing")
     kwargs = {}
     for key, value in d.items():
-        if key in parsers:
-            value = parsers[key](value)
-        elif type(value) is not types[key]:
-            value = typed(value, types[key], f"{where}.{key}")
-        kwargs[key] = value
+        at = f"{where}.{key}"
+        kwargs[key] = parsers[key](value, at) if key in parsers else typed(value, types[key], at)
     return cls(**kwargs)
 
 

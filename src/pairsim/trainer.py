@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, reads_file, typed, typed_object
+from .simulation import Dataset, GoldTable, TextColumn, check_fields, reads_file, typed_object
 from .simulation import _first_bad_token_item, _text_error, _token_error
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
@@ -64,13 +64,11 @@ class TrainConfig:
     l2: float = 1e-5
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "hash_dim"):
-            typed(getattr(self, name), int, name)
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.hash_dim < 2:
-            raise ValueError(f"hash_dim must be at least 2, got {self.hash_dim}")
-        if not (math.isfinite(typed(self.l2, float, "l2")) and self.l2 > 0):
+        check_fields(self)
+        for name, least in (("epochs", 1), ("hash_dim", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not (math.isfinite(self.l2) and self.l2 > 0):
             raise ValueError(f"l2 must be finite and above 0, got {self.l2}")
         try:
             largest = self.path()[0]

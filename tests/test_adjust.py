@@ -453,9 +453,9 @@ def test_benchmark_validation():
 
 
 def test_benchmark_rejects_non_numbers_by_stratum():
-    with pytest.raises(ValueError, match="benchmark.A must be a number, got True"):
+    with pytest.raises(ValueError, match=r"^shares\['A'\] must be a number, got True$"):
         PopulationBenchmark({"A": True})
-    with pytest.raises(ValueError, match="benchmark must map each stratum"):
+    with pytest.raises(ValueError, match="^shares must be a mapping, got"):
         PopulationBenchmark([Fraction(1, 2), Fraction(1, 2)])
 
 
@@ -465,7 +465,7 @@ def test_read_benchmark_names_the_file(tmp_path):
     with pytest.raises(ValueError, match=r"benchmark\.json: benchmark\.B must be a number"):
         read_benchmark(path)
     path.write_text("[0.5, 0.5]")
-    with pytest.raises(ValueError, match=r"benchmark\.json: benchmark must map"):
+    with pytest.raises(ValueError, match=r"benchmark\.json: benchmark must be a JSON object"):
         read_benchmark(path)
 
 

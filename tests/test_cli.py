@@ -123,8 +123,8 @@ def test_cli_sweep_bad_flag_is_one_error_line(tmp_path, config_path, capsys, fla
 @pytest.mark.parametrize(
     "shares, message",
     [
-        ([0.5, 0.5], "benchmark must map each stratum to its share, got [0.5, 0.5]"),
-        ({"A": True}, "benchmark.A must be a number, got True"),
+        ([0.5, 0.5], "config.benchmark must be a JSON object, got [0.5, 0.5]"),
+        ({"A": True}, "config.benchmark.A must be a number, got True"),
     ],
 )
 def test_cli_sweep_bad_benchmark_is_one_error_line(

@@ -1,9 +1,13 @@
+import collections.abc
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import multiprocessing
 import re
+import types
+import typing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim import adjust, experiments, metrics, simulation, trainer
-from pairsim.adjust import PopulationBenchmark, apply_pair, recipe_counts
+from pairsim.adjust import PopulationBenchmark, WeightTable, apply_pair, recipe_counts
 from pairsim.experiments import (
     ExperimentConfig,
     SyntheticGold,
@@ -34,13 +38,18 @@ from pairsim.experiments import (
 )
 from pairsim.simulation import (
     Annotation,
+    BiasSpec,
+    DatasetMeta,
     GoldEntry,
     GoldTable,
+    PoolComposition,
     Rare,
     Uniform,
+    _schema,
     derive_gold,
     draw_suite,
     synth_gold,
+    typed_object,
 )
 from pairsim.trainer import TrainConfig
 
@@ -299,6 +308,13 @@ def test_run_cell_raises_the_cells_own_error():
     config = tiny_config(benchmark=PopulationBenchmark({"A": 0.4, "B": 0.4, "C": 0.2}))
     with pytest.raises(ValueError, match=r"absent from the annotation pool: 'C'"):
         run_cell(config, 0.3, 10, "adjusted")
+
+
+@pytest.mark.parametrize("seed", [True, 1.5])
+def test_run_cell_rejects_a_seed_that_is_not_an_integer(seed):
+    # True ran seed 1 and reported seed=True; 1.5 failed with a TypeError
+    with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed}$"):
+        run_cell(tiny_config(), 0.3, seed, "adjusted")
 
 
 def test_run_cell_names_an_item_its_recipe_keeps_no_record_of(monkeypatch):
@@ -715,15 +731,28 @@ def test_config_to_dict_then_from_dict_gives_the_config_back(config):
     assert config_from_dict(json.loads(json.dumps(d))) == config
 
 
+def test_a_python_built_config_saves_the_bytes_it_loads_back_as(tmp_path):
+    # ints in float fields are widened when the config is made, as when read
+    config = tiny_config(
+        gold=SyntheticGold(components=((Uniform(0, 1), 120),)), betas=(0,),
+        train=TrainConfig(l2=1),
+    )
+    save_config(config, tmp_path / "a.json")
+    save_config(load_config(tmp_path / "a.json"), tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert config.betas == (0.0,) and type(config.betas[0]) is float
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
-        (dict(seeds=(1.5,)), r"^seed must be an integer, got 1\.5$"),
-        (dict(seeds=(True,)), r"^seed must be an integer, got True$"),
-        (dict(split=(200.0, 50, 50)), r"^split counts \(200\.0, 50, 50\) must be non-negative integers$"),
-        (dict(split=(200, 50)), r"^expected three split counts, got 2$"),
+        (dict(seeds=(1.5,)), r"^seeds\[0\] must be an integer, got 1\.5$"),
+        (dict(seeds=(True,)), r"^seeds\[0\] must be an integer, got True$"),
+        (dict(split=(200.0, 50, 50)), r"^split\[0\] must be an integer, got 200\.0$"),
+        (dict(split=(200, 50)), r"^split must have 3 entries, got \(200, 50\)$"),
+        (dict(split=(200, -1, 50)), r"^split\[1\] \(dev items\) must be at least 0, got -1$"),
     ],
-    ids=["float-seed", "bool-seed", "float-split", "two-counts"],
+    ids=["float-seed", "bool-seed", "float-split", "two-counts", "negative-dev"],
 )
 def test_a_python_built_config_holds_to_the_json_integer_rule(change, message):
     # each of these would fail every cell, or run seed True as seed 1
@@ -754,7 +783,7 @@ def test_a_python_built_config_holds_to_the_json_bool_and_number_rules(change, m
             dict(benchmark={"A": 0.5, "B": 0.5}),
             r"^benchmark must be a PopulationBenchmark, got \{'A': 0\.5, 'B': 0\.5\}$",
         ),
-        (dict(gold=5), r"^gold must be a SyntheticGold or a file name, got 5$"),
+        (dict(gold=5), r"^gold must be a SyntheticGold or a string, got 5$"),
         (dict(betas=[0.3]), r"^betas must be a tuple, got \[0\.3\]$"),
         (dict(split=[200, 50, 50]), r"^split must be a tuple, got \[200, 50, 50\]$"),
     ],
@@ -776,20 +805,28 @@ def test_a_python_built_config_holds_to_the_json_kind_rules(change, message):
         ),
         (
             lambda: SyntheticGold(components=((0.5, 300),)),
-            r"^components\[0\] must be a \(Uniform or Rare, n\) pair, got \(0\.5, 300\)$",
+            r"^components\[0\]\[0\] must be a Uniform or a Rare, got 0\.5$",
         ),
         (
             lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 5), (Rare(0.1),))),
-            r"^components\[1\] must be a \(Uniform or Rare, n\) pair, got \(Rare\(mean=0\.1\),\)$",
+            r"^components\[1\] must have 2 entries, got \(Rare\(mean=0\.1\),\)$",
         ),
         (lambda: Uniform(True, 1), r"^low must be a number, got True$"),
         (lambda: Uniform("0", 1), r"^low must be a number, got '0'$"),
         (lambda: Uniform(0, None), r"^high must be a number, got None$"),
         (lambda: Rare("0.1"), r"^mean must be a number, got '0\.1'$"),
+        (lambda: BiasSpec(0.3, 5), r"^direction_by_stratum must be a mapping, got 5$"),
+        (
+            lambda: BiasSpec(0.3, {"A": "minus", 5: "plus"}),
+            r"^direction_by_stratum key must be a string, got 5$",
+        ),
+        (lambda: PoolComposition([("A", 6)]), r"^counts must be a mapping, got \[\('A', 6\)\]$"),
+        (lambda: WeightTable([1]), r"^raw must be a mapping, got \[1\]$"),
     ],
     ids=[
         "list-components", "float-component", "one-item-component",
         "bool-low", "str-low", "none-high", "str-mean",
+        "int-directions", "int-stratum", "list-counts", "list-weights",
     ],
 )
 def test_python_built_gold_shapes_hold_to_the_json_rules(build, message):
@@ -806,7 +843,7 @@ def test_python_built_gold_shapes_hold_to_the_json_rules(build, message):
         (lambda: TrainConfig(epochs=True), r"^epochs must be an integer, got True$"),
         (
             lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 1.5),)),
-            r"^components\[0\]\.n must be an integer, got 1\.5$",
+            r"^components\[0\]\[1\] must be an integer, got 1\.5$",
         ),
         (
             lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 3),), vocab_size=2000.0),
@@ -818,7 +855,7 @@ def test_python_built_gold_shapes_hold_to_the_json_rules(build, message):
         ),
         (
             lambda: SyntheticGold(components=((Uniform(0.0, 1.0), 3),), seed=0.5),
-            r"^gold seed must be an integer, got 0\.5$",
+            r"^seed must be an integer, got 0\.5$",
         ),
     ],
     ids=["hash-dim", "epochs", "component-n", "vocab-size", "tokens-per-item", "gold-seed"],
@@ -1030,11 +1067,11 @@ def test_config_from_dict_rejects_bad_train_values_by_name():
     "shares, message",
     [
         ({"A": True, "B": 0}, "benchmark.A must be a number, got True"),
-        ({"A": 0.5, "B": None}, "benchmark.B must be a number, got None"),
+        ({"A": 0.5, "B": None}, "benchmark.B must be a number, a string or a Fraction, got None"),
         ({"A": "half", "B": "1/2"}, "benchmark.A must be a number or a fraction string"),
         ({"A": "1/0", "B": "1/2"}, "benchmark.A must be a number or a fraction string"),
         ({"A": float("inf"), "B": 0.5}, "benchmark.A must be finite"),
-        ([0.5, 0.5], r"benchmark must map each stratum to its share, got \[0.5, 0.5\]"),
+        ([0.5, 0.5], r"config\.benchmark must be a JSON object, got \[0.5, 0.5\]"),
     ],
 )
 def test_config_from_dict_rejects_bad_benchmarks_by_name(shares, message):
@@ -1058,6 +1095,134 @@ def test_config_from_dict_rejects_ambiguous_gold():
     d["gold"]["file"] = "annotations.jsonl"
     with pytest.raises(ValueError, match="exactly one"):
         config_from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# the kind rule of every config dataclass, generated from the annotations
+
+
+def _in_config(*path):
+    """The JSON door of the object at ``path`` in a config: the config
+    read with one field of that object set to a value, and the field's
+    place as errors name it."""
+
+    def door(field, value):
+        d = node = _full_config_dict()
+        for step in path:
+            node = node[step]
+        node[field] = value
+        where = "config" + "".join(f"[{s}]" if type(s) is int else f".{s}" for s in path)
+        return partial(config_from_dict, d), f"{where}.{field}"
+
+    return door
+
+
+def _as_object(build):
+    """The JSON door of a dataclass read by typed_object: the object of
+    ``build()``'s fields with one set to a value, read as ``x``."""
+
+    def door(field, value):
+        instance = build()
+        d = {name: getattr(instance, name) for name in _schema(type(instance))[0]}
+        d[field] = value
+        return partial(typed_object, d, type(instance), "x"), f"x.{field}"
+
+    return door
+
+
+def _config():
+    return config_from_dict(_full_config_dict())
+
+
+_COMPONENTS = ("gold", "synthetic", "components")
+
+# each class under the kind rule: a valid instance, and its JSON door; a
+# benchmark's JSON form is the mapping of its shares
+_KIND_CHECKED = {
+    ExperimentConfig: (_config, _in_config()),
+    SyntheticGold: (lambda: _config().gold, _in_config("gold", "synthetic")),
+    Uniform: (lambda: _config().gold.components[0][0], _in_config(*_COMPONENTS, 0)),
+    Rare: (lambda: _config().gold.components[1][0], _in_config(*_COMPONENTS, 1)),
+    TrainConfig: (lambda: _config().train, _in_config("train")),
+    PopulationBenchmark: (lambda: _config().benchmark, lambda _, value: (
+        partial(config_from_dict, {**_full_config_dict(), "benchmark": value}), "config.benchmark"
+    )),
+    PoolComposition: (lambda: PoolComposition({"A": 6, "B": 3}), None),
+    DatasetMeta: (lambda: DatasetMeta("OL", "custom", 0.3, 10), None),
+    BiasSpec: (lambda: BiasSpec.two_type(0.3), None),
+    WeightTable: (lambda: WeightTable({"A": Fraction(1), "B": Fraction(2)}), None),
+}
+
+# values of many kinds, and those that JSON has
+_PYTHON_VALUES = (None, True, 0, 1.5, "x", (), (1,), [1], {"a": 1}, Fraction(1, 3))
+_JSON_VALUES = (None, True, 0, 1.5, "x", [], [1], {"a": 1})
+
+
+def _admits(kind, from_json: bool) -> tuple[type, ...]:
+    """The types of the values an annotation admits at its top level."""
+    origin = typing.get_origin(kind)
+    if origin in (typing.Union, types.UnionType):
+        return tuple(t for member in typing.get_args(kind) for t in _admits(member, from_json))
+    if origin is tuple:
+        return (list,) if from_json else (tuple,)
+    if origin is collections.abc.Mapping or from_json and dataclasses.is_dataclass(kind):
+        return (dict,) if from_json else (collections.abc.Mapping,)
+    return (int, float) if kind is float else (kind,)
+
+
+def _wrong(kind, from_json: bool):
+    """Values not of ``kind``: at the top level, or as an entry of a tuple or
+    a mapping, or (from Python) a mapping's key."""
+    admits = _admits(kind, from_json)
+    values = _JSON_VALUES if from_json else _PYTHON_VALUES
+    wrong = st.sampled_from([
+        v for v in values if not isinstance(v, admits) or type(v) is bool and bool not in admits
+    ])
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple:
+        wrong |= _wrong(args[0], from_json).map(lambda v: [v] if from_json else (v,))
+    if origin is collections.abc.Mapping:
+        wrong |= _wrong(args[1], from_json).map(lambda v: {"A": v})
+        if not from_json:
+            wrong |= st.sampled_from([5, (1,), Fraction(1, 3)]).map(lambda k: {k: None})
+    return wrong
+
+
+def _under_the_kind_rule():
+    """Every dataclass of the package whose __post_init__ calls check_fields."""
+    return [
+        cls
+        for module in (adjust, experiments, simulation, trainer)
+        for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        and hasattr(cls, "__post_init__")
+        and "check_fields(self)" in inspect.getsource(cls.__post_init__)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls, field",
+    [
+        (cls, field)
+        for cls in dict.fromkeys([*_KIND_CHECKED, *_under_the_kind_rule()])
+        for field in _schema(cls)[0]
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else x,
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_every_config_field_rejects_a_value_of_another_kind_by_name(cls, field, data):
+    # a new field is covered with no new line, and a new class under the
+    # rule needs an entry in _KIND_CHECKED
+    build, door = _KIND_CHECKED[cls]
+    kind = _schema(cls)[0][field]
+    value = data.draw(_wrong(kind, from_json=False), label="python")
+    with pytest.raises(ValueError, match=rf"^{field}\b"):
+        dataclasses.replace(build(), **{field: value})
+    read, where = (door or _as_object(build))(field, data.draw(_wrong(kind, True), label="json"))
+    with pytest.raises(ValueError, match=re.escape(where)):
+        read()
+
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -39,9 +39,13 @@ def test_string_int_distinction():
     assert not np.array_equal(stream(1, 1).random(4), stream(1, "1").random(4))
 
 
-def test_rejects_unsupported_part_types():
-    with pytest.raises(TypeError):
-        stream(1.5)
+@pytest.mark.parametrize("part", [1.5, True, np.True_])
+def test_rejects_unsupported_part_types(part):
+    # a bool was hashed as the int it equals: stream(True) was stream(1)
+    with pytest.raises(TypeError, match="stream key parts must be int or str"):
+        stream(part)
+    with pytest.raises(TypeError, match="stream key parts must be int or str"):
+        stream_keys(part, count=1)
 
 
 @pytest.mark.parametrize("part", [2**127, -(2**127) - 1, 2**130])

@@ -6,6 +6,7 @@ from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import cache
 from pathlib import Path
+from typing import Mapping, Union
 
 import numpy as np
 import pytest
@@ -1229,6 +1230,11 @@ def test_typed_reads_dataclasses():
     assert read == (_Point(1, (2.0,)), _Point(3))
     assert type(read[0].tags[0]) is float  # widened, as in any float field
     assert typed(None, _Point | None, "top") is None
+    # a fixed tuple, a union of a class and a string, and a mapping
+    assert typed([{"x": 1}, "a"], tuple[_Point, str], "top") == (_Point(1), "a")
+    assert [typed(v, Union[_Point, str], "top") for v in ("a", {"x": 2})] == ["a", _Point(2)]
+    read = typed({"a": [1], "b": []}, Mapping[str, tuple[float, ...]], "top")
+    assert read == {"a": (1.0,), "b": ()} and type(read["a"][0]) is float
 
 
 @pytest.mark.parametrize(
@@ -1241,6 +1247,14 @@ def test_typed_reads_dataclasses():
         ([{"x": 1}, {}], tuple[_Point, ...], r"^top\[1\]\.x is missing$"),
         ([{"x": 1}, [1]], tuple[_Point, ...], r"^top\[1\] must be a JSON object, got list$"),
         (5, _Point | None, r"^top must be a JSON object, got int$"),
+        ([1], tuple[int, str], r"^top must have 2 entries, got \[1\]$"),
+        ([1, 2], tuple[int, str], r"^top\[1\] must be a string, got 2$"),
+        ([1, {}], tuple[int, _Point], r"^top\[1\]\.x is missing$"),
+        (5, Union[_Point, str], r"^top must be a JSON object or a string, got 5$"),
+        ({"y": 1}, Union[_Point, str], r"^unknown key 'y' in top$"),
+        ([1], Mapping[str, int], r"^top must be a JSON object, got \[1\]$"),
+        ({"a": 1.5}, Mapping[str, int], r"^top\.a must be an integer, got 1\.5$"),
+        ({"a": [True]}, Mapping[str, tuple[float, ...]], r"^top\.a\[0\] must be a number"),
     ],
 )
 def test_typed_names_the_nested_field_in_errors(value, kind, message):
