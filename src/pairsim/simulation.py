@@ -1092,7 +1092,7 @@ def typed(value, kind, where: str, from_json: bool = True):
         return typed_object(value, kind, where)
     types, name = _form(kind, from_json)
     # bool is a subclass of int in Python but not a number in JSON
-    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
+    if not isinstance(value, types) or (isinstance(value, bool) and kind in (int, float)):
         raise ValueError(f"{where} must be {name}, got {value!r}")
     if origin is tuple:
         kinds = kind.__args__

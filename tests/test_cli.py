@@ -296,8 +296,19 @@ def test_cli_simulate_names_an_undecodable_gold_file(tmp_path, config_path, caps
         (lambda raw: raw["train"].update(epochs=700),
          "epochs 700 and l2 1e-05 put the path's largest penalty, "
          "l2 * 10 ** ((epochs - 1) / 2), beyond the float range"),
+        # a bool inside the gold object is read by its field's kind
+        (lambda raw: raw["gold"]["synthetic"]["components"][0].update(low=True),
+         "config.gold.synthetic.components[0].low must be a number, got True"),
+        (lambda raw: raw["gold"]["synthetic"]["components"][0].update(n=True),
+         "config.gold.synthetic.components[0].n must be an integer, got True"),
+        (lambda raw: raw["gold"]["synthetic"]["components"][0].update(shape=True),
+         "unknown gold shape True in config.gold.synthetic.components[0]"),
+        (lambda raw: raw.update(gold={"file": True}), "config.gold.file must be a string, got True"),
     ],
-    ids=["vocab-size-1", "tokens-per-item-0", "component-n-negative", "epochs-700"],
+    ids=[
+        "vocab-size-1", "tokens-per-item-0", "component-n-negative", "epochs-700",
+        "component-low-true", "component-n-true", "component-shape-true", "gold-file-true",
+    ],
 )
 def test_cli_sweep_rejects_a_config_no_cell_can_run(
     tmp_path, config_path, capsys, monkeypatch, edit, message

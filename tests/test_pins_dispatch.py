@@ -1,19 +1,15 @@
-"""Every pinned output under numpy's default kernel dispatch and with
-the dispatched SIMD kernels switched off.
+"""The pins of tests/test_pins.py with numpy's dispatched SIMD kernels
+switched off.
 
 numpy picks some of its kernels by CPU at run time, so a pinned byte that
 depends on one of them would differ between hosts. The test below runs
-every case of tests/test_pins.py in two fresh processes: one as numpy
-dispatches on this CPU, and one with every SIMD extension numpy found
-here disabled through ``NPY_DISABLE_CPU_FEATURES`` (numpy refuses a name
-outside that list, so the names are read, not written down). It compares
-the outputs' SHA-256 with each other and with the pins.
-
-``python tests/test_pins_dispatch.py OUT`` runs the cases in the
-directory OUT and writes their digests to OUT/digests.json.
+tests/test_pins.py in a fresh process with every SIMD extension numpy
+found here disabled through ``NPY_DISABLE_CPU_FEATURES`` (numpy refuses a
+name outside that list, so the names are read, not written down). The
+suite's own run of tests/test_pins.py is the run under the default
+dispatch; when both match the pins they match each other.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -22,93 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_pins import (
-    ADJUST_PINS,
-    COLD_MODEL_PIN,
-    EVALUATE_PIN,
-    MODEL_PIN,
-    PAPER,
-    QUICK,
-    REPORT_PINS,
-    SIMULATE_PINS,
-    TREND,
-    adjust,
-    main,
-    sha256,
-)
-
-SRC = Path(__file__).resolve().parent.parent / "src"
-
-# the cases of tests/test_pins.py, by their ids there
-ADJUSTS = {"default-k": [], "k-4/3": ["--k", "4/3"]}
-SWEEPS = {
-    "quick-serial": (QUICK, []),
-    "quick-workers2": (QUICK, ["--workers", "2"]),
-    "trend-seed10": (TREND, ["--seeds", "10"]),
-    "paper-grid-seed10": (PAPER, ["--seeds", "10"]),
-}
-PINS = {
-    **{f"simulate/{name}": pin for name, pin in SIMULATE_PINS.items()},
-    **{f"{case}/{name}": pin for case in ADJUSTS for name, pin in ADJUST_PINS.items()},
-    **{case: REPORT_PINS[config] for case, (config, _) in SWEEPS.items()},
-    "model": MODEL_PIN,
-    "evaluate": EVALUATE_PIN,
-    "cold-model": COLD_MODEL_PIN,
-}
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def pinned_digests(out: Path) -> dict[str, str]:
-    """The SHA-256 of each output in :data:`PINS`, every case run once in
-    the directory ``out``, as tests/test_pins.py runs it."""
-    simulated = out / "simulate"
-    assert main(["simulate", "--config", QUICK, "--beta", "0.3", "--seed", "10",
-                 "--out", str(simulated)]) == 0
-    digests = {f"simulate/{name}": sha256(simulated / name) for name in SIMULATE_PINS}
-    for case, k in ADJUSTS.items():
-        (out / case).mkdir(parents=True)
-        adjust(simulated, out / case, *k)
-        digests.update({f"{case}/{name}": sha256(out / case / name) for name in ADJUST_PINS})
-    for case, (config, flags) in SWEEPS.items():
-        assert main(["sweep", "--config", config, "--out", str(out / case), *flags]) == 0
-        digests[case] = sha256(out / case / "report.csv")
-    gold, dataset = str(simulated / "gold.jsonl"), str(out / "default-k" / "adjusted.jsonl")
-    model, cold, metrics = out / "model.json", out / "cold-model.json", out / "metrics.json"
-    assert main(["train", "--dataset", dataset, "--gold", gold,
-                 "--dev-dataset", str(simulated / "representative.jsonl"),
-                 "--out", str(model), "--seed", "10", "--epochs", "3",
-                 "--hash-dim", "1024"]) == 0
-    assert main(["evaluate", "--model", str(model), "--gold", gold, "--dataset", dataset,
-                 "--out", str(metrics)]) == 0
-    assert main(["train", "--dataset", dataset, "--gold", gold, "--out", str(cold),
-                 "--seed", "10", "--epochs", "1", "--hash-dim", "4096"]) == 0
-    digests.update(model=sha256(model), evaluate=sha256(metrics), **{"cold-model": sha256(cold)})
-    return digests
-
-
-def test_pinned_outputs_do_not_depend_on_numpy_kernel_dispatch(tmp_path):
+def test_pinned_outputs_do_not_depend_on_numpy_kernel_dispatch():
     found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
     if not found:
         pytest.skip("numpy dispatches no SIMD extension beyond its baseline on this CPU")
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    envs = {"default": env, "narrowed": {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(found)}}
-    # both processes at once: each is mostly one core's work
-    runs = {
-        name: subprocess.Popen(
-            [sys.executable, __file__, str(tmp_path / name)], env=run_env,
-            stdout=subprocess.DEVNULL,
-        )
-        for name, run_env in envs.items()
-    }
-    assert {name: run.wait(timeout=600) for name, run in runs.items()} == dict.fromkeys(runs, 0)
-    digests = {
-        name: json.loads((tmp_path / name / "digests.json").read_text()) for name in runs
-    }
-    assert digests["narrowed"] == digests["default"]
-    assert digests["default"] == PINS
-
-
-if __name__ == "__main__":
-    out = Path(sys.argv[1])
-    out.mkdir()
-    (out / "digests.json").write_text(json.dumps(pinned_digests(out)))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found)}
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_pins.py"]
+    run = subprocess.run(
+        command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
