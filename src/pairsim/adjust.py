@@ -182,14 +182,7 @@ def apply_pair(
     original = np.where(
         replica_no > 0, first[source], np.where(moved >= 0, first[moved], -1)
     )
-
-    def make_ids() -> list[str]:
-        ids = dataset.annotation_ids
-        return [
-            f"{ids[r]}#r{j}" if j else ids[r]
-            for r, j in zip(source.tolist(), replica_no.tolist())
-        ]
-
+    ids = dataset.annotation_ids
     adjusted = Dataset(
         replace(dataset.meta, recipe=RECIPE_ADJUSTED),
         dataset.item_ids,
@@ -198,7 +191,10 @@ def apply_pair(
         dataset.stratum[source],
         dataset.label[source],
         original,
-        make_ids,
+        tuple(
+            f"{ids[r]}#r{j}" if j else ids[r]
+            for r, j in zip(source.tolist(), replica_no.tolist())
+        ),
     )
     return adjusted, weights
 

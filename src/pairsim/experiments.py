@@ -247,7 +247,7 @@ def load_gold(config: ExperimentConfig) -> GoldTable:
 class _Seed:
     """What the cells of a seed share: the draws of its suite at every
     beta, the gold positions of its train and dev items, the design of
-    those items, and its test items with their features."""
+    those items, and its test items with their features; all read-only."""
 
     draws: SuiteDraws
     train: np.ndarray
@@ -268,6 +268,7 @@ def _seed_cached(config: ExperimentConfig, seed: int) -> _Seed:
         np.fromiter(map(features.rows.__getitem__, part.item_id), np.intp, len(part))
         for part in (train_gold, dev_gold)
     )
+    train.flags.writeable = dev.flags.writeable = False
     design = Design.of(features.matrix[train], features.matrix[dev] if len(dev) else None)
     draws = draw_suite(load_gold(config), seed, config.task)
     return _Seed(draws, train, dev, design, test_gold, features.select(test_gold.item_id))

@@ -17,12 +17,11 @@ experiment harness, with two annotator types A (shifted down) and B
                     (produced by pairsim.adjust, not here)
 
 A :class:`Dataset` is stored as numpy columns, one entry per annotation
-record: the record's item code, stratum code, label (int8), and the
-index of the record it replicates (-1 for an original). The item and
-stratum codes index two small tables of ids. Sampling, restriction,
-replication, training and scoring work on the columns alone; annotation
-id strings are made only when a dataset is written or its ``records``
-(:class:`Annotation` rows, for hand-built data and tests) are asked for.
+record: the record's item code, stratum code, label (int8), the index
+of the record it replicates (-1 for an original) and its annotation id.
+The item and stratum codes index two small tables of ids. Its
+``records`` (:class:`Annotation` rows, for hand-built data and tests)
+are made only when asked for; a sweep builds no dataset at all.
 A :class:`GoldTable` is columns too, one entry per item. Its texts are a
 :class:`TextColumn`: a vocabulary of distinct tokens and every item's
 tokens as integer codes into it. Its ``entries`` (:class:`GoldEntry`
@@ -34,7 +33,7 @@ from __future__ import annotations
 import json
 import numbers
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, wraps
 from itertools import chain
@@ -430,11 +429,10 @@ class Dataset:
 
     ``item_ids[item[k]]`` and ``stratum_ids[stratum[k]]`` are record k's
     item and stratum, ``label[k]`` its label, and ``original[k]`` the
-    index of the record it replicates, or -1 for an original. The
-    tables may name items or strata that no record has (a restricted
-    dataset keeps its parent's). ``make_ids`` returns every record's
-    annotation id; it runs when :attr:`annotation_ids` is first read.
-    Build a dataset from :class:`Annotation` rows with
+    index of the record it replicates, or -1 for an original, and
+    ``annotation_ids[k]`` its annotation id. The tables may name items
+    or strata that no record has (a restricted dataset keeps its
+    parent's). Build a dataset from :class:`Annotation` rows with
     :meth:`from_records`.
     """
 
@@ -445,7 +443,7 @@ class Dataset:
     stratum: np.ndarray
     label: np.ndarray
     original: np.ndarray
-    make_ids: Callable[[], Sequence[str]]
+    annotation_ids: tuple[str, ...]
 
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
@@ -464,10 +462,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.label)
-
-    @cached_property
-    def annotation_ids(self) -> Sequence[str]:
-        return self.make_ids()
 
     @cached_property
     def records(self) -> tuple[Annotation, ...]:
@@ -498,6 +492,7 @@ class Dataset:
     def take(self, rows: np.ndarray) -> "Dataset":
         """The records at the distinct indices ``rows``, in that order, with
         this dataset's meta. A kept replica's original must be kept."""
+        ids = self.annotation_ids
         original = self.original[rows]
         replica = original >= 0
         if replica.any():
@@ -507,18 +502,12 @@ class Dataset:
             lost = np.flatnonzero(replica & (original < 0))
             if len(lost):
                 k = int(rows[lost[0]])
-                ids = self.annotation_ids
                 raise ValueError(
                     f"replica {ids[k]!r} is kept without its original {ids[self.original[k]]!r}"
                 )
-
-        def make_ids() -> list[str]:
-            ids = self.annotation_ids
-            return [ids[k] for k in rows.tolist()]
-
         return replace(
             self, item=self.item[rows], stratum=self.stratum[rows], label=self.label[rows],
-            original=original, make_ids=make_ids,
+            original=original, annotation_ids=tuple(map(ids.__getitem__, rows.tolist())),
         )
 
     def restrict(self, item_ids: Iterable[str]) -> "Dataset":
@@ -615,7 +604,7 @@ def _coded_dataset(
         original[replicas] = targets
     item_ids, item = _first_use_codes(items)
     stratum_ids, stratum = _first_use_codes(strata)
-    dataset = Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, lambda: ids)
+    dataset = Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, tuple(ids))
     dataset.validate()
     return dataset
 
@@ -943,7 +932,7 @@ def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
         np.tile(np.repeat(np.arange(len(draws.strata)), draws.counts), n),
         label.ravel(),
         np.full(n * per_item, -1, dtype=np.intp),
-        lambda: [f"{item_id}:{slot}" for item_id in item_ids for slot in slots],
+        tuple(f"{item_id}:{slot}" for item_id in item_ids for slot in slots),
     )
 
 

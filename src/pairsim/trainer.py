@@ -22,6 +22,7 @@ import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -151,13 +152,25 @@ def _item_matrix(item_ids: Sequence[str], text: TextColumn, dim: int) -> sparse.
     return matrix
 
 
+def _read_only(*matrices: sparse.spmatrix) -> None:
+    """Make the arrays of each sparse matrix read-only."""
+    for matrix in matrices:
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            array.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class Features:
     """Hashed token frequencies of a set of items: row ``rows[item_id]``
-    of ``matrix`` is that item's, with ``hash_dim`` columns."""
+    of ``matrix`` is that item's, with ``hash_dim`` columns. The mapping
+    and the matrix's arrays are read-only."""
 
     rows: Mapping[str, int]
     matrix: sparse.csr_matrix
+
+    def __post_init__(self) -> None:
+        _read_only(self.matrix)
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
 
     @property
     def hash_dim(self) -> int:
@@ -353,12 +366,17 @@ class Design:
     """The matrices of a fit: ``X``, the training rows over the ``active``
     hash columns that some training text touches (every other weight is
     exactly 0: it has zero gradient and zero ridge pull), its transpose
-    ``X_T``, and ``X_sel``, the rows that select the path point."""
+    ``X_T``, and ``X_sel``, the rows that select the path point. Their
+    arrays are read-only."""
 
     X: sparse.csr_matrix
     X_T: sparse.csc_matrix
     active: np.ndarray
     X_sel: sparse.csr_matrix
+
+    def __post_init__(self) -> None:
+        _read_only(self.X, self.X_T, self.X_sel)
+        self.active.flags.writeable = False
 
     @classmethod
     def of(cls, X_items: sparse.csr_matrix, X_sel: sparse.csr_matrix | None = None) -> "Design":

@@ -29,6 +29,7 @@ from pairsim.metrics import positive_proportion
 from pairsim.rng import stream
 from pairsim.simulation import (
     Annotation,
+    BiasSpec,
     Dataset,
     DatasetMeta,
     GoldEntry,
@@ -37,7 +38,9 @@ from pairsim.simulation import (
     Uniform,
     _first_use_codes,
     build_suite,
+    draw_suite,
     filter_difficult,
+    label_pool,
     read_dataset,
     synth_gold,
     typed_object,
@@ -113,6 +116,19 @@ def write_dataset_rows(dataset):
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+def written_ids(path):
+    """The annotation ids of a dataset file's records, decoded as JSON."""
+    lines = path.read_text(encoding="utf-8").split("\n")[1:-1]
+    return tuple(json.loads(line)["annotation_id"] for line in lines)
+
+
+def assert_ids_are_the_written_ones(dataset, path):
+    """The dataset's ids are a tuple, and the ones write_dataset writes."""
+    write_dataset(dataset, path)
+    assert type(dataset.annotation_ids) is tuple
+    assert dataset.annotation_ids == written_ids(path)
+
+
 def read_dataset_rows(path):
     """A dataset file read record by record: each line decoded as JSON,
     the first as a header and every other as an Annotation, and the
@@ -153,7 +169,9 @@ def datasets(draw, names=st.integers(0, 99).map(str)):
         records.append(
             replace(of, annotation_id=f"r{k}", source="replica", replica_of=of.annotation_id)
         )
-    dataset = Dataset.from_records(draw(st.permutations(records)), META)
+    records = draw(st.permutations(records))
+    dataset = Dataset.from_records(records, META)
+    assert dataset.annotation_ids == tuple(r.annotation_id for r in records)
     if draw(st.booleans()):
         dataset = dataset.take(np.array(draw(st.permutations(range(len(dataset))))))
     return dataset
@@ -177,6 +195,7 @@ def test_restrict_equals_the_record_filter(dataset, data):
     wanted = data.draw(st.lists(st.sampled_from(items)))
     sub = dataset.restrict(wanted)
     assert sub.records == restrict_rows(dataset, wanted)
+    assert type(sub.annotation_ids) is tuple
     assert sub.meta == dataset.meta
     sub.validate()
 
@@ -194,6 +213,8 @@ def test_apply_pair_equals_the_record_loop(dataset, data):
     adjusted, weights = apply_pair(dataset, benchmark)
     records, expected = apply_pair_rows(dataset, benchmark)
     assert adjusted.records == records
+    assert adjusted.annotation_ids == tuple(r.annotation_id for r in records)
+    assert type(adjusted.annotation_ids) is tuple
     assert (weights.raw, weights.k, weights.counts) == (expected.raw, expected.k, expected.counts)
     assert adjusted.meta == replace(dataset.meta, recipe="adjusted")
     adjusted.validate()
@@ -266,7 +287,7 @@ def test_take_refuses_to_drop_the_original_of_a_kept_replica():
     )
     dataset = Dataset(
         META, ("it0", "it1"), ("A",), np.array([0, 1]), np.array([0, 0]),
-        np.array([1, 1], dtype=np.int8), np.array([-1, 0]), lambda: ("a", "b"),
+        np.array([1, 1], dtype=np.int8), np.array([-1, 0]), ("a", "b"),
     )
     with pytest.raises(ValueError, match="replica 'b' is kept without its original 'a'"):
         dataset.restrict(["it1"])
@@ -282,7 +303,7 @@ def test_take_refuses_to_drop_the_original_of_a_kept_replica():
 def test_write_then_read_gives_equal_columns_and_the_same_bytes(tmp_path_factory, dataset):
     # names of any characters: quotes, backslashes, control and non-ASCII
     path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
-    write_dataset(dataset, path)
+    assert_ids_are_the_written_ones(dataset, path)
     assert path.read_bytes() == write_dataset_rows(dataset)
     back = read_dataset(path)
     assert back.meta == dataset.meta
@@ -292,7 +313,8 @@ def test_write_then_read_gives_equal_columns_and_the_same_bytes(tmp_path_factory
     assert [back.stratum_ids[s] for s in back.stratum] == [
         dataset.stratum_ids[s] for s in dataset.stratum
     ]
-    assert list(back.annotation_ids) == list(dataset.annotation_ids)
+    assert type(back.annotation_ids) is tuple
+    assert back.annotation_ids == dataset.annotation_ids
     for column in ("label", "original"):
         assert np.array_equal(getattr(back, column), getattr(dataset, column))
     again = path.with_name("again.jsonl")
@@ -301,13 +323,21 @@ def test_write_then_read_gives_equal_columns_and_the_same_bytes(tmp_path_factory
 
 
 def test_suite_files_are_the_record_lines(tmp_path):
-    suite = build_suite(synth_gold(30, Uniform(0.2, 0.8), seed=3), 0.3, seed=4)
+    gold = synth_gold(30, Uniform(0.2, 0.8), seed=3)
+    suite = build_suite(gold, 0.3, seed=4)
+    pool = label_pool(draw_suite(gold, 4).pool, BiasSpec.two_type(0.3))
     adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
-    for dataset in (suite.representative, suite.nonrep2, adjusted.restrict(["item00003"])):
-        path = tmp_path / "ds.jsonl"
-        write_dataset(dataset, path)
+    slots = [f"A{k}" for k in range(9)] + [f"B{k}" for k in range(6)]
+    assert pool.annotation_ids == tuple(f"{i}:{s}" for i in gold.item_ids() for s in slots)
+    path = tmp_path / "ds.jsonl"
+    for dataset in (
+        pool, suite.representative, suite.nonrep2, adjusted, adjusted.restrict(["item00003"])
+    ):
+        assert_ids_are_the_written_ones(dataset, path)
         assert path.read_bytes() == write_dataset_rows(dataset)
-        assert read_dataset(path) == dataset
+        back = read_dataset(path)
+        assert back == dataset
+        assert type(back.annotation_ids) is tuple and back.annotation_ids == written_ids(path)
 
 
 # ---------------------------------------------------------------------------

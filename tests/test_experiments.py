@@ -536,6 +536,23 @@ def test_quick_sweep_codes_texts_once_and_hashes_each_vocabulary_entry_once(monk
     assert max(hashed.values()) == 1
 
 
+def test_a_sweeps_cached_inputs_are_read_only():
+    # every later cell of the process reads them, so none may edit them
+    config = load_config(CONFIG_DIR / "quick.json")
+    features = experiments._features_cached(config)
+    cached = experiments._seed_cached(config, 10)
+    design = cached.design
+    arrays = [cached.train, cached.dev, design.active]
+    for matrix in (features.matrix, design.X, design.X_T, design.X_sel, cached.test_features.matrix):
+        arrays += [matrix.data, matrix.indices, matrix.indptr]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    for rows in (features.rows, cached.test_features.rows):
+        with pytest.raises(TypeError):
+            rows["item00000"] = 0
+
+
 class _RecordingPool:
     """Stand-in for ``ProcessPoolExecutor`` that records its size and runs
     the cells in this process, starting none."""
