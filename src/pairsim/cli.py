@@ -169,7 +169,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.seeds is not None:
         config = replace(config, seeds=_seed_list(args.seeds))
     # a gold table that cannot be built or split fails the run once, before
-    # any cell; the cells, forked pool workers too, find it in load_gold's cache
+    # any cell; the cells find it in load_gold's cache. sweep runs the first
+    # cell here before it starts a pool, so forked workers inherit the gold
+    # table, the features and the first seed's entry, and build a later
+    # seed's; spawn and forkserver workers build all of them
     split_gold(config, config.seeds[0])
     result = sweep(config, output_dir=args.out, workers=args.workers)
     print(f"{len(result.rows)} cells completed, {len(result.failures)} failed; report in {args.out}")

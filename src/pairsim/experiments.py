@@ -404,10 +404,14 @@ def sweep(
     keeps the split, the suite draws and the design of the last seed it
     ran, and each cell counts the draws at its beta, so a serial sweep
     splits the gold table, draws the pool and builds the design once per
-    seed. Under a pool, a seed's are built in every process that runs one
-    of its cells, whatever the start method: pool workers are dealt
-    single cells, so with ``workers=2`` both processes build them. The
-    pool starts no more processes than there are cells.
+    seed. With ``workers`` above 1, this process runs the first cell
+    before it starts the pool, which runs the others and starts no more
+    processes than there are of them. Forked workers inherit the gold
+    table, the features and the first seed's entry that the first cell
+    built; a later seed's are built in every worker that runs one of its
+    cells, as pool workers are dealt single cells. Workers started by
+    ``spawn`` or ``forkserver`` build all of them, and write the same
+    report.
     Failures are isolated per cell: the sweep continues, failed cells are
     enumerated, and the report holds one row per completed cell plus
     cross-seed aggregate rows. ``workers`` that is not an int of at
@@ -430,8 +434,10 @@ def sweep(
     if workers == 1:
         outcomes = [_cell_outcome(c) for c in cells]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell_outcome, cells))
+        # the first cell fills this process's caches before the pool forks
+        outcomes = [_cell_outcome(cells[0])]
+        with ProcessPoolExecutor(max_workers=min(workers, len(cells) - 1)) as pool:
+            outcomes += pool.map(_cell_outcome, cells[1:])
     rows = sorted(
         (row for row, _ in outcomes if row is not None),
         key=lambda r: (r.task, r.recipe, r.beta, r.seed),

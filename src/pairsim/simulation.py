@@ -432,8 +432,8 @@ class Dataset:
     index of the record it replicates, or -1 for an original, and
     ``annotation_ids[k]`` its annotation id. The tables may name items
     or strata that no record has (a restricted dataset keeps its
-    parent's). Build a dataset from :class:`Annotation` rows with
-    :meth:`from_records`.
+    parent's). The five record columns must be of one length. Build a
+    dataset from :class:`Annotation` rows with :meth:`from_records`.
     """
 
     meta: DatasetMeta
@@ -444,6 +444,14 @@ class Dataset:
     label: np.ndarray
     original: np.ndarray
     annotation_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for name in ("stratum", "label", "original", "annotation_ids"):
+            if len(getattr(self, name)) != len(self.item):
+                raise ValueError(
+                    f"dataset column {name} is of length {len(getattr(self, name))},"
+                    f" item of length {len(self.item)}"
+                )
 
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":

@@ -12,7 +12,11 @@ import dataclasses
 import importlib
 import importlib.util
 import math
-from functools import reduce
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -76,11 +80,20 @@ def test_sweep_hands_each_cell_the_tuple_the_worker_unpacks(monkeypatch):
     assert len(result.failures) == len(seen)
 
 
-def test_a_traced_serial_sweep_makes_every_traced_call_inside_a_cell(tmp_path, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_traced_sweep_makes_every_traced_call_inside_a_cell(tmp_path, monkeypatch, workers):
     # the benchmark marks a traced sweep incorrect when a traced function
     # (load_gold, split_items, ...) runs outside run_cell, as it would if
-    # sweep built the gold table, split it or drew a pool before the cells
+    # sweep built the gold table, split it or drew a pool before the cells;
+    # with a forked pool the trace is the sweep's process's span file and
+    # the workers'
     monkeypatch.setenv(_TRACING.SPANS_DIR_ENV, str(tmp_path))  # install sets it
+    # the pool pickles the tracer's cell function by its module's name
+    monkeypatch.setitem(sys.modules, _TRACING.__name__, _TRACING)
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork)
+    )
     config = dataclasses.replace(
         experiments.load_config(QUICK), train=TrainConfig(epochs=1, hash_dim=64)
     )
@@ -88,13 +101,15 @@ def test_a_traced_serial_sweep_makes_every_traced_call_inside_a_cell(tmp_path, m
         cache.cache_clear()  # so that this sweep makes, and traces, every input
     _TRACING.install(tmp_path)
     try:
-        result = experiments.sweep(config)
+        result = experiments.sweep(config, workers=workers)
     finally:
         _TRACING.uninstall()
     spans, _ = _TRACING.read_trace(tmp_path)
     assert len(result.rows) == 16 and not result.failures
     assert {"experiments.load_gold", "experiments.split_items"} <= {s["name"] for s in spans}
     assert _TRACING.check_span_trees(spans, "experiments.run_cell", len(result.rows)) == []
+    pids = {s["pid"] for s in spans}
+    assert os.getpid() in pids and (len(pids) > 1) == (workers > 1)
 
 
 def test_every_cli_call_of_the_files_workload_parses(tmp_path, monkeypatch):

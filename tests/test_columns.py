@@ -177,6 +177,24 @@ def datasets(draw, names=st.integers(0, 99).map(str)):
     return dataset
 
 
+@pytest.mark.parametrize(
+    "column, lengths",
+    [
+        ("item", "stratum is of length 2, item of length 1"),
+        *((c, f"{c} is of length 1, item of length 2")
+          for c in ("stratum", "label", "original", "annotation_ids")),
+    ],
+)
+def test_a_dataset_rejects_columns_of_unequal_length(column, lengths):
+    # two records with ids ("a",) had len() 2, and records, write_dataset
+    # and validate cut them to one record
+    dataset = Dataset.from_records(
+        [Annotation("a", "i", "A", 1), Annotation("b", "i", "B", 0)], META
+    )
+    with pytest.raises(ValueError, match=f"^dataset column {lengths}$"):
+        replace(dataset, **{column: getattr(dataset, column)[:1]})
+
+
 @st.composite
 def benchmarks(draw, dataset):
     strata = sorted({r.stratum_id for r in dataset.records})

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import multiprocessing
+import os
 import re
 import types
 import typing
@@ -575,8 +576,10 @@ class _RecordingPool:
 @pytest.mark.parametrize(
     "seeds, recipes, workers, pools",
     [
-        ((10, 42), ("representative", "adjusted"), 64, [4]),
+        # the first cell runs in this process, the rest in the pool
+        ((10, 42), ("representative", "adjusted"), 64, [3]),
         ((10, 42), ("representative", "adjusted"), 3, [3]),
+        ((10,), ("representative", "adjusted"), 2, [1]),
         # one cell runs in this process
         ((10,), ("adjusted",), 8, []),
     ],
@@ -636,14 +639,48 @@ def test_sweep_draws_the_pool_and_splits_once_per_seed(monkeypatch):
     assert _RecordingPool.sizes == [2]
 
 
-def test_spawned_pool_workers_write_the_serial_report(tmp_path, monkeypatch):
-    # a spawned worker inherits no cache from the parent, so it draws,
+def test_a_forked_pool_builds_each_input_once_in_the_sweep_process(tmp_path, monkeypatch):
+    # the sweep's process runs the first cell before the pool forks, so
+    # the workers inherit its gold table, features and seed entry
+    config = dataclasses.replace(
+        load_config(CONFIG_DIR / "quick.json"),
+        seeds=(10,),
+        train=TrainConfig(epochs=1, hash_dim=64),
+    )
+    names = ("featurize", "synth_text", "draw_suite")
+
+    def logging_pid(name, fn):
+        def logged(*args, **kwargs):
+            with open(tmp_path / name, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        return logged
+
+    for name in names:
+        monkeypatch.setattr(experiments, name, logging_pid(name, getattr(experiments, name)))
+    for cache in (experiments.load_gold, experiments._seed_cached, experiments._features_cached):
+        cache.cache_clear()
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=fork)
+    )
+    result = sweep(config, workers=2)
+    assert len(result.rows) == len(config.betas) * 4 and not result.failures
+    for name in names:
+        assert (tmp_path / name).read_text(encoding="utf-8").split() == [str(os.getpid())], name
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_spawned_pool_workers_write_the_serial_report(tmp_path, monkeypatch, method):
+    # a spawned or forkserver worker inherits no cache from the sweep's
+    # process, so it builds the gold table and the features, and draws,
     # splits and builds each seed's design afresh
     config = tiny_config()
     sweep(config, output_dir=tmp_path / "serial")
-    spawn = multiprocessing.get_context("spawn")
+    context = multiprocessing.get_context(method)
     monkeypatch.setattr(
-        experiments, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+        experiments, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=context)
     )
     sweep(config, output_dir=tmp_path / "spawned", workers=2)
     assert (tmp_path / "spawned" / "report.csv").read_bytes() == (
