@@ -110,7 +110,11 @@ class TextColumn:
 
     @classmethod
     def of(cls, texts: Sequence[Sequence[str]]) -> "TextColumn":
-        """The column of ``texts``; the vocabulary is in order of first use."""
+        """The column of ``texts``; the vocabulary is in order of first use.
+        A text that is a str is an error naming its index; tokens are not checked."""
+        first = next((k for k, text in enumerate(texts) if isinstance(text, str)), None)
+        if first is not None:  # it would be coded as its characters
+            raise ValueError(f"text {first}: {_text_error(texts[first])}")
         vocab, codes = _first_use_codes(chain.from_iterable(texts))
         lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
         return cls(vocab, codes, _offsets(lengths))
@@ -301,21 +305,8 @@ class GoldTable:
         return dict(zip(self.item_id, self.p_gold.tolist()))
 
 
-def _token_error(tokens: Iterable) -> str | None:
-    """What is wrong with the first of ``tokens`` that is not a str UTF-8
-    can encode, or None."""
-    for token in tokens:
-        if type(token) is not str:
-            return f"token {token!r} is not a string"
-        try:
-            token.encode("utf-8")
-        except UnicodeEncodeError:
-            return f"token {token!r} cannot be encoded as UTF-8"
-    return None
-
-
 def _first_bad_token_item(text: TextColumn) -> int:
-    """The first item of ``text`` with a token that :func:`_token_error`
+    """The first item of ``text`` with a token that :func:`_text_error`
     faults, or ``len(text)``; each vocabulary entry is checked once."""
     vocab = text.vocab
     if {str}.issuperset(map(type, vocab)):
@@ -324,9 +315,7 @@ def _first_bad_token_item(text: TextColumn) -> int:
             return len(text)
         except UnicodeEncodeError:
             pass
-    bad = np.fromiter(
-        (_token_error((token,)) is not None for token in vocab), dtype=bool, count=len(vocab)
-    )
+    bad = np.array([_text_error((token,)) is not None for token in vocab], dtype=bool)
     used = np.flatnonzero(bad[text.codes])
     if not len(used):
         return len(text)
@@ -347,14 +336,21 @@ def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
         return f"{where} k_reference must be an integer, got {k_reference!r}"
     if k_reference < 1:
         return f"{where} k_reference must be positive"
-    error = _text_error(text) or _token_error(text)
-    return None if error is None else f"{where} {error}"
+    return f"{where} {error}" if (error := _text_error(text)) else None
 
 
 def _text_error(text) -> str | None:
-    """What is wrong with ``text`` as an item's text, its tokens aside, or None."""
+    """What is wrong with ``text`` as an item's text, or None: a text is a
+    sequence (not a str) of str tokens that UTF-8 can encode."""
     if isinstance(text, str) or not isinstance(text, Sequence):
         return f"text must be a sequence of tokens, got {text!r}"
+    for token in text:
+        if type(token) is not str:
+            return f"token {token!r} is not a string"
+        try:
+            token.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"token {token!r} cannot be encoded as UTF-8"
     return None
 
 
@@ -647,11 +643,11 @@ def annotation_row(
     """One item's reference annotations as ``(item_id, tokens, labels)``;
     a string text is split on whitespace.
 
-    Raises ValueError when the id is not a str, when a token is not a
-    str that UTF-8 can encode, or when the labels are empty, not each
-    the integer 0 or 1 (``True`` and ``1.0`` compare equal to 1 but are
-    not labels), or fewer than ``GOLD_PANEL_SIZE`` (a draw of that many
-    without replacement).
+    Raises ValueError when the id is not a str, when the text, split if
+    a str, breaks :func:`_text_error`'s rule, or when the labels are
+    empty, not each the integer 0 or 1 (``True`` and ``1.0`` compare
+    equal to 1 but are not labels), or fewer than ``GOLD_PANEL_SIZE``
+    (a draw of that many without replacement).
     """
     if type(item_id) is not str:
         raise ValueError(f"item {item_id!r}: item_id must be a string")
@@ -666,11 +662,10 @@ def annotation_row(
             f"item {item_id!r} has {len(labels)} annotations, "
             f"cannot draw {GOLD_PANEL_SIZE} without replacement"
         )
-    tokens = tuple(text.split()) if isinstance(text, str) else tuple(text)
-    error = _token_error(tokens)
-    if error:
+    tokens = text.split() if isinstance(text, str) else text
+    if error := _text_error(tokens):
         raise ValueError(f"item {item_id!r}: {error}")
-    return item_id, tokens, labels
+    return item_id, tuple(tokens), labels
 
 
 def derive_gold(raw: Iterable[tuple]) -> GoldTable:

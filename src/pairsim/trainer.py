@@ -29,8 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, check_fields, reads_file, typed_object
-from .simulation import _first_bad_token_item, _text_error, _token_error
+from .simulation import Dataset, GoldTable, TextColumn, _text_error, check_fields, reads_file
+from .simulation import typed, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 2
@@ -53,6 +53,12 @@ STOP_GRADIENT = "gradient"
 STOP_REDUCTION = "reduction"
 
 
+def _check_hash_dim(hash_dim: int) -> None:
+    """Reject a hash column count that is not an integer of at least 2."""
+    if typed(hash_dim, int, "hash_dim") < 2:
+        raise ValueError(f"hash_dim must be at least 2, got {hash_dim}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """``epochs`` path points, penalties ``l2 * 10 ** ((epochs - 1 - j) / 2)``
@@ -66,9 +72,9 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name, least in (("epochs", 1), ("hash_dim", 2)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        _check_hash_dim(self.hash_dim)
         if not (math.isfinite(self.l2) and self.l2 > 0):
             raise ValueError(f"l2 must be finite and above 0, got {self.l2}")
         try:
@@ -196,14 +202,16 @@ Texts = Union[GoldTable, Mapping[str, Sequence[str]]]
 
 
 def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
-    """``texts`` as features with ``hash_dim`` columns, one row per item.
+    """``texts`` as features with ``hash_dim`` columns (at least 2, as in a
+    :class:`TrainConfig`), one row per item.
 
     Features are returned as they are, and features of another width are
     an error. A gold table or a mapping of item_id to token sequence is
-    featurized in table or mapping order; an empty text, or in a mapping
-    a text that is not a sequence of tokens (a str is not) or a token that
-    is not a str UTF-8 can encode, is an error naming the item. A mapping
-    is coded once into a :class:`TextColumn`, as a table's texts are."""
+    featurized in table or mapping order. A mapping's texts are checked
+    in order by a gold table's rule, its first faulty item an error
+    naming it, before it is coded once into a :class:`TextColumn`. An
+    empty text is an error naming the item."""
+    _check_hash_dim(hash_dim)
     if isinstance(texts, Features):
         if texts.hash_dim != hash_dim:
             raise ValueError(f"features have {texts.hash_dim} hash columns, expected {hash_dim}")
@@ -216,9 +224,6 @@ def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
             if error := _text_error(tokens):
                 raise ValueError(f"item {item_id!r}: {error}")
         text = TextColumn.of(list(texts.values()))
-        bad = _first_bad_token_item(text)
-        if bad < len(text):
-            raise ValueError(f"item {item_ids[bad]!r}: {_token_error(texts[item_ids[bad]])}")
     rows = {item_id: i for i, item_id in enumerate(item_ids)}
     return Features(rows, _item_matrix(item_ids, text, hash_dim))
 

@@ -135,6 +135,14 @@ def test_annotation_row_splits_text_and_checks_labels():
         annotation_row("a", "t", [0, 1])
 
 
+@pytest.mark.parametrize("text", [{"x": 1}, 5], ids=["mapping", "int"])
+def test_annotation_row_names_a_text_that_is_no_token_sequence(text):
+    # a mapping's keys were once taken for its tokens, and an int was a TypeError
+    message = rf"^item 'a': text must be a sequence of tokens, got {re.escape(repr(text))}$"
+    with pytest.raises(ValueError, match=message):
+        annotation_row("a", text, [0] * 12)
+
+
 @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None])
 def test_annotation_row_takes_only_the_integers_0_and_1(label):
     # True == 1 and 1.0 == 1 in Python, but neither is a label
@@ -225,6 +233,17 @@ def test_text_column_rejects_codes_that_are_not_texts(vocab, codes, offsets, mes
         TextColumn(vocab, codes, offsets)
     # an empty list names no code, so it is no error
     assert list(TextColumn((), [], [0, 0])) == [()]
+
+
+def test_text_column_rejects_a_str_text_by_its_index():
+    # a str was once coded as its characters, "x y" as ('x', ' ', 'y'), and
+    # a gold table took that column although it rejects the str itself
+    message = r"text must be a sequence of tokens, got 'x y'$"
+    with pytest.raises(ValueError, match=rf"^text 1: {message}"):
+        TextColumn.of([("x",), "x y"])
+    with pytest.raises(ValueError, match=rf"^item 'a': {message}"):
+        GoldTable(("a",), ["x y"], np.array([0.5]), np.array([12]))
+    assert TextColumn.of([("x", " ", "y")]).vocab == ("x", " ", "y")
 
 
 @pytest.mark.parametrize("count", [1.5, True])

@@ -770,6 +770,56 @@ def test_a_mapping_text_that_is_not_a_token_sequence_is_named_by_item(text, show
         train(dataset, texts, FAST)
 
 
+# texts of str tokens, texts whose tokens may be no str, not UTF-8 or
+# not hashable, and texts that are no token sequence
+_ANY_TEXT = st.one_of(
+    st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=3).map(tuple),
+    st.lists(st.sampled_from(["x", 1, None, "\ud800", ("w",), ["v"]]), max_size=3).map(tuple),
+    st.sampled_from(["x y", 5]),
+)
+
+
+def _featurized(make):
+    """The message of the ValueError ``make()`` raises, or the rows and
+    the matrix of the features it returns."""
+    try:
+        features = make()
+    except ValueError as err:
+        return str(err)
+    m = features.matrix
+    return dict(features.rows), m.shape, m.indptr.tolist(), m.indices.tolist(), m.data.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from("abcdef"), _ANY_TEXT, max_size=5))
+def test_a_mapping_and_its_gold_table_featurize_by_one_rule(texts):
+    # a mapping's texts were once checked as sequences all at once and
+    # their tokens only after coding: a later item's str text was reported
+    # before an earlier item's bad token, and a list token was a TypeError
+    def from_table():
+        entries = (GoldEntry(i, text, 0.5, 12) for i, text in texts.items())
+        return featurize(GoldTable.from_entries(entries), 64)
+
+    assert _featurized(lambda: featurize(texts, 64)) == _featurized(from_table)
+
+
+@pytest.mark.parametrize(
+    "hash_dim, error",
+    [
+        (0, "must be at least 2, got 0"),
+        (-4, "must be at least 2, got -4"),
+        (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True"),
+    ],
+)
+def test_featurize_takes_a_hash_dim_by_the_train_configs_rule(hash_dim, error):
+    # these were once a ZeroDivisionError, scipy's error for a negative
+    # shape and a TypeError, and True built a one-column matrix
+    for make in (lambda: featurize({"a": ("x",)}, hash_dim), lambda: TrainConfig(hash_dim=hash_dim)):
+        with pytest.raises(ValueError, match=rf"^hash_dim {error}$"):
+            make()
+
+
 def test_train_and_predict_reject_features_of_another_hash_dim():
     gold = textual_gold(n=20)
     features = featurize(gold.texts(), FAST.hash_dim * 2)
