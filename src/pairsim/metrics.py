@@ -7,6 +7,8 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
 from .simulation import Dataset, GoldTable
 
 if TYPE_CHECKING:  # experiments imports this module
@@ -24,25 +26,26 @@ class AggregateReport:
     seeds: tuple[int, ...]
 
 
-def _check_items(preds: Mapping[str, float], gold: GoldTable) -> None:
-    pred_ids = set(preds)
-    gold_ids = set(gold.item_ids())
-    if pred_ids != gold_ids:
-        only_pred = sorted(pred_ids - gold_ids)
-        only_gold = sorted(gold_ids - pred_ids)
+def _in_table_order(preds: Mapping[str, float], gold: GoldTable) -> np.ndarray:
+    """``preds``' values in ``gold``'s item order; both have the same items."""
+    gold_ids = set(gold.item_id)
+    if preds.keys() != gold_ids:
+        only_pred = sorted(set(preds) - gold_ids)
+        only_gold = sorted(gold_ids - set(preds))
         raise ValueError(
             "prediction/gold item mismatch: "
             f"{len(only_pred)} only in predictions {only_pred[:5]}, "
             f"{len(only_gold)} only in gold {only_gold[:5]}"
         )
+    return np.array([preds[i] for i in gold.item_id], dtype=np.float64)
 
 
 def acb(preds: Mapping[str, float], gold: GoldTable) -> float:
     """Mean absolute difference between predictions and gold proportions."""
     if not len(gold):
         raise ValueError("gold table is empty")
-    _check_items(preds, gold)
-    return sum(abs(preds[i] - p) for i, p in zip(gold.item_id, gold.p_gold.tolist())) / len(gold)
+    # Python's sum, left to right: numpy's pairwise sum rounds differently
+    return sum(np.abs(_in_table_order(preds, gold) - gold.p_gold).tolist()) / len(gold)
 
 
 def f1(preds: Mapping[str, float], gold: GoldTable) -> float:
@@ -53,25 +56,16 @@ def f1(preds: Mapping[str, float], gold: GoldTable) -> float:
     When there are no positive predictions and no positive gold labels
     the score is reported as 0.0 with a warning.
     """
-    _check_items(preds, gold)
-    tp = fp = fn = 0
-    for item_id, p_gold in zip(gold.item_id, gold.p_gold.tolist()):
-        pred_pos = preds[item_id] >= 0.5
-        gold_pos = p_gold >= 0.5
-        if pred_pos and gold_pos:
-            tp += 1
-        elif pred_pos:
-            fp += 1
-        elif gold_pos:
-            fn += 1
-    denom = 2 * tp + fp + fn
+    pred_pos = _in_table_order(preds, gold) >= 0.5
+    gold_pos = gold.p_gold >= 0.5
+    denom = int(pred_pos.sum() + gold_pos.sum())  # 2 tp + fp + fn
     if denom == 0:
         warnings.warn(
             "no positive predictions and no positive gold labels; F1 reported as 0.0",
             stacklevel=2,
         )
         return 0.0
-    return 2 * tp / denom
+    return 2 * int((pred_pos & gold_pos).sum()) / denom
 
 
 def positive_proportion(dataset: Dataset) -> float:

@@ -18,16 +18,15 @@ key from :func:`stream_keys` and computes the words of all items at
 once with :func:`philox_words`, a numpy array version of numpy's
 Philox; :func:`doubles` and :func:`bounded_draws` turn words into the
 values ``Generator.random`` and ``Generator.integers`` return. The
-results are those of ``stream(*parts, i)``, bit for bit.
+doubles are those of ``stream(*parts, i)``, bit for bit.
 
-Bounded integers are the one draw that may take a variable number of
-words: numpy's rule (Lemire 2019, "Fast random integer generation in an
-interval") rejects a 32-bit value whose low product word falls below a
-threshold and draws again, which shifts every later draw of the stream.
-:func:`bounded_draws` flags such values instead; a stage recomputes an
-item with a flagged draw from its own :func:`stream` generator, the
-numpy code that defines the draw. A draw in [0, rng] is flagged with
-probability below (rng + 1) / 2**32.
+A bounded integer in [0, rng] is the multiply-shift ``(half * (rng + 1))
+>> 32`` of a word's low, then high, 32-bit half, as in numpy's rule
+(Lemire 2019, "Fast random integer generation in an interval") but
+without its rejection step, so every stream of a stage takes a fixed
+number of words. It is the stream's ``Generator.integers`` value up to
+the first half numpy rejects, each with probability below (rng + 1) /
+2**32, and each value's probability is within that of uniform.
 """
 
 from __future__ import annotations
@@ -173,19 +172,11 @@ def doubles(words: np.ndarray) -> np.ndarray:
     return (words >> _11) * 2.0**-53
 
 
-def bounded_draws(words: np.ndarray, rng: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of ``Generator.integers(0, rng + 1)`` made of ``words``,
-    and which of them numpy would reject.
-
-    numpy draws a bound below 2**32 - 1 from 32-bit values, taking each
-    word's low half and then its high half, so the result has two
-    columns per word. A flagged draw is one numpy rejects and draws
-    again; the draws after it, in that row, are not the stream's.
-    """
+def bounded_draws(words: np.ndarray, rng: int) -> np.ndarray:
+    """The multiply-shift draws in [0, rng] of ``words``' low, then high,
+    32-bit halves, two columns per word (see the module docstring)."""
     if not 0 < rng < 2**32 - 1:
         raise ValueError(f"bounded draw range {rng} outside (0, 2**32 - 1)")
     halves = np.stack([words & _LOW32, words >> _32], axis=-1)
     halves = halves.reshape(*words.shape[:-1], 2 * words.shape[-1])
-    product = halves * np.uint64(rng + 1)
-    threshold = np.uint64((2**32 - 1 - rng) % (rng + 1))
-    return (product >> _32).astype(np.int64), (product & _LOW32) < threshold
+    return ((halves * np.uint64(rng + 1)) >> _32).astype(np.int64)

@@ -784,38 +784,17 @@ def synth_text(
         p = gold.p_gold[start : start + _TEXT_BLOCK]
         words = philox_words(keys[start : start + len(p)], n_words)
         toxic = doubles(words[:, :t]) < p[:, None]
-        redraw = np.zeros(len(p), dtype=bool)
-        ids = []
-        for size, first in ((n_tox, 0), (n_ben, ben_start)):
-            if size == 1:
-                ids.append(0)
-                continue
-            values, flagged = bounded_draws(words[:, t:], size - 1)
-            ids.append(values[:, first : first + t])
-            redraw |= flagged[:, first : first + t].any(axis=1)
-        block = codes[start : start + len(p)]
-        block[:] = np.where(toxic, ids[0], n_tox + ids[1])
-        for j in np.flatnonzero(redraw):
-            block[j] = _item_codes(stream(seed, "text", start + j), float(p[j]), t, n_tox, n_ben)
+        ids = [
+            bounded_draws(words[:, t:], size - 1)[:, first : first + t] if size > 1 else 0
+            for size, first in ((n_tox, 0), (n_ben, ben_start))
+        ]
+        codes[start : start + len(p)] = np.where(toxic, ids[0], n_tox + ids[1])
     text = TextColumn(names, codes.ravel(), np.arange(0, len(gold) * t + 1, t))
     return GoldTable(gold.item_id, text, gold.p_gold, gold.k_reference)
 
 
 #: items per synth_text block, which bounds the block's Philox words
 _TEXT_BLOCK = 256
-
-
-def _item_codes(
-    gen: np.random.Generator, p_gold: float, t: int, n_tox: int, n_ben: int
-) -> np.ndarray:
-    """One item's token codes drawn from its own generator: what synth_text
-    computes for every item in one pass."""
-    toxic = gen.random(t) < p_gold
-    # draw indices for both halves unconditionally so consumption per
-    # item is fixed regardless of the toxic mask
-    tox_ids = gen.integers(0, n_tox, size=t)
-    ben_ids = gen.integers(0, n_ben, size=t)
-    return np.where(toxic, tox_ids, n_tox + ben_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -981,9 +960,9 @@ def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
     from representative, keeping the surviving annotation ids unchanged;
     nonrep2 adds A slots 6-8, 3 fresh A draws per item, on top of nonrep1.
 
-    Item i's deleted B slots are the set that
+    Item i's deleted B slots are the set
     ``stream(seed, f"{task}:nonrep1-delete", i).choice(6, 3, replace=False)``
-    selects, computed for every item in one pass (``_nonrep1_deletions``).
+    selects where numpy accepts its draws (``_nonrep1_deletions``).
     """
     n_a, n_b = REPRESENTATIVE_COUNTS[TYPE_A], REPRESENTATIVE_COUNTS[TYPE_B]
     comp = PoolComposition({TYPE_A: n_a + NONREP2_EXTRA_A, TYPE_B: n_b})
@@ -1005,31 +984,23 @@ def draw_suite(gold: GoldTable, seed: int, task: str = "OL") -> SuiteDraws:
 
 def _nonrep1_deletions(n: int, n_b: int, seed: int, task: str) -> np.ndarray:
     """The B slots nonrep1 drops from each of ``n`` items, one row per item:
-    the set ``gen.choice(n_b, size=3, replace=False)`` selects from item
-    i's stream ``gen``.
-
-    numpy's ``choice`` runs Floyd's algorithm on one bounded draw in
-    [0, j] for each j from n_b - 3 to n_b - 1, then shuffles the chosen
-    slots, which changes their order but not which they are. An item
-    whose bounded draw numpy would reject calls ``choice`` itself.
+    Floyd's algorithm on one bounded draw in [0, j] from item i's stream
+    for each j from n_b - 3 to n_b - 1. numpy's ``choice(n_b, size=3,
+    replace=False)`` runs the same algorithm wherever it accepts the
+    draws, then shuffles the chosen slots, which changes their order but
+    not which they are.
     """
     tag = f"{task}:nonrep1-delete"
     first = n_b - NONREP1_B_DELETIONS
     words = philox_words(stream_keys(seed, tag, count=n), -(-NONREP1_B_DELETIONS // 2))
     chosen: list[np.ndarray] = []
-    redraw = np.zeros(n, dtype=bool)
     for d, j in enumerate(range(first, n_b)):
-        values, flagged = bounded_draws(words, j)
-        value = values[:, d]
-        redraw |= flagged[:, d]
+        value = bounded_draws(words, j)[:, d]
         taken = np.zeros(n, dtype=bool)
         for c in chosen:
             taken |= c == value
         chosen.append(np.where(taken, j, value))
-    slots = np.stack(chosen, axis=1)
-    for i in np.flatnonzero(redraw):
-        slots[i] = stream(seed, tag, i).choice(n_b, size=NONREP1_B_DELETIONS, replace=False)
-    return slots
+    return np.stack(chosen, axis=1)
 
 
 # ---------------------------------------------------------------------------

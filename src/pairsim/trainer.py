@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, _text_error, check_fields, reads_file
+from .simulation import Dataset, GoldTable, TextColumn, _entry_error, check_fields, reads_file
 from .simulation import typed, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
@@ -207,9 +207,9 @@ def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
 
     Features are returned as they are, and features of another width are
     an error. A gold table or a mapping of item_id to token sequence is
-    featurized in table or mapping order. A mapping's texts are checked
-    in order by a gold table's rule, its first faulty item an error
-    naming it, before it is coded once into a :class:`TextColumn`. An
+    featurized in table or mapping order. A mapping's ids and texts are
+    checked in order by a gold table's rules, its first faulty item an
+    error naming it, before it is coded once into a :class:`TextColumn`. An
     empty text is an error naming the item."""
     _check_hash_dim(hash_dim)
     if isinstance(texts, Features):
@@ -221,8 +221,9 @@ def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
     else:
         item_ids = list(texts)
         for item_id, tokens in texts.items():
-            if error := _text_error(tokens):
-                raise ValueError(f"item {item_id!r}: {error}")
+            # a gold item's id and text rules; the proportion and panel pass
+            if error := _entry_error(item_id, tokens, 0.0, 1):
+                raise ValueError(error)
         text = TextColumn.of(list(texts.values()))
     rows = {item_id: i for i, item_id in enumerate(item_ids)}
     return Features(rows, _item_matrix(item_ids, text, hash_dim))

@@ -11,6 +11,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from pairsim.experiments import (
     ExperimentConfig,
     SyntheticGold,
     ingest_external,
+    load_config,
     run_cell,
     save_config,
+    sweep,
 )
 from pairsim.metrics import acb
 from pairsim.rng import stream
@@ -296,4 +299,46 @@ def test_criterion_9_real_annotation_file():
         9,
         f"difficult filter kept {len(ol_difficult)} OL / {len(hs_difficult)} HS items; "
         f"HS positive proportion {hs_mean:.4f}",
+    )
+
+
+# Criterion 10's margins. Each claim must hold by about half of the
+# smallest margin by which it held on the paper grid when the gate was
+# written, so a change that bends the results shows here, not only one
+# that reverses them.
+PAPER_GRID = Path(__file__).parent.parent / "configs" / "paper-grid-ol.json"
+NONREP2_OVER_NONREP1 = 0.0009  # smallest gap 0.0018, at beta 0.05
+NONREP1_OVER_REPRESENTATIVE = 0.002  # smallest gap 0.0045, at beta 0.05
+NONREP1_EXCESS_RISE = 0.003  # smallest rise 0.0061, from beta 0.20 to 0.25
+# largest |adjusted - representative| 0.00035; a quarter of the smallest
+# nonrep1 excess, so an adjusted that stayed nonrep1 fails
+ADJUSTED_FROM_REPRESENTATIVE = 0.001
+F1_BELOW_ACB_SPREAD = 0.001  # smallest gap 0.0020, at beta 0.05
+
+
+def test_criterion_10_paper_claims_at_every_beta():
+    start = time.perf_counter()
+    config = load_config(PAPER_GRID)
+    result = sweep(config)
+    elapsed = time.perf_counter() - start
+    assert not result.failures
+    means = {(recipe, beta): agg.mean for (_, recipe, beta), agg in result.aggregates.items()}
+    excesses = []
+    for beta in config.betas:
+        mean_acb = {r: means[(r, beta)]["acb"] for r in config.recipes}
+        mean_f1 = {r: means[(r, beta)]["f1"] for r in config.recipes}
+        representative = mean_acb["representative"]
+        excesses.append(mean_acb["nonrep1"] - representative)
+        assert mean_acb["nonrep2"] - mean_acb["nonrep1"] > NONREP2_OVER_NONREP1, beta
+        assert excesses[-1] > NONREP1_OVER_REPRESENTATIVE, beta
+        assert abs(mean_acb["adjusted"] - representative) < ADJUSTED_FROM_REPRESENTATIVE, beta
+        acb_spread = max(mean_acb.values()) - min(mean_acb.values())
+        f1_spread = max(mean_f1.values()) - min(mean_f1.values())
+        assert f1_spread + F1_BELOW_ACB_SPREAD < acb_spread, beta
+    assert all(b - a > NONREP1_EXCESS_RISE for a, b in zip(excesses, excesses[1:]))
+    _ok(
+        10,
+        f"{len(config.betas)} betas x {len(config.seeds)} seeds: nonrep2 > nonrep1 > "
+        f"representative, nonrep1 excess {excesses[0]:.4f} rising to {excesses[-1]:.4f}, "
+        f"adjusted near representative, F1 spread below ACB spread; {elapsed:.1f}s",
     )

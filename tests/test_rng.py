@@ -105,29 +105,48 @@ def test_philox_words_are_numpys_philox_at_the_lengths_used(pairs, n):
 bounds = st.one_of(st.integers(1, 2**32 - 2), st.integers(2**31, 2**32 - 2))
 
 
-def assert_numpys_up_to_the_first_flag(parts, values, flagged, rng):
-    for i, (row, flags) in enumerate(zip(values, flagged)):
+def halves(words):
+    """Each row's 32-bit halves as Python ints, low half first, as numpy
+    takes them."""
+    return [[h for w in row.tolist() for h in (w & 0xFFFFFFFF, w >> 32)] for row in words]
+
+
+def numpy_rejects(words, rng):
+    """Which halves of ``words`` numpy's Lemire rule rejects for a draw in
+    [0, rng]: those whose product with rng + 1 has its low 32 bits below
+    (2**32 - 1 - rng) % (rng + 1)."""
+    threshold = (2**32 - 1 - rng) % (rng + 1)
+    return [[(h * (rng + 1)) & 0xFFFFFFFF < threshold for h in row] for row in halves(words)]
+
+
+def assert_numpys_up_to_the_first_rejection(parts, values, rejected, rng):
+    for i, (row, flags) in enumerate(zip(values, rejected)):
         want = stream(*parts, i).integers(0, rng + 1, size=len(row))
-        first = int(np.argmax(flags)) if flags.any() else len(row)
+        first = flags.index(True) if any(flags) else len(row)
         assert np.array_equal(row[:first], want[:first])
 
 
 @settings(max_examples=150, deadline=None)
 @given(parts=key_parts, count=st.integers(0, 6), n=st.integers(0, 20), rng=bounds)
 def test_bounded_draws_are_numpys_up_to_the_first_flag(parts, count, n, rng):
-    values, flagged = bounded_draws(philox_words(stream_keys(*parts, count=count), n), rng)
-    assert values.shape == flagged.shape == (count, 2 * n)
-    assert_numpys_up_to_the_first_flag(parts, values, flagged, rng)
+    words = philox_words(stream_keys(*parts, count=count), n)
+    values = bounded_draws(words, rng)
+    assert values.shape == (count, 2 * n)
+    assert_numpys_up_to_the_first_rejection(parts, values, numpy_rejects(words, rng), rng)
 
 
 @settings(max_examples=30, deadline=None)
 @given(parts=key_parts, rng=st.integers(2**31, 3 * 2**30))
 def test_bounded_draws_flag_what_numpy_rejects(parts, rng):
     # a quarter to a half of these 32-bit values are rejected, so some of
-    # 240 draws are
-    values, flagged = bounded_draws(philox_words(stream_keys(*parts, count=6), 20), rng)
-    assert flagged.any()
-    assert_numpys_up_to_the_first_flag(parts, values, flagged, rng)
+    # 240 draws are; a rejected half is not drawn again
+    words = philox_words(stream_keys(*parts, count=6), 20)
+    values, rejected = bounded_draws(words, rng), numpy_rejects(words, rng)
+    assert any(map(any, rejected))
+    assert_numpys_up_to_the_first_rejection(parts, values, rejected, rng)
+    for row, row_halves, flags in zip(values.tolist(), halves(words), rejected):
+        for value, half, flag in zip(row, row_halves, flags):
+            assert not flag or value == (half * (rng + 1)) >> 32
 
 
 @pytest.mark.parametrize("rng", [0, 2**32 - 1, -1])

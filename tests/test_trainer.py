@@ -770,6 +770,17 @@ def test_a_mapping_text_that_is_not_a_token_sequence_is_named_by_item(text, show
         train(dataset, texts, FAST)
 
 
+def test_a_mapping_item_id_that_is_not_a_string_is_named():
+    # ids like these once became feature rows {5: 0, None: 1}
+    with pytest.raises(ValueError, match=r"^item 5: item_id must be a string$"):
+        featurize({5: ("x",), None: ("y",)}, 16)
+    # items are checked in order, each id before its text
+    with pytest.raises(ValueError, match=r"^item 'a': token 5 is not a string$"):
+        featurize({"a": ("x", 5), 7: ("y",)}, 16)
+    with pytest.raises(ValueError, match=r"^item 7: item_id must be a string$"):
+        featurize({7: ("y", 5), "a": ("x", 5)}, 16)
+
+
 # texts of str tokens, texts whose tokens may be no str, not UTF-8 or
 # not hashable, and texts that are no token sequence
 _ANY_TEXT = st.one_of(
@@ -791,7 +802,7 @@ def _featurized(make):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from("abcdef"), _ANY_TEXT, max_size=5))
+@given(st.dictionaries(st.sampled_from(["a", "b", "c", "d", 5, None]), _ANY_TEXT, max_size=5))
 def test_a_mapping_and_its_gold_table_featurize_by_one_rule(texts):
     # a mapping's texts were once checked as sequences all at once and
     # their tokens only after coding: a later item's str text was reported
