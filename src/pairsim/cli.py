@@ -110,7 +110,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.out)
     chosen = model.path[model.best_epoch - 1]
     print(
-        f"trained on {len(dataset)} instances; chose l2 {chosen.l2:g} "
+        f"trained on {len(dataset)} instances; chose l2 {config.path()[model.best_epoch - 1]:g} "
         f"(path point {model.best_epoch} of {config.epochs}, "
         f"{chosen.iterations} L-BFGS iterations); saved {args.out}"
     )

@@ -138,7 +138,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRow:
-    """Metrics of one completed cell."""
+    """Metrics of one completed cell; ``==``, like the report, leaves out ``wall_time``."""
 
     task: str
     recipe: str
@@ -148,7 +148,7 @@ class ResultRow:
     f1: float
     positive_proportion: float
     n_items: int
-    wall_time: float
+    wall_time: float = field(compare=False)
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,11 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, _entry_error, check_fields, reads_file
+from .simulation import Dataset, GoldTable, TextColumn, check_fields, reads_file
 from .simulation import typed, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # L-BFGS: correction pairs kept, the two stopping tests (largest gradient
 # entry; loss drop relative to the loss, as L-BFGS-B's factr 1e7 times
@@ -94,10 +94,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """One fit of the path: its penalty, its L-BFGS iterations and the
-    test that stopped it, ``"gradient"`` or ``"reduction"``."""
+    """One fit of the path: its selection loss (the dev loss when a dev
+    dataset was given, the training loss otherwise), its L-BFGS
+    iterations and the test that stopped it, ``"gradient"`` or
+    ``"reduction"``. Point k's penalty is ``config.path()[k]``."""
 
-    l2: float
+    loss: float
     iterations: int
     stop: str
 
@@ -112,10 +114,8 @@ class PathPoint:
 class Model:
     """Trained classifier: hashed token weights, bias, and provenance.
 
-    ``history`` holds the selection loss (dev loss when a dev dataset was
-    given, training loss otherwise) of each path point fitted, ``path``
-    how each was fitted; ``best_epoch`` is the 1-based path point whose
-    weights were kept. ``seed`` is provenance only: training draws no
+    ``path`` holds each path point fitted, in the order of
+    ``config.path()``. ``seed`` is provenance only: training draws no
     randomness.
     """
 
@@ -123,9 +123,14 @@ class Model:
     bias: float
     config: TrainConfig
     seed: int
-    best_epoch: int
-    history: tuple[float, ...]
     path: tuple[PathPoint, ...]
+
+    @property
+    def best_epoch(self) -> int:
+        """The 1-based path point whose weights were kept: the first of
+        lowest loss."""
+        losses = [point.loss for point in self.path]
+        return losses.index(min(losses)) + 1
 
 
 def token_index(token: str, dim: int) -> int:
@@ -208,25 +213,18 @@ def featurize(texts: Union[Features, Texts], hash_dim: int) -> Features:
     Features are returned as they are, and features of another width are
     an error. A gold table or a mapping of item_id to token sequence is
     featurized in table or mapping order. A mapping's ids and texts are
-    checked in order by a gold table's rules, its first faulty item an
-    error naming it, before it is coded once into a :class:`TextColumn`. An
-    empty text is an error naming the item."""
+    checked as a gold table's, its first faulty item an error naming it.
+    An empty text is an error naming the item."""
     _check_hash_dim(hash_dim)
     if isinstance(texts, Features):
         if texts.hash_dim != hash_dim:
             raise ValueError(f"features have {texts.hash_dim} hash columns, expected {hash_dim}")
         return texts
-    if isinstance(texts, GoldTable):
-        item_ids, text = texts.item_id, texts.text
-    else:
-        item_ids = list(texts)
-        for item_id, tokens in texts.items():
-            # a gold item's id and text rules; the proportion and panel pass
-            if error := _entry_error(item_id, tokens, 0.0, 1):
-                raise ValueError(error)
-        text = TextColumn.of(list(texts.values()))
-    rows = {item_id: i for i, item_id in enumerate(item_ids)}
-    return Features(rows, _item_matrix(item_ids, text, hash_dim))
+    if not isinstance(texts, GoldTable):
+        n = len(texts)  # a proportion and panel that pass
+        texts = GoldTable(list(texts), list(texts.values()), [0.0] * n, [1] * n)
+    rows = {item_id: i for i, item_id in enumerate(texts.item_id)}
+    return Features(rows, _item_matrix(texts.item_id, texts.text, hash_dim))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -407,9 +405,10 @@ def fit(design: Design, counts, config: TrainConfig, seed: int, sel=None) -> Mod
     The penalties of ``config.path()`` are fitted in turn, the first
     from the intercept-only fit and each later one from the last one's
     minimizer; the walk stops at the first point whose selection loss
-    rises, and the point with the lowest selection loss is kept. A fit
-    that reaches a non-finite value or the iteration cap is an error.
-    ``seed`` is recorded only.
+    rises. The model keeps the weights of the first point of lowest
+    selection loss, and every point fitted. A fit that reaches a
+    non-finite value or the iteration cap is an error. ``seed`` is
+    recorded only.
     """
     positives, totals = counts
     sel_positives, sel_totals = counts if sel is None else sel
@@ -419,8 +418,6 @@ def fit(design: Design, counts, config: TrainConfig, seed: int, sel=None) -> Mod
     positive, total = float(positives.sum()), float(totals.sum())
     if 0 < positive < total:
         theta[-1] = math.log(positive / (total - positive))
-    fits: list[tuple[np.ndarray, float]] = []
-    history: list[float] = []
     path: list[PathPoint] = []
     for l2 in config.path():
         theta, iterations, stop = _lbfgs(
@@ -432,16 +429,12 @@ def fit(design: Design, counts, config: TrainConfig, seed: int, sel=None) -> Mod
         loss = _cross_entropy(design.X_sel @ weights + bias, sel_positives, sel_totals)
         if not math.isfinite(loss):
             raise ValueError(f"training at l2={l2!r} gave a non-finite selection loss")
-        fits.append((weights, bias))
-        history.append(loss)
-        path.append(PathPoint(l2, iterations, stop))
-        if len(history) > 1 and loss > history[-2]:
+        path.append(PathPoint(loss, iterations, stop))
+        if len(path) == 1 or loss < path[-2].loss:  # no earlier loss rose; ties keep the first
+            kept = weights, bias
+        elif loss > path[-2].loss:
             break
-    best = history.index(min(history))  # the first of equal losses
-    return Model(
-        weights=fits[best][0], bias=fits[best][1], config=config, seed=seed,
-        best_epoch=best + 1, history=tuple(history), path=tuple(path),
-    )
+    return Model(weights=kept[0], bias=kept[1], config=config, seed=seed, path=tuple(path))
 
 
 def train(
@@ -503,8 +496,7 @@ def save_model(model: Model, path: Union[str, Path]) -> None:
     objects of theirs: ``asdict`` of the file would copy every weight."""
     file = _ModelFile(
         MODEL_FORMAT, MODEL_VERSION, **asdict(model.config), seed=model.seed,
-        best_epoch=model.best_epoch, history=model.history, path=model.path, bias=model.bias,
-        weights=model.weights.tolist(),
+        path=model.path, bias=model.bias, weights=model.weights.tolist(),
     )
     # one-shot dumps runs json's C encoder; dump runs the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
@@ -522,8 +514,6 @@ class _ModelFile:
     hash_dim: int
     l2: float
     seed: int
-    best_epoch: int
-    history: tuple[float, ...]
     path: tuple[PathPoint, ...]
     bias: float
     weights: tuple[float, ...]
@@ -543,8 +533,6 @@ def load_model(path: Union[str, Path]) -> Model:
         bias=file.bias,
         config=TrainConfig(epochs=file.epochs, hash_dim=file.hash_dim, l2=file.l2),
         seed=file.seed,
-        best_epoch=file.best_epoch,
-        history=file.history,
         path=file.path,
     )
     n, config = len(model.path), model.config
@@ -554,18 +542,15 @@ def load_model(path: Union[str, Path]) -> Model:
         )
     if not 0 < n <= config.epochs:
         raise ValueError(f"model.path must be 1 to {config.epochs} points (epochs), got {n}")
-    if len(model.history) != n:
-        raise ValueError(f"model.history must be {n} long (the path), got {len(model.history)}")
-    if not 1 <= model.best_epoch <= n:
-        raise ValueError(f"model.best_epoch must be in 1..{n} (the path), got {model.best_epoch}")
     # a diverged fit must not load as a model
     if not math.isfinite(model.bias):
         raise ValueError(f"model.bias must be finite, got {model.bias}")
-    for name, values in (("weights", model.weights), ("history", np.array(model.history))):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if len(bad):
-            raise ValueError(f"model.{name}[{bad[0]}] must be finite, got {values[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(model.weights))
+    if len(bad):
+        raise ValueError(f"model.weights[{bad[0]}] must be finite, got {model.weights[bad[0]]}")
     for k, point in enumerate(model.path):
+        if not math.isfinite(point.loss):
+            raise ValueError(f"model.path[{k}].loss must be finite, got {point.loss}")
         if point.iterations < 0:
             raise ValueError(f"model.path[{k}].iterations must be >= 0, got {point.iterations}")
     return model

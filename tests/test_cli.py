@@ -56,9 +56,10 @@ def test_cli_end_to_end(tmp_path, config_path, capsys):
                  "--epochs", "2", "--hash-dim", "256"]) == 0
     model = load_model(model_path)
     chosen = model.path[model.best_epoch - 1]
-    assert [p.l2 for p in model.path] == list(TrainConfig(epochs=2).path())[: len(model.path)]
+    assert model.config.path() == TrainConfig(epochs=2).path()
+    l2 = model.config.path()[model.best_epoch - 1]
     assert (
-        f"chose l2 {chosen.l2:g} (path point {model.best_epoch} of 2, "
+        f"chose l2 {l2:g} (path point {model.best_epoch} of 2, "
         f"{chosen.iterations} L-BFGS iterations)"
     ) in capsys.readouterr().out
 

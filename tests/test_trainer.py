@@ -108,12 +108,16 @@ def test_zero_weight_model_predicts_half():
         bias=0.0,
         config=TrainConfig(hash_dim=64),
         seed=0,
-        best_epoch=0,
-        history=(),
         path=(),
     )
     preds = predict(model, {"a": ("x", "y"), "b": ("z",)})
     assert preds == {"a": 0.5, "b": 0.5}
+
+
+def test_best_epoch_is_the_first_point_of_lowest_loss():
+    points = tuple(PathPoint(loss, 3, "gradient") for loss in (0.5, 0.4, 0.4))
+    model = Model(np.zeros(64), 0.0, TrainConfig(hash_dim=64), 0, points)
+    assert model.best_epoch == 2
 
 
 def test_prediction_invariant_to_token_order():
@@ -142,7 +146,7 @@ def test_training_deterministic():
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
     assert m1.best_epoch == m2.best_epoch
-    assert m1.history == m2.history and m1.path == m2.path
+    assert m1.path == m2.path
 
 
 def test_degenerate_all_positive_labels():
@@ -177,7 +181,7 @@ def test_duplication_equals_reweighting():
     m2 = train(doubled, texts, TrainConfig(), seed=5)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
-    assert m1.history == m2.history and m1.path == m2.path
+    assert m1.path == m2.path
 
 
 def test_train_fits_nonrep1_counts_weighted_by_pair(monkeypatch):
@@ -224,10 +228,10 @@ def test_predictions_in_open_interval_and_loss_decreases():
     preds = predict(model, gold.texts())
     assert all(0.0 < p < 1.0 for p in preds.values())
     # a weaker penalty fits the training data better: every point is kept
-    history = model.history
-    assert all(b < a for a, b in zip(history, history[1:]))
-    assert model.best_epoch == len(history) == 8
-    assert [p.l2 for p in model.path] == list(replace(FAST, epochs=8).path())
+    losses = [p.loss for p in model.path]
+    assert all(b < a for a, b in zip(losses, losses[1:]))
+    assert model.best_epoch == len(losses) == 8
+    assert model.config.path() == replace(FAST, epochs=8).path()
     assert np.all(np.isfinite(model.weights))
 
 
@@ -241,7 +245,7 @@ def test_dev_epoch_selection():
     # fitting the data makes the flipped dev set worse at every point:
     # the walk stops at the first rise
     assert m_flip.best_epoch == 1
-    assert len(m_flip.history) == 2 and m_flip.history[1] > m_flip.history[0]
+    assert len(m_flip.path) == 2 and m_flip.path[1].loss > m_flip.path[0].loss
     assert m_self.best_epoch > 1
     assert not np.array_equal(m_self.weights, m_flip.weights)
 
@@ -419,7 +423,6 @@ def test_model_file_round_trip(tmp_path):
     assert loaded.config == model.config
     assert loaded.seed == model.seed
     assert loaded.best_epoch == model.best_epoch
-    assert loaded.history == model.history
     assert loaded.path == model.path and all(isinstance(p, PathPoint) for p in loaded.path)
 
 
@@ -444,16 +447,11 @@ def _saved_model_payload(tmp_path):
         ("epochs", "5"),
         ("l2", True),
         ("seed", 8.9),
-        ("best_epoch", "3"),
-        ("history", [0.5, "0.4"]),
         ("bias", None),
         # well-typed values that contradict another field (FAST: 5 epochs, 256 dims)
         ("weights", [0.0]),
         ("path", []),
-        ("path", [{"l2": 1e-3, "iterations": 2, "stop": "gradient"}] * 6),
-        ("history", [0.5] * 6),
-        ("best_epoch", 0),
-        ("best_epoch", 6),
+        ("path", [{"loss": 0.5, "iterations": 2, "stop": "gradient"}] * 6),
     ],
 )
 def test_load_model_rejects_wrong_types_by_name(tmp_path, key, value):
@@ -473,7 +471,8 @@ def test_load_model_rejects_missing_fields_by_name(tmp_path, key):
         load_model(path)
 
 
-@pytest.mark.parametrize("key", ["epochz", "config"])
+# best_epoch and history were keys of version 2; the path's losses now give both
+@pytest.mark.parametrize("key", ["epochz", "config", "best_epoch", "history"])
 def test_load_model_rejects_unknown_keys_by_name(tmp_path, key):
     path, payload = _saved_model_payload(tmp_path)
     payload[key] = 5
@@ -485,10 +484,17 @@ def test_load_model_rejects_unknown_keys_by_name(tmp_path, key):
 @pytest.mark.parametrize(
     "point, message",
     [
-        ({"l2": 1e-3, "iterations": 2.5, "stop": "gradient"}, r"path\[0\]\.iterations must be"),
-        ({"l2": 1e-3, "iterations": 2, "stop": "tired"}, "stop must be 'gradient' or 'reduction'"),
-        ({"l2": 1e-3, "iterations": 2}, r"path\[0\]\.stop is missing"),
+        ({"loss": 0.5, "iterations": 2.5, "stop": "gradient"}, r"path\[0\]\.iterations must be"),
+        ({"loss": 0.5, "iterations": 2, "stop": "tired"}, "stop must be 'gradient' or 'reduction'"),
+        ({"loss": 0.5, "iterations": 2}, r"path\[0\]\.stop is missing"),
         ([1e-3, 2, "gradient"], r"path\[0\] must be a JSON object"),
+        # a version 2 point's penalty, which config.path() gives
+        (
+            {"l2": 1e-3, "loss": 0.5, "iterations": 2, "stop": "gradient"},
+            r"unknown key 'l2' in .*model\.json: model\.path\[0\]$",
+        ),
+        ({"loss": "0.5", "iterations": 2, "stop": "gradient"}, r"path\[0\]\.loss must be a number"),
+        ({"iterations": 2, "stop": "gradient"}, r"path\[0\]\.loss is missing"),
     ],
 )
 def test_load_model_rejects_bad_path_points(tmp_path, point, message):
@@ -505,10 +511,10 @@ def test_load_model_rejects_bad_path_points(tmp_path, point, message):
         (lambda p: p.update(bias=math.nan), r"bias must be finite, got nan$"),
         (lambda p: p.update(bias=math.inf), r"bias must be finite, got inf$"),
         (lambda p: p["weights"].__setitem__(3, -math.inf), r"weights\[3\] must be finite"),
-        (lambda p: p["history"].__setitem__(0, math.nan), r"history\[0\] must be finite"),
+        (lambda p: p["path"][0].update(loss=math.nan), r"path\[0\]\.loss must be finite, got nan$"),
         (lambda p: p["path"][0].update(iterations=-4), r"path\[0\]\.iterations must be >= 0, got -4$"),
     ],
-    ids=["nan-bias", "infinite-bias", "infinite-weight", "nan-history", "negative-iterations"],
+    ids=["nan-bias", "infinite-bias", "infinite-weight", "nan-path-loss", "negative-iterations"],
 )
 def test_load_model_rejects_a_diverged_model_by_name(tmp_path, edit, message):
     # json writes and reads NaN and Infinity; a model holding one is not a fit
@@ -520,19 +526,21 @@ def test_load_model_rejects_a_diverged_model_by_name(tmp_path, edit, message):
 
 
 def test_load_model_rejects_version_1_files(tmp_path):
-    # version 1 held SGD settings (learning_rate, batch_size) and no path
+    # version 1 held SGD settings (learning_rate, batch_size) and no path;
+    # version 2 held best_epoch, history and each path point's penalty
     path, payload = _saved_model_payload(tmp_path)
-    payload["version"] = 1
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="unsupported model version 1"):
-        load_model(path)
+    for version in (1, 2):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"unsupported model version {version}"):
+            load_model(path)
 
 
 def test_load_model_rejects_a_version_that_is_not_an_integer(tmp_path):
     path, payload = _saved_model_payload(tmp_path)
-    payload["version"] = 2.0
+    payload["version"] = 3.0
     path.write_text(json.dumps(payload))
-    message = r"model\.json: model\.version must be an integer, got 2\.0$"
+    message = r"model\.json: model\.version must be an integer, got 3\.0$"
     with pytest.raises(ValueError, match=message):
         load_model(path)
 
@@ -630,12 +638,13 @@ def test_each_path_point_is_a_stationary_point_of_its_objective(problem):
     # at the chosen l2; columns no training text touches stay exactly 0
     dataset, texts, config, seed, dev = problem
     model = train(dataset, texts, config, seed, dev=dev)
-    assert len(model.path) == len(model.history) >= model.best_epoch >= 1
+    assert len(model.path) >= model.best_epoch >= 1
     chosen = model.path[model.best_epoch - 1]
     item_ids, positives, totals = _item_counts(dataset)
     X = _reference_item_matrix(item_ids, texts, config.hash_dim)
     theta = np.append(model.weights, model.bias)
-    loss, grad = loss_and_grad(theta, X, X.T, positives, totals, chosen.l2)
+    l2 = config.path()[model.best_epoch - 1]
+    loss, grad = loss_and_grad(theta, X, X.T, positives, totals, l2)
     touched = np.unique(X.indices)
     untouched = np.setdiff1d(np.arange(config.hash_dim), touched)
     assert not model.weights[untouched].any()
@@ -722,7 +731,7 @@ def test_train_and_predict_on_features_equal_train_and_predict_on_texts(
     assert np.array_equal(on_features.weights, on_texts.weights)
     assert on_features.bias == on_texts.bias
     assert on_features.best_epoch == on_texts.best_epoch
-    assert on_features.history == on_texts.history
+    assert [p.loss for p in on_features.path] == [p.loss for p in on_texts.path]
     asked = order[: rnd.randint(0, len(order))]
     rnd.shuffle(asked)
     got = predict(on_texts, features.select(asked))
