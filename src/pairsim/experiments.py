@@ -569,7 +569,13 @@ def _component_from_dict(d, where: str) -> tuple[GoldShape, int]:
     if "n" not in d:
         raise ValueError(f"{where}.n is missing")
     params = {key: value for key, value in d.items() if key not in ("shape", "n")}
-    return typed_object(params, _SHAPES[kind], where), typed(d["n"], int, f"{where}.n")
+    try:
+        shape = typed_object(params, _SHAPES[kind], where)
+    except ValueError as err:  # a bad value: the shape's own message names no component
+        if where in str(err):
+            raise
+        raise ValueError(f"{where}: {err}") from None
+    return shape, typed(d["n"], int, f"{where}.n")
 
 
 def _components_from_list(value, where: str) -> tuple[tuple[GoldShape, int], ...]:

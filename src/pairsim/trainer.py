@@ -97,17 +97,15 @@ class PathPoint:
     """One fit of the path: its selection loss (the dev loss when a dev
     dataset was given, the training loss otherwise), its L-BFGS
     iterations and the test that stopped it, ``"gradient"`` or
-    ``"reduction"``. Point k's penalty is ``config.path()[k]``."""
+    ``"reduction"``. Point k's penalty is ``config.path()[k]``. The
+    :class:`Model` holding a point checks its values, naming it."""
 
     loss: float
     iterations: int
     stop: str
 
     def __post_init__(self) -> None:
-        if self.stop not in (STOP_GRADIENT, STOP_REDUCTION):
-            raise ValueError(
-                f"stop must be {STOP_GRADIENT!r} or {STOP_REDUCTION!r}, got {self.stop!r}"
-            )
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +114,39 @@ class Model:
 
     ``path`` holds each path point fitted, in the order of
     ``config.path()``. ``seed`` is provenance only: training draws no
-    randomness.
-    """
+    randomness. A model, built or read, is checked here, each error
+    naming its field as a model file does; ``weights`` becomes a
+    read-only float64 copy."""
 
     weights: np.ndarray
     bias: float
     config: TrainConfig
     seed: int
     path: tuple[PathPoint, ...]
+
+    def __post_init__(self) -> None:
+        weights, config, n = np.array(self.weights, dtype=np.float64), self.config, len(self.path)
+        if weights.shape != (config.hash_dim,):
+            got = len(weights) if weights.ndim == 1 else f"shape {weights.shape}"
+            raise ValueError(f"model.weights must be {config.hash_dim} long (hash_dim), got {got}")
+        if not 0 < n <= config.epochs:
+            raise ValueError(f"model.path must be 1 to {config.epochs} points (epochs), got {n}")
+        # a diverged fit is not a model
+        if not math.isfinite(self.bias):
+            raise ValueError(f"model.bias must be finite, got {self.bias}")
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if len(bad):
+            raise ValueError(f"model.weights[{bad[0]}] must be finite, got {weights[bad[0]]}")
+        for k, point in enumerate(self.path):
+            if not math.isfinite(point.loss):
+                raise ValueError(f"model.path[{k}].loss must be finite, got {point.loss}")
+            if point.iterations < 0:
+                raise ValueError(f"model.path[{k}].iterations must be >= 0, got {point.iterations}")
+            if point.stop not in (STOP_GRADIENT, STOP_REDUCTION):
+                stops = f"{STOP_GRADIENT!r} or {STOP_REDUCTION!r}"
+                raise ValueError(f"model.path[{k}].stop must be {stops}, got {point.stop!r}")
+        weights.flags.writeable = False
+        object.__setattr__(self, "weights", weights)
 
     @property
     def best_epoch(self) -> int:
@@ -528,29 +551,5 @@ def load_model(path: Union[str, Path]) -> Model:
     if payload.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {payload.get('version')}")
     file = typed_object(payload, _ModelFile, f"{path}: model")
-    model = Model(
-        weights=np.array(file.weights, dtype=np.float64),
-        bias=file.bias,
-        config=TrainConfig(epochs=file.epochs, hash_dim=file.hash_dim, l2=file.l2),
-        seed=file.seed,
-        path=file.path,
-    )
-    n, config = len(model.path), model.config
-    if len(model.weights) != config.hash_dim:
-        raise ValueError(
-            f"model.weights must be {config.hash_dim} long (hash_dim), got {len(model.weights)}"
-        )
-    if not 0 < n <= config.epochs:
-        raise ValueError(f"model.path must be 1 to {config.epochs} points (epochs), got {n}")
-    # a diverged fit must not load as a model
-    if not math.isfinite(model.bias):
-        raise ValueError(f"model.bias must be finite, got {model.bias}")
-    bad = np.flatnonzero(~np.isfinite(model.weights))
-    if len(bad):
-        raise ValueError(f"model.weights[{bad[0]}] must be finite, got {model.weights[bad[0]]}")
-    for k, point in enumerate(model.path):
-        if not math.isfinite(point.loss):
-            raise ValueError(f"model.path[{k}].loss must be finite, got {point.loss}")
-        if point.iterations < 0:
-            raise ValueError(f"model.path[{k}].iterations must be >= 0, got {point.iterations}")
-    return model
+    config = TrainConfig(epochs=file.epochs, hash_dim=file.hash_dim, l2=file.l2)
+    return Model(file.weights, file.bias, config, file.seed, file.path)

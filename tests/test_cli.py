@@ -8,6 +8,7 @@ from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import RECIPES, Uniform, read_dataset, read_gold
 from pairsim.trainer import TrainConfig, load_model
 from test_columns import read_dataset_rows
+from test_experiments import _BAD_SECOND_COMPONENTS
 
 
 @pytest.fixture()
@@ -137,6 +138,21 @@ def test_cli_sweep_bad_benchmark_is_one_error_line(
     bad_path.write_text(json.dumps(raw))
     assert main(["sweep", "--config", str(bad_path), "--out", str(tmp_path / "results")]) == 2
     assert capsys.readouterr().err == f"pairsim: error: {bad_path}: {message}\n"
+
+
+@pytest.mark.parametrize("component, message", _BAD_SECOND_COMPONENTS)
+def test_cli_sweep_bad_gold_component_is_one_error_line_naming_it(
+    tmp_path, config_path, capsys, component, message
+):
+    raw = json.loads(config_path.read_text())
+    raw["gold"]["synthetic"]["components"].append(component)
+    bad_path = tmp_path / "bad-config.json"
+    bad_path.write_text(json.dumps(raw))
+    out = tmp_path / "results"
+    assert main(["sweep", "--config", str(bad_path), "--out", str(out)]) == 2
+    where = "config.gold.synthetic.components[1]"
+    assert capsys.readouterr().err == f"pairsim: error: {bad_path}: {where}: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_missing_config_file_is_one_error_line(tmp_path, capsys):

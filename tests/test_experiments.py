@@ -52,7 +52,7 @@ from pairsim.simulation import (
     synth_gold,
     typed_object,
 )
-from pairsim.trainer import TrainConfig
+from pairsim.trainer import PathPoint, TrainConfig
 
 TINY_TRAIN = TrainConfig(epochs=2, hash_dim=512)
 
@@ -1079,6 +1079,22 @@ def test_config_from_dict_names_missing_component_keys(index, key):
         config_from_dict(d)
 
 
+# a shape's own value errors, second so that the index shows
+_BAD_SECOND_COMPONENTS = [
+    ({"shape": "uniform", "low": 0.9, "high": 0.1, "n": 5}, "uniform bounds (0.9, 0.1) invalid"),
+    ({"shape": "rare", "mean": 1.5, "n": 5}, "rare mean 1.5 outside (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("component, message", _BAD_SECOND_COMPONENTS)
+def test_config_from_dict_names_the_component_a_shape_rejects(component, message):
+    d = _full_config_dict()
+    d["gold"]["synthetic"]["components"][1] = component
+    where = "config.gold.synthetic.components[1]"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{where}: {message}')}$"):
+        config_from_dict(d)
+
+
 def test_config_from_dict_names_missing_gold():
     d = _full_config_dict()
     del d["gold"]
@@ -1205,6 +1221,7 @@ _KIND_CHECKED = {
     DatasetMeta: (lambda: DatasetMeta("OL", "custom", 0.3, 10), None),
     BiasSpec: (lambda: BiasSpec.two_type(0.3), None),
     WeightTable: (lambda: WeightTable({"A": Fraction(1), "B": Fraction(2)}), None),
+    PathPoint: (lambda: PathPoint(0.5, 3, "gradient"), None),
 }
 
 # values of many kinds, and those that JSON has

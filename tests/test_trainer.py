@@ -2,12 +2,13 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy import sparse
 
@@ -27,6 +28,10 @@ from pairsim.simulation import (
 )
 from pairsim import trainer
 from pairsim.trainer import (
+    MODEL_FORMAT,
+    MODEL_VERSION,
+    STOP_GRADIENT,
+    STOP_REDUCTION,
     Features,
     Model,
     PathPoint,
@@ -108,7 +113,7 @@ def test_zero_weight_model_predicts_half():
         bias=0.0,
         config=TrainConfig(hash_dim=64),
         seed=0,
-        path=(),
+        path=(PathPoint(0.5, 0, "gradient"),),
     )
     preds = predict(model, {"a": ("x", "y"), "b": ("z",)})
     assert preds == {"a": 0.5, "b": 0.5}
@@ -543,6 +548,109 @@ def test_load_model_rejects_a_version_that_is_not_an_integer(tmp_path):
     message = r"model\.json: model\.version must be an integer, got 3\.0$"
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+_POINT = PathPoint(0.5, 2, STOP_GRADIENT)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"path": ()}, "model.path must be 1 to 3 points (epochs), got 0"),
+        ({"path": (_POINT,) * 4}, "model.path must be 1 to 3 points (epochs), got 4"),
+        ({"weights": np.zeros(3)}, "model.weights must be 4 long (hash_dim), got 3"),
+        ({"bias": math.nan}, "model.bias must be finite, got nan"),
+        ({"bias": -math.inf}, "model.bias must be finite, got -inf"),
+        ({"weights": np.array([0, 0, math.inf, 0])}, "model.weights[2] must be finite, got inf"),
+        (
+            {"path": (_POINT, PathPoint(math.nan, 2, STOP_GRADIENT))},
+            "model.path[1].loss must be finite, got nan",
+        ),
+        (
+            {"path": (_POINT, PathPoint(0.5, -1, STOP_GRADIENT))},
+            "model.path[1].iterations must be >= 0, got -1",
+        ),
+        (
+            {"path": (PathPoint(0.5, 2, "tired"),)},
+            "model.path[0].stop must be 'gradient' or 'reduction', got 'tired'",
+        ),
+    ],
+    ids=[
+        "empty-path", "too-many-points", "weight-length", "nan-bias", "infinite-bias",
+        "infinite-weight", "nan-loss", "negative-iterations", "bad-stop",
+    ],
+)
+def test_a_model_built_in_python_is_held_to_the_model_file_rules(tmp_path, fault, message):
+    parts = {
+        "weights": np.zeros(4), "bias": 0.0, "config": TrainConfig(hash_dim=4), "seed": 0,
+        "path": (_POINT,), **fault,
+    }
+    with pytest.raises(ValueError) as built:
+        Model(**parts)
+    assert str(built.value) == message
+    # the same parts in a model file: the loader's error is the model's, naming the file
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "format": MODEL_FORMAT, "version": MODEL_VERSION, **asdict(parts["config"]),
+        "seed": parts["seed"], "path": [asdict(point) for point in parts["path"]],
+        "bias": parts["bias"], "weights": parts["weights"].tolist(),
+    }))
+    with pytest.raises(ValueError) as read:
+        load_model(path)
+    assert str(read.value) == f"{path}: {message}"
+
+
+def test_a_model_holds_a_read_only_copy_of_its_weights():
+    weights = np.zeros(4, dtype=np.float32)
+    model = Model(weights, 0.0, TrainConfig(hash_dim=4), 0, (_POINT,))
+    with pytest.raises(ValueError, match="read-only"):
+        model.weights[0] = 1.0
+    weights[0] = 1.0  # the caller's array stays writable and is not the model's
+    assert model.weights.dtype == np.float64 and not model.weights.any()
+
+
+def _not_strict_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    """Models of valid random parts: 1 to ``epochs`` points, finite
+    losses, weights and bias, iterations of at least 0, either stop test;
+    weights as an array or, as the loader passes them, a tuple."""
+    config = TrainConfig(
+        draw(st.integers(1, 4)), draw(st.integers(2, 12)), draw(st.floats(1e-12, 1e3))
+    )
+    weights = arrays(np.float64, config.hash_dim, elements=_FINITE)
+    stops = st.sampled_from([STOP_GRADIENT, STOP_REDUCTION])
+    point = st.builds(PathPoint, _FINITE, st.integers(0, 10 ** 6), stops)
+    return Model(
+        draw(weights | weights.map(lambda a: tuple(a.tolist()))),
+        draw(_FINITE),
+        config,
+        draw(st.integers()),
+        tuple(draw(st.lists(point, min_size=1, max_size=config.epochs))),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_models())
+def test_a_model_that_can_be_made_is_one_load_model_reads_back_bit_for_bit(
+    tmp_path_factory, model
+):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(model, path)
+    json.loads(path.read_text(encoding="utf-8"), parse_constant=_not_strict_json)
+    loaded = load_model(path)
+    assert loaded.weights.tobytes() == model.weights.tobytes()
+    assert not (loaded.weights.flags.writeable or model.weights.flags.writeable)
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr((loaded.bias, loaded.config, loaded.seed, loaded.path)) == repr(
+        (model.bias, model.config, model.seed, model.path)
+    )
 
 
 # ---------------------------------------------------------------------------
