@@ -19,9 +19,10 @@ experiment harness, with two annotator types A (shifted down) and B
 A :class:`Dataset` is stored as numpy columns, one entry per annotation
 record: the record's item code, stratum code, label (int8), the index
 of the record it replicates (-1 for an original) and its annotation id.
-The item and stratum codes index two small tables of ids. Its
-``records`` (:class:`Annotation` rows, for hand-built data and tests)
-are made only when asked for; a sweep builds no dataset at all.
+The item and stratum codes index two small tables of ids, and however a
+dataset is made, its constructor checks it. Its ``records``
+(:class:`Annotation` rows, for hand-built data and tests) are made only
+when asked for; a sweep builds no dataset at all.
 A :class:`GoldTable` is columns too, one entry per item. Its texts are a
 :class:`TextColumn`: a vocabulary of distinct tokens and every item's
 tokens as integer codes into it. Its ``entries`` (:class:`GoldEntry`
@@ -190,6 +191,13 @@ def _first_use_codes(names: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]
     return tuple(vocab), codes
 
 
+def _first_repeat(values: Sequence[str]) -> str | None:
+    """The first of ``values`` that equals an earlier one, or None."""
+    seen: set[str] = set()  # seen.add(v) is None: the test adds each value it has not seen
+    unique = len(set(values)) == len(values)
+    return None if unique else next(v for v in values if v in seen or seen.add(v))
+
+
 def _offsets(lengths: np.ndarray) -> np.ndarray:
     """The offsets of runs of ``lengths``: 0, then their running sums."""
     offsets = np.zeros(len(lengths) + 1, dtype=np.intp)
@@ -251,12 +259,8 @@ class GoldTable:
         else:  # values whose type does not vouch for them: check item by item
             rows = enumerate(zip(item_id, texts, p_gold, k_reference))
             first = next((k for k, row in rows if _entry_error(*row)), n)
-        if len(set(item_id[:first])) < first:
-            seen: set[str] = set()
-            for item in item_id:
-                if item in seen:
-                    raise ValueError(f"duplicate item_id {item!r} in gold table")
-                seen.add(item)
+        if (repeat := _first_repeat(item_id[:first])) is not None:
+            raise ValueError(f"duplicate item_id {repeat!r} in gold table")
         if first < n:
             row = item_id[first], texts[first], p_gold[first], k_reference[first]
             raise ValueError(_entry_error(*row))
@@ -428,8 +432,8 @@ class Dataset:
     index of the record it replicates, or -1 for an original, and
     ``annotation_ids[k]`` its annotation id. The tables may name items
     or strata that no record has (a restricted dataset keeps its
-    parent's). The five record columns must be of one length. Build a
-    dataset from :class:`Annotation` rows with :meth:`from_records`.
+    parent's). However a dataset is made, its constructor checks it.
+    Build a dataset from :class:`Annotation` rows with :meth:`from_records`.
     """
 
     meta: DatasetMeta
@@ -442,27 +446,75 @@ class Dataset:
     annotation_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        """Check the columns, casting nothing, and store them read-only (codes
+        intp, labels int8): one length, integer codes, str ids; then, naming
+        the first record at fault, codes in their tables (``original`` -1 or
+        a record), binary labels, unique ids and acyclic, agreeing replicas."""
+        n = len(self.item)
         for name in ("stratum", "label", "original", "annotation_ids"):
-            if len(getattr(self, name)) != len(self.item):
-                raise ValueError(
-                    f"dataset column {name} is of length {len(getattr(self, name))},"
-                    f" item of length {len(self.item)}"
-                )
+            if (length := len(getattr(self, name))) != n:
+                raise ValueError(f"dataset column {name} is of length {length}, item of length {n}")
+        types = {"item": np.intp, "stratum": np.intp, "original": np.intp, "label": np.int8}
+        codes = {name: np.asarray(getattr(self, name)) for name in types}
+        for name, array in codes.items():
+            if array.size and array.dtype.kind not in "iu":  # [] is a float array
+                raise ValueError(f"dataset column {name} must be integers, got {array.dtype}")
+        keys = ("item_ids", "stratum_ids", "annotation_ids")
+        tables = {key: tuple(getattr(self, key)) for key in keys}
+        for key, values in tables.items():
+            if not {str}.issuperset(map(type, values)):
+                k = next(k for k, v in enumerate(values) if type(v) is not str)
+                raise ValueError(f"dataset {key}[{k}] must be a string, got {values[k]!r}")
+        ids = tables["annotation_ids"]
+        bounds = (0, len(tables["item_ids"])), (0, len(tables["stratum_ids"])), (-1, n), (0, 2)
+        for (name, array), (low, high) in zip(codes.items(), bounds):
+            if len(bad := np.flatnonzero((array < low) | (array >= high))):
+                what = "not binary" if name == "label" else f"outside [{low}, {high})"
+                raise ValueError(f"annotation {ids[bad[0]]!r}: {name} {array[bad[0]]} {what}")
+        for key, values in tables.items():
+            if (repeat := _first_repeat(values)) is not None:
+                at = "annotation_id" if key == "annotation_ids" else f"{key} entry"
+                raise ValueError(f"duplicate {at} {repeat!r}")
+        item, stratum, original, label = codes.values()
+        replicas = np.flatnonzero(original >= 0)
+        triples = np.stack((item, stratum, label))
+        disagree = (triples[:, replicas] != triples[:, original[replicas]]).any(axis=0)
+        if disagree.any():
+            k = int(replicas[np.argmax(disagree)])
+            raise ValueError(
+                f"replica {ids[k]!r} disagrees with its original "
+                f"{ids[original[k]]!r} on (item, stratum, label)"
+            )
+        # pointer doubling: after s steps, end[k] is the record 2**s links down
+        # k's chain (a link per replica at most), or the original it stops at
+        end = np.where(original < 0, np.arange(n), original)
+        for _ in range(len(replicas).bit_length()):
+            end = end[end]
+        if (cyclic := original[end] >= 0).any():
+            at = f"replica {ids[np.argmax(cyclic)]!r}"
+            raise ValueError(f"{at} has no original: its replica_of chain ends in a cycle")
+        for name, value in (*codes.items(), *tables.items()):
+            if name in types:
+                (value := value.astype(types[name], copy=False)).flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a copy or an unpickled dataset is rebuilt, so checked, by the constructor
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
         """The dataset of ``records``, in their order; item and stratum codes
         follow first appearance. The first record that :func:`_check_record`
         faults is an error, then the first replica whose ``replica_of``
-        names no record, then what :meth:`validate` finds."""
+        names no record, then what the constructor finds."""
         records = tuple(records)
         for r in records:
             _check_record(r)
         ids, items, strata, labels = ([getattr(r, key) for r in records] for key in _RECORD_KEYS[:4])
         replicas = [k for k, r in enumerate(records) if r.source == "replica"]
         refs = [records[k].replica_of for k in replicas]
-        label = np.array(labels, dtype=np.int8)
-        return _coded_dataset(meta, ids, items, strata, label, replicas, refs)
+        return _coded_dataset(meta, ids, items, strata, labels, replicas, refs)
 
     def __len__(self) -> int:
         return len(self.label)
@@ -515,52 +567,12 @@ class Dataset:
         )
 
     def restrict(self, item_ids: Iterable[str]) -> "Dataset":
-        """Keep only the records of the given items (meta unchanged)."""
+        """Keep the records of the given items (meta unchanged): replicas with their originals."""
         wanted = set(item_ids)
         keep = np.fromiter(
             (i in wanted for i in self.item_ids), dtype=bool, count=len(self.item_ids)
         )
         return self.take(np.flatnonzero(keep[self.item]))
-
-    def validate(self) -> None:
-        """Check that annotation ids are unique, that each replica agrees
-        with the record it replicates on (item, stratum, label), and that
-        following ``replica_of`` from each replica reaches an original;
-        raises ValueError on violation. Labels and sources are checked
-        before records become columns, and replica references as they
-        do, in :func:`_coded_dataset`, which then runs this for
-        :meth:`from_records` and :func:`read_dataset` alike."""
-        ids = self.annotation_ids
-        if len(set(ids)) < len(ids):
-            seen: set[str] = set()
-            for aid in ids:
-                if aid in seen:
-                    raise ValueError(f"duplicate annotation_id {aid!r}")
-                seen.add(aid)
-        replicas = np.flatnonzero(self.original >= 0)
-        of = self.original[replicas]
-        disagree = (
-            (self.item[replicas] != self.item[of])
-            | (self.stratum[replicas] != self.stratum[of])
-            | (self.label[replicas] != self.label[of])
-        )
-        if disagree.any():
-            k = int(replicas[np.argmax(disagree)])
-            raise ValueError(
-                f"replica {ids[k]!r} disagrees with its original "
-                f"{ids[self.original[k]]!r} on (item, stratum, label)"
-            )
-        # pointer doubling: after s steps, end[k] is the record 2**s links
-        # down k's chain, or the original the chain stops at
-        end = np.where(self.original < 0, np.arange(len(self)), self.original)
-        for _ in range(len(self).bit_length()):
-            end = end[end]
-        cyclic = self.original[end] >= 0
-        if cyclic.any():
-            k = int(np.argmax(cyclic))
-            raise ValueError(
-                f"replica {ids[k]!r} has no original: its replica_of chain ends in a cycle"
-            )
 
 
 def _check_record(r: Annotation) -> None:
@@ -588,7 +600,7 @@ def _coded_dataset(
     ids: Sequence[str],
     items: Sequence[str],
     strata: Sequence[str],
-    label: np.ndarray,
+    label: Sequence[int],
     replicas: list[int],
     refs: Sequence[str],
 ) -> Dataset:
@@ -596,8 +608,8 @@ def _coded_dataset(
     ``items[k]``, stratum ``strata[k]`` and ``label[k]``; the records at
     indices ``replicas`` replicate those with the ids ``refs``, and an id
     that names no record is an error. Item and stratum codes follow
-    first appearance. The one step from records to a dataset: the result
-    is checked by :meth:`Dataset.validate`."""
+    first appearance. The one step from records to a dataset, for
+    :meth:`Dataset.from_records` and :func:`read_dataset` alike."""
     original = np.full(len(ids), -1, dtype=np.intp)
     if replicas:
         index = dict(zip(ids, range(len(ids))))
@@ -608,9 +620,7 @@ def _coded_dataset(
         original[replicas] = targets
     item_ids, item = _first_use_codes(items)
     stratum_ids, stratum = _first_use_codes(strata)
-    dataset = Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, tuple(ids))
-    dataset.validate()
-    return dataset
+    return Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -1300,7 +1310,7 @@ def _unescape(texts: Sequence[str]) -> list[str]:
 
 @reads_file
 def read_dataset(path: Union[str, Path]) -> Dataset:
-    """The validated dataset of a file in the layout :func:`write_dataset`
+    """The dataset of a file in the layout :func:`write_dataset`
     writes: a header line, one JSON object of the :class:`DatasetMeta`
     fields, then one record per line that :func:`_record_pattern` matches.
     Any other line is an error naming the line, and the field when

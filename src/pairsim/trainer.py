@@ -114,9 +114,10 @@ class Model:
 
     ``path`` holds each path point fitted, in the order of
     ``config.path()``. ``seed`` is provenance only: training draws no
-    randomness. A model, built or read, is checked here, each error
-    naming its field as a model file does; ``weights`` becomes a
-    read-only float64 copy."""
+    randomness. A model, built or read, is checked here by the model
+    file's rules, each error naming its field as a model file does;
+    ``weights``, an array of real numbers, becomes a read-only float64
+    copy."""
 
     weights: np.ndarray
     bias: float
@@ -125,15 +126,20 @@ class Model:
     path: tuple[PathPoint, ...]
 
     def __post_init__(self) -> None:
-        weights, config, n = np.array(self.weights, dtype=np.float64), self.config, len(self.path)
+        bias = typed(self.bias, float, "model.bias", from_json=False)
+        typed(self.seed, int, "model.seed", from_json=False)
+        weights, config, n = np.asarray(self.weights), self.config, len(self.path)
+        if weights.dtype.kind not in "fiu":
+            raise ValueError(f"model.weights must be numbers, got {weights.dtype}")
+        weights = weights.astype(np.float64)
         if weights.shape != (config.hash_dim,):
             got = len(weights) if weights.ndim == 1 else f"shape {weights.shape}"
             raise ValueError(f"model.weights must be {config.hash_dim} long (hash_dim), got {got}")
         if not 0 < n <= config.epochs:
             raise ValueError(f"model.path must be 1 to {config.epochs} points (epochs), got {n}")
         # a diverged fit is not a model
-        if not math.isfinite(self.bias):
-            raise ValueError(f"model.bias must be finite, got {self.bias}")
+        if not math.isfinite(bias):
+            raise ValueError(f"model.bias must be finite, got {bias}")
         bad = np.flatnonzero(~np.isfinite(weights))
         if len(bad):
             raise ValueError(f"model.weights[{bad[0]}] must be finite, got {weights[bad[0]]}")
@@ -147,6 +153,11 @@ class Model:
                 raise ValueError(f"model.path[{k}].stop must be {stops}, got {point.stop!r}")
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
+
+    def __reduce__(self):
+        # a copy or an unpickled model is rebuilt, so checked, by the constructor
+        return type(self), (self.weights, self.bias, self.config, self.seed, self.path)
 
     @property
     def best_epoch(self) -> int:

@@ -174,7 +174,6 @@ def test_apply_pair_duplicates_underrepresented_stratum():
     adjusted, wt = apply_pair(ds, HALF_HALF)
     assert wt.counts == {"A": 0, "B": 1}
     assert adjusted.meta.recipe == "adjusted"
-    adjusted.validate()
     for recs in adjusted.records_by_item().values():
         counts = Counter((r.stratum_id, r.source) for r in recs)
         assert counts == {("A", "original"): 6, ("B", "original"): 3, ("B", "replica"): 3}

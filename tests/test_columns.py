@@ -8,7 +8,9 @@ datasets of 1-5 strata with replicas, items in any order. The
 :class:`GoldEntry` rows.
 """
 
+import copy
 import json
+import pickle
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -138,7 +140,6 @@ def read_dataset_rows(path):
     meta = typed_object(header, DatasetMeta, "header")
     records = [typed_object(row, Annotation, f"record {k}") for k, row in enumerate(rows)]
     dataset = Dataset.from_records(records, meta)
-    dataset.validate()
     return dataset
 
 
@@ -195,6 +196,15 @@ def test_a_dataset_rejects_columns_of_unequal_length(column, lengths):
         replace(dataset, **{column: getattr(dataset, column)[:1]})
 
 
+@settings(max_examples=50, deadline=None)
+@given(datasets())
+def test_a_copied_or_unpickled_dataset_is_rebuilt_read_only(dataset):
+    for copied in (copy.deepcopy(dataset), pickle.loads(pickle.dumps(dataset))):
+        assert copied == dataset
+        codes = copied.item, copied.stratum, copied.original, copied.label
+        assert not any(c.flags.writeable for c in codes)
+
+
 @st.composite
 def benchmarks(draw, dataset):
     strata = sorted({r.stratum_id for r in dataset.records})
@@ -215,7 +225,10 @@ def test_restrict_equals_the_record_filter(dataset, data):
     assert sub.records == restrict_rows(dataset, wanted)
     assert type(sub.annotation_ids) is tuple
     assert sub.meta == dataset.meta
-    sub.validate()
+    for part in (dataset, sub):
+        codes = part.item, part.stratum, part.original, part.label
+        assert [c.dtype for c in codes] == [np.intp, np.intp, np.intp, np.int8]
+        assert not any(c.flags.writeable for c in codes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,7 +248,6 @@ def test_apply_pair_equals_the_record_loop(dataset, data):
     assert type(adjusted.annotation_ids) is tuple
     assert (weights.raw, weights.k, weights.counts) == (expected.raw, expected.k, expected.counts)
     assert adjusted.meta == replace(dataset.meta, recipe="adjusted")
-    adjusted.validate()
 
 
 @settings(max_examples=200, deadline=None)
@@ -296,20 +308,57 @@ def test_from_records_rejects_what_validate_rejects(records, message):
 
 
 def test_take_refuses_to_drop_the_original_of_a_kept_replica():
-    # the column constructor does not validate, so a replica may name a
-    # record of another item; restricting to the replica's item would lose
-    # its original
+    # a replica of another item's record does not build, so restrict, which
+    # keeps whole items, cannot lose an original; a take of rows can
+    message = r"^replica 'b' disagrees with its original 'a' on \(item, stratum, label\)$"
+    with pytest.raises(ValueError, match=message):
+        Dataset(
+            META, ("it0", "it1"), ("A",), np.array([0, 1]), np.array([0, 0]),
+            np.array([1, 1], dtype=np.int8), np.array([-1, 0]), ("a", "b"),
+        )
     records = (
         Annotation("a", "it0", "A", 1),
-        Annotation("b", "it1", "A", 1, source="replica", replica_of="a"),
+        Annotation("b", "it0", "A", 1, source="replica", replica_of="a"),
     )
-    dataset = Dataset(
-        META, ("it0", "it1"), ("A",), np.array([0, 1]), np.array([0, 0]),
-        np.array([1, 1], dtype=np.int8), np.array([-1, 0]), ("a", "b"),
-    )
-    with pytest.raises(ValueError, match="replica 'b' is kept without its original 'a'"):
-        dataset.restrict(["it1"])
+    dataset = Dataset.from_records(records, META)
+    with pytest.raises(ValueError, match="^replica 'b' is kept without its original 'a'$"):
+        dataset.take(np.array([1]))
     assert dataset.take(np.array([1, 0])).records == records[::-1]
+
+
+def _two_records(**columns):
+    """The columns of records 'a' (item i, stratum A, label 1) and 'b'
+    (item j, stratum B, label 0), with ``columns`` in their place."""
+    return {
+        "meta": META, "item_ids": ("i", "j"), "stratum_ids": ("A", "B"),
+        "item": np.array([0, 1]), "stratum": np.array([0, 1]),
+        "label": np.array([1, 0], dtype=np.int8), "original": np.array([-1, -1]),
+        "annotation_ids": ("a", "b"), **columns,
+    }
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ({"stratum": np.array([0, -1])}, r"annotation 'b': stratum -1 outside \[0, 2\)"),
+        ({"item": np.array([0, 7])}, r"annotation 'b': item 7 outside \[0, 2\)"),
+        ({"label": np.array([2, 0])}, "annotation 'a': label 2 not binary"),
+        ({"label": np.array([1.0, 0.0])}, "dataset column label must be integers, got float64"),
+        ({"original": np.array([-1, 5])}, r"annotation 'b': original 5 outside \[-1, 2\)"),
+        ({"annotation_ids": ("a", "a")}, "duplicate annotation_id 'a'"),
+        ({"item_ids": ("i", "i")}, "duplicate item_ids entry 'i'"),
+        ({"annotation_ids": ("a", 5)}, r"dataset annotation_ids\[1\] must be a string, got 5"),
+    ],
+    ids=[
+        "negative-stratum", "item-past-table", "label-2", "float-labels", "original-past-end",
+        "repeated-annotation-id", "repeated-item-id", "int-id",
+    ],
+)
+def test_the_constructor_rejects_columns_that_name_no_valid_record(columns, message):
+    # unchecked, records and write_dataset would misread each of these or
+    # fail in them, as pool_shares would, without naming a record
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(**_two_records(**columns))
 
 
 # ---------------------------------------------------------------------------

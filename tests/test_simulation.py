@@ -350,7 +350,6 @@ def test_sample_pool_rejects_unknown_stratum():
 def test_sample_pool_record_invariants():
     gold = flat_gold([0.2, 0.6, 0.9])
     ds = sample_pool(gold, PoolComposition({"A": 4, "B": 2}), BiasSpec.two_type(0.1), seed=5)
-    ds.validate()
     assert ds.meta == DatasetMeta("OL", "custom", 0.1, 5)
     assert {r.stratum_id for r in ds.records} == {"A", "B"}
     per_item = ds.records_by_item()
@@ -981,7 +980,6 @@ def test_validate_accepts_replica_chains_that_reach_an_original(tmp_path, length
     chain = [_replica(f"r{k}", f"r{k - 1}" if k else "o") for k in range(length)][::-1]
     records = (*chain, Annotation("o", "it", "A", 1))
     dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
-    dataset.validate()
     path = tmp_path / "chain.jsonl"
     _rewrite(path, [_HEADER, *map(vars, records)])
     assert read_dataset(path) == dataset
@@ -1352,7 +1350,6 @@ def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factor
     def checked(path):
         record = typed_object(row, Annotation, f"{path}:2: record")
         dataset = Dataset.from_records((record,), DatasetMeta("OL", "representative", 0.0, 1))
-        dataset.validate()
         return dataset
 
     assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: checked(path))

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -609,6 +611,46 @@ def test_a_model_holds_a_read_only_copy_of_its_weights():
     assert model.weights.dtype == np.float64 and not model.weights.any()
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"bias": True}, "model.bias must be a number, got True"),
+        ({"seed": 1.5}, "model.seed must be an integer, got 1.5"),
+    ],
+    ids=["bool-bias", "float-seed"],
+)
+def test_a_model_built_in_python_is_held_to_the_loader_kind_rule(tmp_path, fault, message):
+    parts = {
+        "weights": np.zeros(4), "bias": 0.0, "config": TrainConfig(hash_dim=4), "seed": 0,
+        "path": (_POINT,), **fault,
+    }
+    with pytest.raises(ValueError) as built:
+        Model(**parts)
+    assert str(built.value) == message
+    # the same value in a saved model file is the loader's error, naming the file
+    path = tmp_path / "model.json"
+    save_model(Model(**{**parts, "bias": 0.0, "seed": 0}), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fault}))
+    with pytest.raises(ValueError) as read:
+        load_model(path)
+    assert str(read.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "weights, kind",
+    [
+        (np.array(["1.5"] * 4), "<U3"),
+        (np.ones(4, dtype=bool), "bool"),
+        ((0.0, None, 0.0, 0.0), "object"),
+    ],
+    ids=["strings", "bools", "objects"],
+)
+def test_a_model_rejects_weights_that_are_not_numbers(weights, kind):
+    # a float64 cast would read each "1.5" as 1.5 and each True as 1.0
+    with pytest.raises(ValueError, match=f"^model.weights must be numbers, got {kind}$"):
+        Model(weights, 0.0, TrainConfig(hash_dim=4), 0, (_POINT,))
+
+
 def _not_strict_json(constant):
     raise ValueError(f"{constant} is not JSON")
 
@@ -651,6 +693,17 @@ def test_a_model_that_can_be_made_is_one_load_model_reads_back_bit_for_bit(
     assert repr((loaded.bias, loaded.config, loaded.seed, loaded.path)) == repr(
         (model.bias, model.config, model.seed, model.path)
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(model=_models())
+def test_a_copied_or_unpickled_model_is_rebuilt_read_only(model):
+    for copied in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert not copied.weights.flags.writeable
+        assert copied.weights.tobytes() == model.weights.tobytes()
+        assert repr((copied.bias, copied.config, copied.seed, copied.path)) == repr(
+            (model.bias, model.config, model.seed, model.path)
+        )
 
 
 # ---------------------------------------------------------------------------
