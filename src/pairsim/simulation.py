@@ -20,9 +20,10 @@ A :class:`Dataset` is stored as numpy columns, one entry per annotation
 record: the record's item code, stratum code, label (int8), the index
 of the record it replicates (-1 for an original) and its annotation id.
 The item and stratum codes index two small tables of ids, and however a
-dataset is made, its constructor checks it. Its ``records``
-(:class:`Annotation` rows, for hand-built data and tests) are made only
-when asked for; a sweep builds no dataset at all.
+dataset is made, its constructor checks it. A dataset is just these
+columns: :class:`Annotation` rows are the form of hand-built data,
+which :meth:`Dataset.from_records` codes, and of a dataset file's lines.
+A sweep builds no dataset at all.
 A :class:`GoldTable` is columns too, one entry per item. Its texts are a
 :class:`TextColumn`: a vocabulary of distinct tokens and every item's
 tokens as integer codes into it. Its ``entries`` (:class:`GoldEntry`
@@ -85,6 +86,19 @@ def check_beta(beta: float) -> None:
 # domain types
 
 
+class ReadOnlyValue:
+    """A dataclass whose constructor makes its arrays and mappings
+    read-only, checking them first where it checks: a copy or an unpickled
+    value is rebuilt from its fields by that constructor, so it is
+    read-only and checked again. A read-only mapping goes as a dict."""
+
+    def __reduce__(self):
+        return type(self), tuple(
+            dict(value) if isinstance(value := getattr(self, f.name), MappingProxyType) else value
+            for f in fields(self)
+        )
+
+
 @dataclass(frozen=True)
 class GoldEntry:
     item_id: str
@@ -94,7 +108,7 @@ class GoldEntry:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class TextColumn:
+class TextColumn(ReadOnlyValue):
     """Item texts as integer codes into a vocabulary of distinct tokens.
 
     Item k's tokens are ``vocab[c]`` for ``c`` in
@@ -206,7 +220,7 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class GoldTable:
+class GoldTable(ReadOnlyValue):
     """Per-item reference agreement proportions, stored as columns with
     one entry per item.
 
@@ -304,9 +318,6 @@ class GoldTable:
 
     def texts(self) -> dict[str, tuple[str, ...]]:
         return dict(zip(self.item_id, self.text))
-
-    def p_by_item(self) -> dict[str, float]:
-        return dict(zip(self.item_id, self.p_gold.tolist()))
 
 
 def _first_bad_token_item(text: TextColumn) -> int:
@@ -423,7 +434,7 @@ class DatasetMeta:
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Dataset:
+class Dataset(ReadOnlyValue):
     """Multiset of stratum-tagged annotations with replication provenance,
     stored as columns with one entry per record.
 
@@ -434,6 +445,7 @@ class Dataset:
     or strata that no record has (a restricted dataset keeps its
     parent's). However a dataset is made, its constructor checks it.
     Build a dataset from :class:`Annotation` rows with :meth:`from_records`.
+    Datasets have no ``==``: compare their columns.
     """
 
     meta: DatasetMeta
@@ -447,18 +459,25 @@ class Dataset:
 
     def __post_init__(self) -> None:
         """Check the columns, casting nothing, and store them read-only (codes
-        intp, labels int8): one length, integer codes, str ids; then, naming
-        the first record at fault, codes in their tables (``original`` -1 or
-        a record), binary labels, unique ids and acyclic, agreeing replicas."""
+        intp, labels int8): a :class:`DatasetMeta`, one-dimensional integer
+        codes, columns of one length, str ids; then, naming the first record
+        at fault, codes in their tables (``original`` -1 or a record), binary
+        labels, unique ids and acyclic, agreeing replicas."""
+        if not isinstance(self.meta, DatasetMeta):
+            raise ValueError(f"dataset meta must be a DatasetMeta, got {self.meta!r}")
+        types = {"item": np.intp, "stratum": np.intp, "original": np.intp, "label": np.int8}
+        codes = {name: np.asarray(getattr(self, name)) for name in types}
+        for name, array in codes.items():
+            if array.ndim != 1:
+                raise ValueError(
+                    f"dataset column {name} must be one-dimensional, got shape {array.shape}"
+                )
+            if array.size and array.dtype.kind not in "iu":  # [] is a float array
+                raise ValueError(f"dataset column {name} must be integers, got {array.dtype}")
         n = len(self.item)
         for name in ("stratum", "label", "original", "annotation_ids"):
             if (length := len(getattr(self, name))) != n:
                 raise ValueError(f"dataset column {name} is of length {length}, item of length {n}")
-        types = {"item": np.intp, "stratum": np.intp, "original": np.intp, "label": np.int8}
-        codes = {name: np.asarray(getattr(self, name)) for name in types}
-        for name, array in codes.items():
-            if array.size and array.dtype.kind not in "iu":  # [] is a float array
-                raise ValueError(f"dataset column {name} must be integers, got {array.dtype}")
         keys = ("item_ids", "stratum_ids", "annotation_ids")
         tables = {key: tuple(getattr(self, key)) for key in keys}
         for key, values in tables.items():
@@ -498,10 +517,6 @@ class Dataset:
                 (value := value.astype(types[name], copy=False)).flags.writeable = False
             object.__setattr__(self, name, value)
 
-    def __reduce__(self):
-        # a copy or an unpickled dataset is rebuilt, so checked, by the constructor
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
     @classmethod
     def from_records(cls, records: Iterable[Annotation], meta: DatasetMeta) -> "Dataset":
         """The dataset of ``records``, in their order; item and stratum codes
@@ -518,32 +533,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.label)
-
-    @cached_property
-    def records(self) -> tuple[Annotation, ...]:
-        """The records as :class:`Annotation` rows, built on first use."""
-        ids = self.annotation_ids
-        codes = (self.item.tolist(), self.stratum.tolist(), self.label.tolist())
-        return tuple(
-            Annotation(aid, self.item_ids[i], self.stratum_ids[s], label)
-            if o < 0
-            else Annotation(aid, self.item_ids[i], self.stratum_ids[s], label, "replica", ids[o])
-            for aid, i, s, label, o in zip(ids, *codes, self.original.tolist())
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self.meta == other.meta and self.records == other.records
-
-    def __repr__(self) -> str:
-        return f"Dataset.from_records({self.records!r}, {self.meta!r})"
-
-    def records_by_item(self) -> dict[str, list[Annotation]]:
-        grouped: dict[str, list[Annotation]] = {}
-        for rec in self.records:
-            grouped.setdefault(rec.item_id, []).append(rec)
-        return grouped
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """The records at the distinct indices ``rows``, in that order, with
@@ -848,7 +837,7 @@ def sample_pool(
 
 
 @dataclass(frozen=True, eq=False)
-class PoolDraws:
+class PoolDraws(ReadOnlyValue):
     """The bias-free part of an annotation pool.
 
     ``u[i]`` holds item i's slot doubles, stratum by stratum in the order
@@ -929,7 +918,7 @@ def label_pool(draws: PoolDraws, bias: BiasSpec) -> Dataset:
 
 
 @dataclass(frozen=True, eq=False)
-class SuiteDraws:
+class SuiteDraws(ReadOnlyValue):
     """The beta-free part of a suite: its pool's 9 A and 6 B slot doubles
     and ``rows``, per recipe (representative, nonrep1, nonrep2), the
     indices of the pool records that the recipe keeps. The mapping and

@@ -29,8 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.special import expit, log_expit
 
-from .simulation import Dataset, GoldTable, TextColumn, check_fields, reads_file
-from .simulation import typed, typed_object
+from .simulation import Dataset, GoldTable, ReadOnlyValue, TextColumn, check_fields
+from .simulation import reads_file, typed, typed_object
 
 MODEL_FORMAT = "pairsim-hashed-logistic"
 MODEL_VERSION = 3
@@ -109,7 +109,7 @@ class PathPoint:
 
 
 @dataclass(frozen=True, eq=False)
-class Model:
+class Model(ReadOnlyValue):
     """Trained classifier: hashed token weights, bias, and provenance.
 
     ``path`` holds each path point fitted, in the order of
@@ -154,10 +154,6 @@ class Model:
         weights.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "bias", bias)
-
-    def __reduce__(self):
-        # a copy or an unpickled model is rebuilt, so checked, by the constructor
-        return type(self), (self.weights, self.bias, self.config, self.seed, self.path)
 
     @property
     def best_epoch(self) -> int:
@@ -205,7 +201,7 @@ def _read_only(*matrices: sparse.spmatrix) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Features:
+class Features(ReadOnlyValue):
     """Hashed token frequencies of a set of items: row ``rows[item_id]``
     of ``matrix`` is that item's, with ``hash_dim`` columns. The mapping
     and the matrix's arrays are read-only."""
@@ -400,7 +396,7 @@ def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class Design:
+class Design(ReadOnlyValue):
     """The matrices of a fit: ``X``, the training rows over the ``active``
     hash columns that some training text touches (every other weight is
     exactly 0: it has zero gradient and zero ridge pull), its transpose

@@ -49,6 +49,7 @@ from pairsim.simulation import (
     synth_gold,
 )
 from pairsim.trainer import proportion_oracle
+from test_columns import decoded_records
 
 HALF_HALF = PopulationBenchmark({"A": 0.5, "B": 0.5})
 
@@ -103,12 +104,15 @@ def test_criterion_2_table_structure_every_beta_and_seed():
                 (suite.nonrep2, {"A": 9, "B": 3}),
                 (adjusted, {"A": 6, "B": 6}),
             ):
-                for recs in ds.records_by_item().values():
-                    assert Counter(r.stratum_id for r in recs) == expected
-            n1_b = [r for r in suite.nonrep1.records if r.stratum_id == "B"]
+                strata = {}
+                for r in decoded_records(ds):
+                    strata.setdefault(r.item_id, Counter())[r.stratum_id] += 1
+                for counts in strata.values():
+                    assert counts == expected
+            n1_b = [r for r in decoded_records(suite.nonrep1) if r.stratum_id == "B"]
             adj_b = Counter(
                 r.replica_of if r.source == "replica" else r.annotation_id
-                for r in adjusted.records
+                for r in decoded_records(adjusted)
                 if r.stratum_id == "B"
             )
             assert adj_b == {r.annotation_id: 2 for r in n1_b}
@@ -122,7 +126,7 @@ def test_criterion_3_data_level_calibration():
     assert all(beta <= e.p_gold <= 1 - beta for e in gold.entries)
     suite = build_suite(gold, beta, seed=67)
     adjusted, _ = apply_pair(suite.nonrep1, HALF_HALF)
-    p = gold.p_by_item()
+    p = dict(zip(gold.item_id, gold.p_gold.tolist()))
 
     def mean_dev(ds):
         oracle = proportion_oracle(ds)
@@ -166,7 +170,7 @@ def test_criterion_4_share_restoration_exact():
         )
         adjusted, weights = apply_pair(pool, benchmark)
         assert weights.normalized == multipliers  # integers by construction
-        out = Counter(r.stratum_id for r in adjusted.records)
+        out = Counter(r.stratum_id for r in decoded_records(adjusted))
         out_total = sum(out.values())
         for s in strata:
             assert Fraction(out[s], out_total) == benchmark.shares[s]
@@ -185,7 +189,7 @@ def test_criterion_5_scale_invariance():
     def replicate(dataset, counts):
         # independent replication oracle, kept deliberately naive
         out = []
-        for rec in dataset.records:
+        for rec in decoded_records(dataset):
             out.append(rec)
             for j in range(counts[rec.stratum_id]):
                 out.append(
@@ -206,7 +210,7 @@ def test_criterion_5_scale_invariance():
         weights = WeightTable({s: c * w for s, w in base_raw.raw.items()})
         assert weights.normalized == baseline_weights.normalized
         assert weights.counts == baseline_weights.counts
-        assert replicate(pool, weights.counts) == baseline_adjusted.records
+        assert replicate(pool, weights.counts) == decoded_records(baseline_adjusted)
     _ok(5, f"counts and adjusted datasets invariant to rescaling in {trials} randomized trials")
 
 
@@ -239,7 +243,7 @@ def test_criterion_6_end_to_end_trend():
 
 def test_criterion_7_acb_metric_correctness():
     gold = GoldTable.from_entries(tuple(GoldEntry(f"i{k}", (), k / 12, 12) for k in range(13)))
-    perfect = gold.p_by_item()
+    perfect = dict(zip(gold.item_id, gold.p_gold.tolist()))
     assert acb(perfect, gold) == 0.0
     constant = {i: 0.5 for i in gold.item_ids()}
     start = time.perf_counter()

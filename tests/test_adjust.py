@@ -31,6 +31,7 @@ from pairsim.simulation import (
     sample_pool,
     synth_gold,
 )
+from test_columns import decoded_records
 
 HALF_HALF = PopulationBenchmark({"A": 0.5, "B": 0.5})
 
@@ -174,14 +175,18 @@ def test_apply_pair_duplicates_underrepresented_stratum():
     adjusted, wt = apply_pair(ds, HALF_HALF)
     assert wt.counts == {"A": 0, "B": 1}
     assert adjusted.meta.recipe == "adjusted"
-    for recs in adjusted.records_by_item().values():
+    records = decoded_records(adjusted)
+    per_item = {}
+    for r in records:
+        per_item.setdefault(r.item_id, []).append(r)
+    for recs in per_item.values():
         counts = Counter((r.stratum_id, r.source) for r in recs)
         assert counts == {("A", "original"): 6, ("B", "original"): 3, ("B", "replica"): 3}
         assert len(recs) == 12
     # every B original appears exactly twice (itself + one replica)
     by_origin = Counter(
         r.replica_of if r.source == "replica" else r.annotation_id
-        for r in adjusted.records
+        for r in records
         if r.stratum_id == "B"
     )
     assert set(by_origin.values()) == {2}
@@ -190,7 +195,7 @@ def test_apply_pair_duplicates_underrepresented_stratum():
 def test_apply_pair_replicas_follow_their_original():
     ds = pool_dataset({"A": 2, "B": 1}, n_items=2)
     adjusted, _ = apply_pair(ds, PopulationBenchmark({"A": Fraction(1, 3), "B": Fraction(2, 3)}))
-    records = adjusted.records
+    records = decoded_records(adjusted)
     for i, rec in enumerate(records):
         if rec.source != "replica":
             continue
@@ -204,7 +209,7 @@ def test_apply_pair_noop_when_pool_matches_benchmark():
     ds = pool_dataset({"A": 6, "B": 6})
     adjusted, wt = apply_pair(ds, HALF_HALF)
     assert wt.counts == {"A": 0, "B": 0}
-    assert adjusted.records == ds.records
+    assert decoded_records(adjusted) == decoded_records(ds)
 
 
 def test_apply_pair_extreme_imbalance():
@@ -217,7 +222,7 @@ def test_apply_pair_extreme_imbalance():
     assert wt.k == Fraction(9, 5)
     assert wt.normalized == {"A": 1, "B": 9}
     assert wt.counts == {"A": 0, "B": 8}
-    counts = Counter(r.stratum_id for r in adjusted.records)
+    counts = Counter(r.stratum_id for r in decoded_records(adjusted))
     assert counts["B"] / sum(counts.values()) == 0.5
 
 
@@ -256,7 +261,7 @@ def test_share_restoration_exact_for_integer_weights():
         ds = sample_pool(gold, PoolComposition(counts), bias, seed=trial)
         adjusted, wt = apply_pair(ds, bench)
         assert wt.normalized == t
-        out = Counter(r.stratum_id for r in adjusted.records)
+        out = Counter(r.stratum_id for r in decoded_records(adjusted))
         out_total = sum(out.values())
         for s in strata:
             assert Fraction(out[s], out_total) == bench.shares[s]
@@ -293,7 +298,8 @@ def pools_and_benchmarks(draw):
 )
 def test_pair_properties_over_random_pools(case, k_factor):
     dataset, benchmark = case
-    pool = Counter(r.stratum_id for r in dataset.records)
+    records = decoded_records(dataset)
+    pool = Counter(r.stratum_id for r in records)
     raw = {s: benchmark.shares[s] / Fraction(pool[s], len(dataset)) for s in pool}
     k = (1 if k_factor is None else k_factor) / min(raw.values())
     adjusted, weights = apply_pair(dataset, benchmark, k=None if k_factor is None else k)
@@ -301,13 +307,14 @@ def test_pair_properties_over_random_pools(case, k_factor):
     assert (weights.raw, weights.k, weights.counts) == (raw, k, counts)
 
     # nothing is deleted and originals keep their order
-    assert [r for r in adjusted.records if r.source == "original"] == list(dataset.records)
+    adjusted_records = decoded_records(adjusted)
+    assert [r for r in adjusted_records if r.source == "original"] == list(records)
     # each original is followed directly by its replicas, with its provenance
     pos = 0
-    for rec in dataset.records:
-        assert adjusted.records[pos] == rec
+    for rec in records:
+        assert adjusted_records[pos] == rec
         for j in range(1, counts[rec.stratum_id] + 1):
-            assert adjusted.records[pos + j] == Annotation(
+            assert adjusted_records[pos + j] == Annotation(
                 f"{rec.annotation_id}#r{j}",
                 rec.item_id,
                 rec.stratum_id,
@@ -319,7 +326,7 @@ def test_pair_properties_over_random_pools(case, k_factor):
     assert pos == len(adjusted)
 
     if all((raw[s] * k).denominator == 1 for s in raw):
-        out = Counter(r.stratum_id for r in adjusted.records)
+        out = Counter(r.stratum_id for r in adjusted_records)
         assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares
 
 
@@ -339,7 +346,7 @@ def test_pair_restores_shares_exactly_when_weights_are_integers(data):
     )
     adjusted, weights = apply_pair(Dataset.from_records(records, DatasetMeta("OL", "custom", 0.0, 0)), benchmark)
     assert weights.normalized == multipliers
-    out = Counter(r.stratum_id for r in adjusted.records)
+    out = Counter(r.stratum_id for r in decoded_records(adjusted))
     assert {s: Fraction(out[s], len(adjusted)) for s in out} == benchmark.shares
 
 
@@ -383,7 +390,7 @@ def test_share_restoration_residual_bound_for_fractional_weights():
             seed=trial,
         )
         adjusted, wt = apply_pair(pool, bench)
-        out = Counter(r.stratum_id for r in adjusted.records)
+        out = Counter(r.stratum_id for r in decoded_records(adjusted))
         out_total = sum(out.values())
         w_mass = sum(counts[s] * nw_by[s] for s in strata)
         residual_mass = sum(counts[s] * abs(wt.counts[s] + 1 - nw_by[s]) for s in strata)
@@ -398,8 +405,8 @@ def test_share_restoration_residual_bound_for_fractional_weights():
 def test_no_deletion():
     ds = pool_dataset({"A": 5, "B": 2}, n_items=6)
     adjusted, _ = apply_pair(ds, HALF_HALF)
-    originals = [r for r in adjusted.records if r.source == "original"]
-    assert Counter(originals) == Counter(ds.records)
+    originals = [r for r in decoded_records(adjusted) if r.source == "original"]
+    assert Counter(originals) == Counter(decoded_records(ds))
 
 
 def test_idempotence_on_restored_shares():
@@ -407,19 +414,20 @@ def test_idempotence_on_restored_shares():
     once, _ = apply_pair(ds, HALF_HALF)
     twice, wt = apply_pair(once, HALF_HALF)
     assert wt.counts == {"A": 0, "B": 0}
-    assert twice.records == once.records
+    assert decoded_records(twice) == decoded_records(once)
 
 
 def test_label_preservation_recount():
     gold = synth_gold(50, Uniform(0.2, 0.8), seed=31)
     suite = build_suite(gold, 0.2, seed=33)
     adjusted, _ = apply_pair(suite.nonrep1, HALF_HALF)
-    pos = sum(r.label for r in adjusted.records) / len(adjusted.records)
-    shares: Counter = Counter(r.stratum_id for r in adjusted.records)
+    records = decoded_records(adjusted)
+    pos = sum(r.label for r in records) / len(records)
+    shares: Counter = Counter(r.stratum_id for r in records)
     total = sum(shares.values())
     by_stratum = {}
     for s in shares:
-        recs = [r for r in adjusted.records if r.stratum_id == s]
+        recs = [r for r in records if r.stratum_id == s]
         by_stratum[s] = sum(r.label for r in recs) / len(recs)
     reconstructed = sum((shares[s] / total) * by_stratum[s] for s in shares)
     assert abs(pos - reconstructed) < 1e-12

@@ -7,7 +7,7 @@ from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import RECIPES, Uniform, read_dataset, read_gold
 from pairsim.trainer import TrainConfig, load_model
-from test_columns import read_dataset_rows
+from test_columns import dataset_columns, read_dataset_rows
 from test_experiments import _BAD_SECOND_COMPONENTS
 
 
@@ -497,7 +497,9 @@ def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path):
     paths = [out / f"{recipe}.jsonl" for recipe in RECIPES]
     read = [read_dataset(path) for path in paths]
     assert sum(len(dataset) for dataset in read) == 60 * (12 + 9 + 12 + 12)
-    assert read == [read_dataset_rows(path) for path in paths]
+    assert [dataset_columns(d) for d in read] == [
+        dataset_columns(read_dataset_rows(path)) for path in paths
+    ]
 
 
 _REPORT = (

@@ -18,6 +18,7 @@ from pairsim.simulation import (
     build_suite,
     synth_gold,
 )
+from test_columns import decoded_records
 
 
 def flat_gold(ps):
@@ -32,7 +33,7 @@ def flat_gold(ps):
 
 def test_acb_perfect_predictor():
     gold = flat_gold([0.0, 0.25, 0.5, 1.0])
-    preds = gold.p_by_item()
+    preds = dict(zip(gold.item_id, gold.p_gold.tolist()))
     assert acb(preds, gold) == 0.0
 
 
@@ -160,7 +161,7 @@ def test_positive_proportion_adjusted_equals_weighted_recount():
     adjusted, wt = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
     weighted_pos = 0
     weighted_total = 0
-    for rec in suite.nonrep1.records:
+    for rec in decoded_records(suite.nonrep1):
         m = 1 + wt.counts[rec.stratum_id]
         weighted_pos += m * rec.label
         weighted_total += m

@@ -49,7 +49,7 @@ from pairsim.simulation import (
     write_gold,
 )
 from pairsim.trainer import load_model
-from test_columns import read_dataset_rows
+from test_columns import dataset_columns, decoded_records, read_dataset_rows
 
 
 def flat_gold(ps, k=12):
@@ -320,20 +320,21 @@ def test_sample_pool_monte_carlo_mean():
     # 2000 items x 12 draws at p=0.5: the 3-sigma band is well inside [0.48, 0.52]
     gold = flat_gold([0.5] * 2000)
     ds = sample_pool(gold, PoolComposition({"A": 6, "B": 6}), BiasSpec.two_type(0.0), seed=17)
-    mean = sum(r.label for r in ds.records) / len(ds.records)
+    records = decoded_records(ds)
+    mean = sum(r.label for r in records) / len(records)
     assert 0.48 <= mean <= 0.52
 
 
 def test_sample_pool_certain_positive():
     gold = flat_gold([1.0] * 20)
     ds = sample_pool(gold, PoolComposition({"B": 6}), BiasSpec.two_type(0.2), seed=1)
-    assert all(r.label == 1 for r in ds.records)
+    assert all(r.label == 1 for r in decoded_records(ds))
 
 
 def test_sample_pool_clamped_negative():
     gold = flat_gold([0.0] * 20)
     ds = sample_pool(gold, PoolComposition({"A": 6}), BiasSpec.two_type(0.3), seed=1)
-    assert all(r.label == 0 for r in ds.records)
+    assert all(r.label == 0 for r in decoded_records(ds))
 
 
 def test_sample_pool_rejects_empty_gold():
@@ -351,8 +352,11 @@ def test_sample_pool_record_invariants():
     gold = flat_gold([0.2, 0.6, 0.9])
     ds = sample_pool(gold, PoolComposition({"A": 4, "B": 2}), BiasSpec.two_type(0.1), seed=5)
     assert ds.meta == DatasetMeta("OL", "custom", 0.1, 5)
-    assert {r.stratum_id for r in ds.records} == {"A", "B"}
-    per_item = ds.records_by_item()
+    records = decoded_records(ds)
+    assert {r.stratum_id for r in records} == {"A", "B"}
+    per_item = {}
+    for r in records:
+        per_item.setdefault(r.item_id, []).append(r)
     for recs in per_item.values():
         assert Counter(r.stratum_id for r in recs) == {"A": 4, "B": 2}
         assert all(r.source == "original" for r in recs)
@@ -362,7 +366,7 @@ def test_sample_pool_deterministic():
     gold = flat_gold([0.3, 0.7])
     a = sample_pool(gold, PoolComposition({"A": 6, "B": 6}), BiasSpec.two_type(0.2), seed=9)
     b = sample_pool(gold, PoolComposition({"A": 6, "B": 6}), BiasSpec.two_type(0.2), seed=9)
-    assert a == b
+    assert dataset_columns(a) == dataset_columns(b)
 
 
 # ---------------------------------------------------------------------------
@@ -377,21 +381,23 @@ def test_suite_per_item_counts():
         (suite.nonrep1, {"A": 6, "B": 3}),
         (suite.nonrep2, {"A": 9, "B": 3}),
     ):
-        for recs in ds.records_by_item().values():
-            assert Counter(r.stratum_id for r in recs) == expected
+        strata = {}
+        for r in decoded_records(ds):
+            strata.setdefault(r.item_id, Counter())[r.stratum_id] += 1
+        for counts in strata.values():
+            assert counts == expected
 
 
 def test_nonrep1_is_subset_of_representative():
     gold = synth_gold(30, Uniform(0.1, 0.9), seed=6)
     suite = build_suite(gold, 0.2, seed=8)
-    rep = {r.annotation_id: r for r in suite.representative.records}
-    for rec in suite.nonrep1.records:
+    rep = {r.annotation_id: r for r in decoded_records(suite.representative)}
+    n1 = decoded_records(suite.nonrep1)
+    for rec in n1:
         assert rep[rec.annotation_id] == rec
-    rep_by_item = suite.representative.records_by_item()
-    n1_by_item = suite.nonrep1.records_by_item()
-    for item_id, recs in rep_by_item.items():
-        removed = {r.annotation_id for r in recs} - {
-            r.annotation_id for r in n1_by_item[item_id]
+    for item_id in dict.fromkeys(r.item_id for r in rep.values()):
+        removed = {r.annotation_id for r in rep.values() if r.item_id == item_id} - {
+            r.annotation_id for r in n1 if r.item_id == item_id
         }
         assert len(removed) == 3
         assert all(":B" in rid for rid in removed)
@@ -400,8 +406,8 @@ def test_nonrep1_is_subset_of_representative():
 def test_nonrep2_extends_nonrep1_with_fresh_a_draws():
     gold = synth_gold(30, Uniform(0.1, 0.9), seed=6)
     suite = build_suite(gold, 0.2, seed=8)
-    n1_ids = {r.annotation_id for r in suite.nonrep1.records}
-    n2_ids = {r.annotation_id for r in suite.nonrep2.records}
+    n1_ids = {r.annotation_id for r in decoded_records(suite.nonrep1)}
+    n2_ids = {r.annotation_id for r in decoded_records(suite.nonrep2)}
     extra = n2_ids - n1_ids
     assert n1_ids <= n2_ids
     assert len(extra) == 3 * len(gold)
@@ -415,7 +421,8 @@ def test_suite_unbiased_when_beta_zero():
     suite = build_suite(gold, 0.0, seed=13)
     adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
     for ds in (suite.representative, suite.nonrep1, suite.nonrep2, adjusted):
-        mean = sum(r.label for r in ds.records) / len(ds.records)
+        records = decoded_records(ds)
+        mean = sum(r.label for r in records) / len(records)
         assert abs(mean - expected) < 0.01
 
 
@@ -428,7 +435,8 @@ def test_suite_biased_proportions_match_analytic_shift():
     suite = build_suite(gold, beta, seed=23)
 
     def mean_label(ds):
-        return sum(r.label for r in ds.records) / len(ds.records)
+        records = decoded_records(ds)
+        return sum(r.label for r in records) / len(records)
 
     assert abs(mean_label(suite.representative) - mean_p) < 0.01
     assert abs(mean_label(suite.nonrep1) - (mean_p - beta / 3)) < 0.01
@@ -450,21 +458,9 @@ def test_suite_tasks_use_independent_draws():
     gold = synth_gold(50, Uniform(0.2, 0.8), seed=3)
     ol = build_suite(gold, 0.2, seed=7, task="OL")
     hs = build_suite(gold, 0.2, seed=7, task="HS")
-    assert [r.label for r in ol.representative.records] != [
-        r.label for r in hs.representative.records
+    assert [r.label for r in decoded_records(ol.representative)] != [
+        r.label for r in decoded_records(hs.representative)
     ]
-
-
-def dataset_columns(ds):
-    """A dataset's codes, labels, ids and meta, as comparable values."""
-    arrays = (ds.item, ds.stratum, ds.label, ds.original)
-    return (
-        ds.meta,
-        ds.item_ids,
-        ds.stratum_ids,
-        list(ds.annotation_ids),
-        [(a.dtype, a.tolist()) for a in arrays],
-    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -536,8 +532,11 @@ def oracle_stratum_labels(seed, task, stratum, item_index, p_shifted, count, off
 def oracle_build_suite(gold, beta, seed, task="OL"):
     bias = BiasSpec.two_type(beta)
     pool = sample_pool(gold, PoolComposition({"A": 6, "B": 6}), bias, seed, task=task)
-    rep = Dataset.from_records(pool.records, DatasetMeta(task, "representative", beta, seed))
-    by_item = rep.records_by_item()
+    records = decoded_records(pool)
+    rep = Dataset.from_records(records, DatasetMeta(task, "representative", beta, seed))
+    by_item = {}
+    for r in records:
+        by_item.setdefault(r.item_id, []).append(r)
     n1_records, n2_records = [], []
     for idx, entry in enumerate(gold.entries):
         recs = by_item[entry.item_id]
@@ -582,7 +581,9 @@ def test_build_suite_matches_reference_oracle(twelfths, beta, seed, task):
     suite = build_suite(gold, beta, seed, task)
     got = (suite.representative, suite.nonrep1, suite.nonrep2)
     for ds, want in zip(got, oracle_build_suite(gold, beta, seed, task)):
-        assert [astuple(r) for r in ds.records] == [astuple(r) for r in want.records]
+        assert [astuple(r) for r in decoded_records(ds)] == [
+            astuple(r) for r in decoded_records(want)
+        ]
         assert ds.meta == want.meta
 
 
@@ -615,7 +616,7 @@ def assert_quick_pins(gold):
     for (beta, seed, task), pin in QUICK_SUITE_PINS.items():
         suite = build_suite(gold, beta, seed, task)
         recipes = (suite.representative, suite.nonrep1, suite.nonrep2)
-        assert _digest(astuple(r) for ds in recipes for r in ds.records) == pin
+        assert _digest(astuple(r) for ds in recipes for r in decoded_records(ds)) == pin
 
 
 def test_quick_config_draws_are_pinned():
@@ -814,7 +815,8 @@ def test_dataset_file_round_trip(tmp_path):
     path = tmp_path / "adjusted.jsonl"
     write_dataset(adjusted, path)
     loaded = read_dataset(path)
-    assert loaded == adjusted
+    assert loaded.meta == adjusted.meta
+    assert decoded_records(loaded) == decoded_records(adjusted)
 
 
 def test_write_gold_is_pinned_byte_for_byte(tmp_path):
@@ -847,7 +849,7 @@ def test_write_dataset_is_pinned_byte_for_byte(tmp_path):
         b'{"annotation_id": "i1:B0#r1", "item_id": "i1", "stratum_id": "B", "label": 1, '
         b'"source": "replica", "replica_of": "i1:B0"}\n'
     )
-    assert read_dataset(path) == dataset
+    assert dataset_columns(read_dataset(path)) == dataset_columns(dataset)
 
 
 def test_read_dataset_rejects_broken_replica(tmp_path):
@@ -941,7 +943,7 @@ def test_a_dataset_that_can_be_made_is_one_read_dataset_reads_back(tmp_path_fact
         return
     path = tmp_path_factory.mktemp("dataset") / "ds.jsonl"
     write_dataset(dataset, path)
-    assert read_dataset(path) == dataset
+    assert dataset_columns(read_dataset(path)) == dataset_columns(dataset)
 
 
 def _replica(aid, of):
@@ -982,7 +984,7 @@ def test_validate_accepts_replica_chains_that_reach_an_original(tmp_path, length
     dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
     path = tmp_path / "chain.jsonl"
     _rewrite(path, [_HEADER, *map(vars, records)])
-    assert read_dataset(path) == dataset
+    assert dataset_columns(read_dataset(path)) == dataset_columns(dataset)
 
 
 def _written_dataset(tmp_path):
@@ -1290,11 +1292,15 @@ def test_typed_names_the_nested_field_in_errors(value, kind, message):
 
 
 def _outcome(read):
-    """repr of what ``read`` returns, so that 1 and 1.0 differ, or its error."""
+    """repr of what ``read`` returns, so that 1 and 1.0 differ (of a
+    dataset, its meta and decoded records), or its error."""
     try:
-        return repr(read())
+        value = read()
     except ValueError as err:
         return str(err)
+    if isinstance(value, Dataset):
+        return repr((value.meta, decoded_records(value)))
+    return repr(value)
 
 
 _ANY_JSON = st.one_of(
@@ -1361,7 +1367,7 @@ def _replicated_lines():
     header, then 24 records of which 6 are replicas."""
     suite = build_suite(synth_gold(2, Uniform(0.2, 0.8), seed=1), 0.1, seed=2)
     adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
-    records = [json.dumps(vars(r)) for r in adjusted.records]
+    records = [json.dumps(vars(r)) for r in decoded_records(adjusted)]
     return [json.dumps(vars(adjusted.meta)), *records]
 
 
@@ -1487,7 +1493,8 @@ def test_read_dataset_reads_escaped_ids_by_its_line_pattern(tmp_path_factory, it
     dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
     path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
     simulation.write_dataset(dataset, path)
-    assert read_dataset(path) == dataset == read_dataset_rows(path)
+    back = dataset_columns(read_dataset(path))
+    assert back == dataset_columns(dataset) == dataset_columns(read_dataset_rows(path))
 
 
 def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
@@ -1505,7 +1512,7 @@ def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
     path = tmp_path / "ds.jsonl"
     path.write_text("\n".join(lines) + "\n")
     dataset = read_dataset(path)
-    assert dataset == read_dataset_rows(path)
+    assert dataset_columns(dataset) == dataset_columns(read_dataset_rows(path))
     assert list(dataset.annotation_ids) == ['q"b\\s/c\b\f\n\r\t\xe9\U0001f600', "r"]
     assert dataset.stratum_ids == ("A",)
     assert dataset.original.tolist() == [-1, 0]
@@ -1545,7 +1552,7 @@ def test_read_dataset_reads_crlf_endings_and_names_joined_records_in_any_block(t
     for lineno in (3, 3000):
         crlf = [*lines[: lineno - 1], lines[lineno - 1] + "\r", *lines[lineno:]]
         path.write_text("\n".join(crlf) + "\n")
-        assert read_dataset(path) == written
+        assert dataset_columns(read_dataset(path)) == dataset_columns(written)
         joined = [*lines[: lineno - 1], lines[lineno - 1] + lines[lineno], *lines[lineno + 1 :]]
         path.write_text("\n".join(joined) + "\n")
         column = len(lines[lineno - 1]) + 1
@@ -1564,7 +1571,8 @@ def test_read_dataset_names_a_blank_last_line_and_reads_a_last_record_without_ne
         path.write_text("\n".join(lines) + "\n")
         written = read_dataset(path)
         path.write_text("\n".join(lines))
-        assert read_dataset(path) == written == read_dataset_rows(path)
+        back = dataset_columns(read_dataset(path))
+        assert back == dataset_columns(written) == dataset_columns(read_dataset_rows(path))
         path.write_text("\n".join(lines) + "\n\n")
         message = rf"^{re.escape(str(path))}:{len(lines) + 1}: Expecting value"
         with pytest.raises(ValueError, match=message):
@@ -1576,6 +1584,7 @@ def test_dataset_restrict():
     ds = build_suite(gold, 0.1, seed=2).representative
     wanted = set(gold.item_ids()[:4])
     sub = ds.restrict(wanted)
-    assert {r.item_id for r in sub.records} == wanted
-    assert len(sub.records) == 4 * 12
+    records = decoded_records(sub)
+    assert {r.item_id for r in records} == wanted
+    assert len(records) == 4 * 12
     assert sub.meta == ds.meta

@@ -49,6 +49,7 @@ from pairsim.trainer import (
     token_index,
     train,
 )
+from test_columns import decoded_records
 
 FAST = TrainConfig(epochs=5, hash_dim=256)
 
@@ -96,7 +97,7 @@ def test_count_weighted_loss_equals_the_per_annotation_loss():
     ds = small_dataset(gold)
     features = featurize(gold.texts(), 64)
     item_ids, positives, totals = _item_counts(ds)
-    records = ds.records
+    records = decoded_records(ds)
     per_record = features.of([r.item_id for r in records])
     labels = np.array([float(r.label) for r in records])
     theta = stream(5, "per-record").normal(0, 1.0, size=65)
@@ -159,7 +160,7 @@ def test_training_deterministic():
 def test_degenerate_all_positive_labels():
     gold = textual_gold(n=40)
     ds = small_dataset(gold)
-    ones = Dataset.from_records(tuple(replace(r, label=1) for r in ds.records), ds.meta)
+    ones = Dataset.from_records(tuple(replace(r, label=1) for r in decoded_records(ds)), ds.meta)
     model = train(ones, gold.texts(), FAST, seed=5)
     preds = predict(model, gold.texts())
     assert np.mean(list(preds.values())) > 0.9
@@ -170,8 +171,9 @@ def test_duplication_equals_reweighting():
     # total, which is exact in floating point: the same model, bit for bit
     gold = textual_gold(n=600, tokens=60, vocab=2000, seed=3)
     ds = build_suite(gold, 0.2, seed=11).representative
+    records = decoded_records(ds)
     doubled = Dataset.from_records(
-        ds.records
+        records
         + tuple(
             replace(
                 r,
@@ -179,7 +181,7 @@ def test_duplication_equals_reweighting():
                 source="replica",
                 replica_of=r.annotation_id,
             )
-            for r in ds.records
+            for r in records
         ),
         ds.meta,
     )
@@ -208,7 +210,7 @@ def test_train_fits_nonrep1_counts_weighted_by_pair(monkeypatch):
     monkeypatch.setattr(trainer, "loss_and_grad", recording)
     train(adjusted, gold.texts(), FAST)
     want_pos, want_tot = {}, {}
-    for r in nonrep1.records:
+    for r in decoded_records(nonrep1):
         copies = 1 + weights.counts[r.stratum_id]
         want_pos[r.item_id] = want_pos.get(r.item_id, 0) + copies * r.label
         want_tot[r.item_id] = want_tot.get(r.item_id, 0) + copies
@@ -245,7 +247,9 @@ def test_predictions_in_open_interval_and_loss_decreases():
 def test_dev_epoch_selection():
     gold = textual_gold(n=50)
     ds = small_dataset(gold)
-    flipped = Dataset.from_records(tuple(replace(r, label=1 - r.label) for r in ds.records), ds.meta)
+    flipped = Dataset.from_records(
+        tuple(replace(r, label=1 - r.label) for r in decoded_records(ds)), ds.meta
+    )
     cfg = replace(FAST, epochs=6)
     m_self = train(ds, gold.texts(), cfg, seed=4, dev=ds)
     m_flip = train(ds, gold.texts(), cfg, seed=4, dev=flipped)
@@ -383,7 +387,10 @@ def test_proportion_oracle_counts_replicas():
     suite = build_suite(gold, 0.1, seed=9)
     adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
     oracle = proportion_oracle(adjusted)
-    for item_id, recs in adjusted.records_by_item().items():
+    per_item = {}
+    for r in decoded_records(adjusted):
+        per_item.setdefault(r.item_id, []).append(r)
+    for item_id, recs in per_item.items():
         a_pos = sum(r.label for r in recs if r.stratum_id == "A" and r.source == "original")
         b_pos = sum(r.label for r in recs if r.stratum_id == "B" and r.source == "original")
         assert oracle[item_id] == (a_pos + 2 * b_pos) / 12
@@ -395,7 +402,7 @@ def test_proportion_oracle_nonrep2_deviation():
     gold = synth_gold(2000, Uniform(0.35, 0.65), seed=41)
     suite = build_suite(gold, beta, seed=43)
     oracle = proportion_oracle(suite.nonrep2)
-    p = gold.p_by_item()
+    p = dict(zip(gold.item_id, gold.p_gold.tolist()))
     mean_dev = np.mean([oracle[i] - p[i] for i in oracle])
     assert abs(abs(mean_dev) - 0.15) < 0.01
 
@@ -886,7 +893,7 @@ def test_train_and_predict_on_features_equal_train_and_predict_on_texts(
     order = list(table)
     rnd.shuffle(order)
     features = featurize({item_id: table[item_id] for item_id in order}, config.hash_dim)
-    needed = {r.item_id for ds in (dataset, dev) if ds is not None for r in ds.records}
+    needed = {r.item_id for ds in (dataset, dev) if ds is not None for r in decoded_records(ds)}
     on_texts = train(dataset, {i: texts[i] for i in texts if i in needed}, config, seed, dev=dev)
     on_features = train(dataset, features, config, seed, dev=dev)
     assert np.array_equal(on_features.weights, on_texts.weights)
