@@ -22,24 +22,22 @@ of the record it replicates (-1 for an original) and its annotation id.
 The item and stratum codes index two small tables of ids, and however a
 dataset is made, its constructor checks it. A dataset is just these
 columns: :class:`Annotation` rows are the form of hand-built data,
-which :meth:`Dataset.from_records` codes, and of a dataset file's lines.
-A sweep builds no dataset at all.
+which :meth:`Dataset.from_records` codes. A sweep builds no dataset at all.
 A :class:`GoldTable` is columns too, one entry per item. Its texts are a
 :class:`TextColumn`: a vocabulary of distinct tokens and every item's
 tokens as integer codes into it. Its ``entries`` (:class:`GoldEntry`
 rows) and per-item token tuples are likewise made only when asked for.
+A gold or dataset file is one JSON object of these columns, on one line.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import re
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from functools import cache, cached_property, wraps
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import MappingProxyType, NoneType, UnionType
 from typing import Union, get_origin, get_type_hints
@@ -283,8 +281,8 @@ class GoldTable(ReadOnlyValue):
         p_gold = np.asarray(p_gold, dtype=np.float64)
         k_reference = np.asarray(k_reference, dtype=np.int64)
         p_gold.flags.writeable = k_reference.flags.writeable = False
-        for name, value in zip(_GOLD_KEYS, (item_id, text, p_gold, k_reference)):
-            object.__setattr__(self, name, value)
+        for f, value in zip(fields(self), (item_id, text, p_gold, k_reference)):
+            object.__setattr__(self, f.name, value)
 
     def __len__(self) -> int:
         return len(self.item_id)
@@ -472,8 +470,10 @@ class Dataset(ReadOnlyValue):
                 raise ValueError(
                     f"dataset column {name} must be one-dimensional, got shape {array.shape}"
                 )
-            if array.size and array.dtype.kind not in "iu":  # [] is a float array
-                raise ValueError(f"dataset column {name} must be integers, got {array.dtype}")
+            if array.dtype.kind not in "iu":
+                if array.size:
+                    raise ValueError(f"dataset column {name} must be integers, got {array.dtype}")
+                codes[name] = array.astype(types[name])  # [] is a float array
         n = len(self.item)
         for name in ("stratum", "label", "original", "annotation_ids"):
             if (length := len(getattr(self, name))) != n:
@@ -526,17 +526,27 @@ class Dataset(ReadOnlyValue):
         records = tuple(records)
         for r in records:
             _check_record(r)
-        ids, items, strata, labels = ([getattr(r, key) for r in records] for key in _RECORD_KEYS[:4])
+        ids = tuple(r.annotation_id for r in records)
+        original = np.full(len(ids), -1, dtype=np.intp)
         replicas = [k for k, r in enumerate(records) if r.source == "replica"]
-        refs = [records[k].replica_of for k in replicas]
-        return _coded_dataset(meta, ids, items, strata, labels, replicas, refs)
+        if replicas:
+            index = dict(zip(ids, range(len(ids))))
+            targets = [index.get(records[k].replica_of, -1) for k in replicas]
+            if -1 in targets:
+                k = replicas[targets.index(-1)]
+                raise ValueError(f"replica {ids[k]!r} does not reference an existing annotation")
+            original[replicas] = targets
+        item_ids, item = _first_use_codes(r.item_id for r in records)
+        stratum_ids, stratum = _first_use_codes(r.stratum_id for r in records)
+        label = [r.label for r in records]
+        return cls(meta, item_ids, stratum_ids, item, stratum, label, original, ids)
 
     def __len__(self) -> int:
         return len(self.label)
 
-    def take(self, rows: np.ndarray) -> "Dataset":
+    def take(self, rows: np.ndarray, meta: DatasetMeta | None = None) -> "Dataset":
         """The records at the distinct indices ``rows``, in that order, with
-        this dataset's meta. A kept replica's original must be kept."""
+        ``meta`` or else this dataset's. A kept replica's original must be kept."""
         ids = self.annotation_ids
         original = self.original[rows]
         replica = original >= 0
@@ -551,8 +561,9 @@ class Dataset(ReadOnlyValue):
                     f"replica {ids[k]!r} is kept without its original {ids[self.original[k]]!r}"
                 )
         return replace(
-            self, item=self.item[rows], stratum=self.stratum[rows], label=self.label[rows],
-            original=original, annotation_ids=tuple(map(ids.__getitem__, rows.tolist())),
+            self, meta=self.meta if meta is None else meta, item=self.item[rows],
+            stratum=self.stratum[rows], label=self.label[rows], original=original,
+            annotation_ids=tuple(map(ids.__getitem__, rows.tolist())),
         )
 
     def restrict(self, item_ids: Iterable[str]) -> "Dataset":
@@ -582,34 +593,6 @@ def _check_record(r: Annotation) -> None:
         raise ValueError(f"replica {aid!r} has no replica_of")
     if r.source == "original" and r.replica_of is not None:
         raise ValueError(f"original {aid!r} carries replica_of")
-
-
-def _coded_dataset(
-    meta: DatasetMeta,
-    ids: Sequence[str],
-    items: Sequence[str],
-    strata: Sequence[str],
-    label: Sequence[int],
-    replicas: list[int],
-    refs: Sequence[str],
-) -> Dataset:
-    """The dataset whose record k has annotation id ``ids[k]``, item
-    ``items[k]``, stratum ``strata[k]`` and ``label[k]``; the records at
-    indices ``replicas`` replicate those with the ids ``refs``, and an id
-    that names no record is an error. Item and stratum codes follow
-    first appearance. The one step from records to a dataset, for
-    :meth:`Dataset.from_records` and :func:`read_dataset` alike."""
-    original = np.full(len(ids), -1, dtype=np.intp)
-    if replicas:
-        index = dict(zip(ids, range(len(ids))))
-        targets = [index.get(ref, -1) for ref in refs]
-        if -1 in targets:
-            k = replicas[targets.index(-1)]
-            raise ValueError(f"replica {ids[k]!r} does not reference an existing annotation")
-        original[replicas] = targets
-    item_ids, item = _first_use_codes(items)
-    stratum_ids, stratum = _first_use_codes(strata)
-    return Dataset(meta, item_ids, stratum_ids, item, stratum, label, original, tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -946,7 +929,7 @@ def build_suite(gold: GoldTable, beta: float, seed: int, task: str = "OL") -> Su
     draws = draw_suite(gold, seed, task)
     pool = label_pool(draws.pool, BiasSpec.two_type(beta))
     return Suite(**{
-        recipe: replace(pool.take(rows), meta=replace(pool.meta, recipe=recipe))
+        recipe: pool.take(rows, replace(pool.meta, recipe=recipe))
         for recipe, rows in draws.rows.items()
     })
 
@@ -1115,15 +1098,12 @@ def typed_object(d, cls: type, where: str, /, **parsers):
 
 
 # ---------------------------------------------------------------------------
-# file formats (line-delimited JSON)
+# file formats: one JSON object of columns per file
 
 
-# Per line, json.loads adds two calls and two whitespace regex matches
-# around raw_decode, and json.dumps tracks visited containers to catch
-# cycles, which dataclass fields cannot form. Through them the CLI chain
-# simulate-adjust-train-evaluate took 10% more CPU (2-vCPU x86 host).
-_raw_decode = json.JSONDecoder().raw_decode
-_encode = json.JSONEncoder(check_circular=False).encode
+GOLD_FORMAT = "pairsim-gold"
+DATASET_FORMAT = "pairsim-dataset"
+DATA_VERSION = 1
 
 
 def reads_file(reader):
@@ -1142,203 +1122,98 @@ def reads_file(reader):
     return read
 
 
-def _decoded_line(path: Union[str, Path], lineno: int, line: str, cls: type, name: str):
-    """Line ``lineno`` of the file ``path`` read as a ``cls`` dataclass
-    named ``name`` by :func:`typed_object`: a line that is not one JSON
-    value, or whose value is not a ``cls``, is an error naming the line,
-    as is a value ``cls`` rejects: its error begins with the field."""
-    where = f"{path}:{lineno}"
-    try:
-        return typed_object(json.loads(line), cls, f"{where}: {name}")
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{where}: {err}") from None
-    except ValueError as err:
-        if where in str(err):
-            raise
-        raise ValueError(f"{where}: {name}.{err}") from None
+@dataclass(frozen=True)
+class _GoldFile:
+    """A gold file's keys, in write_gold's order: the columns of a
+    :class:`GoldTable`, its text as those of a :class:`TextColumn`."""
+
+    format: str
+    version: int
+    item_id: tuple[str, ...]
+    vocab: tuple[str, ...]
+    codes: tuple[int, ...]
+    offsets: tuple[int, ...]
+    p_gold: tuple[float, ...]
+    k_reference: tuple[int, ...]
 
 
-def _line_template(keys: Sequence[str]) -> str:
-    """The line json.dumps writes for a dict of ``keys``, with a %s per
-    value; filling it in takes a quarter of the time of encoding the dict."""
-    return "{" + ", ".join(f'"{key}": %s' for key in keys) + "}\n"
+@dataclass(frozen=True)
+class _DatasetFile:
+    """A dataset file's keys, in write_dataset's order: the fields of a
+    :class:`Dataset`."""
+
+    format: str
+    version: int
+    meta: DatasetMeta
+    item_ids: tuple[str, ...]
+    stratum_ids: tuple[str, ...]
+    item: tuple[int, ...]
+    stratum: tuple[int, ...]
+    label: tuple[int, ...]
+    original: tuple[int, ...]
+    annotation_ids: tuple[str, ...]
 
 
-_GOLD_KEYS = tuple(f.name for f in fields(GoldEntry))
-_GOLD_LINE = _line_template(_GOLD_KEYS)
+def _write_file(path: Union[str, Path], form: str, **columns) -> None:
+    """One line: a JSON object of the format ``form``, the version, then
+    ``columns``, arrays as lists and a dataclass as its fields."""
+    def listed(value):
+        return value.tolist() if isinstance(value, np.ndarray) else vars(value)
+
+    # one-shot dumps runs json's C encoder; dump runs the pure-Python one
+    payload = json.dumps({"format": form, "version": DATA_VERSION, **columns}, default=listed)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(payload + "\n")
+
+
+def _read_file(path: Union[str, Path], form: str, cls: type):
+    """The ``cls`` of a file that :func:`_write_file` wrote in the format
+    ``form``: its one line is read by :func:`typed_object`, after the
+    format and the version are checked. Any text but whitespace after it
+    is an error."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.loads(fh.readline())
+        if not isinstance(payload, dict) or payload.get("format") != form:
+            raise ValueError(f"not a {form} file")
+        if payload.get("version") != DATA_VERSION:
+            raise ValueError(f"unsupported {form} version {payload.get('version')!r}")
+        if fh.read().strip():
+            raise ValueError(f"text after the {form} object")
+    return typed_object(payload, cls, f"{path}: {form.removeprefix('pairsim-')}")
 
 
 def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
-    """One line per item: a JSON object of the :class:`GoldEntry` fields,
-    in field order. Each vocabulary entry is encoded once."""
+    """The :class:`_GoldFile` of ``gold``."""
     text = gold.text
-    tokens = np.array([_encode(token) for token in text.vocab], dtype=object)[text.codes].tolist()
-    bounds = text.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            _GOLD_LINE % (_encode(item_id), "[" + ", ".join(tokens[a:b]) + "]", _encode(p), k)
-            for item_id, a, b, p, k in zip(
-                gold.item_id, bounds, bounds[1:], gold.p_gold.tolist(), gold.k_reference.tolist()
-            )
-        )
-
-
-def _written_entry(d) -> tuple[str, list[str], float, int] | None:
-    """``d``'s values when it has write_gold's layout: the fields in
-    order, a string id, a list of strings for ``text``, a float
-    ``p_gold`` and an integer ``k_reference``; None otherwise."""
-    if type(d) is not dict or tuple(d) != _GOLD_KEYS:
-        return None
-    item_id, text, p_gold, k_reference = d.values()
-    if (
-        type(item_id) is str
-        and type(text) is list
-        and {str}.issuperset(map(type, text))
-        and type(p_gold) is float
-        and type(k_reference) is int
-    ):
-        return item_id, text, p_gold, k_reference
-    return None
+    _write_file(
+        path, GOLD_FORMAT, item_id=gold.item_id, vocab=text.vocab, codes=text.codes,
+        offsets=text.offsets, p_gold=gold.p_gold, k_reference=gold.k_reference,
+    )
 
 
 @reads_file
 def read_gold(path: Union[str, Path]) -> GoldTable:
-    """The checked gold table of a file in the layout :func:`write_gold`
-    writes: each line one JSON object, which :func:`_written_entry`
-    accepts, and nothing after it. Any other line is an error naming the
-    line, and the field when :func:`typed_object` faults one. Tokens are
-    coded as they are read, the vocabulary in order of first use."""
-    rows = []
-
-    def texts(fh) -> Iterator[list[str]]:
-        for lineno, line in enumerate(fh, 1):
-            try:
-                d, end = _raw_decode(line)
-                row = _written_entry(d) if line[end:] in ("\n", "") else None
-            except json.JSONDecodeError:
-                row = None
-            if row is None:
-                _decoded_line(path, lineno, line, GoldEntry, "entry")
-                raise ValueError(f"{path}:{lineno}: not in the layout write_gold writes")
-            item_id, text, p_gold, k_reference = row
-            rows.append((item_id, len(text), p_gold, k_reference))
-            yield text
-
-    with open(path, encoding="utf-8") as fh:
-        vocab, codes = _first_use_codes(chain.from_iterable(texts(fh)))
-    if not rows:
+    """The gold table of a :class:`_GoldFile`, which its constructor
+    checks; a table of no items is an error."""
+    file = _read_file(path, GOLD_FORMAT, _GoldFile)
+    text = TextColumn(file.vocab, np.array(file.codes), np.array(file.offsets))
+    gold = GoldTable(file.item_id, text, np.array(file.p_gold), np.array(file.k_reference))
+    if not len(gold):
         raise ValueError("gold table has no entries")
-    item_id, lengths, p_gold, k_reference = zip(*rows)
-    text = TextColumn(vocab, codes, _offsets(np.array(lengths)))
-    return GoldTable(item_id, text, np.array(p_gold), np.array(k_reference))
-
-
-_RECORD_KEYS = tuple(f.name for f in fields(Annotation))
-_RECORD_LINE = _line_template(_RECORD_KEYS)
+    return gold
 
 
 def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
-    """One metadata header line, then one line per annotation record, each
-    a JSON object of the :class:`Annotation` fields in field order, filled
-    in from columns of encoded values: each distinct value is encoded once."""
-    ids = list(map(encode_basestring_ascii, dataset.annotation_ids))
-
-    def encoded(values: Sequence[str], codes: np.ndarray) -> list[str]:
-        return np.array(values, dtype=object)[codes].tolist()
-
-    columns = (
-        ids,
-        encoded([_encode(i) for i in dataset.item_ids], dataset.item),
-        encoded([_encode(s) for s in dataset.stratum_ids], dataset.stratum),
-        dataset.label.tolist(),
-        encoded(['"original"', '"replica"'], (dataset.original >= 0).view(np.int8)),
-        encoded([*ids, _encode(None)], dataset.original),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_encode(vars(dataset.meta)) + "\n")
-        fh.writelines(map(_RECORD_LINE.__mod__, zip(*columns)))
-
-
-# A dataset file has one line per annotation record, about ten times the
-# lines of its gold file, so read_dataset reads the layout write_dataset
-# produces with one pattern, which splits a block of lines at a time into
-# columns of fields: decoding each line as JSON made the CLI chain take 44%
-# more CPU, matching each line on its own made reading a trend
-# adjusted.jsonl a quarter slower, and findall's one tuple per record a
-# fifth slower (2-vCPU x86 host). A JSON string without a backslash is its
-# own value, so the captured strings are decoded only in a block that has one.
-_TEXT = r'[^"\\\x00-\x1f]*(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*'
-_RECORD_VALUES = {
-    "annotation_id": f'"({_TEXT})"',
-    "item_id": f'"({_TEXT})"',
-    "stratum_id": f'"({_TEXT})"',
-    "label": "([01])",
-    # a replica's replica_of is a string, captured without its quotes; an original's is null
-    "source": '"(?:original|(?P<replica>replica))"',
-    "replica_of": f'(?(replica)"({_TEXT})"|null)',
-}
-
-
-@cache  # compiled on first use: the sweep path reads no dataset file
-def _record_pattern() -> re.Pattern[str]:
-    """A record line of write_dataset's layout, its six values captured."""
-    values = tuple(_RECORD_VALUES[key] for key in _RECORD_KEYS)
-    return re.compile("^" + re.escape(_RECORD_LINE[:-1]) % values + "$", re.M)
-
-
-#: characters read per block of record lines; a block ends with a whole line
-_BLOCK_CHARS = 1 << 18
-
-
-def _unescape(texts: Sequence[str]) -> list[str]:
-    """The values of JSON strings given the text between their quotes,
-    decoded in one call: one call per string took longer than decoding
-    each line."""
-    return json.loads('["' + '","'.join(texts) + '"]') if texts else []
+    """The :class:`_DatasetFile` of ``dataset``."""
+    _write_file(path, DATASET_FORMAT, **{f.name: getattr(dataset, f.name) for f in fields(Dataset)})
 
 
 @reads_file
 def read_dataset(path: Union[str, Path]) -> Dataset:
-    """The dataset of a file in the layout :func:`write_dataset`
-    writes: a header line, one JSON object of the :class:`DatasetMeta`
-    fields, then one record per line that :func:`_record_pattern` matches.
-    Any other line is an error naming the line, and the field when
-    :func:`typed_object` faults one; a record that :func:`_check_record`
-    faults is an error naming its annotation id."""
-    ids: list[str] = []
-    items: list[str] = []
-    strata: list[str] = []
-    labels: list[str] = []  # one string of "0" and "1" per block
-    replicas: list[int] = []  # the records that are replicas
-    refs: list[str] = []  # and their replica_of
-    with open(path, encoding="utf-8") as fh:
-        meta = _decoded_line(path, 1, fh.readline(), DatasetMeta, "header")
-        while block := fh.read(_BLOCK_CHARS):
-            block += fh.readline()  # up to the end of the line the read stopped in
-            # the text before the first record, then per record its six
-            # values and the text after it
-            parts = _record_pattern().split(block)
-            between = parts[7:-1:7]
-            if parts[0] or parts[-1] not in ("", "\n") or between.count("\n") != len(between):
-                lines = enumerate(block.split("\n"), len(ids) + 2)
-                lineno, line = next(x for x in lines if not _record_pattern().fullmatch(x[1]))
-                _check_record(_decoded_line(path, lineno, line, Annotation, "record"))
-                raise ValueError(f"{path}:{lineno}: not in the layout write_dataset writes")
-            block_ids, block_items, block_strata, block_labels = (parts[k::7] for k in range(1, 5))
-            block_refs = parts[6::7]  # None for an original
-            block_replicas = [k for k, r in enumerate(block_refs, len(ids)) if r is not None]
-            block_refs = [r for r in block_refs if r is not None]
-            if "\\" in block:  # some string holds a JSON escape
-                block_ids, block_items, block_strata, block_refs = map(
-                    _unescape, (block_ids, block_items, block_strata, block_refs)
-                )
-            ids += block_ids
-            items += block_items
-            strata += block_strata
-            labels.append("".join(block_labels))
-            replicas += block_replicas
-            refs += block_refs
-    if not ids:
+    """The dataset of a :class:`_DatasetFile`, which its constructor
+    checks; a dataset of no records is an error."""
+    file = _read_file(path, DATASET_FORMAT, _DatasetFile)
+    dataset = Dataset(*(getattr(file, f.name) for f in fields(Dataset)))
+    if not len(dataset):
         raise ValueError("dataset has no records")
-    label = np.frombuffer("".join(labels).encode(), dtype=np.int8) - ord("0")
-    return _coded_dataset(meta, ids, items, strata, label, replicas, refs)
+    return dataset

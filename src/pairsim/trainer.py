@@ -385,8 +385,8 @@ def _lbfgs(
 def _item_counts(dataset: Dataset) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The ids of the items that have records, in item-table order, then
     per item the number of its records labeled 1 and the number of its
-    records, replicas included (both float). Every dataset the package
-    builds or reads codes its items in first-seen order."""
+    records, replicas included (both float). A dataset file keeps the
+    item table it was written with, so a read dataset's rows follow it too."""
     n = len(dataset.item_ids)
     positives = np.bincount(dataset.item, weights=dataset.label, minlength=n)
     totals = np.bincount(dataset.item, minlength=n)

@@ -7,7 +7,7 @@ from pairsim.cli import main
 from pairsim.experiments import save_config, ExperimentConfig, SyntheticGold
 from pairsim.simulation import RECIPES, Uniform, read_dataset, read_gold
 from pairsim.trainer import TrainConfig, load_model
-from test_columns import dataset_columns, read_dataset_rows
+from test_columns import dataset_columns, json_dataset_columns
 from test_experiments import _BAD_SECOND_COMPONENTS
 
 
@@ -411,12 +411,22 @@ def test_cli_adjust_bad_k_is_one_error_line(adjust_args, capsys, k, message):
     assert not weights_path.exists()
 
 
+def empty_columns(path):
+    """The text of the data file ``path`` with every list emptied, offsets
+    but their 0: a file of the same format and meta with no records or items."""
+    d = json.loads(path.read_text())
+    d = {key: [] if isinstance(value, list) else value for key, value in d.items()}
+    if "offsets" in d:
+        d["offsets"] = [0]
+    return json.dumps(d) + "\n"
+
+
 def test_cli_train_rejects_an_empty_dev_dataset(tmp_path, config_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
                  "--seed", "10", "--out", str(out)]) == 0
-    dev = tmp_path / "dev.jsonl"  # the header line alone
-    dev.write_text((out / "nonrep1.jsonl").read_text().splitlines()[0] + "\n")
+    dev = tmp_path / "dev.jsonl"
+    dev.write_text(empty_columns(out / "nonrep1.jsonl"))
     capsys.readouterr()
     assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
                  str(out / "gold.jsonl"), "--dev-dataset", str(dev),
@@ -434,13 +444,13 @@ def test_cli_evaluate_rejects_an_empty_gold_table(tmp_path, config_path, capsys)
                  str(out / "gold.jsonl"), "--out", str(model),
                  "--epochs", "1", "--hash-dim", "256"]) == 0
     empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
+    empty.write_text(empty_columns(out / "gold.jsonl"))
     capsys.readouterr()
     assert main(["evaluate", "--model", str(model), "--gold", str(empty)]) == 2
     assert capsys.readouterr().err == f"pairsim: error: {empty}: gold table has no entries\n"
 
 
-def test_cli_rejects_a_header_only_dataset_by_file(tmp_path, config_path, capsys):
+def test_cli_rejects_a_dataset_of_no_records_by_file(tmp_path, config_path, capsys):
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
                  "--seed", "10", "--out", str(out)]) == 0
@@ -448,16 +458,16 @@ def test_cli_rejects_a_header_only_dataset_by_file(tmp_path, config_path, capsys
     assert main(["train", "--dataset", str(out / "nonrep1.jsonl"), "--gold",
                  str(out / "gold.jsonl"), "--out", str(model),
                  "--epochs", "1", "--hash-dim", "256"]) == 0
-    header_only = tmp_path / "header-only.jsonl"
-    header_only.write_text((out / "nonrep1.jsonl").read_text().splitlines()[0] + "\n")
+    no_records = tmp_path / "no-records.jsonl"
+    no_records.write_text(empty_columns(out / "nonrep1.jsonl"))
     capsys.readouterr()
-    assert main(["train", "--dataset", str(header_only), "--gold", str(out / "gold.jsonl"),
+    assert main(["train", "--dataset", str(no_records), "--gold", str(out / "gold.jsonl"),
                  "--out", str(tmp_path / "other.json")]) == 2
-    assert capsys.readouterr().err == f"pairsim: error: {header_only}: dataset has no records\n"
+    assert capsys.readouterr().err == f"pairsim: error: {no_records}: dataset has no records\n"
     assert not (tmp_path / "other.json").exists()
     assert main(["evaluate", "--model", str(model), "--gold", str(out / "gold.jsonl"),
-                 "--dataset", str(header_only)]) == 2
-    assert capsys.readouterr() == ("", f"pairsim: error: {header_only}: dataset has no records\n")
+                 "--dataset", str(no_records)]) == 2
+    assert capsys.readouterr() == ("", f"pairsim: error: {no_records}: dataset has no records\n")
 
 
 @pytest.mark.parametrize(
@@ -482,10 +492,9 @@ def test_cli_takes_no_prefix_of_a_flag(tmp_path, capsys, monkeypatch, argv, erro
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path):
-    # every dataset file simulate and adjust write must be read by
-    # read_dataset's line pattern, the only layout it reads, to the
-    # dataset the record-level reader finds
+def test_cli_datasets_read_back_as_their_json_columns(tmp_path, config_path):
+    # every dataset file simulate and adjust write reads back to the
+    # columns that a plain json.load finds in it
     out = tmp_path / "sim"
     assert main(["simulate", "--config", str(config_path), "--beta", "0.2",
                  "--seed", "10", "--out", str(out)]) == 0
@@ -497,9 +506,7 @@ def test_cli_datasets_are_read_by_their_line_pattern(tmp_path, config_path):
     paths = [out / f"{recipe}.jsonl" for recipe in RECIPES]
     read = [read_dataset(path) for path in paths]
     assert sum(len(dataset) for dataset in read) == 60 * (12 + 9 + 12 + 12)
-    assert [dataset_columns(d) for d in read] == [
-        dataset_columns(read_dataset_rows(path)) for path in paths
-    ]
+    assert [dataset_columns(d) for d in read] == list(map(json_dataset_columns, paths))
 
 
 _REPORT = (

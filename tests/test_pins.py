@@ -12,6 +12,13 @@ each path point's loss once, and neither ``best_epoch`` nor a
 ``history`` of the losses nor each point's ``l2``, all of which the
 losses and the config give. The weights and bias in those files, and so
 the evaluate pin, did not change.
+
+The five data-file pins (the four simulate pins and ``adjusted.jsonl``)
+last moved with the file format: a gold or dataset file became one JSON
+object of the table's columns instead of one object per item or record.
+The columns hold the same values, which the weight-table, report,
+model and evaluate pins show by passing unchanged: every file reads
+back to the same inputs of the weights and the trainer.
 """
 
 import hashlib
@@ -27,13 +34,13 @@ TREND = str(CONFIGS / "trend-beta030.json")
 PAPER = str(CONFIGS / "paper-grid-ol.json")
 
 SIMULATE_PINS = {
-    "gold.jsonl": "8e3bfb41a91531824e48cd9c28dac5c12409f9a4155842492d5fe6bdf3ecdd5d",
-    "representative.jsonl": "94c261af28a89d6954ca373fcf0e7ff9a9b37be58ea9ca24c042bac5de088554",
-    "nonrep1.jsonl": "058671fe9b64de40d2146f49b244e337355c9be85c276dda970fa2833742281b",
-    "nonrep2.jsonl": "f2ea9e46a102913843dec0abbdd8828220cbbb6d2315cc0e034cd9c8ca709b76",
+    "gold.jsonl": "d34fb57e9cbeff4d1c2aa504c6c04012e75624e0d6e9e40d69aed3675a1eb9f3",
+    "representative.jsonl": "cd76fd7094e53e27e82f236f85c99850752ad04265f50b5e73925d3d455f1986",
+    "nonrep1.jsonl": "ffdd2df2a18aa6ff19fb3d6458cd5e7215488d143ca01719847efb989f769852",
+    "nonrep2.jsonl": "e7b90113ca917fc60b4b3fa3f7b1c18c7c814c484cad2bf4d7f9793c3615b697",
 }
 ADJUST_PINS = {
-    "adjusted.jsonl": "4b56d9c3c84f4eb794a2b1d549b48cfd2c8027c4370bc531e31cf5545cf28306",
+    "adjusted.jsonl": "be7466693e08b3fc50b11a1867eba120d0896c988e6e88c8f215f1ebcb1044eb",
     "weights.json": "d74f4cf9395d62bb26ef3e71670ec3cd9c575056113c41d13caa84c4a9f330d5",
 }
 REPORT_PINS = {

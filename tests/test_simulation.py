@@ -3,8 +3,7 @@ import inspect
 import json
 import re
 from collections import Counter
-from dataclasses import astuple, dataclass, fields
-from functools import cache
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Mapping, Union
 
@@ -25,6 +24,7 @@ from pairsim.simulation import (
     GoldEntry,
     GoldTable,
     TextColumn,
+    RECIPES,
     PoolComposition,
     Rare,
     Uniform,
@@ -37,19 +37,17 @@ from pairsim.simulation import (
     label_pool,
     read_dataset,
     read_gold,
-    reads_file,
     sample_pool,
     shift_probability,
     subsample_indices,
     synth_gold,
     synth_text,
     typed,
-    typed_object,
     write_dataset,
     write_gold,
 )
 from pairsim.trainer import load_model
-from test_columns import dataset_columns, decoded_records, read_dataset_rows
+from test_columns import dataset_columns, decoded_records
 
 
 def flat_gold(ps, k=12):
@@ -454,6 +452,17 @@ def test_suite_rebuild_byte_identical(tmp_path):
     assert paths[0] == paths[1]
 
 
+def test_build_suite_constructs_each_dataset_once(monkeypatch):
+    # the labelled pool, then each recipe's records with the recipe's meta:
+    # the constructor checked each recipe twice when its meta was replaced
+    checked = Dataset.__post_init__
+    calls = []
+    monkeypatch.setattr(Dataset, "__post_init__", lambda self: calls.append(1) or checked(self))
+    suite = build_suite(synth_gold(5, Uniform(0.2, 0.8), seed=1), 0.1, seed=2)
+    assert len(calls) == 4
+    assert [d.meta.recipe for d in vars(suite).values()] == list(RECIPES[:3])
+
+
 def test_suite_tasks_use_independent_draws():
     gold = synth_gold(50, Uniform(0.2, 0.8), seed=3)
     ol = build_suite(gold, 0.2, seed=7, task="OL")
@@ -784,10 +793,11 @@ def test_synth_text_codes_equal_the_same_texts_coded_in_first_use_order(tmp_path
     again = GoldTable.from_entries(gold.entries)
     assert again.text.vocab != names and set(again.text.vocab) <= set(names)
     assert again == gold and gold == again and again.entries == gold.entries
-    write_gold(gold, tmp_path / "synth.jsonl")
-    write_gold(again, tmp_path / "again.jsonl")
-    assert (tmp_path / "synth.jsonl").read_bytes() == (tmp_path / "again.jsonl").read_bytes()
-    assert read_gold(tmp_path / "synth.jsonl") == gold
+    # a file keeps its table's vocabulary: the texts read back equal
+    for table, name in ((gold, "synth.jsonl"), (again, "again.jsonl")):
+        write_gold(table, tmp_path / name)
+        back = read_gold(tmp_path / name)
+        assert back == gold and back.text.vocab == table.text.vocab
 
 
 def test_synth_text_deterministic():
@@ -821,13 +831,14 @@ def test_dataset_file_round_trip(tmp_path):
 
 def test_write_gold_is_pinned_byte_for_byte(tmp_path):
     gold = GoldTable.from_entries(
-        (GoldEntry("a", ("hello", "world"), 0.5, 12), GoldEntry("b\u00e9", (), 1 / 3, 3))
+        (GoldEntry("a", ("hello", "world"), 0.5, 12), GoldEntry("bé", (), 1 / 3, 3))
     )
     path = tmp_path / "gold.jsonl"
     write_gold(gold, path)
     assert path.read_bytes() == (
-        b'{"item_id": "a", "text": ["hello", "world"], "p_gold": 0.5, "k_reference": 12}\n'
-        b'{"item_id": "b\\u00e9", "text": [], "p_gold": 0.3333333333333333, "k_reference": 3}\n'
+        b'{"format": "pairsim-gold", "version": 1, "item_id": ["a", "b\\u00e9"], '
+        b'"vocab": ["hello", "world"], "codes": [0, 1], "offsets": [0, 2, 2], '
+        b'"p_gold": [0.5, 0.3333333333333333], "k_reference": [12, 3]}\n'
     )
 
 
@@ -841,42 +852,78 @@ def test_write_dataset_is_pinned_byte_for_byte(tmp_path):
     path = tmp_path / "adjusted.jsonl"
     write_dataset(dataset, path)
     assert path.read_bytes() == (
-        b'{"task": "OL", "recipe": "adjusted", "beta": 0.3, "seed": 10}\n'
-        b'{"annotation_id": "i1:A0", "item_id": "i1", "stratum_id": "A", "label": 0, '
-        b'"source": "original", "replica_of": null}\n'
-        b'{"annotation_id": "i1:B0", "item_id": "i1", "stratum_id": "B", "label": 1, '
-        b'"source": "original", "replica_of": null}\n'
-        b'{"annotation_id": "i1:B0#r1", "item_id": "i1", "stratum_id": "B", "label": 1, '
-        b'"source": "replica", "replica_of": "i1:B0"}\n'
+        b'{"format": "pairsim-dataset", "version": 1, '
+        b'"meta": {"task": "OL", "recipe": "adjusted", "beta": 0.3, "seed": 10}, '
+        b'"item_ids": ["i1"], "stratum_ids": ["A", "B"], "item": [0, 0, 0], '
+        b'"stratum": [0, 1, 1], "label": [0, 1, 1], "original": [-1, -1, 1], '
+        b'"annotation_ids": ["i1:A0", "i1:B0", "i1:B0#r1"]}\n'
     )
     assert dataset_columns(read_dataset(path)) == dataset_columns(dataset)
 
 
+_HEADER = {"task": "OL", "recipe": "representative", "beta": 0.0, "seed": 1}
+_RECORD = {"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1,
+           "source": "original", "replica_of": None}
+
+
+def _dataset_object(**columns):
+    """The JSON object of a dataset file of one record, original 'a1' of
+    item 'it' and stratum 'A' labelled 1, with ``columns`` put in."""
+    return {
+        "format": "pairsim-dataset", "version": 1, "meta": _HEADER,
+        "item_ids": ["it"], "stratum_ids": ["A"], "item": [0], "stratum": [0], "label": [1],
+        "original": [-1], "annotation_ids": ["a1"], **columns,
+    }
+
+
+def _gold_object(**columns):
+    """The JSON object of a gold file of one item, 'it' with text ['x'],
+    with ``columns`` put in."""
+    return {
+        "format": "pairsim-gold", "version": 1, "item_id": ["it"], "vocab": ["x"],
+        "codes": [0], "offsets": [0, 1], "p_gold": [0.5], "k_reference": [12], **columns,
+    }
+
+
+def _without(d, key):
+    """The JSON object ``d`` without ``key``."""
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _written_dataset(tmp_path):
+    """A written nonrep1 dataset of 3 items: its path and its JSON object."""
+    gold = synth_gold(3, Uniform(0.2, 0.8), seed=1)
+    path = tmp_path / "ds.jsonl"
+    write_dataset(build_suite(gold, 0.1, seed=2).nonrep1, path)
+    return path, json.loads(path.read_text())
+
+
+def _rewrite(path, content):
+    """Write a file of the JSON object ``content``, or of the text ``content``."""
+    path.write_text(content if isinstance(content, str) else json.dumps(content) + "\n")
+
+
 def test_read_dataset_rejects_broken_replica(tmp_path):
-    gold = synth_gold(5, Uniform(0.2, 0.8), seed=1)
-    ds = build_suite(gold, 0.1, seed=2).nonrep1
-    path = tmp_path / "broken.jsonl"
-    write_dataset(ds, path)
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["source"] = "replica"
-    rec["replica_of"] = "no-such-annotation"
-    lines[1] = json.dumps(rec)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="replica"):
+    path, d = _written_dataset(tmp_path)
+    n = len(d["original"])
+    d["original"][1] = n  # a replica of no record
+    _rewrite(path, d)
+    aid = d["annotation_ids"][1]
+    message = rf"^{re.escape(str(path))}: annotation '{aid}': original {n} outside \[-1, {n}\)$"
+    with pytest.raises(ValueError, match=message):
         read_dataset(path)
 
 
 @pytest.mark.parametrize("label", [True, False, 1.0, 0.0, "1", None, 2])
 def test_a_record_label_is_the_integer_0_or_1_built_or_read(tmp_path, label):
     # True == 1 and 1.0 == 1 in Python, but neither is a label: a record
-    # built by hand is rejected as the same record read from a file is
+    # built by hand is rejected as the same label read from a file is
     record = Annotation("a1", "it", "A", label)
     message = rf"^annotation 'a1': label {re.escape(repr(label))} not binary$"
     with pytest.raises(ValueError, match=message):
         Dataset.from_records((record,), DatasetMeta(**_HEADER))
     path = tmp_path / "ds.jsonl"
-    _rewrite(path, [_HEADER, vars(record)])  # a label the line pattern does not take
+    _rewrite(path, _dataset_object(label=[label]))
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:.*\blabel\b"):
         read_dataset(path)
 
@@ -894,11 +941,13 @@ def test_a_record_id_is_a_string_built_or_read(tmp_path, key, value):
     message = rf"^annotation {aid}: {key} must be a string, got {value!r}$"
     with pytest.raises(ValueError, match=message):
         Dataset.from_records((record,), DatasetMeta(**_HEADER))
-    path = tmp_path / "ds.jsonl"
-    _rewrite(path, [_HEADER, vars(record)])
-    message = rf"^{re.escape(str(path))}:2: record\.{key} must be a string"
-    with pytest.raises(ValueError, match=message):
-        read_dataset(path)
+    tables = {key: key + "s" for key in ("annotation_id", "item_id", "stratum_id")}
+    if key in tables:  # a file names a replica's original by its index, not its id
+        path = tmp_path / "ds.jsonl"
+        _rewrite(path, _dataset_object(**{tables[key]: [value]}))
+        message = rf"^{re.escape(str(path))}: dataset\.{tables[key]}\[0\] must be a string"
+        with pytest.raises(ValueError, match=message):
+            read_dataset(path)
 
 
 @pytest.mark.parametrize("item_id", [5, None, b"a"])
@@ -970,8 +1019,13 @@ def test_validate_rejects_a_replica_chain_without_an_original(tmp_path, replicas
     message = rf"replica '{first}' has no original: its replica_of chain ends in a cycle$"
     with pytest.raises(ValueError, match="^" + message):
         Dataset.from_records(records, DatasetMeta(**_HEADER))
+    ids = [r.annotation_id for r in records]
+    n = len(ids)
+    original = [ids.index(r.replica_of) if r.replica_of else -1 for r in records]
     path = tmp_path / "cycle.jsonl"
-    _rewrite(path, [_HEADER, *map(vars, records)])
+    _rewrite(path, _dataset_object(
+        item=[0] * n, stratum=[0] * n, label=[1] * n, original=original, annotation_ids=ids
+    ))
     with pytest.raises(ValueError, match=rf"^{path}: {message}"):
         read_dataset(path)
 
@@ -983,38 +1037,29 @@ def test_validate_accepts_replica_chains_that_reach_an_original(tmp_path, length
     records = (*chain, Annotation("o", "it", "A", 1))
     dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
     path = tmp_path / "chain.jsonl"
-    _rewrite(path, [_HEADER, *map(vars, records)])
+    write_dataset(dataset, path)
     assert dataset_columns(read_dataset(path)) == dataset_columns(dataset)
 
 
-def _written_dataset(tmp_path):
-    gold = synth_gold(3, Uniform(0.2, 0.8), seed=1)
-    path = tmp_path / "ds.jsonl"
-    write_dataset(build_suite(gold, 0.1, seed=2).nonrep1, path)
-    return path, [json.loads(line) for line in path.read_text().splitlines()]
-
-
-def _rewrite(path, rows):
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-
-
 @pytest.mark.parametrize("label", [1.7, "0", True, 1.0, None])
-def test_read_dataset_rejects_non_integer_labels_by_line(tmp_path, label):
-    path, rows = _written_dataset(tmp_path)
-    rows[3]["label"] = label
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=r"ds\.jsonl:4: record\.label must be an integer"):
+def test_read_dataset_rejects_non_integer_labels_by_index(tmp_path, label):
+    path, d = _written_dataset(tmp_path)
+    d["label"][3] = label
+    _rewrite(path, d)
+    got = re.escape(repr(label))
+    message = rf"ds\.jsonl: dataset\.label\[3\] must be an integer, got {got}$"
+    with pytest.raises(ValueError, match=message):
         read_dataset(path)
 
 
 @pytest.mark.parametrize(
     "key, value, kind", [("seed", 2.9, "an integer"), ("beta", "0.3", "a number")]
 )
-def test_read_dataset_rejects_wrong_header_types_by_name(tmp_path, key, value, kind):
-    path, rows = _written_dataset(tmp_path)
-    rows[0][key] = value
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=rf"ds\.jsonl:1: header\.{key} must be {kind}"):
+def test_read_dataset_rejects_wrong_meta_types_by_name(tmp_path, key, value, kind):
+    path, d = _written_dataset(tmp_path)
+    d["meta"][key] = value
+    _rewrite(path, d)
+    with pytest.raises(ValueError, match=rf"ds\.jsonl: dataset\.meta\.{key} must be {kind}"):
         read_dataset(path)
 
 
@@ -1031,177 +1076,190 @@ def test_read_dataset_rejects_wrong_header_types_by_name(tmp_path, key, value, k
     ],
     ids=["task", "recipe", "nan-beta", "negative-beta", "seed", "float-seed", "bool-seed"],
 )
-def test_read_dataset_rejects_header_values_out_of_range_by_name(tmp_path, key, value, error):
-    # adjust copies the header into its output, so a NaN beta would travel on
+def test_read_dataset_rejects_meta_values_out_of_range_by_name(tmp_path, key, value, error):
+    # adjust copies the meta into its output, so a NaN beta would travel on
     with pytest.raises(ValueError, match=rf"^{key} {error}$"):
         DatasetMeta(**{**_HEADER, key: value})
-    path, rows = _written_dataset(tmp_path)
-    rows[0][key] = value
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=rf"ds\.jsonl:1: header\.{key} {error}$"):
+    path, d = _written_dataset(tmp_path)
+    d["meta"][key] = value
+    _rewrite(path, d)
+    # a wrong type is named by its place in the file, a wrong value by its field
+    with pytest.raises(ValueError, match=rf"ds\.jsonl: (dataset\.meta\.)?{key} {error}$"):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("line, key", [(0, "task"), (2, "item_id"), (2, "label")])
-def test_read_dataset_rejects_missing_fields_by_name(tmp_path, line, key):
-    path, rows = _written_dataset(tmp_path)
-    del rows[line][key]
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=rf"ds\.jsonl:{line + 1}: \w+\.{key} is missing"):
+@pytest.mark.parametrize("key", ["meta.task", "item_ids", "label"])
+def test_read_dataset_rejects_missing_fields_by_name(tmp_path, key):
+    path, d = _written_dataset(tmp_path)
+    *within, name = key.split(".")
+    del (d[within[0]] if within else d)[name]
+    _rewrite(path, d)
+    with pytest.raises(ValueError, match=rf"ds\.jsonl: dataset\.{key} is missing$"):
         read_dataset(path)
-
-
-def test_read_dataset_rejects_unknown_keys_by_line(tmp_path):
-    path, rows = _written_dataset(tmp_path)
-    rows[2] = {("lable" if key == "label" else key): value for key, value in rows[2].items()}
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=r"unknown key 'lable' in .*ds\.jsonl:3: record"):
-        read_dataset(path)
-
-
-def test_read_dataset_rejects_other_key_orders_and_default_provenance_by_line(tmp_path):
-    # valid JSON records, but not the lines write_dataset writes
-    path, rows = _written_dataset(tmp_path)
-    reversed_keys = dict(reversed(list(rows[1].items())))
-    no_provenance = dict(list(rows[2].items())[:4])  # without source and replica_of
-    for k, row in ((1, reversed_keys), (2, no_provenance)):
-        _rewrite(path, [*rows[:k], row, *rows[k + 1 :]])
-        message = rf"^{re.escape(str(path))}:{k + 1}: not in the layout write_dataset writes$"
-        with pytest.raises(ValueError, match=message):
-            read_dataset(path)
 
 
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda line: line.rstrip("}"), "Expecting"),
-        (lambda line: line + " {}", "Extra data"),
-        (lambda line: "\f" + line, "Expecting value"),
+        (lambda text: text.rstrip("}\n"), "Expecting"),
+        (lambda text: text.rstrip("\n") + " {}", "Extra data"),
+        (lambda text: "\f" + text, "Expecting value"),
     ],
 )
-def test_read_dataset_names_the_line_of_bad_json(tmp_path, edit, message):
-    path, rows = _written_dataset(tmp_path)
-    lines = path.read_text().splitlines()
-    lines[2] = edit(lines[2])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"ds\.jsonl:3: {message}"):
+def test_read_dataset_names_the_file_of_bad_json(tmp_path, edit, message):
+    path, _ = _written_dataset(tmp_path)
+    path.write_text(edit(path.read_text()))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}"):
         read_dataset(path)
 
 
-def test_read_dataset_rejects_blank_lines_and_json_whitespace_by_line(tmp_path):
-    path, _ = _written_dataset(tmp_path)
-    lines = path.read_text().splitlines()
-    layout = "not in the layout write_dataset writes$"
-    edited = [
-        ([lines[0], " \t" + lines[1], *lines[2:]], 2, layout),
-        ([*lines[:2], lines[2] + " \r", *lines[3:]], 3, layout),  # " \r\n" reads as " \n"
-        ([*lines[:3], "  \f ", *lines[3:]], 4, "Expecting value"),
-        ([*lines, ""], len(lines) + 1, "Expecting value"),
-    ]
-    for text, lineno, message in edited:
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: {message}"):
-            read_dataset(path)
+def _small_gold():
+    return synth_text(synth_gold(4, Uniform(0.0, 1.0), seed=1), 20, 5, seed=1)
 
 
-def _written_gold(tmp_path):
-    path = tmp_path / "gold.jsonl"
-    write_gold(synth_text(synth_gold(4, Uniform(0.0, 1.0), seed=1), 20, 5, seed=1), path)
-    return path, [json.loads(line) for line in path.read_text().splitlines()]
+def _small_dataset():
+    return build_suite(synth_gold(3, Uniform(0.2, 0.8), seed=1), 0.1, seed=2).nonrep1
+
+
+_DATA_FILES = {
+    "gold": (write_gold, read_gold, _small_gold),
+    "dataset": (write_dataset, read_dataset, _small_dataset),
+}
+
+
+def _file_columns(value):
+    """A gold table's or a dataset's columns, as comparable values."""
+    if isinstance(value, Dataset):
+        return dataset_columns(value)
+    text = value.text
+    return value.item_id, text.vocab, text.codes.tolist(), text.offsets.tolist(), repr(value)
+
+
+@pytest.mark.parametrize("write, read, make", _DATA_FILES.values(), ids=_DATA_FILES.keys())
+def test_a_data_file_is_one_json_object_on_one_line(tmp_path, write, read, make):
+    # key order, JSON spacing and a missing last newline do not matter,
+    # nor does whitespace after the line; anything else after it does
+    path = tmp_path / "data.jsonl"
+    write(make(), path)
+    written = _file_columns(read(path))
+    d = json.loads(path.read_text())
+    form = d["format"]
+    for text in (
+        json.dumps(dict(reversed(d.items())), separators=(",", ":")),
+        json.dumps(d) + "\n \n\n",
+    ):
+        path.write_text(text)
+        assert _file_columns(read(path)) == written
+    path.write_text(json.dumps(d) + "\n" + json.dumps(d) + "\n")
+    message = rf"^{re.escape(str(path))}: text after the {form} object$"
+    with pytest.raises(ValueError, match=message):
+        read(path)
+    path.write_text(json.dumps(d, indent=1))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: Expecting property name"):
+        read(path)
 
 
 @pytest.mark.parametrize(
     "key, value, message",
     [
-        ("text", "hello world", "text must be a list"),
-        ("text", ["hello", 5], r"text\[1\] must be a string"),
-        ("p_gold", "0.5", "p_gold must be a number"),
-        ("k_reference", 12.9, "k_reference must be an integer"),
+        ("vocab", "hello world", "vocab must be a list"),
+        ("vocab", ["hello", 5], r"vocab\[1\] must be a string"),
+        ("p_gold", [0.5, "0.5"], r"p_gold\[1\] must be a number"),
+        ("k_reference", [12, 12.9], r"k_reference\[1\] must be an integer"),
     ],
 )
 def test_read_gold_rejects_wrong_types_by_name(tmp_path, key, value, message):
-    path, rows = _written_gold(tmp_path)
-    rows[2][key] = value
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=rf"gold\.jsonl:3: entry\.{message}"):
+    path = tmp_path / "gold.jsonl"
+    _rewrite(path, _gold_object(**{key: value}))
+    with pytest.raises(ValueError, match=rf"gold\.jsonl: gold\.{message}"):
         read_gold(path)
-
-
-def test_read_gold_rejects_other_key_orders_and_integer_proportions_by_line(tmp_path):
-    # valid JSON entries, but not the lines write_gold writes
-    path, rows = _written_gold(tmp_path)
-    reversed_keys = dict(reversed(list(rows[0].items())))
-    for k, row in ((0, reversed_keys), (1, {**rows[1], "p_gold": 1})):
-        _rewrite(path, [*rows[:k], row, *rows[k + 1 :]])
-        message = rf"^{re.escape(str(path))}:{k + 1}: not in the layout write_gold writes$"
-        with pytest.raises(ValueError, match=message):
-            read_gold(path)
-
-
-@pytest.mark.parametrize(
-    "after, message", [(" ", "not in the layout write_gold writes$"), (" {}", "Extra data")]
-)
-def test_read_gold_rejects_text_after_the_entry_by_line(tmp_path, after, message):
-    path, _ = _written_gold(tmp_path)
-    lines = path.read_text().splitlines()
-    lines[2] += after
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: {message}"):
-        read_gold(path)
-
-
-def test_read_gold_takes_any_json_spacing_within_a_line(tmp_path):
-    # key order and value types are checked, spacing is not: only dataset
-    # records are matched by a line pattern
-    path, rows = _written_gold(tmp_path)
-    written = read_gold(path)
-    path.write_text("".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows))
-    assert path.read_text().startswith('{"item_id":')
-    assert read_gold(path) == written
 
 
 def test_read_gold_names_the_file_and_item_of_a_token_utf8_cannot_encode(tmp_path):
-    path, rows = _written_gold(tmp_path)
-    rows[2]["text"][1] = "\ud800"  # a lone surrogate, which JSON can escape
-    _rewrite(path, rows)
-    item = rows[2]["item_id"]
-    message = rf"gold\.jsonl: item '{item}': token '\\ud800' cannot be encoded as UTF-8$"
+    path = tmp_path / "gold.jsonl"
+    _rewrite(path, _gold_object(
+        item_id=["a", "b"], vocab=["x", "\ud800"], codes=[0, 0, 1], offsets=[0, 1, 3],
+        p_gold=[0.5, 0.5], k_reference=[12, 12],
+    ))  # a lone surrogate, which JSON can escape, in item 'b'
+    message = r"gold\.jsonl: item 'b': token '\\ud800' cannot be encoded as UTF-8$"
     with pytest.raises(ValueError, match=message):
         read_gold(path)
 
 
-def test_read_gold_rejects_missing_fields_by_name(tmp_path):
-    path, rows = _written_gold(tmp_path)
-    del rows[1]["k_reference"]
-    _rewrite(path, rows)
-    with pytest.raises(ValueError, match=r"gold\.jsonl:2: entry\.k_reference is missing"):
-        read_gold(path)
-
-
-_TRUNCATED = '{"task": "OL",\n'
-_HEADER = {"task": "OL", "recipe": "representative", "beta": 0.0, "seed": 1}
-_RECORD = {"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1,
-           "source": "original", "replica_of": None}
+# the per-line layouts that gold and dataset files had before they were columns
+_OLD_GOLD = '{"item_id": "it", "text": ["x"], "p_gold": 0.5, "k_reference": 12}\n'
+_OLD_DATASET = json.dumps(_HEADER) + "\n" + json.dumps(_RECORD) + "\n"
 
 
 @pytest.mark.parametrize(
-    "reader, rows",
+    "read, content, message",
     [
-        (load_config, _TRUNCATED),
-        (read_benchmark, _TRUNCATED),
-        (load_model, _TRUNCATED),
-        (read_gold, [{"item_id": "item00001", "text": [], "p_gold": 1.5, "k_reference": 12}]),
-        (read_dataset, [_HEADER, {**_RECORD, "label": 2}]),
-        (read_dataset, [_HEADER, _RECORD, {**_RECORD, "item_id": "other"}]),
+        (read_gold, _gold_object(format="pairsim-dataset"), "not a pairsim-gold file"),
+        (read_dataset, _dataset_object(format="pairsim-gold"), "not a pairsim-dataset file"),
+        (read_gold, _gold_object(version=2), "unsupported pairsim-gold version 2"),
+        (read_dataset, _dataset_object(version="1"), "unsupported pairsim-dataset version '1'"),
+        (read_dataset, _without(_dataset_object(lable=[1]), "label"),
+         "unknown key 'lable' in {path}: dataset"),
+        (read_gold, _gold_object(codes=None), "{path}: gold.codes must be a list, got None"),
+        (read_gold, _without(_gold_object(), "k_reference"), "{path}: gold.k_reference is missing"),
+        (read_dataset, _dataset_object(label=[True]),
+         "{path}: dataset.label[0] must be an integer, got True"),
+        (read_dataset, _dataset_object(label=[1.7]),
+         "{path}: dataset.label[0] must be an integer, got 1.7"),
+        (read_dataset, _dataset_object(label=[2]), "annotation 'a1': label 2 not binary"),
+        (read_dataset, _dataset_object(
+            item=[0, 0], stratum=[0, 0], label=[1, 1], original=[-1, -1],
+            annotation_ids=["a1", "a1"],
+        ), "duplicate annotation_id 'a1'"),
+        (read_dataset, _dataset_object(
+            item=[0, 0], stratum=[0, 0], label=[1, 0], original=[-1, 0],
+            annotation_ids=["a1", "r1"],
+        ), "replica 'r1' disagrees with its original 'a1' on (item, stratum, label)"),
+        (read_dataset, _dataset_object(
+            item=[], stratum=[], label=[], original=[], annotation_ids=[]
+        ), "dataset has no records"),
+        (read_gold, _gold_object(
+            item_id=[], vocab=[], codes=[], offsets=[0], p_gold=[], k_reference=[]
+        ), "gold table has no entries"),
+        (read_gold, _OLD_GOLD, "not a pairsim-gold file"),
+        (read_dataset, _OLD_DATASET, "not a pairsim-dataset file"),
+    ],
+    ids=[
+        "gold-format", "dataset-format", "gold-version", "dataset-version", "unknown-key",
+        "wrong-type", "missing-key", "true-label", "float-label", "label-2", "repeated-id",
+        "disagreeing-replica", "no-records", "no-items", "old-gold", "old-dataset",
+    ],
+)
+def test_a_data_file_error_names_the_file_and_the_field_or_record(
+    tmp_path, read, content, message
+):
+    path = tmp_path / "data.jsonl"
+    _rewrite(path, content)
+    message = message.format(path=path)
+    with pytest.raises(ValueError) as caught:
+        read(path)
+    assert str(caught.value) in (message, f"{path}: {message}")
+    assert str(caught.value).count(str(path)) == 1
+
+
+@pytest.mark.parametrize(
+    "reader, content",
+    [
+        (load_config, '{"task": "OL",\n'),
+        (read_benchmark, '{"task": "OL",\n'),
+        (load_model, '{"task": "OL",\n'),
+        (read_gold, _gold_object(p_gold=[1.5])),
+        (read_dataset, _dataset_object(label=[2])),
+        (read_dataset, _dataset_object(
+            item_ids=["it", "other"], item=[0, 1], stratum=[0, 0], label=[1, 1],
+            original=[-1, -1], annotation_ids=["a1", "a1"],
+        )),
     ],
     ids=["config", "benchmark", "model", "gold", "dataset-label", "dataset-repeated-id"],
 )
-def test_every_reader_names_its_file_once(tmp_path, reader, rows):
+def test_every_reader_names_its_file_once(tmp_path, reader, content):
     path = tmp_path / "input.json"
-    if isinstance(rows, str):
-        path.write_text(rows)
-    else:
-        _rewrite(path, rows)
+    _rewrite(path, content)
     with pytest.raises(ValueError) as caught:
         reader(path)
     message = str(caught.value)
@@ -1289,294 +1347,6 @@ def test_typed_reads_dataclasses():
 def test_typed_names_the_nested_field_in_errors(value, kind, message):
     with pytest.raises(ValueError, match=message):
         typed(value, kind, "top")
-
-
-def _outcome(read):
-    """repr of what ``read`` returns, so that 1 and 1.0 differ (of a
-    dataset, its meta and decoded records), or its error."""
-    try:
-        value = read()
-    except ValueError as err:
-        return str(err)
-    if isinstance(value, Dataset):
-        return repr((value.meta, decoded_records(value)))
-    return repr(value)
-
-
-_ANY_JSON = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-1, 2),
-    st.floats(-1, 2),
-    st.text("ab1", max_size=2),
-    st.lists(st.one_of(st.text("ab", max_size=2), st.integers(0, 1), st.none()), max_size=3),
-)
-
-
-def _edits(keys):
-    """Up to two fields of a written line set to any JSON value."""
-    return st.dictionaries(st.sampled_from(keys), _ANY_JSON, max_size=2)
-
-
-@settings(max_examples=300, deadline=None)
-@given(_edits(("item_id", "text", "p_gold", "k_reference")))
-def test_read_gold_agrees_with_typed_object_on_written_layout(tmp_path_factory, edits):
-    # a line in write_gold's layout with some values of another JSON type:
-    # with write_gold's exact types it reads as typed_object reads it; any
-    # other is an error naming the line, typed_object's when it faults one
-    row = {**{"item_id": "x", "text": ["a", "b"], "p_gold": 0.5, "k_reference": 12}, **edits}
-    path = tmp_path_factory.mktemp("gold") / "gold.jsonl"
-    _rewrite(path, [row])
-    types = tuple(map(type, row.values()))
-    written_types = types == (str, list, float, int) and {str}.issuperset(map(type, row["text"]))
-
-    @reads_file
-    def checked(path):
-        entry = typed_object(row, GoldEntry, f"{path}:1: entry")
-        if not written_types:
-            raise ValueError(f"{path}:1: not in the layout write_gold writes")
-        return GoldTable.from_entries((entry,))
-
-    assert _outcome(lambda: read_gold(path)) == _outcome(lambda: checked(path))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_edits(("annotation_id", "item_id", "stratum_id", "label", "source", "replica_of")))
-def test_read_dataset_agrees_with_typed_object_on_written_layout(tmp_path_factory, edits):
-    row = {
-        **{"annotation_id": "a1", "item_id": "it", "stratum_id": "A", "label": 1},
-        **{"source": "original", "replica_of": None},
-        **edits,
-    }
-    header = {"task": "OL", "recipe": "representative", "beta": 0.0, "seed": 1}
-    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
-    _rewrite(path, [header, row])
-
-    @reads_file
-    def checked(path):
-        record = typed_object(row, Annotation, f"{path}:2: record")
-        dataset = Dataset.from_records((record,), DatasetMeta("OL", "representative", 0.0, 1))
-        return dataset
-
-    assert _outcome(lambda: read_dataset(path)) == _outcome(lambda: checked(path))
-
-
-@cache
-def _replicated_lines():
-    """An adjusted dataset of two items in write_dataset's line layout: a
-    header, then 24 records of which 6 are replicas."""
-    suite = build_suite(synth_gold(2, Uniform(0.2, 0.8), seed=1), 0.1, seed=2)
-    adjusted, _ = apply_pair(suite.nonrep1, PopulationBenchmark({"A": 0.5, "B": 0.5}))
-    records = [json.dumps(vars(r)) for r in decoded_records(adjusted)]
-    return [json.dumps(vars(adjusted.meta)), *records]
-
-
-_RECORD_EDITS = ("odd id", "empty replica_of", "duplicate id", "forward reference",
-                 "self replica", "bad label")
-# text put before and after a line; "\f" is whitespace to Python, not to JSON
-_AFFIXES = {
-    "space before": (" ", ""),
-    "space after": ("", " "),
-    "form feed before": ("\f", ""),
-    "extra data": ("", " {}"),
-}
-_LINE_EDITS = ("blank line", *_AFFIXES, "split record", "bad header")
-
-
-@st.composite
-def _edited_dataset_files(draw):
-    """The text of a written dataset file after a few whole-file edits."""
-    header, *lines = _replicated_lines()
-    records = [json.loads(line) for line in lines]
-    index = st.integers(0, len(records) - 1)
-    for edit in draw(st.lists(st.sampled_from(_RECORD_EDITS), max_size=2)):
-        record = records[draw(index)]
-        if edit == "odd id":
-            key = draw(st.sampled_from(("annotation_id", "item_id", "stratum_id", "replica_of")))
-            record[key] = (record[key] or "") + draw(st.sampled_from('"\\/\n\u00e9\U0001f600'))
-        elif edit == "empty replica_of":
-            record["replica_of"] = ""
-        elif edit == "duplicate id":
-            record["annotation_id"] = records[draw(index)]["annotation_id"]
-        elif edit == "forward reference":
-            replica = draw(st.sampled_from([r for r in records if r["source"] == "replica"]))
-            records.remove(replica)
-            records.insert(0, replica)
-        elif edit == "self replica":
-            record.update(source="replica", replica_of=record["annotation_id"])
-        else:
-            record["label"] = draw(st.sampled_from((2, 1.0)))
-    raw = draw(st.sets(index))  # records written with raw non-ASCII characters
-    lines = [header, *(json.dumps(r, ensure_ascii=k not in raw) for k, r in enumerate(records))]
-    for edit in draw(st.lists(st.sampled_from(_LINE_EDITS), max_size=3)):
-        k = draw(st.integers(0, len(lines) - 1))
-        if edit == "blank line":
-            lines.insert(k, draw(st.sampled_from(("", "  \f "))))
-        elif edit in _AFFIXES:
-            before, after = _AFFIXES[edit]
-            lines[k] = before + lines[k] + after
-        elif edit == "split record":  # at a member boundary, dropping the comma
-            members = lines[k].split(", ")
-            cut = draw(st.integers(1, max(1, len(members) - 1)))
-            lines[k : k + 1] = [", ".join(members[:cut]), ", ".join(members[cut:])]
-        else:
-            lines[0] = draw(st.sampled_from(("not json", header[:-1], "[]")))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
-    return newline.join(lines) + draw(st.sampled_from((newline, "")))
-
-
-def _first_line_outside_the_layout(text):
-    """(line number, line) of the first line of a dataset file's text, as
-    written by _edited_dataset_files, that read_dataset does not take:
-    a header that is not a JSON object of DatasetMeta fields, or a record
-    line other than the json.dumps of a record that write_dataset could
-    write (ASCII or not); None when every line is taken."""
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    try:
-        typed_object(json.loads(lines[0]), DatasetMeta, "header")
-    except ValueError:
-        return 1, lines[0]
-    for lineno, line in enumerate(lines[1:], 2):
-        try:
-            d = json.loads(line)
-        except ValueError:
-            return lineno, line
-        written = (
-            type(d) is dict
-            and list(d) == [f.name for f in fields(Annotation)]
-            and line in (json.dumps(d), json.dumps(d, ensure_ascii=False))
-            and {str}.issuperset(type(d[key]) for key in ("annotation_id", "item_id", "stratum_id"))
-            and type(d["label"]) is int
-            and d["label"] in (0, 1)
-            and (d["source"], type(d["replica_of"])) in (("original", type(None)), ("replica", str))
-        )
-        if not written:
-            return lineno, line
-    return None
-
-
-@settings(max_examples=300, deadline=None)
-@given(_edited_dataset_files())
-def test_read_dataset_agrees_with_the_per_line_reader(tmp_path_factory, text):
-    # a file whose every line is in write_dataset's layout reads as the
-    # record-level reader reads it, to the same dataset or the same error;
-    # any other file is an error naming its first line outside that
-    # layout, or, for a record that from_records faults, what
-    # from_records says of that record
-    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    outcome = _outcome(lambda: read_dataset(path))
-    first = _first_line_outside_the_layout(text)
-    if first is None:
-        assert outcome == _outcome(lambda: reads_file(read_dataset_rows)(path))
-    else:
-        lineno, line = first
-        if not outcome.startswith(f"{path}:{lineno}: "):
-            record = Annotation(**json.loads(line))
-            alone = reads_file(lambda path: Dataset.from_records((record,), DatasetMeta(**_HEADER)))
-            assert outcome == _outcome(lambda: alone(path))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(), min_size=1, max_size=4, unique=True), st.text())
-def test_read_dataset_reads_escaped_ids_by_its_line_pattern(tmp_path_factory, items, stratum):
-    # write_dataset escapes quotes, backslashes, control and non-ASCII
-    # characters; the line pattern decodes them, so every file the program
-    # writes is read
-    records = []
-    for k, item in enumerate(items):
-        original = Annotation(f"{item}:0", item, stratum, k % 2)
-        replica = Annotation(f"{item}:0#r1", item, stratum, k % 2, "replica", f"{item}:0")
-        records += [original, replica]
-    dataset = Dataset.from_records(records, DatasetMeta(**_HEADER))
-    path = tmp_path_factory.mktemp("ds") / "ds.jsonl"
-    simulation.write_dataset(dataset, path)
-    back = dataset_columns(read_dataset(path))
-    assert back == dataset_columns(dataset) == dataset_columns(read_dataset_rows(path))
-
-
-def test_read_dataset_decodes_every_json_escape_by_its_line_pattern(tmp_path):
-    # every escape JSON has, with a surrogate pair, and two json.dumps never
-    # writes: a slash, and stratum "A" spelled as a \u escape
-    u = "\\u"
-    escaped = r'"q\"b\\s\/c\b\f\n\r\t' + f'{u}00e9{u}d83d{u}de00"'
-    lines = [
-        json.dumps(_HEADER),
-        '{"annotation_id": %s, "item_id": "it", "stratum_id": "A", "label": 1, '
-        '"source": "original", "replica_of": null}' % escaped,
-        '{"annotation_id": "r", "item_id": "it", "stratum_id": "%s0041", "label": 1, '
-        '"source": "replica", "replica_of": %s}' % (u, escaped),
-    ]
-    path = tmp_path / "ds.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    dataset = read_dataset(path)
-    assert dataset_columns(dataset) == dataset_columns(read_dataset_rows(path))
-    assert list(dataset.annotation_ids) == ['q"b\\s/c\b\f\n\r\t\xe9\U0001f600', "r"]
-    assert dataset.stratum_ids == ("A",)
-    assert dataset.original.tolist() == [-1, 0]
-
-
-def test_read_dataset_names_the_line_the_pattern_rejects_in_any_block(tmp_path):
-    # the records of a file over 256K characters are matched in blocks of
-    # lines; a blank line is named by its line in the file, in any block
-    header, *lines = _replicated_lines()
-    records = lines * 150  # 3600 records, about 400K characters
-    path = tmp_path / "ds.jsonl"
-    for blank in (2, 3000):
-        text = [header, *records]
-        text.insert(blank - 1, "")
-        path.write_text("\n".join(text) + "\n")
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{blank}: Expecting value"):
-            read_dataset(path)
-
-
-def _file_over_one_block(tmp_path):
-    """A written nonrep1 dataset of 3600 records, about 450K characters, so
-    that its records are matched in two blocks: its path and lines."""
-    path = tmp_path / "ds.jsonl"
-    gold = synth_gold(400, Uniform(0.2, 0.8), seed=1)
-    write_dataset(build_suite(gold, 0.1, seed=2).nonrep1, path)
-    text = path.read_text()
-    assert len(text) > 1.5 * simulation._BLOCK_CHARS
-    return path, text.splitlines()
-
-
-def test_read_dataset_reads_crlf_endings_and_names_joined_records_in_any_block(tmp_path):
-    # in the first block and in a later one: a CRLF ending reads as "\n",
-    # since the file is read with universal newlines, and two records on
-    # one line are named by their line
-    path, lines = _file_over_one_block(tmp_path)
-    written = read_dataset(path)
-    for lineno in (3, 3000):
-        crlf = [*lines[: lineno - 1], lines[lineno - 1] + "\r", *lines[lineno:]]
-        path.write_text("\n".join(crlf) + "\n")
-        assert dataset_columns(read_dataset(path)) == dataset_columns(written)
-        joined = [*lines[: lineno - 1], lines[lineno - 1] + lines[lineno], *lines[lineno + 1 :]]
-        path.write_text("\n".join(joined) + "\n")
-        column = len(lines[lineno - 1]) + 1
-        message = rf"^{re.escape(str(path))}:{lineno}: Extra data: line 1 column {column} "
-        with pytest.raises(ValueError, match=message):
-            read_dataset(path)
-
-
-def test_read_dataset_names_a_blank_last_line_and_reads_a_last_record_without_newline(tmp_path):
-    # in a file of one block and in one of two, the last line ends the last
-    # block: a blank one is named, and a record without its newline is read
-    small, _ = _written_dataset(tmp_path)
-    small_lines = small.read_text().splitlines()
-    big, big_lines = _file_over_one_block(tmp_path)
-    for path, lines in ((small, small_lines), (big, big_lines)):
-        path.write_text("\n".join(lines) + "\n")
-        written = read_dataset(path)
-        path.write_text("\n".join(lines))
-        back = dataset_columns(read_dataset(path))
-        assert back == dataset_columns(written) == dataset_columns(read_dataset_rows(path))
-        path.write_text("\n".join(lines) + "\n\n")
-        message = rf"^{re.escape(str(path))}:{len(lines) + 1}: Expecting value"
-        with pytest.raises(ValueError, match=message):
-            read_dataset(path)
 
 
 def test_dataset_restrict():
