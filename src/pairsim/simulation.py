@@ -246,9 +246,9 @@ class GoldTable(ReadOnlyValue):
         """Check the columns, casting nothing, and store them as a tuple, a
         text column and read-only arrays: the first item that
         :func:`_entry_error` faults, or whose id an earlier item has, is an
-        error naming it. Numeric arrays and a text column are checked
-        without an item loop, each vocabulary entry once, and the ids by
-        one scan of their types."""
+        error naming it. Numeric arrays (``k_reference`` of a kind that
+        int64 holds) and a text column are checked without an item loop,
+        each vocabulary entry once, and the ids by one scan of their types."""
         item_id, text = tuple(self.item_id), self.text
         p_gold, k_reference = self.p_gold, self.k_reference
         n = len(item_id)
@@ -262,7 +262,7 @@ class GoldTable(ReadOnlyValue):
         if (
             isinstance(p_gold, np.ndarray) and p_gold.dtype.kind in "fiu"
             and isinstance(k_reference, np.ndarray) and k_reference.dtype.kind in "iu"
-            and coded
+            and np.can_cast(k_reference.dtype, np.int64) and coded
         ):
             bad = np.flatnonzero(~((0.0 <= p_gold) & (p_gold <= 1.0)) | (k_reference < 1))
             first = min(int(bad[0]) if len(bad) else n, _first_bad_token_item(text))
@@ -349,6 +349,8 @@ def _entry_error(item_id, text, p_gold, k_reference) -> str | None:
         return f"{where} k_reference must be an integer, got {k_reference!r}"
     if k_reference < 1:
         return f"{where} k_reference must be positive"
+    if k_reference >= 2**63:
+        return f"{where} k_reference {k_reference} must be below 2**63"
     return f"{where} {error}" if (error := _text_error(text)) else None
 
 
@@ -1166,11 +1168,11 @@ def _write_file(path: Union[str, Path], form: str, **columns) -> None:
         fh.write(payload + "\n")
 
 
-def _read_file(path: Union[str, Path], form: str, cls: type):
+def _read_file(path: Union[str, Path], form: str, cls: type, **parsers):
     """The ``cls`` of a file that :func:`_write_file` wrote in the format
-    ``form``: its one line is read by :func:`typed_object`, after the
-    format and the version are checked. Any text but whitespace after it
-    is an error."""
+    ``form``: its one line is read by :func:`typed_object` with
+    ``parsers``, after the format and the version are checked. Any text
+    but whitespace after it is an error."""
     with open(path, encoding="utf-8") as fh:
         payload = json.loads(fh.readline())
         if not isinstance(payload, dict) or payload.get("format") != form:
@@ -1179,7 +1181,7 @@ def _read_file(path: Union[str, Path], form: str, cls: type):
             raise ValueError(f"unsupported {form} version {payload.get('version')!r}")
         if fh.read().strip():
             raise ValueError(f"text after the {form} object")
-    return typed_object(payload, cls, f"{path}: {form.removeprefix('pairsim-')}")
+    return typed_object(payload, cls, f"{path}: {form.removeprefix('pairsim-')}", **parsers)
 
 
 def write_gold(gold: GoldTable, path: Union[str, Path]) -> None:
@@ -1197,7 +1199,10 @@ def read_gold(path: Union[str, Path]) -> GoldTable:
     checks; a table of no items is an error."""
     file = _read_file(path, GOLD_FORMAT, _GoldFile)
     text = TextColumn(file.vocab, np.array(file.codes), np.array(file.offsets))
-    gold = GoldTable(file.item_id, text, np.array(file.p_gold), np.array(file.k_reference))
+    k_reference = np.array(file.k_reference)
+    if k_reference.dtype != np.int64:  # a value beyond int64: check the ints item by item
+        k_reference = file.k_reference
+    gold = GoldTable(file.item_id, text, np.array(file.p_gold), k_reference)
     if not len(gold):
         raise ValueError("gold table has no entries")
     return gold
@@ -1208,11 +1213,22 @@ def write_dataset(dataset: Dataset, path: Union[str, Path]) -> None:
     _write_file(path, DATASET_FORMAT, **{f.name: getattr(dataset, f.name) for f in fields(Dataset)})
 
 
+def _file_meta(value, at: str) -> DatasetMeta:
+    """A dataset file's meta, read at ``at``: the range errors of
+    :class:`DatasetMeta`, which name a field, name its place too."""
+    try:
+        return typed_object(value, DatasetMeta, at)
+    except ValueError as err:
+        if at in str(err):
+            raise
+        raise ValueError(f"{at}.{err}") from None
+
+
 @reads_file
 def read_dataset(path: Union[str, Path]) -> Dataset:
     """The dataset of a :class:`_DatasetFile`, which its constructor
     checks; a dataset of no records is an error."""
-    file = _read_file(path, DATASET_FORMAT, _DatasetFile)
+    file = _read_file(path, DATASET_FORMAT, _DatasetFile, meta=_file_meta)
     dataset = Dataset(*(getattr(file, f.name) for f in fields(Dataset)))
     if not len(dataset):
         raise ValueError("dataset has no records")

@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from math import inf
 from types import MappingProxyType
 
 import numpy as np
@@ -557,6 +558,10 @@ def check_entries(entries):
             )
         if e.k_reference < 1:
             raise ValueError(f"item {e.item_id!r}: k_reference must be positive")
+        if e.k_reference >= 2**63:
+            raise ValueError(
+                f"item {e.item_id!r}: k_reference {e.k_reference} must be below 2**63"
+            )
         if isinstance(e.text, str):
             raise ValueError(
                 f"item {e.item_id!r}: text must be a sequence of tokens, got {e.text!r}"
@@ -599,7 +604,11 @@ _ANY_P = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 0, 1]),
     st.sampled_from(["0.5", True, False, None]),  # not numbers
 )
-_ANY_K = st.one_of(st.integers(-1, 13), st.sampled_from([12.5, 12.0, "3", True, None]))
+_ANY_K = st.one_of(
+    st.integers(-1, 13),
+    st.sampled_from([2**63 - 1, 2**63, 2**70]),  # at and beyond the int64 range
+    st.sampled_from([12.5, 12.0, "3", True, None]),
+)
 _TOKENS = st.lists(st.sampled_from(["x", "y", "z"]), max_size=3).map(tuple)
 # tokens that are not strings, or that UTF-8 cannot encode (a lone surrogate)
 _ANY_TOKENS = st.lists(
@@ -625,15 +634,19 @@ def test_gold_table_check_equals_the_entry_loop(entries):
     expected = _outcome(lambda: check_entries(entries))
     assert _outcome(lambda: GoldTable.from_entries(entries)) == expected
     if all(type(e.p_gold) in (int, float) and type(e.k_reference) is int for e in entries):
-        # the same values as numeric arrays and, when no text is a str, a
-        # text column: checked without an item loop
+        # the same values as numeric arrays (int64 where it holds them) and,
+        # when no text is a str, a text column: checked without an item loop
         ids = [e.item_id for e in entries]
         text = [e.text for e in entries]
         if not any(isinstance(t, str) for t in text):
             text = TextColumn.of(text)
         p = np.array([e.p_gold for e in entries], dtype=np.float64)
-        k = np.array([e.k_reference for e in entries], dtype=np.int64)
-        assert _outcome(lambda: GoldTable(ids, text, p, k)) == expected
+        ks = [e.k_reference for e in entries]
+        ranges = {np.int64: (-(2**63), 2**63), np.uint64: (0, 2**64), object: (-inf, inf)}
+        for dtype, (lo, hi) in ranges.items():
+            if all(lo <= k < hi for k in ks):
+                k = np.array(ks, dtype=dtype)
+                assert _outcome(lambda: GoldTable(ids, text, p, k)) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -47,7 +47,7 @@ from pairsim.simulation import (
     write_gold,
 )
 from pairsim.trainer import load_model
-from test_columns import dataset_columns, decoded_records
+from test_columns import dataset_columns, decoded_records, gold_columns
 
 
 def flat_gold(ps, k=12):
@@ -1083,8 +1083,8 @@ def test_read_dataset_rejects_meta_values_out_of_range_by_name(tmp_path, key, va
     path, d = _written_dataset(tmp_path)
     d["meta"][key] = value
     _rewrite(path, d)
-    # a wrong type is named by its place in the file, a wrong value by its field
-    with pytest.raises(ValueError, match=rf"ds\.jsonl: (dataset\.meta\.)?{key} {error}$"):
+    # the file names the field by its place in it
+    with pytest.raises(ValueError, match=rf"ds\.jsonl: dataset\.meta\.{key} {error}$"):
         read_dataset(path)
 
 
@@ -1122,26 +1122,18 @@ def _small_dataset():
 
 
 _DATA_FILES = {
-    "gold": (write_gold, read_gold, _small_gold),
-    "dataset": (write_dataset, read_dataset, _small_dataset),
+    "gold": (write_gold, read_gold, _small_gold, gold_columns),
+    "dataset": (write_dataset, read_dataset, _small_dataset, dataset_columns),
 }
 
 
-def _file_columns(value):
-    """A gold table's or a dataset's columns, as comparable values."""
-    if isinstance(value, Dataset):
-        return dataset_columns(value)
-    text = value.text
-    return value.item_id, text.vocab, text.codes.tolist(), text.offsets.tolist(), repr(value)
-
-
-@pytest.mark.parametrize("write, read, make", _DATA_FILES.values(), ids=_DATA_FILES.keys())
-def test_a_data_file_is_one_json_object_on_one_line(tmp_path, write, read, make):
+@pytest.mark.parametrize("write, read, make, columns", _DATA_FILES.values(), ids=_DATA_FILES.keys())
+def test_a_data_file_is_one_json_object_on_one_line(tmp_path, write, read, make, columns):
     # key order, JSON spacing and a missing last newline do not matter,
     # nor does whitespace after the line; anything else after it does
     path = tmp_path / "data.jsonl"
     write(make(), path)
-    written = _file_columns(read(path))
+    written = columns(read(path))
     d = json.loads(path.read_text())
     form = d["format"]
     for text in (
@@ -1149,7 +1141,7 @@ def test_a_data_file_is_one_json_object_on_one_line(tmp_path, write, read, make)
         json.dumps(d) + "\n \n\n",
     ):
         path.write_text(text)
-        assert _file_columns(read(path)) == written
+        assert columns(read(path)) == written
     path.write_text(json.dumps(d) + "\n" + json.dumps(d) + "\n")
     message = rf"^{re.escape(str(path))}: text after the {form} object$"
     with pytest.raises(ValueError, match=message):
@@ -1223,11 +1215,21 @@ _OLD_DATASET = json.dumps(_HEADER) + "\n" + json.dumps(_RECORD) + "\n"
         ), "gold table has no entries"),
         (read_gold, _OLD_GOLD, "not a pairsim-gold file"),
         (read_dataset, _OLD_DATASET, "not a pairsim-dataset file"),
+        # numpy reads these as uint64, as objects and as floats
+        (read_gold, _gold_object(k_reference=[2**63]),
+         "item 'it': k_reference 9223372036854775808 must be below 2**63"),
+        (read_gold, _gold_object(k_reference=[2**70]),
+         "item 'it': k_reference 1180591620717411303424 must be below 2**63"),
+        (read_gold, _gold_object(
+            item_id=["a", "b"], codes=[0, 0], offsets=[0, 1, 2], p_gold=[0.5, 0.5],
+            k_reference=[12, 2**63],
+        ), "item 'b': k_reference 9223372036854775808 must be below 2**63"),
     ],
     ids=[
         "gold-format", "dataset-format", "gold-version", "dataset-version", "unknown-key",
         "wrong-type", "missing-key", "true-label", "float-label", "label-2", "repeated-id",
         "disagreeing-replica", "no-records", "no-items", "old-gold", "old-dataset",
+        "uint64-k", "huge-k", "uint64-k-beside-int64",
     ],
 )
 def test_a_data_file_error_names_the_file_and_the_field_or_record(
